@@ -31,17 +31,6 @@ use swfit_core::{Faultload, Scanner};
 use crate::resilience::StoreCtx;
 use crate::{io_err, StoreError};
 
-/// Number of *actual* scanner walks this process performed through a
-/// [`FaultMapCache`] — cache hits do not count.
-static SCANS: AtomicU64 = AtomicU64::new(0);
-
-/// How many cache lookups fell through to a real scan in this process.
-/// Mirrors [`simos::compile_count`]: lets tests assert that a second scan of
-/// an unchanged edition was served from the cache.
-pub fn scan_count() -> u64 {
-    SCANS.load(Ordering::Relaxed)
-}
-
 /// The content-address of one fault map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheKey {
@@ -87,6 +76,8 @@ impl CacheKey {
 pub struct FaultMapCache {
     dir: PathBuf,
     ctx: Arc<StoreCtx>,
+    /// Lookups that fell through to a real scan (shared by clones).
+    scans: Arc<AtomicU64>,
 }
 
 impl FaultMapCache {
@@ -107,12 +98,23 @@ impl FaultMapCache {
     ) -> Result<FaultMapCache, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        Ok(FaultMapCache { dir, ctx })
+        Ok(FaultMapCache {
+            dir,
+            ctx,
+            scans: Arc::default(),
+        })
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// How many lookups through this cache (or its clones) fell through to
+    /// a real scan — cache hits do not count. Lets tests assert that a
+    /// second scan of an unchanged edition was served from the cache.
+    pub fn scan_count(&self) -> u64 {
+        self.scans.load(Ordering::Relaxed)
     }
 
     /// [`Scanner::scan_image`] through the cache.
@@ -153,7 +155,7 @@ impl FaultMapCache {
         if let Some(hit) = self.load_valid(&path, &key) {
             return Ok(hit);
         }
-        SCANS.fetch_add(1, Ordering::Relaxed);
+        self.scans.fetch_add(1, Ordering::Relaxed);
         let faultload = match funcs {
             Some(fs) => scanner.scan_functions(image, fs),
             None => scanner.scan_image(image),
@@ -244,11 +246,10 @@ mod tests {
         let dir = tmpdir("hit");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
-        let before = scan_count();
         let a = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 1, "first scan is a miss");
+        assert_eq!(cache.scan_count(), 1, "first scan is a miss");
         let b = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 1, "second scan served from cache");
+        assert_eq!(cache.scan_count(), 1, "second scan served from cache");
         assert_eq!(a, b);
         assert_eq!(a, Scanner::standard().scan_image(p.image()));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -260,7 +261,6 @@ mod tests {
         let dir = tmpdir("ops");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
-        let before = scan_count();
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         let single = Scanner::builder()
             .operator(Box::new(MifsOp))
@@ -268,15 +268,15 @@ mod tests {
             .unwrap();
         let narrowed = cache.scan_image(&single, p.image()).unwrap();
         assert_eq!(
-            scan_count(),
-            before + 2,
+            cache.scan_count(),
+            2,
             "different operator library must rescan"
         );
         assert!(narrowed.len() < Scanner::standard().scan_image(p.image()).len());
         // And each library now hits its own entry.
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         cache.scan_image(&single, p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2);
+        assert_eq!(cache.scan_count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -286,22 +286,21 @@ mod tests {
         let cache = FaultMapCache::open(&dir).unwrap();
         let p1 = compile("os", SRC).unwrap();
         let p2 = compile("os", OTHER_SRC).unwrap();
-        let before = scan_count();
         cache.scan_image(&Scanner::standard(), p1.image()).unwrap();
         cache.scan_image(&Scanner::standard(), p2.image()).unwrap();
-        assert_eq!(scan_count(), before + 2, "different image must rescan");
+        assert_eq!(cache.scan_count(), 2, "different image must rescan");
         let filter = vec!["alpha".to_string()];
         let restricted = cache
             .scan_functions(&Scanner::standard(), p1.image(), &filter)
             .unwrap();
-        assert_eq!(scan_count(), before + 3, "filtered scan is its own entry");
+        assert_eq!(cache.scan_count(), 3, "filtered scan is its own entry");
         assert!(restricted.faults.iter().all(|f| f.func == "alpha"));
         // Filter order does not matter: sorted-set hashing.
         let shuffled = vec!["alpha".to_string(), "alpha".to_string()];
         cache
             .scan_functions(&Scanner::standard(), p1.image(), &shuffled)
             .unwrap();
-        assert_eq!(scan_count(), before + 3, "same filter set hits");
+        assert_eq!(cache.scan_count(), 3, "same filter set hits");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -313,7 +312,6 @@ mod tests {
         let dir = tmpdir("packedit");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
-        let before = scan_count();
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         let mut edited = swfit_core::pack::classic().clone();
         edited.operators[0].note.push('!');
@@ -323,11 +321,11 @@ mod tests {
         assert_ne!(key_a.pack_set, key_b.pack_set);
         assert_ne!(key_a.file_name(), key_b.file_name());
         cache.scan_image(&edited_scanner, p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2, "edited pack content must rescan");
+        assert_eq!(cache.scan_count(), 2, "edited pack content must rescan");
         // Both entries now hit independently.
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         cache.scan_image(&edited_scanner, p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2);
+        assert_eq!(cache.scan_count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -337,15 +335,14 @@ mod tests {
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
         let key = CacheKey::new(p.image(), &Scanner::standard(), None);
-        let before = scan_count();
         let clean = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
         std::fs::write(dir.join(key.file_name()), b"{ not json").unwrap();
         let healed = cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2, "corrupt entry forces a rescan");
+        assert_eq!(cache.scan_count(), 2, "corrupt entry forces a rescan");
         assert_eq!(clean, healed);
         // The rewrite is valid again.
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        assert_eq!(scan_count(), before + 2);
+        assert_eq!(cache.scan_count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,8 +12,8 @@
 //!   [`swfit_core::Scanner`] output persisted to disk keyed by
 //!   `(image fingerprint, operator-set hash, function-filter hash)`, so a
 //!   rescan of an unchanged OS edition is a file read, not a code walk.
-//!   [`scan_count`] mirrors [`simos::compile_count`] as the test hook
-//!   proving cache hits.
+//!   [`FaultMapCache::scan_count`] counts the lookups that fell through to
+//!   a real scan, proving cache hits.
 //! * [`journal`] — a **crash-safe, append-only campaign journal** (JSONL,
 //!   write-then-fsync, one record per completed slot, written in slot order
 //!   via the executor's ordered observer). Re-running an interrupted
@@ -57,7 +57,7 @@ pub mod store;
 
 use std::fmt;
 
-pub use cache::{scan_count, CacheKey, FaultMapCache};
+pub use cache::{CacheKey, FaultMapCache};
 pub use diff::{diff_runs, diff_table};
 pub use journal::{Journal, JournalHeader, StopRecord, JOURNAL_SCHEMA};
 // Re-exported so store users can configure resilience without naming the

@@ -14,7 +14,8 @@
 //! * [`image`] — linked code images with symbol tables and a patching API
 //!   (the injector's apply/undo entry point),
 //! * [`asm`] — a small text assembler used in tests and examples,
-//! * [`mem`] — the word-addressed data memory,
+//! * [`mem`] — the word-addressed data memory with dirty-page
+//!   snapshot/restore,
 //! * [`vm`] — the trapping interpreter with an instruction budget (budget
 //!   exhaustion models hangs caused by injected faults).
 //!
@@ -47,5 +48,5 @@ pub mod vm;
 
 pub use image::{CodeImage, FuncInfo, Patch, PatchSet};
 pub use isa::{DecodeError, Instr, Opcode, Reg};
-pub use mem::Memory;
+pub use mem::{Memory, MemorySnapshot};
 pub use vm::{CallError, CallOutcome, HcallHandler, NoHcalls, Trap, Vm, VmConfig, Watchpoint};

@@ -22,15 +22,16 @@ const IO_BASE_COST: u64 = 20;
 
 /// Host-side file store plus hypercall dispatch.
 ///
-/// File contents live behind [`Arc`]s, so cloning the store (taken as a
-/// campaign checkpoint, or restored from one) shares the bytes and only
-/// copies the path table. A write to a shared file copies just that file
-/// first ([`Arc::make_mut`]) — copy-on-write per file, which is what makes
-/// per-slot snapshot restore cheap even with a large static file set.
+/// File contents and the path table live behind [`Arc`]s, so cloning the
+/// store (taken as a campaign checkpoint, or restored from one) shares them
+/// and only copies the file handle list. A write to a shared file copies
+/// just that file first ([`Arc::make_mut`]), and a path change copies the
+/// path table first — copy-on-write, which is what makes per-slot snapshot
+/// restore cheap even with a large static file set.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceStore {
     files: Vec<Arc<Vec<i64>>>,
-    by_path: BTreeMap<String, usize>,
+    by_path: Arc<BTreeMap<String, usize>>,
     cost_units: u64,
     io_ops: u64,
 }
@@ -64,7 +65,7 @@ impl DeviceStore {
         } else {
             let id = self.files.len();
             self.files.push(cells);
-            self.by_path.insert(path.to_string(), id);
+            Arc::make_mut(&mut self.by_path).insert(path.to_string(), id);
             id
         }
     }
@@ -92,7 +93,7 @@ impl DeviceStore {
     /// Unlinks `path` (subsequent lookups miss); the content stays stored
     /// and can be re-linked. Returns the file id, if the path existed.
     pub fn unlink(&mut self, path: &str) -> Option<usize> {
-        self.by_path.remove(path)
+        Arc::make_mut(&mut self.by_path).remove(path)
     }
 
     /// (Re-)links `path` to an existing file id.
@@ -102,7 +103,7 @@ impl DeviceStore {
     /// Panics if `id` does not reference a stored file.
     pub fn link(&mut self, path: &str, id: usize) {
         assert!(id < self.files.len(), "file id {id} out of range");
-        self.by_path.insert(path.to_string(), id);
+        Arc::make_mut(&mut self.by_path).insert(path.to_string(), id);
     }
 
     /// Cost units accrued by hypercalls since the last [`take_cost`]
@@ -307,6 +308,19 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(dev.file_size("/f"), Some(4));
         assert_eq!(dev.file_count(), 1);
+    }
+
+    #[test]
+    fn path_changes_do_not_leak_into_clones() {
+        let mut dev = DeviceStore::new();
+        let id = dev.add_file("/a", b"a");
+        let checkpoint = dev.clone();
+        dev.unlink("/a");
+        dev.link("/b", id);
+        dev.add_file("/c", b"c");
+        assert_eq!(dev.paths(), ["/b", "/c"]);
+        assert_eq!(checkpoint.paths(), ["/a"]);
+        assert_eq!(dev.unlink("/missing"), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use minic::Program;
-use mvm::{CallError, Memory, Trap, Vm, VmConfig};
+use mvm::{CallError, Memory, MemorySnapshot, Trap, Vm, VmConfig};
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use simtrace::{EventKind, Tracer};
@@ -183,22 +183,24 @@ pub struct Os {
     watch_seen: u64,
     /// Virtual time the mutation site first executed, if it has.
     watch_first: Option<SimTime>,
+    /// Memory cells copied back by [`Os::restore_snapshot`] so far.
+    cells_restored: u64,
 }
 
 /// A copy-on-write checkpoint of booted OS state, taken with
 /// [`Os::snapshot`] and reinstated with [`Os::restore_snapshot`].
 ///
-/// Holds the machine memory and the device store (whose file contents are
-/// `Arc`-shared, so the clone here is cheap and stays cheap to restore).
-/// The code image is deliberately *not* captured: the injector owns image
-/// state via its `PatchSet` undo log, and a snapshot restore must not be
-/// able to paper over a leaked patch — instead the image fingerprint is
-/// recorded and checked at restore time.
+/// Holds the machine memory and the device store (whose file contents and
+/// path table are `Arc`-shared, so the clone here is cheap and stays cheap
+/// to restore). The code image is deliberately *not* restored: the injector
+/// owns image state via its `PatchSet` undo log, and a snapshot restore must
+/// not be able to paper over a leaked patch — instead the code words are
+/// recorded and compared at restore time.
 #[derive(Clone, Debug)]
 pub struct OsSnapshot {
-    mem: Memory,
+    mem: MemorySnapshot,
     devices: DeviceStore,
-    image_fingerprint: u64,
+    image_words: Vec<u64>,
 }
 
 impl Os {
@@ -243,6 +245,7 @@ impl Os {
             reboots: 0,
             watch_seen: 0,
             watch_first: None,
+            cells_restored: 0,
         };
         os.reset_state()?;
         Ok(os)
@@ -328,17 +331,20 @@ impl Os {
     /// copied, so this is cheap even with a large populated file set.
     pub fn snapshot(&self) -> OsSnapshot {
         OsSnapshot {
-            mem: self.mem.clone(),
+            mem: self.mem.snapshot(),
             devices: self.devices.clone(),
-            image_fingerprint: self.program.image().fingerprint(),
+            image_words: self.program.image().words().to_vec(),
         }
     }
 
-    /// Reinstates a checkpoint taken by [`Os::snapshot`]: memory is copied
-    /// back in one block and the device store rolls back to the
-    /// checkpointed file set. This replaces the re-boot between campaign
-    /// slots — restoring is equivalent to the deterministic boot + populate
-    /// + start sequence the snapshot captured, at memcpy cost.
+    /// Reinstates a checkpoint taken by [`Os::snapshot`]: memory rolls back
+    /// and the device store returns to the checkpointed file set. This
+    /// replaces the re-boot between campaign slots — restoring is equivalent
+    /// to the deterministic boot + populate + start sequence the snapshot
+    /// captured. Repeated restores of the same snapshot copy back only the
+    /// memory pages written since the previous one (see
+    /// [`Memory::restore`]); the first restore, a different snapshot, or a
+    /// restore after [`Os::reboot`] copies all of it.
     ///
     /// Accumulated observability state (API counts, `Vm::total_executed`,
     /// reboot counters, tracer) is intentionally left alone, matching the
@@ -346,17 +352,22 @@ impl Os {
     ///
     /// # Panics
     ///
-    /// Panics if the code image no longer matches the snapshot's
-    /// fingerprint — that means an injected fault was not reverted, and
-    /// silently continuing would corrupt every later slot.
+    /// Panics if the code words differ from the snapshot's — that means an
+    /// injected fault was not reverted, and silently continuing would
+    /// corrupt every later slot.
     pub fn restore_snapshot(&mut self, snap: &OsSnapshot) {
-        assert_eq!(
-            self.program.image().fingerprint(),
-            snap.image_fingerprint,
+        assert!(
+            self.program.image().words() == snap.image_words,
             "restore_snapshot on a patched image: revert injected faults before slot reset"
         );
-        self.mem.copy_from(&snap.mem);
+        self.cells_restored += self.mem.restore(&snap.mem) as u64;
         self.devices = snap.devices.clone();
+    }
+
+    /// Memory cells copied back by [`Os::restore_snapshot`] over this
+    /// instance's life — the deterministic work counter of the slot reset.
+    pub fn cells_restored(&self) -> u64 {
+        self.cells_restored
     }
 
     /// Calls an OS API function.
@@ -694,6 +705,51 @@ mod tests {
                 "round {round}"
             );
         }
+    }
+
+    #[test]
+    fn restore_copies_only_what_the_served_load_dirtied() {
+        let mut os = booted();
+        let snap = os.snapshot();
+        os.restore_snapshot(&snap);
+        assert_eq!(os.cells_restored(), MEM_SIZE as u64, "first restore");
+
+        // Serve some load: heap churn, a file read, a registry write.
+        let p = os.call(OsApi::RtlAllocateHeap, &[100]).unwrap().value;
+        os.call(OsApi::RtlFreeHeap, &[p]).unwrap();
+        os.poke_cstr(SCRATCH, "/web/index.html").unwrap();
+        let h = os.call(OsApi::NtOpenFile, &[SCRATCH]).unwrap().value;
+        os.call(OsApi::ReadFile, &[h, SCRATCH + 400, 64]).unwrap();
+        os.call(OsApi::CloseHandle, &[h]).unwrap();
+        os.poke_cstr(SCRATCH, "config/port").unwrap();
+        os.call(OsApi::NtSetValueKey, &[SCRATCH, 8080]).unwrap();
+        let before = os.cells_restored();
+        os.restore_snapshot(&snap);
+        let incremental = os.cells_restored() - before;
+        assert!(incremental > 0, "the load wrote nothing");
+        assert!(
+            incremental * 20 <= MEM_SIZE as u64,
+            "incremental restore copied {incremental} of {MEM_SIZE} cells"
+        );
+        assert_eq!(os.peek(SCRATCH).unwrap(), 0);
+
+        let other = os.snapshot();
+        let before = os.cells_restored();
+        os.restore_snapshot(&other);
+        assert_eq!(
+            os.cells_restored() - before,
+            MEM_SIZE as u64,
+            "other snapshot"
+        );
+
+        os.reboot().unwrap();
+        let before = os.cells_restored();
+        os.restore_snapshot(&other);
+        assert_eq!(
+            os.cells_restored() - before,
+            MEM_SIZE as u64,
+            "after reboot"
+        );
     }
 
     #[test]
