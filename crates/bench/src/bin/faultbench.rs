@@ -434,17 +434,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     ]);
     let mut it: u64 = 0;
     while it < iteration_bound {
-        let res = match &store {
-            Some(s) => s
-                .run_resumable(&campaign, &faultload, it, cli.resume)
-                .map_err(|e| e.to_string())?,
-            None => campaign.run_injection(&faultload, it).map_err(|e| match e {
-                depbench::CampaignError::FingerprintMismatch { .. } => format!(
-                    "faultload was generated from a different {edition} build; re-run `faultbench scan`"
-                ),
-                other => other.to_string(),
-            })?,
-        };
+        let res = cli.run_injection(store.as_ref(), &campaign, &faultload, it)?;
         if let (Some(s), Some(name)) = (&store, flag_value(args, "--save")) {
             let run_name = if max_iterations == 1 {
                 name.clone()

@@ -519,4 +519,38 @@ mod tests {
             assert!(CliArgs::from_slice(&args(bad)).is_err(), "{bad:?}");
         }
     }
+
+    #[test]
+    fn foreign_faultload_error_carries_the_rescan_hint_with_and_without_store() {
+        use depbench::{Campaign, CampaignConfig};
+        use simos::{Edition, Os, OsApi};
+        use swfit_core::Scanner;
+        use webserver::ServerKind;
+
+        // Scanned from the XP build, run against nimbus-2000: the
+        // fingerprint check refuses it before any slot runs.
+        let xp = Os::boot(Edition::NimbusXp).unwrap();
+        let foreign = Scanner::standard()
+            .scan_functions(xp.program().image(), &[OsApi::NtClose.symbol().to_string()]);
+        let campaign = Campaign::new(
+            Edition::Nimbus2000,
+            ServerKind::Wren,
+            CampaignConfig::default(),
+        );
+        let dir = std::env::temp_dir().join(format!("bench-cli-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cli = CliArgs::from_slice(&args(&["--store", dir.to_str().unwrap()])).unwrap();
+        let store = cli.open_store().unwrap().expect("--store opens a store");
+        for store in [Some(&store), None] {
+            let err = cli
+                .run_injection(store, &campaign, &foreign, 0)
+                .unwrap_err();
+            assert!(
+                err.contains("different nimbus-2000 build; re-run `faultbench scan`"),
+                "store={}: {err}",
+                store.is_some()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -6,8 +6,8 @@
 //! test re-scans both OS editions with the pack-compiled library, strips the
 //! additive `packs` stamp, and requires the serialized faultload to match
 //! the fixture byte for byte — fault ids, sites, patch bytes and notes all
-//! included. Any drift here means the pack interpreter and the original
-//! operator structs have diverged.
+//! included. Any drift here means the pack interpreter no longer
+//! reproduces the seed scanner's hard-coded operators.
 //!
 //! After an *intentional* operator change, re-bless the fixtures with
 //! `PACK_GOLDEN_BLESS=1 cargo test -p bench --test pack_golden` and commit

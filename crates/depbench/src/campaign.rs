@@ -28,7 +28,7 @@ use swfit_core::pack::PackRef;
 use swfit_core::{Faultload, InjectError, Injector};
 use webserver::{ServerKind, ServerState, WebServer};
 
-use crate::executor::{run_slots, run_slots_watched, SlotRun, SlotToken, SlotWatchdogConfig};
+use crate::executor::{run_slots, SlotRun, SlotToken, SlotWatchdogConfig};
 use crate::interval::{run_interval, IntervalConfig, WatchdogCounts};
 use crate::recovery::{AvailabilityMetrics, RecoveryPolicy};
 
@@ -55,7 +55,8 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::FingerprintMismatch { target, edition } => write!(
                 f,
-                "faultload `{target}` was generated from a different {edition} build"
+                "faultload `{target}` was generated from a different {edition} build; \
+                 re-run `faultbench scan`"
             ),
             CampaignError::BootFailed(m) => write!(f, "OS boot failed: {m}"),
             CampaignError::InjectFailed(e) => write!(f, "fault injection failed: {e}"),
@@ -749,11 +750,13 @@ impl Campaign {
         // Several slots, mirroring the slotted campaign structure (same
         // rest-interval recovery between slots as the injection campaign).
         const SLOTS: usize = 8;
-        let per_slot: Vec<IntervalMeasures> = run_slots(
+        let worklist: Vec<usize> = (0..SLOTS).collect();
+        let per_slot = run_slots(
             self.config.parallelism,
-            SLOTS,
+            &worklist,
+            None,
             || self.worker_stack(Injector::profile_mode()),
-            |stack, slot| {
+            |stack, slot, _| {
                 stack.reset();
                 if injector_busy > SimDuration::ZERO {
                     // Profile-mode bookkeeping: a no-op inject/restore cycle.
@@ -782,11 +785,18 @@ impl Campaign {
                 stack.injector.restore(stack.os.image_mut());
                 out.measures
             },
+            |_, _| {},
         );
         // Fold in slot order so float accumulation matches at any
-        // parallelism.
+        // parallelism. A baseline slot has no quarantine to land in: its
+        // panic is re-raised here, after every worker has been joined.
         let mut total: Option<IntervalMeasures> = None;
-        for measures in per_slot {
+        for (slot, run) in per_slot.into_iter().enumerate() {
+            let measures = match run {
+                SlotRun::Done(measures) => measures,
+                SlotRun::Panicked(message) => panic!("baseline slot {slot} panicked: {message}"),
+                SlotRun::TimedOut { .. } => unreachable!("baseline slots run unwatched"),
+            };
             match &mut total {
                 Some(t) => t.merge(&measures),
                 None => total = Some(measures),
@@ -829,7 +839,7 @@ impl Campaign {
     /// `observe(slot, &outcome)` fires once per *newly executed* slot —
     /// completed or quarantined — in increasing slot order even under
     /// parallel work-stealing (see
-    /// [`crate::executor::run_slots_watched`]), which is exactly the
+    /// [`crate::executor::run_slots`]), which is exactly the
     /// record sequence an append-only journal needs.
     ///
     /// A panicking slot does not abort the campaign: the panic is caught,
@@ -872,14 +882,7 @@ impl Campaign {
                 faultload.target, self.edition
             );
         }
-        let (probe, _) = self.boot()?;
-        if !faultload.matches_image(probe.program().image()) {
-            return Err(CampaignError::FingerprintMismatch {
-                target: faultload.target.clone(),
-                edition: self.edition,
-            });
-        }
-        drop(probe);
+        self.check_fingerprint(faultload)?;
 
         // Replayed Done outcomes keep their results; everything else —
         // never-run slots and replayed quarantined slots — goes on the
@@ -897,7 +900,7 @@ impl Campaign {
         // can be dumped post-mortem. Completed slots deregister on the spot,
         // bounding the registry to the in-flight window.
         let tracers: Mutex<HashMap<usize, Tracer>> = Mutex::new(HashMap::new());
-        let ran: Vec<SlotRun<Result<SlotResult, CampaignError>>> = run_slots_watched(
+        let ran: Vec<SlotRun<Result<SlotResult, CampaignError>>> = run_slots(
             self.config.parallelism,
             &worklist,
             self.watchdog.as_ref(),
@@ -924,44 +927,30 @@ impl Campaign {
                 }
                 result
             },
-            |slot, run| match run {
-                SlotRun::Done(Ok(r)) => observe(slot, &SlotOutcome::Done(r.clone())),
-                SlotRun::Done(Err(_)) => {}
-                SlotRun::Panicked(message) => {
-                    self.dump_quarantined_trace(slot, &faultload.faults[slot].id, &tracers);
-                    observe(
-                        slot,
-                        &SlotOutcome::Quarantined(SlotError::Panicked {
-                            message: message.clone(),
-                        }),
-                    );
-                }
-                SlotRun::TimedOut { budget_ms } => {
-                    if let Some(tracer) = lock_tracers(&tracers).get(&slot) {
-                        tracer.emit(EventKind::SlotTimeout {
-                            slot: slot as u64,
-                            budget_ms: *budget_ms,
-                        });
+            |slot, run| {
+                let outcome = match run {
+                    SlotRun::Done(Ok(r)) => SlotOutcome::Done(r.clone()),
+                    SlotRun::Done(Err(_)) => return,
+                    quarantined => {
+                        if let SlotRun::TimedOut { budget_ms } = quarantined {
+                            if let Some(tracer) = lock_tracers(&tracers).get(&slot) {
+                                tracer.emit(EventKind::SlotTimeout {
+                                    slot: slot as u64,
+                                    budget_ms: *budget_ms,
+                                });
+                            }
+                        }
+                        self.dump_quarantined_trace(slot, &faultload.faults[slot].id, &tracers);
+                        SlotOutcome::Quarantined(slot_error(quarantined))
                     }
-                    self.dump_quarantined_trace(slot, &faultload.faults[slot].id, &tracers);
-                    observe(
-                        slot,
-                        &SlotOutcome::Quarantined(SlotError::TimedOut {
-                            budget_ms: *budget_ms,
-                        }),
-                    );
-                }
+                };
+                observe(slot, &outcome);
             },
         );
         for (&slot, run) in worklist.iter().zip(ran) {
             outcomes[slot] = Some(match run {
                 SlotRun::Done(result) => SlotOutcome::Done(result?),
-                SlotRun::Panicked(message) => {
-                    SlotOutcome::Quarantined(SlotError::Panicked { message })
-                }
-                SlotRun::TimedOut { budget_ms } => {
-                    SlotOutcome::Quarantined(SlotError::TimedOut { budget_ms })
-                }
+                quarantined => SlotOutcome::Quarantined(slot_error(&quarantined)),
             });
         }
 
@@ -1050,6 +1039,20 @@ impl Campaign {
         }
     }
 
+    /// Probe-boots the edition and checks that `faultload` was generated
+    /// from this very build.
+    fn check_fingerprint(&self, faultload: &Faultload) -> Result<(), CampaignError> {
+        let (probe, _) = self.boot()?;
+        if faultload.matches_image(probe.program().image()) {
+            Ok(())
+        } else {
+            Err(CampaignError::FingerprintMismatch {
+                target: faultload.target.clone(),
+                edition: self.edition,
+            })
+        }
+    }
+
     /// Re-runs a single slot with a live recorder and returns its result
     /// together with the full retained trace — the `faultbench trace`
     /// subcommand's entry point. The slot uses the exact `(iteration, slot)`
@@ -1074,14 +1077,7 @@ impl Campaign {
             "slot {slot} out of range: faultload has {} faults",
             faultload.len()
         );
-        let (probe, _) = self.boot()?;
-        if !faultload.matches_image(probe.program().image()) {
-            return Err(CampaignError::FingerprintMismatch {
-                target: faultload.target.clone(),
-                edition: self.edition,
-            });
-        }
-        drop(probe);
+        self.check_fingerprint(faultload)?;
         let capacity = self
             .trace
             .as_ref()
@@ -1210,6 +1206,19 @@ struct DumpHeader {
     capacity: u64,
 }
 
+/// The quarantine entry for a slot that panicked or timed out.
+fn slot_error<R>(run: &SlotRun<R>) -> SlotError {
+    match run {
+        SlotRun::Done(_) => unreachable!("completed slots are not quarantined"),
+        SlotRun::Panicked(message) => SlotError::Panicked {
+            message: message.clone(),
+        },
+        SlotRun::TimedOut { budget_ms } => SlotError::TimedOut {
+            budget_ms: *budget_ms,
+        },
+    }
+}
+
 /// The tracer registry is only ever locked around a single insert, remove
 /// or lookup — a panic cannot strike mid-mutation, so a poisoned lock (a
 /// quarantined slot panicked elsewhere) is still safe to use.
@@ -1333,6 +1342,27 @@ mod tests {
         let sequential = serde_json::to_string(&run(1)).unwrap();
         let parallel = serde_json::to_string(&run(4)).unwrap();
         assert_eq!(sequential, parallel);
+    }
+
+    #[test]
+    fn baseline_and_profile_mode_are_parallelism_invariant() {
+        // The fault-free runs fold eight slots through the same executor
+        // as the injection campaign; their bytes must not depend on how
+        // many workers ran the slots.
+        let run = |parallelism: usize| {
+            let cfg = CampaignConfig {
+                parallelism,
+                ..quick_config()
+            };
+            let c = Campaign::new(Edition::Nimbus2000, ServerKind::Heron, cfg);
+            (
+                serde_json::to_string(&c.run_baseline(0).unwrap()).unwrap(),
+                serde_json::to_string(&c.run_profile_mode(0).unwrap()).unwrap(),
+            )
+        };
+        let (baseline, profile) = run(1);
+        assert_ne!(baseline, profile, "profile mode loads the server");
+        assert_eq!(run(3), (baseline, profile));
     }
 
     #[test]

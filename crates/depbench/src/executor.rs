@@ -23,146 +23,29 @@
 //! server process, request generator — built once per worker; OS boots are
 //! cheap because `simos` caches the compiled image per edition.
 //!
-//! [`run_slots_observed`] additionally streams results to an observer **in
-//! slot order** as the completed prefix grows — the hook the persistent
-//! campaign journal (`faultstore`) uses to record progress crash-safely —
-//! and can start mid-range, which is how a resumed campaign executes only
-//! the slots its journal does not already hold.
+//! [`run_slots`] is the one entry point. It runs an explicit worklist of
+//! slot indices (a resumed campaign executes only the slots its journal
+//! does not already hold), isolates each slot's panics, optionally enforces
+//! a per-slot wall-clock watchdog, and streams results to an observer **in
+//! worklist order** as the completed prefix grows — the hook the persistent
+//! campaign journal (`faultstore`) uses to record progress crash-safely.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Runs `slots` independent slots on up to `parallelism` worker threads and
-/// returns the per-slot outputs in slot order.
-///
-/// `make_worker` builds one worker's private state (it runs on the worker's
-/// own thread, so the state type needs no `Send`); `run_slot` executes one
-/// slot against that state. With `parallelism <= 1` (or a single slot)
-/// everything runs inline on the caller's thread — same code path, no
-/// spawning.
-///
-/// # Panics
-///
-/// Propagates panics from `make_worker` / `run_slot` after all workers have
-/// been joined.
-pub fn run_slots<T, R, MW, RS>(
-    parallelism: usize,
-    slots: usize,
-    make_worker: MW,
-    run_slot: RS,
-) -> Vec<R>
-where
-    MW: Fn() -> T + Sync,
-    RS: Fn(&mut T, usize) -> R + Sync,
-    R: Send,
-{
-    run_slots_observed(parallelism, 0, slots, make_worker, run_slot, |_, _| {})
-}
-
-/// Reorder buffer shared by the workers: results parked by slot index, plus
-/// the index of the first slot whose result has not yet been observed.
+/// Reorder buffer shared by the workers: results parked by worklist
+/// position, plus the first position whose result has not yet been
+/// observed.
 struct Reorder<R> {
-    /// `out[i - start]` holds slot `i`'s result once it finishes.
+    /// `out[pos]` holds the result of slot `worklist[pos]` once it finishes.
     out: Vec<Option<R>>,
-    /// Next slot index to hand to the observer (contiguous prefix bound).
+    /// Next worklist position to hand to the observer (contiguous prefix
+    /// bound).
     next: usize,
 }
 
-/// [`run_slots`] with a start offset and an ordered completion observer.
-///
-/// Executes slots `start..slots` (`start` of them are assumed already done
-/// by an earlier, interrupted run) and returns their outputs in slot order.
-/// `observe(i, &result)` is called exactly once per executed slot, **in
-/// increasing slot order** — the executor parks out-of-order completions in
-/// a reorder buffer and drains the contiguous prefix as it grows. The
-/// observer therefore sees exactly the records an append-only journal can
-/// replay after a crash: a gap-free prefix.
-///
-/// The observer runs under the reorder lock: keep it short (serialize +
-/// append + fsync is the intended use). It cannot see results out of order
-/// even when work-stealing completes slot 7 before slot 3.
-///
-/// # Panics
-///
-/// Propagates panics from `make_worker` / `run_slot` / `observe` after all
-/// workers have been joined.
-pub fn run_slots_observed<T, R, MW, RS, OB>(
-    parallelism: usize,
-    start: usize,
-    slots: usize,
-    make_worker: MW,
-    run_slot: RS,
-    observe: OB,
-) -> Vec<R>
-where
-    MW: Fn() -> T + Sync,
-    RS: Fn(&mut T, usize) -> R + Sync,
-    OB: Fn(usize, &R) + Sync,
-    R: Send,
-{
-    if start >= slots {
-        return Vec::new();
-    }
-    let remaining = slots - start;
-    let workers = parallelism.max(1).min(remaining);
-    if workers == 1 {
-        let mut state = make_worker();
-        return (start..slots)
-            .map(|i| {
-                let r = run_slot(&mut state, i);
-                observe(i, &r);
-                r
-            })
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(start);
-    let reorder = Mutex::new(Reorder {
-        out: (0..remaining).map(|_| None).collect(),
-        next: start,
-    });
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_worker();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots {
-                            break;
-                        }
-                        let r = run_slot(&mut state, i);
-                        let mut buf = reorder.lock().expect("reorder lock");
-                        buf.out[i - start] = Some(r);
-                        // Drain the contiguous completed prefix in order.
-                        while buf.next < slots {
-                            match buf.out[buf.next - start].as_ref() {
-                                Some(done) => {
-                                    observe(buf.next, done);
-                                    buf.next += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("campaign worker panicked");
-        }
-    });
-    let buf = reorder.into_inner().expect("reorder lock");
-    debug_assert_eq!(buf.next, slots, "observer saw every slot");
-    buf.out
-        .into_iter()
-        .map(|r| r.expect("every slot produced a result"))
-        .collect()
-}
-
-/// How one slot of a panic-isolated run ([`run_slots_quarantined`] /
-/// [`run_slots_watched`]) ended.
+/// How one slot of a [`run_slots`] run ended.
 #[derive(Clone, Debug)]
 pub enum SlotRun<R> {
     /// The slot ran to completion.
@@ -196,7 +79,7 @@ struct TokenInner {
 }
 
 /// A cooperative cancellation token handed to every slot run under
-/// [`run_slots_watched`].
+/// [`run_slots`].
 ///
 /// The watchdog cannot preempt a hung slot — the harness is a library, not
 /// an OS — so cancellation is cooperative: the monitor flips the token, and
@@ -238,7 +121,7 @@ impl SlotToken {
     /// # Panics
     ///
     /// Deliberately, when cancelled — the unwind is caught by
-    /// [`run_slots_watched`]'s guard and recorded as
+    /// [`run_slots`]'s guard and recorded as
     /// [`SlotRun::TimedOut`], never propagated to the caller.
     #[inline]
     pub fn checkpoint(&self) {
@@ -263,7 +146,7 @@ impl SlotToken {
     }
 }
 
-/// Wall-clock budget policy for [`run_slots_watched`]'s per-slot watchdog.
+/// Wall-clock budget policy for [`run_slots`]'s per-slot watchdog.
 ///
 /// The budget is *derived from observed slot times*: until a slot
 /// completes, `initial` applies; afterwards the budget is
@@ -331,57 +214,39 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`run_slots_observed`] hardened for pathological slots, over an explicit
-/// worklist: each `run_slot` call runs under `catch_unwind`, so one
-/// panicking slot is recorded as [`SlotRun::Panicked`] instead of killing
-/// the whole campaign and throwing every other slot's work away.
+/// Runs the slots named by `worklist` on up to `parallelism` worker threads
+/// and returns one [`SlotRun`] per worklist entry, in worklist order.
 ///
-/// `worklist` names the slot indices to execute (ascending for a resumed
-/// campaign: quarantined slots to re-attempt plus the un-run tail). Results
-/// come back in worklist order, and `observe` fires once per worklist entry
-/// in that same order (the reorder buffer of [`run_slots_observed`], keyed
-/// by worklist position).
+/// `make_worker` builds one worker's private state (it runs on the worker's
+/// own thread, so the state type needs no `Send`); `run_slot` executes one
+/// slot against that state. `observe(slot, &run)` fires exactly once per
+/// worklist entry, **in worklist order**: the executor parks out-of-order
+/// completions in a reorder buffer and drains the contiguous prefix as it
+/// grows, so the observer sees exactly the records an append-only journal
+/// can replay after a crash — a gap-free prefix — even when work-stealing
+/// finishes slot 7 before slot 3. The observer runs under the reorder
+/// lock: keep it short (serialize + append + fsync is the intended use).
 ///
-/// A panic poisons the worker's private state along with the slot: the
-/// state is dropped and `make_worker` builds a fresh one before the
-/// worker's next slot, so one quarantined slot cannot contaminate later
-/// ones. Panics from `make_worker` itself (or the observer) still
-/// propagate — a stack that cannot even be built is a campaign-level bug,
-/// not a per-slot outcome.
-pub fn run_slots_quarantined<T, R, MW, RS, OB>(
-    parallelism: usize,
-    worklist: &[usize],
-    make_worker: MW,
-    run_slot: RS,
-    observe: OB,
-) -> Vec<SlotRun<R>>
-where
-    MW: Fn() -> T + Sync,
-    RS: Fn(&mut T, usize) -> R + Sync,
-    OB: Fn(usize, &SlotRun<R>) + Sync,
-    R: Send,
-{
-    run_slots_watched(
-        parallelism,
-        worklist,
-        None,
-        make_worker,
-        |state, slot, _token| run_slot(state, slot),
-        observe,
-    )
-}
-
-/// [`run_slots_quarantined`] plus a per-slot wall-clock watchdog.
+/// Each `run_slot` call runs under `catch_unwind`, so one panicking slot is
+/// recorded as [`SlotRun::Panicked`] instead of killing the whole campaign
+/// and throwing every other slot's work away. A panic poisons the worker's
+/// private state along with the slot: the state is dropped and
+/// `make_worker` builds a fresh one before the worker's next slot, so one
+/// quarantined slot cannot contaminate later ones.
 ///
 /// When `watchdog` is `Some`, a monitor thread polls every in-flight slot's
 /// elapsed wall time against the budget the config derives from observed
 /// slot times, and cancels overdue slots through their [`SlotToken`]. A
 /// cancelled slot unwinds at its next checkpoint and is recorded as
-/// [`SlotRun::TimedOut`] — quarantined exactly like a panicking slot
-/// (worker state discarded and rebuilt), so a hung slot neither stalls the
-/// campaign nor contaminates later slots. With `watchdog = None`, tokens
-/// are inert and the behaviour is exactly [`run_slots_quarantined`]'s.
-pub fn run_slots_watched<T, R, MW, RS, OB>(
+/// [`SlotRun::TimedOut`] — quarantined exactly like a panicking slot. With
+/// `watchdog = None` tokens are inert, and with `parallelism <= 1` as well
+/// everything runs inline on the caller's thread, with no spawning.
+///
+/// # Panics
+///
+/// Propagates panics from `make_worker` and `observe` — a stack that cannot
+/// even be built is a campaign-level bug, not a per-slot outcome.
+pub fn run_slots<T, R, MW, RS, OB>(
     parallelism: usize,
     worklist: &[usize],
     watchdog: Option<&SlotWatchdogConfig>,
@@ -416,20 +281,6 @@ where
         return Vec::new();
     }
     let workers = parallelism.max(1).min(worklist.len());
-    if workers == 1 && watchdog.is_none() {
-        // Inline fast path: no watchdog means no monitor thread is needed,
-        // so a sequential campaign never spawns at all.
-        let mut state: Option<T> = None;
-        return worklist
-            .iter()
-            .map(|&slot| {
-                let r = run_guarded(&mut state, slot, &SlotToken::never());
-                observe(slot, &r);
-                r
-            })
-            .collect();
-    }
-
     let cursor = AtomicUsize::new(0);
     let reorder = Mutex::new(Reorder {
         out: (0..worklist.len()).map(|_| None).collect(),
@@ -442,84 +293,88 @@ where
         (0..workers).map(|_| Mutex::new(None)).collect();
     let max_observed_ms = AtomicU64::new(0);
     let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let monitor = watchdog.map(|cfg| {
-            let inflight = &inflight;
-            let max_observed_ms = &max_observed_ms;
-            let done = &done;
-            scope.spawn(move || {
-                while !done.load(Ordering::SeqCst) {
-                    let budget_ms = cfg.budget_ms(max_observed_ms.load(Ordering::Relaxed));
-                    let budget = Duration::from_millis(budget_ms);
-                    for slot_state in inflight {
-                        let guard = slot_state.lock().expect("inflight lock");
-                        if let Some((started, token)) = guard.as_ref() {
-                            if started.elapsed() >= budget {
-                                token.cancel(budget_ms);
-                            }
-                        }
+    // One worker's loop: steal the next worklist position until none is
+    // left, park the result, and drain the contiguous completed prefix to
+    // the observer in order.
+    let work = |w: usize| {
+        let mut state: Option<T> = None;
+        loop {
+            let pos = cursor.fetch_add(1, Ordering::Relaxed);
+            if pos >= worklist.len() {
+                break;
+            }
+            let token = if watchdog.is_some() {
+                SlotToken::armed()
+            } else {
+                SlotToken::never()
+            };
+            let started = Instant::now();
+            *inflight[w].lock().expect("inflight lock") = Some((started, token.clone()));
+            let r = run_guarded(&mut state, worklist[pos], &token);
+            *inflight[w].lock().expect("inflight lock") = None;
+            if !matches!(r, SlotRun::TimedOut { .. }) {
+                // Timed-out slots are excluded: their duration *is* the
+                // budget, and feeding it back would ratchet the budget
+                // upward after every hang.
+                let elapsed_ms = started.elapsed().as_millis() as u64;
+                max_observed_ms.fetch_max(elapsed_ms, Ordering::Relaxed);
+            }
+            let mut buf = reorder.lock().expect("reorder lock");
+            buf.out[pos] = Some(r);
+            while buf.next < worklist.len() {
+                match buf.out[buf.next].as_ref() {
+                    Some(done) => {
+                        observe(worklist[buf.next], done);
+                        buf.next += 1;
                     }
-                    std::thread::sleep(cfg.poll);
+                    None => break,
                 }
-            })
-        });
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let run_guarded = &run_guarded;
-                let observe = &observe;
-                let cursor = &cursor;
-                let reorder = &reorder;
-                let inflight = &inflight;
-                let max_observed_ms = &max_observed_ms;
-                let watched = watchdog.is_some();
+            }
+        }
+    };
+    if workers == 1 && watchdog.is_none() {
+        // No monitor and one worker: a sequential campaign never spawns.
+        work(0);
+    } else {
+        std::thread::scope(|scope| {
+            let monitor = watchdog.map(|cfg| {
+                let (inflight, max_observed_ms, done) = (&inflight, &max_observed_ms, &done);
                 scope.spawn(move || {
-                    let mut state: Option<T> = None;
-                    loop {
-                        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                        if pos >= worklist.len() {
-                            break;
-                        }
-                        let token = if watched {
-                            SlotToken::armed()
-                        } else {
-                            SlotToken::never()
-                        };
-                        let started = Instant::now();
-                        *inflight[w].lock().expect("inflight lock") =
-                            Some((started, token.clone()));
-                        let r = run_guarded(&mut state, worklist[pos], &token);
-                        *inflight[w].lock().expect("inflight lock") = None;
-                        if !matches!(r, SlotRun::TimedOut { .. }) {
-                            // Timed-out slots are excluded: their duration
-                            // *is* the budget, and feeding it back would
-                            // ratchet the budget upward after every hang.
-                            let elapsed_ms = started.elapsed().as_millis() as u64;
-                            max_observed_ms.fetch_max(elapsed_ms, Ordering::Relaxed);
-                        }
-                        let mut buf = reorder.lock().expect("reorder lock");
-                        buf.out[pos] = Some(r);
-                        // Drain the contiguous completed prefix in order.
-                        while buf.next < worklist.len() {
-                            match buf.out[buf.next].as_ref() {
-                                Some(done) => {
-                                    observe(worklist[buf.next], done);
-                                    buf.next += 1;
+                    while !done.load(Ordering::SeqCst) {
+                        let budget_ms = cfg.budget_ms(max_observed_ms.load(Ordering::Relaxed));
+                        let budget = Duration::from_millis(budget_ms);
+                        for slot_state in inflight {
+                            let guard = slot_state.lock().expect("inflight lock");
+                            if let Some((started, token)) = guard.as_ref() {
+                                if started.elapsed() >= budget {
+                                    token.cancel(budget_ms);
                                 }
-                                None => break,
                             }
                         }
+                        std::thread::sleep(cfg.poll);
                     }
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("campaign worker panicked");
-        }
-        done.store(true, Ordering::SeqCst);
-        if let Some(m) = monitor {
-            m.join().expect("watchdog monitor panicked");
-        }
-    });
+            });
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let work = &work;
+                    scope.spawn(move || work(w))
+                })
+                .collect();
+            // Join every worker before stopping the monitor, and only then
+            // re-raise a worker's panic: the monitor must not outlive them.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            done.store(true, Ordering::SeqCst);
+            if let Some(m) = monitor {
+                m.join().expect("watchdog monitor panicked");
+            }
+            for result in joined {
+                if let Err(payload) = result {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
     let buf = reorder.into_inner().expect("reorder lock");
     debug_assert_eq!(buf.next, worklist.len(), "observer saw every slot");
     buf.out
@@ -533,17 +388,45 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
+    /// Unwraps a run in which every slot completed.
+    fn done<R: std::fmt::Debug>(runs: Vec<SlotRun<R>>) -> Vec<R> {
+        runs.into_iter()
+            .map(|r| match r {
+                SlotRun::Done(v) => v,
+                other => panic!("slot did not complete: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Runs `0..slots` unwatched and unobserved.
+    fn run_all<T, R: Send + std::fmt::Debug>(
+        parallelism: usize,
+        slots: usize,
+        make_worker: impl Fn() -> T + Sync,
+        run_slot: impl Fn(&mut T, usize) -> R + Sync,
+    ) -> Vec<R> {
+        let worklist: Vec<usize> = (0..slots).collect();
+        done(run_slots(
+            parallelism,
+            &worklist,
+            None,
+            make_worker,
+            |state, slot, _| run_slot(state, slot),
+            |_, _| {},
+        ))
+    }
+
     #[test]
     fn outputs_come_back_in_slot_order() {
         for parallelism in [1, 2, 4, 9] {
-            let out = run_slots(parallelism, 23, || (), |(), i| i * 3);
+            let out = run_all(parallelism, 23, || (), |(), i| i * 3);
             assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn zero_slots_is_fine() {
-        let out: Vec<usize> = run_slots(4, 0, || (), |(), i| i);
+        let out: Vec<usize> = run_all(4, 0, || (), |(), i| i);
         assert!(out.is_empty());
     }
 
@@ -552,7 +435,7 @@ mod tests {
         // Each worker counts its own slots; totals must cover every slot
         // exactly once regardless of how the stealing interleaves.
         let totals = Mutex::new(Vec::new());
-        let out = run_slots(
+        let out = run_all(
             3,
             50,
             || 0usize,
@@ -573,7 +456,7 @@ mod tests {
         // The determinism contract at executor level: slot output depends
         // only on the slot index (here via derive), not on worker identity.
         let run = |parallelism| {
-            run_slots(
+            run_all(
                 parallelism,
                 16,
                 || (),
@@ -586,16 +469,22 @@ mod tests {
     #[test]
     fn observer_sees_every_slot_in_order() {
         for parallelism in [1, 2, 4, 7] {
+            let worklist: Vec<usize> = (0..31).collect();
             let seen = Mutex::new(Vec::new());
-            let out = run_slots_observed(
+            let out = run_slots(
                 parallelism,
-                0,
-                31,
+                &worklist,
+                None,
                 || (),
-                |(), i| i * 2,
-                |i, r| seen.lock().unwrap().push((i, *r)),
+                |(), i, _| i * 2,
+                |i, r| {
+                    let SlotRun::Done(v) = r else {
+                        panic!("slot {i} did not complete")
+                    };
+                    seen.lock().unwrap().push((i, *v));
+                },
             );
-            assert_eq!(out, (0..31).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(done(out), (0..31).map(|i| i * 2).collect::<Vec<_>>());
             // In order, exactly once — never out of order, even when
             // work-stealing finishes later slots first.
             assert_eq!(
@@ -607,32 +496,43 @@ mod tests {
 
     #[test]
     fn start_offset_skips_completed_prefix() {
-        for parallelism in [1, 3] {
-            let seen = Mutex::new(Vec::new());
-            let out = run_slots_observed(
-                parallelism,
-                5,
-                12,
-                || (),
-                |(), i| i + 100,
-                |i, r| seen.lock().unwrap().push((i, *r)),
-            );
-            assert_eq!(out, (5..12).map(|i| i + 100).collect::<Vec<_>>());
-            assert_eq!(
-                seen.into_inner().unwrap(),
-                (5..12).map(|i| (i, i + 100)).collect::<Vec<_>>()
-            );
+        // A resumed campaign passes only the slots its journal lacks: the
+        // un-run tail, plus any quarantined slots to re-attempt.
+        for worklist in [(5..12).collect::<Vec<usize>>(), vec![1, 4, 5, 9]] {
+            for parallelism in [1, 3] {
+                let seen = Mutex::new(Vec::new());
+                let out = run_slots(
+                    parallelism,
+                    &worklist,
+                    None,
+                    || (),
+                    |(), i, _| i + 100,
+                    |i, _| seen.lock().unwrap().push(i),
+                );
+                assert_eq!(
+                    done(out),
+                    worklist.iter().map(|i| i + 100).collect::<Vec<_>>()
+                );
+                assert_eq!(seen.into_inner().unwrap(), worklist);
+            }
         }
     }
 
     #[test]
     fn start_at_or_past_the_end_runs_nothing() {
-        let out: Vec<usize> =
-            run_slots_observed(4, 9, 9, || (), |(), i| i, |_, _| panic!("no slots"));
-        assert!(out.is_empty());
-        let out: Vec<usize> =
-            run_slots_observed(4, 12, 9, || (), |(), i| i, |_, _| panic!("no slots"));
-        assert!(out.is_empty());
+        // A resume whose journal already holds every slot has an empty
+        // worklist: no worker is built and the observer never fires.
+        for parallelism in [1, 4] {
+            let out: Vec<SlotRun<usize>> = run_slots(
+                parallelism,
+                &[],
+                None,
+                || panic!("no worker for an empty worklist"),
+                |(), i, _| i,
+                |_, _| panic!("no slots"),
+            );
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
@@ -641,7 +541,7 @@ mod tests {
         for parallelism in [1, 3] {
             let worklist: Vec<usize> = (0..6).collect();
             let seen = Mutex::new(Vec::new());
-            let out = run_slots_watched(
+            let out = run_slots(
                 parallelism,
                 &worklist,
                 Some(&cfg),
@@ -684,9 +584,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no stack")]
+    fn worker_build_panic_propagates_under_a_watchdog() {
+        // The monitor thread must stop even when a worker dies outside a
+        // slot, or the panic would hang the campaign instead of surfacing.
+        let cfg = SlotWatchdogConfig::fixed(Duration::from_secs(60));
+        let build = || -> () { panic!("no stack") };
+        run_slots(1, &[0], Some(&cfg), build, |(), s, _| s, |_, _| {});
+    }
+
+    #[test]
     fn unwatched_tokens_are_inert_and_timeouts_do_not_ratchet_budget() {
         // watchdog = None: tokens never cancel, even for slow slots.
-        let out = run_slots_watched(
+        let out = run_slots(
             2,
             &[0, 1, 2],
             None,
@@ -698,8 +608,7 @@ mod tests {
             },
             |_, _| {},
         );
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|r| matches!(r, SlotRun::Done(_))));
+        assert_eq!(done(out), vec![0, 1, 2]);
 
         // Budget derivation: with no completions the initial budget rules;
         // afterwards it scales from the longest completed slot, floored.
@@ -720,11 +629,14 @@ mod tests {
     #[test]
     fn panicking_slot_is_quarantined_not_fatal() {
         for parallelism in [1, 4] {
-            let out = run_slots_quarantined(
+            // Count worker builds: the panic discards its worker's state.
+            let builds = AtomicUsize::new(0);
+            let out = run_slots(
                 parallelism,
                 &[0, 1, 2, 3],
-                || (),
-                |(), slot| {
+                None,
+                || builds.fetch_add(1, Ordering::Relaxed),
+                |_, slot, _| {
                     assert!(slot != 2, "slot 2 panics");
                     slot
                 },
@@ -736,6 +648,9 @@ mod tests {
                 if slot != 2 {
                     assert!(matches!(r, SlotRun::Done(v) if *v == slot));
                 }
+            }
+            if parallelism == 1 {
+                assert_eq!(builds.into_inner(), 2, "state rebuilt after the panic");
             }
         }
     }

@@ -257,15 +257,18 @@ mod tests {
 
     #[test]
     fn operator_set_change_is_a_miss() {
-        use swfit_core::operators::MifsOp;
+        use swfit_core::{pack, MutationOperator};
         let dir = tmpdir("ops");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
         cache.scan_image(&Scanner::standard(), p.image()).unwrap();
-        let single = Scanner::builder()
-            .operator(Box::new(MifsOp))
-            .build()
+        let mifs = pack::classic()
+            .compile()
+            .unwrap()
+            .into_iter()
+            .find(|op| op.id() == "MIFS")
             .unwrap();
+        let single = Scanner::builder().operator(Box::new(mifs)).build().unwrap();
         let narrowed = cache.scan_image(&single, p.image()).unwrap();
         assert_eq!(
             cache.scan_count(),

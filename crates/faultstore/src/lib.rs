@@ -62,7 +62,7 @@ pub use diff::{diff_runs, diff_table};
 pub use journal::{Journal, JournalHeader, StopRecord, JOURNAL_SCHEMA};
 // Re-exported so store users can configure resilience without naming the
 // simchaos / simtrace crates themselves.
-pub use simchaos::{ChaosConfig, ChaosFs, ChaosProfile, RetryPolicy};
+pub use simchaos::{ChaosConfig, ChaosFs, ChaosProfile};
 pub use simtrace::Tracer as HarnessTracer;
 pub use store::FaultStore;
 

@@ -42,11 +42,12 @@ pub(crate) struct StoreCtx {
 }
 
 impl StoreCtx {
-    /// A context with explicit chaos / retry / tracer choices.
-    pub fn new(chaos: ChaosFs, retry: RetryPolicy, tracer: Tracer) -> Arc<StoreCtx> {
+    /// A context with explicit chaos and tracer choices and the default
+    /// retry policy.
+    pub fn new(chaos: ChaosFs, tracer: Tracer) -> Arc<StoreCtx> {
         Arc::new(StoreCtx {
             chaos,
-            retry,
+            retry: RetryPolicy::default(),
             tracer,
             degraded: AtomicBool::new(false),
             warned: AtomicBool::new(false),
@@ -56,7 +57,7 @@ impl StoreCtx {
 
     /// The chaos-off, tracer-off default.
     pub fn default_arc() -> Arc<StoreCtx> {
-        StoreCtx::new(ChaosFs::off(), RetryPolicy::default(), Tracer::disabled())
+        StoreCtx::new(ChaosFs::off(), Tracer::disabled())
     }
 
     /// Runs `f` under the retry policy, emitting `HarnessFault` + `Retry`

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use depbench::{Campaign, CampaignResult, ConvergenceConfig};
 use mvm::CodeImage;
-use simchaos::{ChaosFs, RetryPolicy};
+use simchaos::ChaosFs;
 use simtrace::Tracer;
 use swfit_core::{Faultload, Scanner};
 
@@ -67,9 +67,8 @@ impl FaultStore {
 
     /// Rebuilds this store around an updated resilience context. Builder
     /// methods call this at setup time, before any campaign I/O.
-    fn with_ctx(self, chaos: ChaosFs, retry: RetryPolicy, tracer: Tracer) -> FaultStore {
-        let ctx = StoreCtx::new(chaos, retry, tracer);
-        FaultStore::open_ctx(self.root, ctx)
+    fn with_ctx(self, chaos: ChaosFs, tracer: Tracer) -> FaultStore {
+        FaultStore::open_ctx(self.root, StoreCtx::new(chaos, tracer))
             .expect("store root already existed when this store was first opened")
     }
 
@@ -77,17 +76,8 @@ impl FaultStore {
     /// injection layer (`--chaos-seed` / `--chaos-profile` on the CLI).
     #[must_use]
     pub fn with_chaos(self, chaos: ChaosFs) -> FaultStore {
-        let retry = self.ctx.retry;
         let tracer = self.ctx.tracer.clone();
-        self.with_ctx(chaos, retry, tracer)
-    }
-
-    /// Replaces the transient-fault retry policy.
-    #[must_use]
-    pub fn with_retry(self, retry: RetryPolicy) -> FaultStore {
-        let chaos = self.ctx.chaos.clone();
-        let tracer = self.ctx.tracer.clone();
-        self.with_ctx(chaos, retry, tracer)
+        self.with_ctx(chaos, tracer)
     }
 
     /// Records harness-level fault events (`HarnessFault`, `Retry`,
@@ -96,8 +86,7 @@ impl FaultStore {
     #[must_use]
     pub fn with_tracer(self, tracer: Tracer) -> FaultStore {
         let chaos = self.ctx.chaos.clone();
-        let retry = self.ctx.retry;
-        self.with_ctx(chaos, retry, tracer)
+        self.with_ctx(chaos, tracer)
     }
 
     /// The harness tracer (disabled unless set via

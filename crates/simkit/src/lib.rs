@@ -8,9 +8,9 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time,
 //! * [`EventQueue`] — a stable priority queue of timestamped events,
 //! * [`SimRng`] — a seeded random-number source, the *only* entropy input,
-//! * [`stats`] — online statistics (mean/percentiles/rates) used by the
-//!   SPECWeb-like client and the benchmark reports,
-//! * [`rate`] — a byte-rate model used to decide connection conformance,
+//! * [`OnlineStats`] — streaming mean/variance/min/max with an exact merge,
+//!   the moments behind the SPECWeb-like client's response times and the
+//!   `simstats` confidence intervals,
 //! * [`hash`] — stable FNV-1a hashing for persistent-store cache keys.
 //!
 //! # Example
@@ -28,13 +28,11 @@
 
 pub mod event;
 pub mod hash;
-pub mod rate;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use rate::RateTracker;
 pub use rng::SimRng;
-pub use stats::{OnlineStats, Percentiles, RateMeter};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

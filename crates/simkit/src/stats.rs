@@ -1,10 +1,16 @@
-//! Online statistics used by the workload client and the benchmark reports.
+//! Streaming moments: the one mean/variance accumulator of the workspace.
+//!
+//! The workload client folds response times into it, and `simstats` builds
+//! its confidence intervals on it.
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
+/// Streaming mean/variance/min/max accumulator.
+///
+/// Each push applies the numerically stable one-pass update (Knuth, TAOCP
+/// vol. 2, §4.2.2) to the running mean and the sum of squared deviations
+/// `m2`; [`merge`](OnlineStats::merge) combines two accumulators exactly as
+/// one sequential pass would (Chan et al.'s parallel update).
 ///
 /// # Example
 ///
@@ -77,6 +83,21 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
+    /// Sample variance (`n − 1` denominator, the unbiased estimate a
+    /// confidence interval needs); `0.0` with fewer than two observations.
+    pub fn sample_variance(&self) -> f64 {
+        if self.n < 2 {
+            0.0
+        } else {
+            self.m2 / (self.n - 1) as f64
+        }
+    }
+
+    /// Sample standard deviation.
+    pub fn sample_stddev(&self) -> f64 {
+        self.sample_variance().sqrt()
+    }
+
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -87,7 +108,7 @@ impl OnlineStats {
         (self.n > 0).then_some(self.max)
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
+    /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
             return;
@@ -107,101 +128,6 @@ impl OnlineStats {
     }
 }
 
-/// Exact percentile estimator over a retained sample (sorted on demand).
-///
-/// The benchmark keeps at most a few hundred thousand response times per
-/// slot, so retaining the sample is cheap and avoids sketch error.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Percentiles {
-    xs: Vec<f64>,
-}
-
-impl Percentiles {
-    /// Creates an empty sample.
-    pub fn new() -> Self {
-        Percentiles { xs: Vec::new() }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.xs.push(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`) by nearest-rank; `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0,1]");
-        if self.xs.is_empty() {
-            return None;
-        }
-        let mut sorted = self.xs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-}
-
-/// Event-per-second meter over a window of simulated time.
-///
-/// # Example
-///
-/// ```
-/// use simkit::{RateMeter, SimDuration, SimTime};
-///
-/// let mut m = RateMeter::start(SimTime::ZERO);
-/// m.add(10);
-/// let rate = m.rate_at(SimTime::ZERO + SimDuration::from_secs(5));
-/// assert_eq!(rate, 2.0);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RateMeter {
-    start: SimTime,
-    count: u64,
-}
-
-impl RateMeter {
-    /// Starts counting at `start`.
-    pub fn start(start: SimTime) -> Self {
-        RateMeter { start, count: 0 }
-    }
-
-    /// Records `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Total events recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Events per simulated second as of `now`; `0.0` if no time has passed.
-    pub fn rate_at(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.start);
-        if dt.is_zero() {
-            0.0
-        } else {
-            self.count as f64 / dt.as_secs_f64()
-        }
-    }
-}
-
-/// Convenience: mean of a slice of durations, in milliseconds.
-pub fn mean_millis(durs: &[SimDuration]) -> f64 {
-    if durs.is_empty() {
-        return 0.0;
-    }
-    durs.iter().map(|d| d.as_millis_f64()).sum::<f64>() / durs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,6 +141,9 @@ mod tests {
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.stddev() - 2.0).abs() < 1e-12);
+        // Sum of squared deviations is 32: 32 / 8 population, 32 / 7 sample.
+        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
+        assert!((s.sample_stddev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -224,6 +153,7 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
+        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -243,35 +173,6 @@ mod tests {
         assert!((left.variance() - whole.variance()).abs() < 1e-9);
     }
 
-    #[test]
-    fn quantiles_nearest_rank() {
-        let mut p = Percentiles::new();
-        for x in 1..=100 {
-            p.push(x as f64);
-        }
-        assert_eq!(p.quantile(0.5), Some(50.0));
-        assert_eq!(p.quantile(0.95), Some(95.0));
-        assert_eq!(p.quantile(1.0), Some(100.0));
-        assert_eq!(p.quantile(0.0), Some(1.0));
-        assert_eq!(Percentiles::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn rate_meter_measures_rate() {
-        let mut m = RateMeter::start(SimTime::from_secs(10));
-        m.add(30);
-        assert_eq!(m.rate_at(SimTime::from_secs(13)), 10.0);
-        assert_eq!(m.rate_at(SimTime::from_secs(10)), 0.0);
-        assert_eq!(m.count(), 30);
-    }
-
-    #[test]
-    fn mean_millis_handles_empty() {
-        assert_eq!(mean_millis(&[]), 0.0);
-        let ds = [SimDuration::from_millis(2), SimDuration::from_millis(4)];
-        assert_eq!(mean_millis(&ds), 3.0);
-    }
-
     proptest! {
         #[test]
         fn prop_merge_matches_sequential(
@@ -288,17 +189,6 @@ mod tests {
             prop_assert_eq!(left.count(), whole.count());
             prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
             prop_assert!((left.variance() - whole.variance()).abs() < 1e-6);
-        }
-
-        #[test]
-        fn prop_quantile_is_an_observation(
-            xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
-            q in 0.0f64..=1.0,
-        ) {
-            let mut p = Percentiles::new();
-            xs.iter().for_each(|&x| p.push(x));
-            let v = p.quantile(q).unwrap();
-            prop_assert!(xs.contains(&v));
         }
 
         #[test]

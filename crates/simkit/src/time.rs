@@ -78,11 +78,6 @@ impl SimTime {
                 .expect("simulated time went backwards"),
         )
     }
-
-    /// The duration elapsed since `earlier`, saturating at zero.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -228,7 +223,6 @@ mod tests {
         let a = SimTime::from_micros(100);
         let b = SimTime::from_micros(350);
         assert_eq!(b.since(a), SimDuration::from_micros(250));
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! bare means. This crate supplies the dispersion treatment those means
 //! need before two runs can be *compared*:
 //!
-//! * [`Welford`] — streaming mean/variance (Welford's online algorithm,
-//!   mergeable), the accumulator behind every interval here;
 //! * [`t_interval`] — a 95 % Student-t confidence interval for plain
 //!   per-iteration samples (SPCf, THRf, RTMf);
 //! * [`bootstrap_ratio_ci`] — a percentile-bootstrap 95 % CI for
@@ -15,6 +13,9 @@
 //!   iteration the same as a 10 000-request one;
 //! * [`ConvergenceConfig`] — the early-stop rule: keep running iterations
 //!   until every tier-1 metric's CI half-width falls below a target.
+//!
+//! The streaming moments behind the intervals are [`simkit::OnlineStats`]
+//! (its sample variance), the workspace's one mean/variance accumulator.
 //!
 //! # Determinism
 //!
@@ -27,7 +28,7 @@
 //! a journaled stop decision byte-identically.
 
 use serde::{Deserialize, Serialize};
-use simkit::SimRng;
+use simkit::{OnlineStats, SimRng};
 
 /// Base seed for bootstrap resampling. Callers offset it with a small
 /// per-metric tag (`BOOTSTRAP_SEED.wrapping_add(tag)`) so different
@@ -38,84 +39,6 @@ pub const BOOTSTRAP_SEED: u64 = 0x5EED_B007;
 /// Default number of bootstrap resamples. 200 keeps the percentile grid
 /// fine enough for a 95 % interval while staying cheap next to a campaign.
 pub const BOOTSTRAP_RESAMPLES: usize = 200;
-
-/// Streaming mean/variance via Welford's online algorithm.
-///
-/// Unlike `simkit::OnlineStats` (population variance, for workload
-/// telemetry) this accumulator reports the *sample* variance (`n − 1`
-/// denominator) — the unbiased estimate a confidence interval needs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// An empty accumulator.
-    pub fn new() -> Welford {
-        Welford::default()
-    }
-
-    /// An accumulator over a whole slice.
-    pub fn from_samples(samples: &[f64]) -> Welford {
-        let mut w = Welford::new();
-        for &x in samples {
-            w.push(x);
-        }
-        w
-    }
-
-    /// Folds one sample in.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Merges another accumulator (Chan et al.'s parallel update), so
-    /// per-shard statistics combine exactly as one sequential pass would.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let delta = other.mean - self.mean;
-        let n = na + nb;
-        self.mean += delta * nb / n;
-        self.m2 += other.m2 + delta * delta * na * nb / n;
-        self.n += other.n;
-    }
-
-    /// Samples folded in so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (`n − 1` denominator; 0 with fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-}
 
 /// A symmetric 95 % confidence interval: `mean ± half_width`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -171,7 +94,8 @@ pub fn t_critical_975(df: u64) -> f64 {
 /// information, and pretending otherwise (an infinite interval) would
 /// poison serialized summaries.
 pub fn t_interval(samples: &[f64]) -> Option<Ci> {
-    let w = Welford::from_samples(samples);
+    let mut w = OnlineStats::new();
+    samples.iter().for_each(|&x| w.push(x));
     if w.count() < 2 {
         return None;
     }
@@ -281,10 +205,21 @@ impl ConvergenceConfig {
 mod tests {
     use super::*;
 
+    fn moments(xs: &[f64]) -> OnlineStats {
+        let mut s = OnlineStats::new();
+        xs.iter().for_each(|&x| s.push(x));
+        s
+    }
+
+    /// Count, mean and sample variance as exact bit patterns.
+    fn bits(s: &OnlineStats) -> (u64, u64, u64) {
+        (s.count(), s.mean().to_bits(), s.sample_variance().to_bits())
+    }
+
     #[test]
     fn welford_matches_naive_two_pass() {
         let xs = [3.0, 7.0, 7.0, 19.0, 24.0, 4.5];
-        let w = Welford::from_samples(&xs);
+        let w = moments(&xs);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((w.mean() - mean).abs() < 1e-12);
@@ -295,18 +230,32 @@ mod tests {
     #[test]
     fn welford_merge_equals_sequential() {
         let xs = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-        let all = Welford::from_samples(&xs);
-        let mut merged = Welford::from_samples(&xs[..3]);
-        merged.merge(&Welford::from_samples(&xs[3..]));
+        let all = moments(&xs);
+        let mut merged = moments(&xs[..3]);
+        merged.merge(&moments(&xs[3..]));
         assert!((merged.mean() - all.mean()).abs() < 1e-12);
         assert!((merged.sample_variance() - all.sample_variance()).abs() < 1e-9);
         // Merging an empty accumulator is the identity, both ways.
-        let mut left = all;
-        left.merge(&Welford::new());
-        assert_eq!(left, all);
-        let mut right = Welford::new();
+        let mut left = all.clone();
+        left.merge(&OnlineStats::new());
+        assert_eq!(bits(&left), bits(&all));
+        let mut right = OnlineStats::new();
         right.merge(&all);
-        assert_eq!(right, all);
+        assert_eq!(bits(&right), bits(&all));
+    }
+
+    #[test]
+    fn t_interval_bits_are_pinned() {
+        // Recorded before the interval moved onto `OnlineStats`: the push
+        // update is unchanged, so the interval must not move by one ulp.
+        let ci = t_interval(&[3.0, 7.0, 7.0, 19.0, 24.0, 4.5]).unwrap();
+        assert_eq!(ci.mean.to_bits(), 0x4025_8000_0000_0000, "mean {}", ci.mean);
+        assert_eq!(
+            ci.half_width.to_bits(),
+            0x4022_1456_dcd6_e48b,
+            "half-width {}",
+            ci.half_width
+        );
     }
 
     #[test]

@@ -12,20 +12,21 @@
 //! Run with: `cargo run -p examples --bin custom_faultload`
 
 use simos::{Edition, Os, OsApi};
-use swfit_core::{
-    operators::{MiaOp, MlacOp, WlecOp},
-    FaultType, Scanner,
-};
+use swfit_core::{pack, FaultType, MutationOperator, Scanner};
 
 fn main() {
     let os = Os::boot(Edition::NimbusXp).expect("OS boots");
 
     // 1. Checking-class operators only (MIA, MLAC, WLEC) — the ODC class
-    //    that models missing/wrong validation.
-    let scanner = Scanner::builder()
-        .operator(Box::new(MiaOp))
-        .operator(Box::new(MlacOp))
-        .operator(Box::new(WlecOp))
+    //    that models missing/wrong validation — picked from the bundled
+    //    classic pack.
+    let classic = pack::classic().compile().expect("bundled pack compiles");
+    let scanner = ["MIA", "MLAC", "WLEC"]
+        .into_iter()
+        .fold(Scanner::builder(), |b, id| {
+            let op = classic.iter().find(|op| op.id() == id).expect("classic id");
+            b.operator(Box::new(op.clone()))
+        })
         .build()
         .expect("non-empty, distinct operator ids");
     println!("custom library: {} operators", scanner.operator_count());
