@@ -31,10 +31,7 @@ fn bench_profile_phase(c: &mut Criterion) {
 fn bench_faultload_generation(c: &mut Criterion) {
     // The whole step-1 flow: boot, profile-restricted scan. The paper
     // reports "less than 5 minutes" for this on a real OS.
-    let api: Vec<String> = simos::OsApi::ALL
-        .iter()
-        .map(|f| f.symbol().to_string())
-        .collect();
+    let api = simos::OsApi::symbols();
     c.bench_function("faultload_generation_end_to_end", |b| {
         b.iter(|| {
             let os = Os::boot(Edition::Nimbus2000).expect("boots");

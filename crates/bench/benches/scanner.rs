@@ -47,10 +47,7 @@ fn bench_per_operator(c: &mut Criterion) {
 fn bench_restricted_scan(c: &mut Criterion) {
     let os = Os::boot(Edition::Nimbus2000).expect("boots");
     let image = os.program().image().clone();
-    let api: Vec<String> = simos::OsApi::ALL
-        .iter()
-        .map(|f| f.symbol().to_string())
-        .collect();
+    let api = simos::OsApi::symbols();
     c.bench_function("scan_restricted_to_api", |b| {
         b.iter(|| Scanner::standard().scan_functions(std::hint::black_box(&image), &api))
     });

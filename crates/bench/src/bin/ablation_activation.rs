@@ -29,14 +29,8 @@ use depbench::report::{f, pm, TextTable};
 use depbench::{Campaign, TraceConfig};
 use simos::{Edition, Os, OsApi};
 use simstats::{bootstrap_ratio_ci, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED};
-use swfit_core::{Faultload, Scanner};
+use swfit_core::Scanner;
 use webserver::ServerKind;
-
-fn sample(mut fl: Faultload, n: usize) -> Faultload {
-    let stride = (fl.len() / n).max(1);
-    fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-    fl
-}
 
 fn main() {
     let cli = CliArgs::parse();
@@ -61,21 +55,22 @@ fn main() {
     .map(ToString::to_string)
     .collect();
 
-    let whole = match store.as_ref() {
-        Some(s) => s
-            .scan_image(&Scanner::standard(), os.program().image())
-            .expect("fault-map cache is readable"),
-        None => Scanner::standard().scan_image(os.program().image()),
-    };
-    let n = if bench::quick() { 25 } else { 100 };
+    let whole = bench::scan(
+        store.as_ref(),
+        &Scanner::standard(),
+        os.program().image(),
+        None,
+    )
+    .expect("fault-map cache is readable");
+    let n = cli.limit.unwrap_or(100);
 
-    let profiled = sample(whole.restrict_to_functions(&api), n);
+    let profiled = whole.restrict_to_functions(&api).sample(n);
     let complement = {
         let mut fl = whole.clone();
         fl.faults.retain(|f| !api.contains(&f.func));
-        sample(fl, n)
+        fl.sample(n)
     };
-    let cold_fl = sample(whole.restrict_to_functions(&cold), n);
+    let cold_fl = whole.restrict_to_functions(&cold).sample(n);
 
     let cfg = cli.config();
     // This binary *is* the activation study: the flight recorder is always

@@ -50,12 +50,13 @@ fn main() {
         os.enable_cost_profiling();
         exercise(&mut os);
         let costs = os.function_costs();
-        let faults = match store.as_ref() {
-            Some(s) => s
-                .scan_image(&Scanner::standard(), os.program().image())
-                .expect("fault-map cache is readable"),
-            None => Scanner::standard().scan_image(os.program().image()),
-        };
+        let faults = bench::scan(
+            store.as_ref(),
+            &Scanner::standard(),
+            os.program().image(),
+            None,
+        )
+        .expect("fault-map cache is readable");
         data.push((edition, costs, faults));
     }
 

@@ -28,17 +28,16 @@ fn main() {
     let cli = CliArgs::parse();
     let store = cli.open_store().expect("store opens");
     let cfg = cli.config();
-    let n = if bench::quick() { 25 } else { 100 };
-    let api: Vec<String> = OsApi::ALL.iter().map(|f| f.symbol().to_string()).collect();
+    let n = cli.limit.unwrap_or(100);
+    let api = OsApi::symbols();
 
     let os = Os::boot(edition).expect("boots");
-    let mut sw = Scanner::standard().scan_functions(os.program().image(), &api);
-    let stride = (sw.len() / n).max(1);
-    sw.faults = sw.faults.into_iter().step_by(stride).take(n).collect();
-
-    let mut hw = HardwareFaultload::generate(os.program().image(), Some(&api), 1).as_faultload();
-    let stride = (hw.len() / n).max(1);
-    hw.faults = hw.faults.into_iter().step_by(stride).take(n).collect();
+    let sw = Scanner::standard()
+        .scan_functions(os.program().image(), &api)
+        .sample(n);
+    let hw = HardwareFaultload::generate(os.program().image(), Some(&api), 1)
+        .as_faultload()
+        .sample(n);
 
     let campaign = Campaign::new(edition, kind, cfg.clone());
     let baseline = campaign.run_profile_mode(0).expect("profile mode runs");

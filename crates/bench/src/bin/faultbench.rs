@@ -1,14 +1,15 @@
 //! `faultbench` — command-line front end to the whole benchmark.
 //!
 //! ```text
-//! faultbench scan <edition> [--all] [--limit N] [--out FILE] [--store DIR]
+//! faultbench scan <edition> [--all] [--faultload FILE] [--limit N] [--out FILE]
+//!            [--store DIR]
 //! faultbench profile <edition>                     run the profiling phase
 //! faultbench campaign <edition> <server> [--faultload FILE] [--iters N]
 //!            [--ci-target P] [--jobs N] [--seed N] [--limit N] [--out FILE]
 //!            [--store DIR] [--resume] [--save NAME] [--trace] [--trace-dir D]
 //!            [--chaos-seed N] [--chaos-profile P] [--slot-budget-ms N]
-//! faultbench recovery <edition> <server> [--limit N] [--jobs N] [--seed N]
-//!                                                  compare recovery policies
+//! faultbench recovery <edition> <server> [--faultload FILE] [--limit N]
+//!            [--jobs N] [--seed N]                compare recovery policies
 //! faultbench trace <edition> <server> --slot K [--faultload FILE] [--limit N]
 //!            [--iteration N] [--seed N] [--out DIR] replay one slot with the
 //!                                                  flight recorder on
@@ -31,11 +32,16 @@
 //! ground truth — `--min-precision P` turns the worst scored precision into
 //! an exit code, for CI floors.
 //!
-//! `campaign --iters N` runs up to N iterations (the historical
-//! `--iterations` spelling still works); with `--ci-target P` the campaign
-//! additionally stops early once every tier-1 metric's 95 % confidence
-//! half-width falls below P (percent of the mean for SPCf/THRf/RTMf,
-//! percentage points for ER%f). Multi-iteration tables close with an
+//! `scan`, `campaign`, `recovery` and `trace` share one faultload source:
+//! `--faultload FILE` when given, otherwise a scan of the edition's API
+//! functions (`scan --all`: the whole image); `--limit N` then samples it
+//! evenly down to at most N faults. A flag given without its value is a
+//! usage error in every subcommand.
+//!
+//! `campaign --iters N` runs N iterations (default 1). With `--ci-target P`,
+//! N is the iteration cap instead (default 8), and the campaign stops early
+//! once every tier-1 metric's 95 % confidence half-width falls below P
+//! (percent of the mean for SPCf/THRf/RTMf, percentage points for ER%f). Multi-iteration tables close with an
 //! `average` row carrying `± half-width` cells, and `--out` saves the full
 //! `MetricsSummary` (mean, CIs, per-iteration metrics). With `--store`, the
 //! stop decision is journaled durably the moment it is taken, so a crashed
@@ -78,11 +84,11 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use bench::cli::CliArgs;
+use bench::cli::{value_of, values_of, CliArgs};
 use depbench::report::{f, pct, TextTable};
 use depbench::{Campaign, CampaignConfig, DependabilityMetrics, RecoveryPolicy};
-use faultstore::{diff_runs, StoreError};
-use simos::{Edition, Os};
+use faultstore::{diff_runs, FaultStore, StoreError};
+use simos::{Edition, Os, OsApi};
 use swfit_core::pack::{self, FaultPack, PackRef};
 use swfit_core::{accuracy, Faultload, Scanner};
 use webserver::ServerKind;
@@ -134,35 +140,11 @@ fn parse_server(s: Option<&String>) -> Result<ServerKind, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-}
-
-/// Collects every occurrence of a repeatable value flag (e.g. `--pack`).
-fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a String>, String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == name {
-            match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                Some(v) => out.push(v),
-                None => return Err(format!("{name} needs a value")),
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(out)
-}
-
 /// The fault-model packs in scan order: the bundled `odc-classic` pack plus
 /// every `--pack FILE` given on the command line.
 fn load_packs(args: &[String]) -> Result<Vec<FaultPack>, String> {
     let mut packs = vec![pack::classic().clone()];
-    for path in flag_values(args, "--pack")? {
+    for path in values_of(args, "--pack")? {
         packs.push(FaultPack::load(path).map_err(|e| e.to_string())?);
     }
     Ok(packs)
@@ -182,26 +164,6 @@ fn operator_of(fault_id: &str) -> &str {
     fault_id.split('@').next().unwrap_or("")
 }
 
-/// Parses `--limit N` — truncate the faultload to its first N faults,
-/// sampled evenly across the image (for quick runs and CI).
-fn parse_limit(args: &[String]) -> Result<Option<usize>, String> {
-    flag_value(args, "--limit")
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--limit needs a positive integer, got `{v}`"))
-        })
-        .transpose()
-}
-
-/// Evenly samples a faultload down to at most `n` faults.
-fn sample(mut fl: Faultload, n: usize) -> Faultload {
-    let stride = (fl.len() / n).max(1);
-    fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-    fl
-}
-
 /// MTTR rendered in milliseconds, or `-` when no repair ever completed
 /// (an MTTR of 0 would wrongly read as "instant recovery").
 fn mttr_ms(a: &depbench::AvailabilityMetrics) -> String {
@@ -212,39 +174,33 @@ fn mttr_ms(a: &depbench::AvailabilityMetrics) -> String {
     }
 }
 
-/// Loads the campaign faultload: from `--faultload FILE` when given,
-/// otherwise by scanning the booted edition's API functions (served from
-/// the store's fault-map cache when one is open). Honours `--limit` and
-/// `--pack`.
+/// The faultload every subcommand that injects or reports faults works on:
+/// read from `--faultload FILE` when given, otherwise scanned from the
+/// booted edition — its API functions, or the whole image when
+/// `whole_image` — with the `--pack` library, served from the store's
+/// fault-map cache when one is open. Then sampled down to `--limit`.
 fn load_faultload(
     args: &[String],
+    cli: &CliArgs,
     edition: Edition,
-    store: Option<&faultstore::FaultStore>,
+    store: Option<&FaultStore>,
+    whole_image: bool,
 ) -> Result<Faultload, String> {
-    let faultload = match flag_value(args, "--faultload") {
+    let faultload = match value_of(args, "--faultload")? {
         Some(path) => {
             let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
             Faultload::from_json(&json).map_err(|e| e.to_string())?
         }
         None => {
             let os = Os::boot(edition)?;
-            let scanner = build_scanner(args)?;
-            let api: Vec<String> = simos::OsApi::ALL
-                .iter()
-                .map(|f| f.symbol().to_string())
-                .collect();
-            match store {
-                Some(s) => s
-                    .scan_functions(&scanner, os.program().image(), &api)
-                    .map_err(|e| e.to_string())?,
-                None => scanner.scan_functions(os.program().image(), &api),
-            }
+            let api = OsApi::symbols();
+            let funcs = (!whole_image).then_some(api.as_slice());
+            bench::scan(store, &build_scanner(args)?, os.program().image(), funcs)
+                .map_err(|e| e.to_string())?
         }
     };
-    Ok(match parse_limit(args)? {
-        Some(n) => sample(faultload, n),
-        None => faultload,
-    })
+    // An unset --limit keeps every fault (`usize::MAX` is no cap).
+    Ok(faultload.sample(cli.limit.unwrap_or(usize::MAX)))
 }
 
 /// Renders one iteration's activation summary: an overall line plus the
@@ -271,32 +227,10 @@ fn print_activation(label: &str, act: &depbench::ActivationSummary) {
 fn cmd_scan(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
     let cli = CliArgs::from_slice(args)?;
+    let out = value_of(args, "--out")?;
     let store = cli.open_store()?;
-    let os = Os::boot(edition)?;
-    let scanner = build_scanner(args)?;
     let whole_image = args.iter().any(|a| a == "--all");
-    let faultload = match (&store, whole_image) {
-        (Some(s), true) => s
-            .scan_image(&scanner, os.program().image())
-            .map_err(|e| e.to_string())?,
-        (None, true) => scanner.scan_image(os.program().image()),
-        (store, false) => {
-            let api: Vec<String> = simos::OsApi::ALL
-                .iter()
-                .map(|f| f.symbol().to_string())
-                .collect();
-            match store {
-                Some(s) => s
-                    .scan_functions(&scanner, os.program().image(), &api)
-                    .map_err(|e| e.to_string())?,
-                None => scanner.scan_functions(os.program().image(), &api),
-            }
-        }
-    };
-    let faultload = match parse_limit(args)? {
-        Some(n) => sample(faultload, n),
-        None => faultload,
-    };
+    let faultload = load_faultload(args, &cli, edition, store.as_ref(), whole_image)?;
     eprintln!("{}: {} faults", edition, faultload.len());
     for (t, n) in faultload.counts_by_type() {
         eprintln!("  {t:5} {n}");
@@ -306,7 +240,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
         eprintln!("  {func:28} {n}");
     }
     let json = faultload.to_json().map_err(|e| e.to_string())?;
-    match flag_value(args, "--out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| e.to_string())?;
             eprintln!("wrote {path}");
@@ -347,26 +281,19 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
     let server = parse_server(args.get(1))?;
     let cli = CliArgs::from_slice(args)?;
+    let (save, out) = (value_of(args, "--save")?, value_of(args, "--out")?);
     let store = cli.open_store()?;
-    if store.is_none() && flag_value(args, "--save").is_some() {
+    if store.is_none() && save.is_some() {
         return Err("--save needs --store DIR (runs are stored in the store)".into());
-    }
-    let legacy_iterations: Option<u64> = flag_value(args, "--iterations")
-        .map(|v| v.parse().map_err(|_| format!("bad iteration count `{v}`")))
-        .transpose()?;
-    if legacy_iterations == Some(0) {
-        return Err(
-            "campaign needs at least one iteration; --iterations 0 has nothing to run".into(),
-        );
     }
     let conv = cli.convergence();
     // Iteration budget: the convergence rule's cap when --ci-target is on,
-    // otherwise the fixed count from --iters / --iterations (default 1).
+    // otherwise the fixed count from --iters (default 1).
     let max_iterations = match &conv {
         Some(c) => c.max_iters,
-        None => cli.iters.or(legacy_iterations).unwrap_or(1),
+        None => cli.iters.unwrap_or(1),
     };
-    let faultload = load_faultload(args, edition, store.as_ref())?;
+    let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
     eprintln!(
         "campaign: {edition} / {server}, {} faults, up to {max_iterations} iteration(s), {} job(s){}",
         faultload.len(),
@@ -435,7 +362,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let mut it: u64 = 0;
     while it < iteration_bound {
         let res = cli.run_injection(store.as_ref(), &campaign, &faultload, it)?;
-        if let (Some(s), Some(name)) = (&store, flag_value(args, "--save")) {
+        if let (Some(s), Some(name)) = (&store, save) {
             let run_name = if max_iterations == 1 {
                 name.clone()
             } else {
@@ -549,7 +476,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             print_activation(&format!("iteration {}", it + 1), act);
         }
     }
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = out {
         let json = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         eprintln!("wrote {path}");
@@ -564,7 +491,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
     let server = parse_server(args.get(1))?;
     let cli = CliArgs::from_slice(args)?;
     let store = cli.open_store()?;
-    let faultload = load_faultload(args, edition, store.as_ref())?;
+    let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
     eprintln!(
         "recovery comparison: {edition} / {server}, {} faults per policy, {} job(s)",
         faultload.len(),
@@ -607,15 +534,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let server = parse_server(args.get(1))?;
     let cli = CliArgs::from_slice(args)?;
     let store = cli.open_store()?;
-    let slot: usize = flag_value(args, "--slot")
+    let slot: usize = value_of(args, "--slot")?
         .ok_or("trace needs --slot K (which faultload slot to replay)")?
         .parse()
         .map_err(|_| "--slot needs an unsigned integer".to_string())?;
-    let iteration: u64 = flag_value(args, "--iteration")
+    let iteration: u64 = value_of(args, "--iteration")?
         .map(|v| v.parse().map_err(|_| format!("bad iteration `{v}`")))
         .transpose()?
         .unwrap_or(0);
-    let faultload = load_faultload(args, edition, store.as_ref())?;
+    let dir = value_of(args, "--out")?.map_or_else(|| ".".into(), std::path::PathBuf::from);
+    let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
     if slot >= faultload.len() {
         return Err(format!(
             "--slot {slot} is out of range: the faultload has {} faults",
@@ -627,9 +555,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .trace_slot(&faultload, iteration, slot)
         .map_err(|e| e.to_string())?;
 
-    let dir = flag_value(args, "--out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let stem = format!("{}-{}-slot{:04}", edition.name(), server.name(), slot);
     let jsonl_path = dir.join(format!("{stem}.jsonl"));
@@ -836,7 +761,7 @@ fn pack_validate(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("usage: faultbench pack validate <FILE> [--min-precision P]")?;
-    let floor: Option<f64> = flag_value(args, "--min-precision")
+    let floor: Option<f64> = value_of(args, "--min-precision")?
         .map(|v| {
             v.parse::<f64>()
                 .ok()

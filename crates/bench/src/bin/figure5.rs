@@ -4,7 +4,7 @@
 //! THR (baseline vs faulty), RTM, ER% and ADMf.
 
 use bench::cli::CliArgs;
-use bench::tuned_faultload_cached;
+use bench::tuned_faultload;
 use depbench::report::{bar, f};
 use depbench::{Campaign, DependabilityMetrics};
 use simos::Edition;
@@ -20,11 +20,12 @@ fn main() {
     let cli = CliArgs::parse();
     let store = cli.open_store().expect("store opens");
     let cfg = cli.config();
-    let iterations: u64 = if bench::quick() { 1 } else { 3 };
+    let iterations = cli.iters.unwrap_or(3);
     let mut series: Vec<Series> = Vec::new();
 
     for edition in Edition::ALL {
-        let faultload = tuned_faultload_cached(edition, store.as_ref());
+        let faultload =
+            tuned_faultload(edition, store.as_ref()).sample(cli.limit.unwrap_or(usize::MAX));
         for kind in ServerKind::BENCHMARKED {
             let campaign = Campaign::new(edition, kind, cfg.clone());
             let baseline = campaign.run_profile_mode(0).expect("profile mode runs");

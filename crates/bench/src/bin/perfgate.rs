@@ -15,10 +15,15 @@
 //!
 //! All timings are minimum-of-N: noise only ever adds time, so the
 //! minimum is the closest observable to the true cost.
+//!
+//! Exit status: 0 = pass, 1 = a gated metric regressed, 2 = usage error (a
+//! malformed flag value, a missing `--baseline`, or a baseline that cannot
+//! be read or parsed — all reported before anything is measured).
 
 use std::collections::BTreeMap;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use bench::cli::value_of;
 use depbench::{Campaign, CampaignConfig, IntervalConfig};
 use mvm::{Memory, NoHcalls, Vm, VmConfig};
 use serde::{Deserialize, Serialize};
@@ -60,31 +65,32 @@ struct MetricValue {
     ns: f64,
 }
 
+/// What to do, with every flag parsed and the baseline loaded.
+struct Invocation {
+    rounds: usize,
+    out: Option<String>,
+    /// `check`: the baseline path, its report and the tolerance (percent).
+    /// `None` for `record`.
+    check: Option<(String, Report, f64)>,
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().map(String::as_str);
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
+    let Invocation { rounds, out, check } = match parse(&args) {
+        Ok(inv) => inv,
+        Err(e) => {
+            eprintln!("perfgate: {e}");
+            std::process::exit(2);
+        }
     };
-    let rounds: usize = flag("--rounds").map_or(7, |v| v.parse().expect("--rounds N"));
-    let tolerance: f64 = flag("--tolerance").map_or(20.0, |v| v.parse().expect("--tolerance PCT"));
-    let out = flag("--out");
-    match mode {
-        Some("record") => {
-            let report = measure(rounds);
+    let report = measure(rounds);
+    match check {
+        None => {
             let path = out.unwrap_or_else(|| format!("BENCH_{}.json", report.date));
             write_report(&report, &path);
             println!("recorded {path}");
         }
-        Some("check") => {
-            let baseline_path = flag("--baseline").expect("check needs --baseline PATH");
-            let baseline: Report = serde_json::from_str(
-                &std::fs::read_to_string(&baseline_path).expect("baseline readable"),
-            )
-            .expect("baseline parses as a perfgate report");
-            let report = measure(rounds);
+        Some((baseline_path, baseline, tolerance)) => {
             if let Some(path) = out {
                 write_report(&report, &path);
                 println!("recorded {path}");
@@ -93,14 +99,42 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        _ => {
-            eprintln!(
-                "usage: perfgate record|check [--baseline PATH] [--out PATH] \
-                 [--rounds N] [--tolerance PCT]"
-            );
-            std::process::exit(2);
-        }
     }
+}
+
+/// Parses the command line and loads the baseline — everything that can
+/// fail on bad input, before any measuring starts.
+fn parse(args: &[String]) -> Result<Invocation, String> {
+    const USAGE: &str =
+        "usage: perfgate record|check [--baseline PATH] [--out PATH] [--rounds N] [--tolerance PCT]";
+    let rounds = match value_of(args, "--rounds")? {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--rounds needs an unsigned integer, got `{v}`"))?,
+        None => 7,
+    };
+    let tolerance: f64 = match value_of(args, "--tolerance")? {
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|t: &f64| t.is_finite())
+            .ok_or_else(|| format!("--tolerance needs a percentage, got `{v}`"))?,
+        None => 20.0,
+    };
+    let out = value_of(args, "--out")?.cloned();
+    let check = match args.first().map(String::as_str) {
+        Some("record") => None,
+        Some("check") => {
+            let path = value_of(args, "--baseline")?.ok_or("check needs --baseline PATH")?;
+            let json = std::fs::read_to_string(path)
+                .map_err(|e| format!("baseline {path} is unreadable: {e}"))?;
+            let baseline: Report = serde_json::from_str(&json)
+                .map_err(|e| format!("baseline {path} is not a perfgate report: {e}"))?;
+            Some((path.clone(), baseline, tolerance))
+        }
+        _ => return Err(USAGE.into()),
+    };
+    Ok(Invocation { rounds, out, check })
 }
 
 fn measure(rounds: usize) -> Report {

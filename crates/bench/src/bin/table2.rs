@@ -2,18 +2,18 @@
 //! for every OS API function, the four-server average, the selected
 //! intersection and its total call coverage.
 
-use bench::run_profile_phase;
 use depbench::profilephase::module_of;
 use depbench::report::{f, TextTable};
-use depbench::ProfilePhaseConfig;
+use depbench::{profile_servers, ProfilePhaseConfig};
 use simos::{Edition, OsApi};
+use webserver::ServerKind;
 
 fn main() {
     // Uniform CLI surface: validate (and ignore) the shared flags.
     let _cli = bench::cli::CliArgs::parse();
     let edition = Edition::Nimbus2000;
-    let set = run_profile_phase(edition);
     let cfg = ProfilePhaseConfig::default();
+    let set = profile_servers(edition, &ServerKind::ALL, &cfg);
     let selected = set.select_functions(cfg.min_avg_pct);
 
     let mut table = TextTable::new([

@@ -3,7 +3,7 @@
 //! restricted scan).
 
 use bench::cli::CliArgs;
-use bench::tuned_faultload_cached;
+use bench::tuned_faultload;
 use depbench::report::TextTable;
 use simos::Edition;
 use swfit_core::FaultType;
@@ -18,7 +18,7 @@ fn main() {
 
     let mut totals = Vec::new();
     for edition in Edition::ALL {
-        let fl = tuned_faultload_cached(edition, store.as_ref());
+        let fl = tuned_faultload(edition, store.as_ref()).sample(cli.limit.unwrap_or(usize::MAX));
         let counts = fl.counts_by_type();
         let mut cells = vec![format!("{} ({})", edition, edition.paper_analogue())];
         cells.extend(FaultType::ALL.iter().map(|t| counts[t].to_string()));

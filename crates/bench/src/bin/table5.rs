@@ -3,10 +3,11 @@
 //! SPC/THR/RTM/ER% and the watchdog counters MIS/KCP/KNS.
 //!
 //! This is the headline experiment. The full run takes a few minutes in
-//! release mode; set `FAULTLOAD_QUICK=1` for a truncated smoke pass.
+//! release mode; `--limit N --iters M` gives a truncated smoke pass (N
+//! faults per faultload, M iterations instead of 3).
 
 use bench::cli::CliArgs;
-use bench::tuned_faultload_cached;
+use bench::tuned_faultload;
 use depbench::metrics::aggregate_metrics;
 use depbench::report::{f, pm, TextTable};
 use depbench::{Campaign, DependabilityMetrics};
@@ -17,10 +18,11 @@ fn main() {
     let cli = CliArgs::parse();
     let store = cli.open_store().expect("store opens");
     let cfg = cli.config();
-    let iterations: u64 = if bench::quick() { 1 } else { 3 };
+    let iterations = cli.iters.unwrap_or(3);
 
     for edition in Edition::ALL {
-        let faultload = tuned_faultload_cached(edition, store.as_ref());
+        let faultload =
+            tuned_faultload(edition, store.as_ref()).sample(cli.limit.unwrap_or(usize::MAX));
         println!(
             "=== {} ({}) — faultload: {} faults ===\n",
             edition,

@@ -1,6 +1,8 @@
-//! Shared command-line flags for every regenerator binary.
+//! Shared command-line flags for every regenerator binary, and the one flag
+//! lookup ([`value_of`], [`values_of`]) every binary reads its own extra
+//! flags with.
 //!
-//! All ten binaries accept the same campaign-affecting flags, parsed here
+//! All binaries accept the same campaign-affecting flags, parsed here
 //! once instead of hand-rolled per binary:
 //!
 //! ```text
@@ -8,8 +10,12 @@
 //!                bit-identical at any value; 0 is clamped to 1 with a
 //!                warning)
 //! --seed N       base RNG seed (default: the paper-dated default)
-//! --iters N      iteration cap for convergence-stopped campaigns
-//!                (default 8; 0 is clamped to 1 with a warning)
+//! --iters N      iteration count (default per binary: 1 for `faultbench
+//!                campaign`, 3 for `table5`/`figure5`), and the iteration
+//!                cap when --ci-target is set (default 8); 0 is clamped to
+//!                1 with a warning
+//! --limit N      evenly sample each faultload down to at most N faults
+//!                (N > 0; quick runs and CI smoke tests)
 //! --ci-target P  stop iterating once every tier-1 metric's 95% CI
 //!                half-width is below P (percent of the mean for
 //!                SPCf/THRf/RTMf, percentage points for ER%f)
@@ -32,8 +38,11 @@
 //!                       and quarantined as timed out
 //! ```
 //!
-//! Unrecognized arguments are left alone — binaries keep their own extra
-//! flags (`--out`, `--faultload`, …).
+//! Unrecognized arguments are left alone — binaries read their own extra
+//! flags (`--out`, `--faultload`, …) with [`value_of`], so a flag given
+//! without its value is an error everywhere, never silently dropped.
+
+use std::str::FromStr;
 
 use depbench::{
     Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult, SlotWatchdogConfig,
@@ -49,8 +58,12 @@ pub struct CliArgs {
     pub jobs: Option<usize>,
     /// `--seed N`: base RNG seed override.
     pub seed: Option<u64>,
-    /// `--iters N`: iteration cap for convergence-stopped campaigns.
+    /// `--iters N`: iteration count, and the cap for convergence-stopped
+    /// campaigns.
     pub iters: Option<u64>,
+    /// `--limit N`: sample each faultload down to at most N faults.
+    /// `None` = no cap.
+    pub limit: Option<usize>,
     /// `--ci-target P`: CI half-width target (percent) enabling
     /// convergence-based early stopping.
     pub ci_target: Option<f64>,
@@ -95,16 +108,9 @@ impl CliArgs {
     /// A usage message when a flag value is missing or malformed, or when
     /// `--resume` is given without `--store`.
     pub fn from_slice(args: &[String]) -> Result<CliArgs, String> {
-        let value_of = |name: &str| -> Result<Option<&String>, String> {
-            match args.iter().position(|a| a == name) {
-                Some(i) => args
-                    .get(i + 1)
-                    .filter(|v| !v.starts_with("--"))
-                    .map(Some)
-                    .ok_or_else(|| format!("{name} needs a value")),
-                None => Ok(None),
-            }
-        };
+        const UNSIGNED: &str = "an unsigned integer";
+        const POSITIVE: &str = "a positive integer";
+        let any = |_: &u64| true;
         // Zero workers / zero iterations cannot run anything; clamp to 1
         // with a warning instead of erroring or (worse) dividing by zero
         // downstream.
@@ -116,48 +122,23 @@ impl CliArgs {
                 n
             }
         };
-        let jobs = value_of("--jobs")?
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("--jobs needs an unsigned integer, got `{v}`"))
-                    .map(|n| clamp_zero("--jobs", n as u64) as usize)
-            })
-            .transpose()?;
-        let iters = value_of("--iters")?
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--iters needs an unsigned integer, got `{v}`"))
-                    .map(|n| clamp_zero("--iters", n))
-            })
-            .transpose()?;
-        let ci_target = value_of("--ci-target")?
-            .map(|v| {
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|p| p.is_finite() && *p > 0.0)
-                    .ok_or_else(|| format!("--ci-target needs a positive percentage, got `{v}`"))
-            })
-            .transpose()?;
-        let seed = value_of("--seed")?
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--seed needs an unsigned integer, got `{v}`"))
-            })
-            .transpose()?;
-        let store = value_of("--store")?.map(std::path::PathBuf::from);
+        let jobs = parse_flag(args, "--jobs", UNSIGNED, |_: &usize| true)?
+            .map(|n| clamp_zero("--jobs", n as u64) as usize);
+        let iters = parse_flag(args, "--iters", UNSIGNED, any)?.map(|n| clamp_zero("--iters", n));
+        let limit = parse_flag(args, "--limit", POSITIVE, |n: &usize| *n > 0)?;
+        let ci_target = parse_flag(args, "--ci-target", "a positive percentage", |p: &f64| {
+            p.is_finite() && *p > 0.0
+        })?;
+        let seed = parse_flag(args, "--seed", UNSIGNED, any)?;
+        let store = value_of(args, "--store")?.map(std::path::PathBuf::from);
         let resume = args.iter().any(|a| a == "--resume");
         if resume && store.is_none() {
             return Err("--resume needs --store DIR (the journal lives in the store)".into());
         }
-        let trace_dir = value_of("--trace-dir")?.map(std::path::PathBuf::from);
+        let trace_dir = value_of(args, "--trace-dir")?.map(std::path::PathBuf::from);
         let trace = trace_dir.is_some() || args.iter().any(|a| a == "--trace");
-        let mut chaos_seed = value_of("--chaos-seed")?
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--chaos-seed needs an unsigned integer, got `{v}`"))
-            })
-            .transpose()?;
-        let chaos_profile = match value_of("--chaos-profile")?.map(String::as_str) {
+        let mut chaos_seed = parse_flag(args, "--chaos-seed", UNSIGNED, any)?;
+        let chaos_profile = match value_of(args, "--chaos-profile")?.map(String::as_str) {
             None => None,
             // An explicit `off` wins over --chaos-seed: injection fully
             // disabled, exactly as if neither flag were given.
@@ -180,18 +161,12 @@ impl CliArgs {
                 "--chaos-seed needs --store DIR (chaos injects into the store's I/O)".into(),
             );
         }
-        let slot_budget_ms = value_of("--slot-budget-ms")?
-            .map(|v| {
-                v.parse::<u64>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("--slot-budget-ms needs a positive integer, got `{v}`"))
-            })
-            .transpose()?;
+        let slot_budget_ms = parse_flag(args, "--slot-budget-ms", POSITIVE, |n: &u64| *n > 0)?;
         Ok(CliArgs {
             jobs,
             seed,
             iters,
+            limit,
             ci_target,
             store,
             resume,
@@ -308,6 +283,53 @@ impl CliArgs {
     }
 }
 
+/// The value of flag `name` in `args`: `None` when the flag is absent.
+///
+/// # Errors
+///
+/// `"{name} needs a value"` when the flag is the last argument or is
+/// followed by another `--flag`.
+pub fn value_of<'a>(args: &'a [String], name: &str) -> Result<Option<&'a String>, String> {
+    Ok(values_of(args, name)?.into_iter().next())
+}
+
+/// Every value of a repeatable flag (e.g. `--pack`), in order.
+///
+/// # Errors
+///
+/// As [`value_of`], for any occurrence.
+pub fn values_of<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a String>, String> {
+    let mut values = Vec::new();
+    let mut rest = args;
+    while let Some(i) = rest.iter().position(|a| a == name) {
+        let value = rest
+            .get(i + 1)
+            .filter(|v| !v.starts_with("--"))
+            .ok_or_else(|| format!("{name} needs a value"))?;
+        values.push(value);
+        rest = &rest[i + 2..];
+    }
+    Ok(values)
+}
+
+/// Parses flag `name`'s value as a `T` that `valid` accepts; `what` names
+/// the expected value in the error.
+fn parse_flag<T: FromStr>(
+    args: &[String],
+    name: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    value_of(args, name)?
+        .map(|v| {
+            v.parse::<T>()
+                .ok()
+                .filter(|x| valid(x))
+                .ok_or_else(|| format!("{name} needs {what}, got `{v}`"))
+        })
+        .transpose()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,8 +379,31 @@ mod tests {
             &["--ci-target", "inf"],
             &["--ci-target", "nan"],
             &["--ci-target"],
+            &["--limit"],
+            &["--limit", "0"],
+            &["--limit", "x"],
         ] {
             assert!(CliArgs::from_slice(&args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn lookup_reads_single_and_repeated_flags() {
+        let a = args(&[
+            "scan", "--pack", "a.json", "--out", "o", "--pack", "b.json", "--limit", "5",
+        ]);
+        assert_eq!(
+            value_of(&a, "--out").unwrap().map(String::as_str),
+            Some("o")
+        );
+        assert_eq!(value_of(&a, "--save").unwrap(), None);
+        assert_eq!(values_of(&a, "--pack").unwrap(), ["a.json", "b.json"]);
+        assert_eq!(CliArgs::from_slice(&a).unwrap().limit, Some(5));
+        for bad in [&["--pack", "a", "--pack"][..], &["--pack", "--out", "o"]] {
+            assert_eq!(
+                values_of(&args(bad), "--pack").unwrap_err(),
+                "--pack needs a value"
+            );
         }
     }
 

@@ -11,63 +11,55 @@
 //! | `table5`  | Table 5 — full campaign results, 3 iterations + averages |
 //! | `figure5` | Figure 5 — Heron/Wren comparison bars |
 //!
-//! Set `FAULTLOAD_QUICK=1` for a fast, truncated pass (CI smoke runs).
-//! Every binary also accepts the shared flags of [`cli::CliArgs`]
-//! (`--jobs`, `--seed`, `--store`, `--resume`).
+//! Every binary accepts the shared flags of [`cli::CliArgs`] (`--jobs`,
+//! `--seed`, `--store`, `--resume`, …). For a fast, truncated pass (CI
+//! smoke runs) pass `--limit N`, which evenly samples each faultload down to
+//! N faults, and, for `table5`/`figure5`, `--iters N` (default 3).
 
 pub mod cli;
 
-use depbench::{profile_servers, ProfilePhaseConfig};
-use faultstore::FaultStore;
+use depbench::{profilephase, ProfilePhaseConfig};
+use faultstore::{FaultStore, StoreError};
+use mvm::CodeImage;
 use simos::{Edition, Os};
-use swfit_core::{Faultload, ProfileSet, Scanner};
-use webserver::ServerKind;
+use swfit_core::{Faultload, Scanner};
 
-/// True when `FAULTLOAD_QUICK=1` — binaries then shrink their workloads.
-pub fn quick() -> bool {
-    std::env::var("FAULTLOAD_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// The profiling phase for an edition (all four servers, §2.4 defaults).
-pub fn run_profile_phase(edition: Edition) -> ProfileSet {
-    profile_servers(edition, &ServerKind::ALL, &ProfilePhaseConfig::default())
-}
-
-/// The FIT function subset selected by the profiling phase.
-pub fn selected_functions(edition: Edition) -> Vec<String> {
-    let cfg = ProfilePhaseConfig::default();
-    run_profile_phase(edition).select_functions(cfg.min_avg_pct)
+/// Scans `image` — only the named functions when `funcs` is given, the
+/// whole image otherwise — serving the map from the persistent store's
+/// content-addressed cache when one is open (`--store`): a second run
+/// against an unchanged image reads the map from disk instead of
+/// re-walking it.
+///
+/// # Errors
+///
+/// The store error when the fault-map cache cannot be read.
+pub fn scan(
+    store: Option<&FaultStore>,
+    scanner: &Scanner,
+    image: &CodeImage,
+    funcs: Option<&[String]>,
+) -> Result<Faultload, StoreError> {
+    match (store, funcs) {
+        (Some(store), Some(funcs)) => store.scan_functions(scanner, image, funcs),
+        (Some(store), None) => store.scan_image(scanner, image),
+        (None, Some(funcs)) => Ok(scanner.scan_functions(image, funcs)),
+        (None, None) => Ok(scanner.scan_image(image)),
+    }
 }
 
 /// The fine-tuned faultload for an edition: scan the OS image restricted to
-/// the profiled FIT subset — the complete §2 pipeline.
-pub fn tuned_faultload(edition: Edition) -> Faultload {
-    tuned_faultload_cached(edition, None)
-}
-
-/// [`tuned_faultload`], serving the scan from a persistent store's
-/// content-addressed cache when one is given (`--store`): a second run
-/// against an unchanged edition reads the map from disk instead of
-/// re-walking the image.
-pub fn tuned_faultload_cached(edition: Edition, store: Option<&FaultStore>) -> Faultload {
+/// the FIT subset the profiling phase selects — the complete §2 pipeline.
+/// The scan goes through [`scan`], so `store` serves it from the cache.
+pub fn tuned_faultload(edition: Edition, store: Option<&FaultStore>) -> Faultload {
     let os = Os::boot(edition).expect("OS boots");
-    let selected = selected_functions(edition);
-    let scanner = Scanner::standard();
-    let mut faultload = match store {
-        Some(store) => store
-            .scan_functions(&scanner, os.program().image(), &selected)
-            .expect("fault-map cache is readable"),
-        None => scanner.scan_functions(os.program().image(), &selected),
-    };
-    if quick() {
-        // Sample across the whole faultload (every k-th fault) so the quick
-        // pass still sees every fault type and function.
-        let stride = (faultload.len() / 60).max(1);
-        faultload.faults = faultload.faults.into_iter().step_by(stride).collect();
-    }
-    faultload
+    let selected = profilephase::selected_functions(edition, &ProfilePhaseConfig::default());
+    scan(
+        store,
+        &Scanner::standard(),
+        os.program().image(),
+        Some(&selected),
+    )
+    .expect("fault-map cache is readable")
 }
 
 #[cfg(test)]
@@ -77,15 +69,15 @@ mod tests {
     #[test]
     fn tuned_faultloads_exist_for_both_editions() {
         for edition in Edition::ALL {
-            let fl = tuned_faultload(edition);
+            let fl = tuned_faultload(edition, None);
             assert!(fl.len() > 50, "{edition}: only {} faults", fl.len());
         }
     }
 
     #[test]
     fn xp_faultload_is_larger_as_in_table_3() {
-        let w2k = tuned_faultload(Edition::Nimbus2000);
-        let xp = tuned_faultload(Edition::NimbusXp);
+        let w2k = tuned_faultload(Edition::Nimbus2000, None);
+        let xp = tuned_faultload(Edition::NimbusXp, None);
         assert!(xp.len() > w2k.len(), "xp {} vs w2k {}", xp.len(), w2k.len());
     }
 }

@@ -27,11 +27,9 @@ use webserver::ServerKind;
 
 fn faultload(n: usize) -> Faultload {
     let os = Os::boot(Edition::Nimbus2000).expect("edition boots");
-    let api: Vec<String> = OsApi::ALL.iter().map(|f| f.symbol().to_string()).collect();
-    let mut fl = Scanner::standard().scan_functions(os.program().image(), &api);
-    let stride = (fl.len() / n).max(1);
-    fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-    fl
+    Scanner::standard()
+        .scan_functions(os.program().image(), &OsApi::symbols())
+        .sample(n)
 }
 
 fn campaign() -> Campaign {

@@ -18,11 +18,9 @@ use webserver::ServerKind;
 
 fn faultload(edition: Edition, n: usize) -> Faultload {
     let os = Os::boot(edition).expect("edition boots");
-    let api: Vec<String> = OsApi::ALL.iter().map(|f| f.symbol().to_string()).collect();
-    let mut fl = Scanner::standard().scan_functions(os.program().image(), &api);
-    let stride = (fl.len() / n).max(1);
-    fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-    fl
+    Scanner::standard()
+        .scan_functions(os.program().image(), &OsApi::symbols())
+        .sample(n)
 }
 
 fn quick_config(parallelism: usize) -> CampaignConfig {

@@ -75,6 +75,17 @@ impl Faultload {
         }
     }
 
+    /// Evenly samples the faultload down to at most `n` faults: every
+    /// `len / n`-th fault in scan order, so a small sample still spans every
+    /// function and fault type of the map. `n` must be positive;
+    /// `usize::MAX` keeps every fault.
+    #[must_use]
+    pub fn sample(mut self, n: usize) -> Faultload {
+        let stride = (self.len() / n).max(1);
+        self.faults = self.faults.into_iter().step_by(stride).take(n).collect();
+        self
+    }
+
     /// True when this faultload was generated from exactly this image (or
     /// carries no fingerprint to check). Injecting a faultload into a
     /// *different* build patches arbitrary words — always verify first.
@@ -242,6 +253,21 @@ mod tests {
         assert_eq!(per["f"], 1);
         assert_eq!(per["g"], 2);
         assert_eq!(per.values().sum::<usize>(), fl.len());
+    }
+
+    #[test]
+    fn sampling_keeps_an_even_stride_of_at_most_n() {
+        let mut fl = sample();
+        fl.faults = (0..10)
+            .map(|site| FaultDef {
+                site,
+                ..fl.faults[0].clone()
+            })
+            .collect();
+        let sites = |fl: Faultload| fl.faults.iter().map(|f| f.site).collect::<Vec<_>>();
+        assert_eq!(sites(fl.clone().sample(3)), [0, 3, 6]);
+        assert_eq!(sites(fl.clone().sample(4)), [0, 2, 4, 6]);
+        assert_eq!(fl.clone().sample(20), fl, "n above len keeps everything");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod taxonomy;
 pub use faultload::{FaultDef, Faultload};
 pub use hardware::{BitFlip, HardwareFaultload};
 pub use injector::{InjectError, Injector};
-pub use operators::{Mutation, MutationOperator};
+pub use operators::Mutation;
 pub use pack::{FaultPack, PackError, PackRef};
 pub use profile::{ApiTrace, ProfileSet};
 pub use scanner::{ScanError, Scanner, ScannerBuilder};

@@ -1,5 +1,5 @@
-//! The mutation-operator layer: the operator contract and the shared pattern
-//! analyses.
+//! The mutation-operator layer: the mutation output type and the shared
+//! pattern analyses.
 //!
 //! Paper §2.2: *"Each operator describes one specific type of fault […] and
 //! comprises two components: a search pattern and a low-level mutation
@@ -7,11 +7,12 @@
 //! *definitions* live in fault-model packs (see [`crate::pack`]); this
 //! module keeps what is code by nature:
 //!
-//! - the [`MutationOperator`] contract and [`Mutation`] output type,
+//! - the [`Mutation`] output type,
 //! - the code-shape analyses (`if_sites`, `literal_assignments`, … —
 //!   crate-private) that pack patterns parameterize.
 //!
-//! The classic 12 operators of Table 1 are the bundled `odc-classic` pack
+//! Operators themselves are [`crate::pack::CompiledOperator`]s; the classic
+//! 12 operators of Table 1 are the bundled `odc-classic` pack
 //! ([`crate::pack::classic`]).
 //!
 //! Operators are deliberately conservative: when a pattern is ambiguous
@@ -23,7 +24,6 @@
 use mvm::{Instr, Opcode, Patch, Reg};
 
 use crate::funcview::FuncView;
-use crate::taxonomy::FaultType;
 
 /// Maximum `if`-body size (instructions) for MIFS/MIA matches; bodies larger
 /// than this are "not a small localized construct" and are skipped. This is
@@ -46,22 +46,6 @@ pub struct Mutation {
     pub patches: Vec<Patch>,
     /// What the mutation does, for reports.
     pub note: String,
-}
-
-/// A search pattern plus low-level mutation for one fault type.
-pub trait MutationOperator {
-    /// The emulated fault type.
-    fn fault_type(&self) -> FaultType;
-    /// Stable operator id: the prefix of every fault id this operator
-    /// generates (`<id>@func+off`). Defaults to the fault-type acronym,
-    /// which is what the classic operators use; pack operators carry their
-    /// declared id.
-    fn id(&self) -> &str {
-        self.fault_type().acronym()
-    }
-    /// Scans one function and returns every location where the fault can be
-    /// emulated.
-    fn scan(&self, func: &FuncView) -> Vec<Mutation>;
 }
 
 // --------------------------------------------------------------------------
@@ -570,20 +554,6 @@ mod tests {
         let types: std::collections::BTreeSet<FaultType> =
             ops.iter().map(|o| o.fault_type()).collect();
         assert_eq!(types.len(), 12);
-    }
-
-    #[test]
-    fn default_operator_id_is_the_acronym() {
-        struct Bare;
-        impl MutationOperator for Bare {
-            fn fault_type(&self) -> FaultType {
-                FaultType::Wpfv
-            }
-            fn scan(&self, _: &FuncView) -> Vec<Mutation> {
-                Vec::new()
-            }
-        }
-        assert_eq!(Bare.id(), "WPFV");
     }
 
     /// Applying MIFS actually changes behaviour the way a missing `if`

@@ -45,7 +45,7 @@ use mvm::{Instr, Opcode, Patch, Reg};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::funcview::FuncView;
-use crate::operators::{self, Mutation, MutationOperator, MAX_IF_BODY, MLPC_MIN_RUN, MLPC_WINDOW};
+use crate::operators::{self, Mutation, MAX_IF_BODY, MLPC_MIN_RUN, MLPC_WINDOW};
 use crate::taxonomy::FaultType;
 
 /// The bundled `odc-classic` pack: the 12 operators of Table 1 as data.
@@ -1267,8 +1267,9 @@ fn apply_mutation(spec: &MutationSpec, func: &FuncView, m: &PatMatch) -> Option<
     }
 }
 
-/// A pack operator compiled into the scan/mutate machinery: a
-/// [`MutationOperator`] interpreting its declarative definition.
+/// A pack operator compiled into the scan/mutate machinery: the search
+/// pattern and low-level mutation for one fault type (§2.2), interpreting
+/// its declarative definition.
 #[derive(Clone, Debug)]
 pub struct CompiledOperator {
     def: PackOperator,
@@ -1279,18 +1280,21 @@ impl CompiledOperator {
     pub fn definition(&self) -> &PackOperator {
         &self.def
     }
-}
 
-impl MutationOperator for CompiledOperator {
-    fn fault_type(&self) -> FaultType {
+    /// The emulated fault type.
+    pub fn fault_type(&self) -> FaultType {
         self.def.fault_type
     }
 
-    fn id(&self) -> &str {
+    /// Stable operator id: the prefix of every fault id this operator
+    /// generates (`<id>@func+off`).
+    pub fn id(&self) -> &str {
         &self.def.id
     }
 
-    fn scan(&self, func: &FuncView) -> Vec<Mutation> {
+    /// Scans one function and returns every location where the fault can be
+    /// emulated.
+    pub fn scan(&self, func: &FuncView) -> Vec<Mutation> {
         let c = &self.def.constraints;
         if func.len() < c.min_func_len {
             return Vec::new();
@@ -1355,7 +1359,7 @@ pub(crate) fn classic_op(id: &str) -> CompiledOperator {
         .compile()
         .expect("bundled odc-classic compiles")
         .into_iter()
-        .find(|op| op.def.id == id)
+        .find(|op| op.id() == id)
         .unwrap_or_else(|| panic!("odc-classic has operator {id}"))
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Since the operators-as-data redesign the library is assembled with a
 //! builder: the bundled `odc-classic` pack, user packs loaded from disk, and
-//! hand-written [`MutationOperator`]s compose freely —
+//! single [`CompiledOperator`]s picked from a pack compose freely —
 //!
 //! ```
 //! use swfit_core::Scanner;
@@ -27,8 +27,7 @@ use mvm::CodeImage;
 
 use crate::faultload::{FaultDef, Faultload};
 use crate::funcview::FuncView;
-use crate::operators::MutationOperator;
-use crate::pack::{self, FaultPack, PackError, PackRef};
+use crate::pack::{self, CompiledOperator, FaultPack, PackError, PackRef};
 
 /// Why a scanner could not be assembled.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,7 +35,7 @@ use crate::pack::{self, FaultPack, PackError, PackRef};
 pub enum ScanError {
     /// The builder was given no operators at all.
     EmptyLibrary,
-    /// Two operators (across packs and hand-written additions) share an id,
+    /// Two operators (across packs and single-operator additions) share an id,
     /// which would collide fault ids.
     DuplicateOperatorId {
         /// The colliding id.
@@ -75,11 +74,11 @@ impl From<PackError> for ScanError {
     }
 }
 
-/// Assembles a [`Scanner`] from packs and hand-written operators.
+/// Assembles a [`Scanner`] from packs and single operators.
 #[derive(Default)]
 pub struct ScannerBuilder {
     packs: Vec<FaultPack>,
-    operators: Vec<Box<dyn MutationOperator>>,
+    operators: Vec<CompiledOperator>,
 }
 
 impl ScannerBuilder {
@@ -103,10 +102,10 @@ impl ScannerBuilder {
         Ok(self.pack(FaultPack::load(path)?))
     }
 
-    /// Adds a hand-written operator (e.g. for an ablation). Hand-written
-    /// operators carry no pack provenance; faultloads they contribute to
-    /// are stamped only with the packs also present.
-    pub fn operator(mut self, op: Box<dyn MutationOperator>) -> Self {
+    /// Adds a single operator (e.g. one picked from a pack for an
+    /// ablation). Single operators carry no pack provenance; faultloads
+    /// they contribute to are stamped only with the packs also present.
+    pub fn operator(mut self, op: CompiledOperator) -> Self {
         self.operators.push(op);
         self
     }
@@ -119,12 +118,10 @@ impl ScannerBuilder {
     /// [`ScanError::DuplicateOperatorId`] if two operators share an id,
     /// [`ScanError::EmptyLibrary`] if nothing was added.
     pub fn build(self) -> Result<Scanner, ScanError> {
-        let mut operators: Vec<Box<dyn MutationOperator>> = Vec::new();
+        let mut operators = Vec::new();
         let mut packs = Vec::new();
         for p in &self.packs {
-            for op in p.compile()? {
-                operators.push(Box::new(op));
-            }
+            operators.extend(p.compile()?);
             packs.push(p.pack_ref());
         }
         operators.extend(self.operators);
@@ -142,7 +139,7 @@ impl ScannerBuilder {
 
 /// The faultload generator: an operator library bound to a scan routine.
 pub struct Scanner {
-    operators: Vec<Box<dyn MutationOperator>>,
+    operators: Vec<CompiledOperator>,
     packs: Vec<PackRef>,
 }
 
@@ -167,7 +164,7 @@ impl Scanner {
     }
 
     /// The operators in scan order.
-    pub fn operators(&self) -> &[Box<dyn MutationOperator>] {
+    pub fn operators(&self) -> &[CompiledOperator] {
         &self.operators
     }
 
@@ -239,8 +236,8 @@ impl Default for Scanner {
 
 impl fmt::Debug for Scanner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `Box<dyn MutationOperator>` has no Debug; ids and pack provenance
-        // are what identifies a scanner anyway.
+        // Ids and pack provenance are what identifies a scanner; the full
+        // operator definitions would drown them.
         f.debug_struct("Scanner")
             .field(
                 "operators",
@@ -308,7 +305,7 @@ mod tests {
     fn custom_operator_library() {
         let p = compile("os", SRC).unwrap();
         let s = Scanner::builder()
-            .operator(Box::new(classic_op("MIFS")))
+            .operator(classic_op("MIFS"))
             .build()
             .unwrap();
         assert_eq!(s.operator_count(), 1);
@@ -334,10 +331,10 @@ mod tests {
             matches!(&err, ScanError::DuplicateOperatorId { id } if id == "MFC"),
             "got {err}"
         );
-        // A hand-written operator can collide with a pack operator too.
+        // A single operator can collide with a pack operator too.
         let err = Scanner::builder()
             .classic()
-            .operator(Box::new(classic_op("MIFS")))
+            .operator(classic_op("MIFS"))
             .build()
             .unwrap_err();
         assert!(matches!(
@@ -375,17 +372,20 @@ mod tests {
             Scanner::standard().operator_set_hash(),
             "hash is deterministic"
         );
-        let one = |op: Box<dyn MutationOperator>| Scanner::builder().operator(op).build().unwrap();
-        let single = one(Box::new(classic_op("MIFS"))).operator_set_hash();
+        let single = Scanner::builder()
+            .operator(classic_op("MIFS"))
+            .build()
+            .unwrap()
+            .operator_set_hash();
         assert_ne!(standard, single);
         let ab = Scanner::builder()
-            .operator(Box::new(classic_op("MVI")))
-            .operator(Box::new(classic_op("MFC")))
+            .operator(classic_op("MVI"))
+            .operator(classic_op("MFC"))
             .build()
             .unwrap();
         let ba = Scanner::builder()
-            .operator(Box::new(classic_op("MFC")))
-            .operator(Box::new(classic_op("MVI")))
+            .operator(classic_op("MFC"))
+            .operator(classic_op("MVI"))
             .build()
             .unwrap();
         assert_ne!(ab.operator_set_hash(), ba.operator_set_hash());

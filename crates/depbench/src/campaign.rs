@@ -1245,15 +1245,10 @@ mod tests {
 
     fn small_faultload(edition: Edition, n: usize) -> Faultload {
         let os = Os::boot(edition).unwrap();
-        let api: Vec<String> = simos::OsApi::ALL
-            .iter()
-            .map(|f| f.symbol().to_string())
-            .collect();
-        let mut fl = Scanner::standard().scan_functions(os.program().image(), &api);
         // Sample across the image so every fault type/function is covered.
-        let stride = (fl.len() / n).max(1);
-        fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-        fl
+        Scanner::standard()
+            .scan_functions(os.program().image(), &simos::OsApi::symbols())
+            .sample(n)
     }
 
     #[test]

@@ -167,7 +167,14 @@ impl FaultMapCache {
                 target: faultload.target.clone(),
             });
         }
-        if let Err(e) = self.write_atomic(&path, &faultload) {
+        let written = faultload
+            .to_json()
+            .map_err(|e| StoreError::Json(e.to_string()))
+            .and_then(|json| {
+                self.ctx
+                    .write_atomic("faultmap write", "faultmap rename", &path, json.as_bytes())
+            });
+        if let Err(e) = written {
             // The scan itself succeeded; the cache write is an optimization
             // for the *next* process, so a persistently failing disk costs
             // a rescan later, not this campaign. Degrade rather than abort.
@@ -187,27 +194,6 @@ impl FaultMapCache {
             .ok()?;
         let faultload = Faultload::from_json(&json).ok()?;
         (faultload.fingerprint == Some(key.image_fingerprint)).then_some(faultload)
-    }
-
-    /// Write-to-temp-then-rename, with the temp file fsynced *before* the
-    /// rename — rename-atomicity only covers the directory entry, so
-    /// without the fsync a crash shortly after could surface a renamed but
-    /// empty (or partial) map. Transient failures are retried; the caller
-    /// degrades on persistent ones.
-    fn write_atomic(&self, path: &Path, faultload: &Faultload) -> Result<(), StoreError> {
-        let json = faultload
-            .to_json()
-            .map_err(|e| StoreError::Json(e.to_string()))?;
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        self.ctx
-            .retrying("faultmap write", || {
-                self.ctx.chaos.write_sync(&tmp, json.as_bytes())
-            })
-            .map_err(|e| io_err(&tmp, e))?;
-        self.ctx
-            .retrying("faultmap rename", || self.ctx.chaos.rename(&tmp, path))
-            .map_err(|e| io_err(path, e))?;
-        Ok(())
     }
 }
 
@@ -257,7 +243,7 @@ mod tests {
 
     #[test]
     fn operator_set_change_is_a_miss() {
-        use swfit_core::{pack, MutationOperator};
+        use swfit_core::pack;
         let dir = tmpdir("ops");
         let cache = FaultMapCache::open(&dir).unwrap();
         let p = compile("os", SRC).unwrap();
@@ -268,7 +254,7 @@ mod tests {
             .into_iter()
             .find(|op| op.id() == "MIFS")
             .unwrap();
-        let single = Scanner::builder().operator(Box::new(mifs)).build().unwrap();
+        let single = Scanner::builder().operator(mifs).build().unwrap();
         let narrowed = cache.scan_image(&single, p.image()).unwrap();
         assert_eq!(
             cache.scan_count(),
@@ -299,9 +285,9 @@ mod tests {
         assert_eq!(cache.scan_count(), 3, "filtered scan is its own entry");
         assert!(restricted.faults.iter().all(|f| f.func == "alpha"));
         // Filter order does not matter: sorted-set hashing.
-        let shuffled = vec!["alpha".to_string(), "alpha".to_string()];
+        let repeated = vec!["alpha".to_string(), "alpha".to_string()];
         cache
-            .scan_functions(&Scanner::standard(), p1.image(), &shuffled)
+            .scan_functions(&Scanner::standard(), p1.image(), &repeated)
             .unwrap();
         assert_eq!(cache.scan_count(), 3, "same filter set hits");
         std::fs::remove_dir_all(&dir).unwrap();

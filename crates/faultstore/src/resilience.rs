@@ -13,11 +13,14 @@
 //! incomplete.
 
 use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use simchaos::{error_kind_name, ChaosFs, RetryPolicy};
 use simtrace::{EventKind, Tracer};
+
+use crate::{io_err, StoreError};
 
 /// Shared resilience state for one [`crate::FaultStore`] (and the cache and
 /// journals it opens). Cheap to share via `Arc`; the default context is
@@ -101,6 +104,29 @@ impl StoreCtx {
                  persistence guarantees and its result will be stamped `degraded: true`"
             );
         }
+    }
+
+    /// Writes `bytes` to `path` atomically: temp file, fsync, rename, each
+    /// step through the chaos/retry layer (`write_op` and `rename_op` name
+    /// the two steps in harness events). The fsync *before* the rename is
+    /// what matters — rename-atomicity only covers the directory entry, so
+    /// without it a crash could surface a renamed but empty (or partial)
+    /// file. A crash at any point leaves either the old artifact or the
+    /// complete new one; callers decide whether a persistent failure is an
+    /// error or a degradation.
+    pub(crate) fn write_atomic(
+        &self,
+        write_op: &'static str,
+        rename_op: &'static str,
+        path: &Path,
+        bytes: &[u8],
+    ) -> Result<(), StoreError> {
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        self.retrying(write_op, || self.chaos.write_sync(&tmp, bytes))
+            .map_err(|e| io_err(&tmp, e))?;
+        self.retrying(rename_op, || self.chaos.rename(&tmp, path))
+            .map_err(|e| io_err(path, e))?;
+        Ok(())
     }
 
     /// Whether any persistence duty has been abandoned since this store

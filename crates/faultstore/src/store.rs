@@ -275,7 +275,8 @@ impl FaultStore {
         let path = self.stop_path(campaign);
         let json =
             serde_json::to_string_pretty(&record).map_err(|e| StoreError::Json(e.to_string()))?;
-        self.write_atomic("stop record", &path, json.as_bytes())?;
+        self.ctx
+            .write_atomic("stop record", "stop record", &path, json.as_bytes())?;
         Ok(record)
     }
 
@@ -347,22 +348,9 @@ impl FaultStore {
         let path = self.run_path(name)?;
         let json =
             serde_json::to_string_pretty(result).map_err(|e| StoreError::Json(e.to_string()))?;
-        self.write_atomic("run save", &path, json.as_bytes())?;
+        self.ctx
+            .write_atomic("run save", "run save", &path, json.as_bytes())?;
         Ok(path)
-    }
-
-    /// Temp + fsync + rename through the chaos/retry layer: the payload is
-    /// durable on disk before the rename publishes it, so a crash at any
-    /// point leaves either the old artifact or the complete new one.
-    fn write_atomic(&self, op: &'static str, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        self.ctx
-            .retrying(op, || self.ctx.chaos.write_sync(&tmp, bytes))
-            .map_err(|e| io_err(&tmp, e))?;
-        self.ctx
-            .retrying(op, || self.ctx.chaos.rename(&tmp, path))
-            .map_err(|e| io_err(path, e))?;
-        Ok(())
     }
 
     /// Loads a previously saved campaign result.
@@ -440,14 +428,9 @@ mod tests {
 
     fn small_faultload(n: usize) -> Faultload {
         let os = Os::boot(Edition::Nimbus2000).unwrap();
-        let api: Vec<String> = simos::OsApi::ALL
-            .iter()
-            .map(|f| f.symbol().to_string())
-            .collect();
-        let mut fl = Scanner::standard().scan_functions(os.program().image(), &api);
-        let stride = (fl.len() / n).max(1);
-        fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-        fl
+        Scanner::standard()
+            .scan_functions(os.program().image(), &simos::OsApi::symbols())
+            .sample(n)
     }
 
     fn tmp_store(tag: &str) -> (PathBuf, FaultStore) {

@@ -34,14 +34,9 @@ fn quick_config() -> CampaignConfig {
 
 fn small_faultload(n: usize) -> Faultload {
     let os = Os::boot(Edition::Nimbus2000).unwrap();
-    let api: Vec<String> = simos::OsApi::ALL
-        .iter()
-        .map(|f| f.symbol().to_string())
-        .collect();
-    let mut fl = Scanner::standard().scan_functions(os.program().image(), &api);
-    let stride = (fl.len() / n).max(1);
-    fl.faults = fl.faults.into_iter().step_by(stride).take(n).collect();
-    fl
+    Scanner::standard()
+        .scan_functions(os.program().image(), &simos::OsApi::symbols())
+        .sample(n)
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {

@@ -51,11 +51,6 @@ impl Program {
         &mut self.image
     }
 
-    /// Replaces the image (used when reloading a pristine copy).
-    pub fn set_image(&mut self, image: CodeImage) {
-        self.image = image;
-    }
-
     /// Data address of each global variable.
     pub fn globals(&self) -> &BTreeMap<String, i64> {
         &self.globals

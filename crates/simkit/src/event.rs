@@ -98,12 +98,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
-    /// Schedules `event` at `delay` after [`now`](EventQueue::now).
-    pub fn schedule_in(&mut self, delay: crate::SimDuration, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -183,17 +177,6 @@ mod tests {
         q.schedule(SimTime::from_micros(10), ());
         q.pop();
         q.schedule(SimTime::from_micros(5), ());
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(10), 'a');
-        q.pop();
-        q.schedule_in(crate::SimDuration::from_micros(5), 'b');
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(e, 'b');
-        assert_eq!(t, SimTime::from_micros(15));
     }
 
     #[test]

@@ -190,14 +190,6 @@ impl SimRng {
         }
         n - 1
     }
-
-    /// In-place Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,16 +281,6 @@ mod tests {
         }
         assert!(counts[0] > counts[3]);
         assert!(counts[0] > counts[7] * 3);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed_from_u64(7);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

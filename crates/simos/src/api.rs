@@ -134,6 +134,12 @@ impl OsApi {
         OsApi::NtEnumerateValueKey,
     ];
 
+    /// The linked symbols of [`OsApi::ALL`], in order — the function list
+    /// an API-restricted scan walks.
+    pub fn symbols() -> Vec<String> {
+        OsApi::ALL.iter().map(|f| f.symbol().to_string()).collect()
+    }
+
     /// The linked symbol in the OS image.
     pub fn symbol(self) -> &'static str {
         match self {

@@ -524,17 +524,8 @@ impl Os {
         self.mem.read(addr).map_err(|e| e.to_string())
     }
 
-    /// Host-side block read.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description on out-of-bounds access.
-    pub fn peek_block(&self, addr: i64, len: usize) -> Result<Vec<i64>, String> {
-        self.mem.read_block(addr, len).map_err(|e| e.to_string())
-    }
-
-    /// Borrowed host-side block read — [`Os::peek_block`] without the copy,
-    /// for hot consumers (the servers checksum every served chunk).
+    /// Borrowed host-side block read, for hot consumers (the servers
+    /// checksum every served chunk).
     ///
     /// # Errors
     ///

@@ -12,7 +12,7 @@
 //! Run with: `cargo run -p examples --bin custom_faultload`
 
 use simos::{Edition, Os, OsApi};
-use swfit_core::{pack, FaultType, MutationOperator, Scanner};
+use swfit_core::{pack, FaultType, Scanner};
 
 fn main() {
     let os = Os::boot(Edition::NimbusXp).expect("OS boots");
@@ -25,7 +25,7 @@ fn main() {
         .into_iter()
         .fold(Scanner::builder(), |b, id| {
             let op = classic.iter().find(|op| op.id() == id).expect("classic id");
-            b.operator(Box::new(op.clone()))
+            b.operator(op.clone())
         })
         .build()
         .expect("non-empty, distinct operator ids");

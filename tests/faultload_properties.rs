@@ -18,17 +18,13 @@ fn quick_config() -> CampaignConfig {
     }
 }
 
-fn api_functions() -> Vec<String> {
-    OsApi::ALL.iter().map(|f| f.symbol().to_string()).collect()
-}
-
 /// §4 "Representativeness": only the 12 field-data fault types appear, no
 /// extraneous-construct faults, and the type mix is dominated by the same
 /// heavy hitters as Table 3 (MIFS/MIA/WLEC families).
 #[test]
 fn representativeness_only_field_data_types() {
     let os = Os::boot(Edition::Nimbus2000).unwrap();
-    let fl = Scanner::standard().scan_functions(os.program().image(), &api_functions());
+    let fl = Scanner::standard().scan_functions(os.program().image(), &OsApi::symbols());
     for f in &fl.faults {
         assert_ne!(f.fault_type.nature(), FaultNature::Extraneous);
     }
@@ -43,7 +39,7 @@ fn representativeness_only_field_data_types() {
 #[test]
 fn repeatability_same_seed_identical_results() {
     let os = Os::boot(Edition::Nimbus2000).unwrap();
-    let mut fl = Scanner::standard().scan_functions(os.program().image(), &api_functions());
+    let mut fl = Scanner::standard().scan_functions(os.program().image(), &OsApi::symbols());
     fl.faults = fl.faults.into_iter().step_by(20).collect();
     let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Heron, quick_config());
     let a = campaign.run_injection(&fl, 3).expect("campaign runs");
@@ -65,7 +61,7 @@ fn portability_same_rules_both_editions() {
     let mut per_edition = Vec::new();
     for edition in Edition::ALL {
         let os = Os::boot(edition).unwrap();
-        let fl = Scanner::standard().scan_functions(os.program().image(), &api_functions());
+        let fl = Scanner::standard().scan_functions(os.program().image(), &OsApi::symbols());
         per_edition.push(fl);
     }
     let (w2k, xp) = (&per_edition[0], &per_edition[1]);
@@ -84,15 +80,15 @@ fn portability_same_rules_both_editions() {
 fn scalability_faultload_tracks_fit_size() {
     let w2k = Os::boot(Edition::Nimbus2000).unwrap();
     let xp = Os::boot(Edition::NimbusXp).unwrap();
-    let fl_w2k = Scanner::standard().scan_functions(w2k.program().image(), &api_functions());
-    let fl_xp = Scanner::standard().scan_functions(xp.program().image(), &api_functions());
+    let fl_w2k = Scanner::standard().scan_functions(w2k.program().image(), &OsApi::symbols());
+    let fl_xp = Scanner::standard().scan_functions(xp.program().image(), &OsApi::symbols());
     let ratio = fl_xp.len() as f64 / fl_w2k.len() as f64;
     assert!(
         ratio > 1.1 && ratio < 2.5,
         "XP/W2k fault ratio {ratio} out of band (paper: 1.71)"
     );
     // Fewer FIT functions -> proportionally smaller faultload.
-    let subset: Vec<String> = api_functions().into_iter().take(5).collect();
+    let subset: Vec<String> = OsApi::symbols().into_iter().take(5).collect();
     let fl_small = Scanner::standard().scan_functions(w2k.program().image(), &subset);
     assert!(fl_small.len() < fl_w2k.len());
     assert!(!fl_small.is_empty());
@@ -118,7 +114,7 @@ fn non_intrusiveness_below_two_percent() {
 fn feasibility_generation_is_fast() {
     let started = std::time::Instant::now();
     let os = Os::boot(Edition::NimbusXp).unwrap();
-    let fl = Scanner::standard().scan_functions(os.program().image(), &api_functions());
+    let fl = Scanner::standard().scan_functions(os.program().image(), &OsApi::symbols());
     assert!(!fl.is_empty());
     assert!(
         started.elapsed() < std::time::Duration::from_secs(30),
