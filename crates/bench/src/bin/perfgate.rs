@@ -1,7 +1,7 @@
 //! Performance gate and trajectory recorder.
 //!
-//! Times the hot paths the campaign rests on (the same workloads as the
-//! criterion benches, minus the harness) and emits a machine-readable
+//! Times the hot paths the campaign rests on (the VM interpreter, the
+//! inject/restore cycle and a short campaign) and emits a machine-readable
 //! `BENCH_<date>.json`. In `check` mode it compares against a stored
 //! baseline and fails the build when a *gated* metric — the VM
 //! interpreter or the inject/restore cycle — regresses by more than
@@ -145,8 +145,8 @@ fn measure(rounds: usize) -> Report {
     };
     println!("measuring (min of {rounds} rounds per metric)");
 
-    // VM interpreter: the tight arithmetic loop of the substrate bench
-    // (~13 instructions per iteration, 10 k iterations per call).
+    // VM interpreter: a tight arithmetic loop (~13 instructions per
+    // iteration, 10 k iterations per call).
     let program = minic::compile(
         "loop",
         r#"
@@ -175,7 +175,7 @@ fn measure(rounds: usize) -> Report {
         }),
     );
 
-    // Inject/restore cycle per fault nature, as in the injector bench.
+    // Inject/restore cycle per fault nature (G-SWFIT step 2).
     let os = Os::boot(Edition::Nimbus2000).expect("boots");
     let faultload = Scanner::standard().scan_image(os.program().image());
     for (name, nature) in [
@@ -199,8 +199,8 @@ fn measure(rounds: usize) -> Report {
         );
     }
 
-    // The end-to-end number the PR trajectory tracks: a 10-fault
-    // campaign, one slot each (the pipeline bench's configuration).
+    // The end-to-end number the trajectory tracks: a 10-fault campaign
+    // of 250 ms slots, one slot each.
     let campaign = Campaign::new(
         Edition::Nimbus2000,
         ServerKind::Wren,

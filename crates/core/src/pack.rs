@@ -14,9 +14,13 @@
 //! Packs are validated eagerly: unknown fields, incompatible
 //! pattern/mutation pairings, out-of-range parameters and malformed note
 //! templates are all [`PackError`]s at load/compile time, never panics
-//! during a scan. The serde impls are written by hand (rather than derived)
-//! precisely so a typo'd key is rejected instead of silently ignored — a
-//! pack that parses scans exactly what it says.
+//! during a scan. The serde impls are derived: `deny_unknown_fields` on
+//! every pack type rejects a typo'd key instead of silently ignoring it — a
+//! pack that parses scans exactly what it says — and `rename_all` and
+//! per-field `default`s spell the grammar below. A pattern or mutation
+//! is a bare tag (`"unused-call"`) or a single-key object, whose payload
+//! may also be `null` or `{}`; an all-default payload is written back as
+//! the bare tag.
 //!
 //! # Pack grammar (see DESIGN.md §10 for the full reference)
 //!
@@ -42,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use mvm::{Instr, Opcode, Patch, Reg};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::funcview::FuncView;
 use crate::operators::{self, Mutation, MAX_IF_BODY, MLPC_MIN_RUN, MLPC_WINDOW};
@@ -101,7 +105,8 @@ impl fmt::Display for PackError {
 impl std::error::Error for PackError {}
 
 /// Which part of a function a [`Pattern::LiteralAssignment`] may match.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum AssignRegion {
     /// Only the declaration region (prologue to first control flow) — MVI.
     Decl,
@@ -112,7 +117,8 @@ pub enum AssignRegion {
 }
 
 /// Which instructions a [`MutationSpec::Nop`] overwrites.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum NopRegion {
     /// The whole matched region.
     Match,
@@ -128,7 +134,12 @@ pub enum NopRegion {
 /// `if-construct` with the default body bound). In pack files a pattern is
 /// either a bare string (`"comparison-branch"`) or a single-key object
 /// carrying parameters (`{"if-construct": {"max-body": 24}}`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    rename_all = "kebab-case",
+    rename_all_fields = "kebab-case",
+    deny_unknown_fields
+)]
 #[non_exhaustive]
 pub enum Pattern {
     /// An `if (cond) { body }` without `else` (&& chains folded into one
@@ -136,6 +147,7 @@ pub enum Pattern {
     IfConstruct {
         /// Largest body (instructions) still considered "small and
         /// localized" (`max-body`, default 24).
+        #[serde(default = "default_max_body")]
         max_body: usize,
     },
     /// A trailing `&& EXPR` clause in a chain of branches to one target.
@@ -145,6 +157,7 @@ pub enum Pattern {
         /// When set (`tail-window`), only calls within the last so-many
         /// instructions of the function match — the "forgot the cleanup
         /// before returning" shape.
+        #[serde(skip_serializing_if = "is_default")]
         tail_window: Option<usize>,
     },
     /// A `ldi; st` literal-assignment pair.
@@ -157,13 +170,16 @@ pub enum Pattern {
         /// Minimum expression-slice length in instructions, excluding the
         /// store (`min-expr`, default 2) — below this it is a bare
         /// literal/copy, not an expression.
+        #[serde(default = "two")]
         min_expr: usize,
     },
     /// A window in the middle of a long straight-line run.
     StraightRun {
         /// Window length in instructions to mutate (`window`, default 3).
+        #[serde(default = "default_window")]
         window: usize,
         /// Minimum run length hosting a window (`min-run`, default 6).
+        #[serde(default = "default_min_run")]
         min_run: usize,
     },
     /// A conditional branch fed directly by an explicit comparison.
@@ -175,6 +191,7 @@ pub enum Pattern {
         /// Minimum frame size in slots (`min-frame`, default 2) — with
         /// fewer slots there is no wrong variable to confuse the right one
         /// with.
+        #[serde(default = "two")]
         min_frame: u32,
     },
 }
@@ -184,7 +201,12 @@ pub enum Pattern {
 /// In pack files: a bare string for parameterless mutations
 /// (`"flip-comparison"`) or a single-key object
 /// (`{"nop": {"region": "match"}}`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(
+    rename_all = "kebab-case",
+    rename_all_fields = "kebab-case",
+    deny_unknown_fields
+)]
 #[non_exhaustive]
 pub enum MutationSpec {
     /// Overwrite a region with `nop`s (the *missing construct* natures).
@@ -196,6 +218,7 @@ pub enum MutationSpec {
     /// matched `ldi`.
     PerturbImmediate {
         /// Signed offset applied to the literal.
+        #[serde(default = "default_delta")]
         delta: i32,
     },
     /// Flip the comparison feeding the matched branch (`==`↔`!=`,
@@ -208,24 +231,30 @@ pub enum MutationSpec {
 }
 
 /// Applicability constraints narrowing where an operator fires.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub struct Constraints {
     /// When set, only these functions are scanned by this operator.
+    #[serde(skip_serializing_if = "is_default")]
     pub functions: Option<Vec<String>>,
     /// Merge every match in a function into a single multi-patch fault —
     /// the "the same mistake everywhere" chain shape. Only meaningful with
     /// [`MutationSpec::Nop`].
+    #[serde(skip_serializing_if = "is_default")]
     pub chain: bool,
     /// Keep at most this many matches per function, in scan order
     /// (`max-per-func`).
+    #[serde(skip_serializing_if = "is_default")]
     pub max_per_func: Option<usize>,
     /// Skip functions shorter than this many instructions
     /// (`min-func-len`).
+    #[serde(skip_serializing_if = "is_default")]
     pub min_func_len: usize,
 }
 
 /// One operator definition inside a pack.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "kebab-case", deny_unknown_fields)]
 pub struct PackOperator {
     /// Stable operator id — the fault-id prefix (`<id>@func+off`). Must be
     /// non-empty `[A-Za-z0-9_-]+`.
@@ -234,12 +263,14 @@ pub struct PackOperator {
     /// any case, e.g. `"MIFS"` or `"Mifs"`).
     pub fault_type: FaultType,
     /// What the operator emulates, for `operators show`.
+    #[serde(skip_serializing_if = "is_default")]
     pub description: String,
     /// The search pattern.
     pub pattern: Pattern,
     /// The low-level mutation.
     pub mutation: MutationSpec,
     /// Applicability constraints.
+    #[serde(skip_serializing_if = "is_default")]
     pub constraints: Constraints,
     /// Note template for generated faults. Placeholders in `{…}`: `{n}`
     /// (patched instruction count) always; `{target}` for `unused-call`;
@@ -250,13 +281,15 @@ pub struct PackOperator {
 }
 
 /// A loadable fault-model pack: named, versioned operator content.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPack {
     /// Pack name (used in provenance stamps and cache keys).
     pub name: String,
     /// Content version, bumped by pack authors on any change.
     pub version: String,
     /// What the pack models.
+    #[serde(skip_serializing_if = "is_default")]
     pub description: String,
     /// The operator definitions, in scan order.
     pub operators: Vec<PackOperator>,
@@ -293,393 +326,33 @@ pub fn pack_set_hash(packs: &[PackRef]) -> u64 {
     simkit::hash::fnv1a_strs(&strs)
 }
 
-// --------------------------------------------------------------------------
-// serde: hand-written so unknown fields are *rejected*, not ignored
-// --------------------------------------------------------------------------
+// The field defaults and skip predicate the pack types' `#[serde]`
+// attributes name.
 
-fn fields_of<'v>(v: &'v Value, what: &str) -> Result<&'v [(String, Value)], DeError> {
-    match v {
-        Value::Object(fs) => Ok(fs),
-        other => Err(DeError::msg(format!(
-            "expected object for {what}, got {other:?}"
-        ))),
-    }
+/// `skip_serializing_if` predicate: the value is its type's default.
+fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
 }
 
-fn check_keys(fs: &[(String, Value)], allowed: &[&str], what: &str) -> Result<(), DeError> {
-    for (k, _) in fs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(DeError::msg(format!(
-                "unknown field `{k}` in {what} (expected one of: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
+fn default_max_body() -> usize {
+    MAX_IF_BODY
 }
 
-fn get<'v>(fs: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+fn default_window() -> usize {
+    MLPC_WINDOW
 }
 
-fn require<'v>(fs: &'v [(String, Value)], key: &str, what: &str) -> Result<&'v Value, DeError> {
-    get(fs, key).ok_or_else(|| DeError::msg(format!("missing field `{key}` in {what}")))
+fn default_min_run() -> usize {
+    MLPC_MIN_RUN
 }
 
-fn field_or<T: Deserialize>(fs: &[(String, Value)], key: &str, default: T) -> Result<T, DeError> {
-    match get(fs, key) {
-        Some(v) => T::from_value(v),
-        None => Ok(default),
-    }
+/// `min-expr` and `min-frame`: the smallest meaningful value.
+fn two<T: From<u8>>() -> T {
+    T::from(2)
 }
 
-/// A tag plus its parameter fields, borrowed from a parsed [`Value`].
-type Tagged<'v> = (&'v str, &'v [(String, Value)]);
-
-/// Splits a pattern/mutation value into its tag and parameter fields: a bare
-/// string is a tag with no parameters; a single-key object carries them.
-fn tagged<'v>(v: &'v Value, what: &str) -> Result<Tagged<'v>, DeError> {
-    match v {
-        Value::Str(tag) => Ok((tag, &[])),
-        Value::Object(fs) if fs.len() == 1 => {
-            let (tag, payload) = &fs[0];
-            match payload {
-                Value::Object(params) => Ok((tag, params)),
-                Value::Null => Ok((tag, &[])),
-                other => Err(DeError::msg(format!(
-                    "parameters of {what} `{tag}` must be an object, got {other:?}"
-                ))),
-            }
-        }
-        other => Err(DeError::msg(format!(
-            "expected a {what} (string or single-key object), got {other:?}"
-        ))),
-    }
-}
-
-impl Serialize for AssignRegion {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                AssignRegion::Decl => "decl",
-                AssignRegion::Body => "body",
-                AssignRegion::Anywhere => "anywhere",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for AssignRegion {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "decl" => Ok(AssignRegion::Decl),
-                "body" => Ok(AssignRegion::Body),
-                "anywhere" => Ok(AssignRegion::Anywhere),
-                other => Err(DeError::msg(format!(
-                    "unknown assignment region `{other}` (expected decl, body or anywhere)"
-                ))),
-            },
-            other => Err(DeError::msg(format!(
-                "expected region string, got {other:?}"
-            ))),
-        }
-    }
-}
-
-impl Serialize for NopRegion {
-    fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                NopRegion::Match => "match",
-                NopRegion::Guard => "guard",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl Deserialize for NopRegion {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "match" => Ok(NopRegion::Match),
-                "guard" => Ok(NopRegion::Guard),
-                other => Err(DeError::msg(format!(
-                    "unknown nop region `{other}` (expected match or guard)"
-                ))),
-            },
-            other => Err(DeError::msg(format!(
-                "expected nop region string, got {other:?}"
-            ))),
-        }
-    }
-}
-
-fn params(tag: &str, entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(vec![(
-        tag.to_string(),
-        Value::Object(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        ),
-    )])
-}
-
-impl Serialize for Pattern {
-    fn to_value(&self) -> Value {
-        match self {
-            Pattern::IfConstruct { max_body } => {
-                params("if-construct", vec![("max-body", max_body.to_value())])
-            }
-            Pattern::AndChainClause => Value::Str("and-chain-clause".into()),
-            Pattern::UnusedCall { tail_window } => match tail_window {
-                Some(w) => params("unused-call", vec![("tail-window", w.to_value())]),
-                None => Value::Str("unused-call".into()),
-            },
-            Pattern::LiteralAssignment { region } => {
-                params("literal-assignment", vec![("region", region.to_value())])
-            }
-            Pattern::ExpressionAssignment { min_expr } => params(
-                "expression-assignment",
-                vec![("min-expr", min_expr.to_value())],
-            ),
-            Pattern::StraightRun { window, min_run } => params(
-                "straight-run",
-                vec![
-                    ("window", window.to_value()),
-                    ("min-run", min_run.to_value()),
-                ],
-            ),
-            Pattern::ComparisonBranch => Value::Str("comparison-branch".into()),
-            Pattern::ArgArithmetic => Value::Str("arg-arithmetic".into()),
-            Pattern::ArgFrameLoad { min_frame } => {
-                params("arg-frame-load", vec![("min-frame", min_frame.to_value())])
-            }
-        }
-    }
-}
-
-impl Deserialize for Pattern {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (tag, fs) = tagged(v, "pattern")?;
-        match tag {
-            "if-construct" => {
-                check_keys(fs, &["max-body"], "pattern `if-construct`")?;
-                Ok(Pattern::IfConstruct {
-                    max_body: field_or(fs, "max-body", MAX_IF_BODY)?,
-                })
-            }
-            "and-chain-clause" => {
-                check_keys(fs, &[], "pattern `and-chain-clause`")?;
-                Ok(Pattern::AndChainClause)
-            }
-            "unused-call" => {
-                check_keys(fs, &["tail-window"], "pattern `unused-call`")?;
-                Ok(Pattern::UnusedCall {
-                    tail_window: field_or(fs, "tail-window", None)?,
-                })
-            }
-            "literal-assignment" => {
-                check_keys(fs, &["region"], "pattern `literal-assignment`")?;
-                Ok(Pattern::LiteralAssignment {
-                    region: AssignRegion::from_value(require(
-                        fs,
-                        "region",
-                        "pattern `literal-assignment`",
-                    )?)?,
-                })
-            }
-            "expression-assignment" => {
-                check_keys(fs, &["min-expr"], "pattern `expression-assignment`")?;
-                Ok(Pattern::ExpressionAssignment {
-                    min_expr: field_or(fs, "min-expr", 2)?,
-                })
-            }
-            "straight-run" => {
-                check_keys(fs, &["window", "min-run"], "pattern `straight-run`")?;
-                Ok(Pattern::StraightRun {
-                    window: field_or(fs, "window", MLPC_WINDOW)?,
-                    min_run: field_or(fs, "min-run", MLPC_MIN_RUN)?,
-                })
-            }
-            "comparison-branch" => {
-                check_keys(fs, &[], "pattern `comparison-branch`")?;
-                Ok(Pattern::ComparisonBranch)
-            }
-            "arg-arithmetic" => {
-                check_keys(fs, &[], "pattern `arg-arithmetic`")?;
-                Ok(Pattern::ArgArithmetic)
-            }
-            "arg-frame-load" => {
-                check_keys(fs, &["min-frame"], "pattern `arg-frame-load`")?;
-                Ok(Pattern::ArgFrameLoad {
-                    min_frame: field_or(fs, "min-frame", 2)?,
-                })
-            }
-            other => Err(DeError::msg(format!("unknown pattern `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for MutationSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            MutationSpec::Nop { region } => params("nop", vec![("region", region.to_value())]),
-            MutationSpec::PerturbImmediate { delta } => {
-                params("perturb-immediate", vec![("delta", delta.to_value())])
-            }
-            MutationSpec::FlipComparison => Value::Str("flip-comparison".into()),
-            MutationSpec::SwapArithmetic => Value::Str("swap-arithmetic".into()),
-            MutationSpec::RedirectFrameSlot => Value::Str("redirect-frame-slot".into()),
-        }
-    }
-}
-
-impl Deserialize for MutationSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (tag, fs) = tagged(v, "mutation")?;
-        match tag {
-            "nop" => {
-                check_keys(fs, &["region"], "mutation `nop`")?;
-                Ok(MutationSpec::Nop {
-                    region: NopRegion::from_value(require(fs, "region", "mutation `nop`")?)?,
-                })
-            }
-            "perturb-immediate" => {
-                check_keys(fs, &["delta"], "mutation `perturb-immediate`")?;
-                Ok(MutationSpec::PerturbImmediate {
-                    delta: field_or(fs, "delta", 1)?,
-                })
-            }
-            "flip-comparison" => {
-                check_keys(fs, &[], "mutation `flip-comparison`")?;
-                Ok(MutationSpec::FlipComparison)
-            }
-            "swap-arithmetic" => {
-                check_keys(fs, &[], "mutation `swap-arithmetic`")?;
-                Ok(MutationSpec::SwapArithmetic)
-            }
-            "redirect-frame-slot" => {
-                check_keys(fs, &[], "mutation `redirect-frame-slot`")?;
-                Ok(MutationSpec::RedirectFrameSlot)
-            }
-            other => Err(DeError::msg(format!("unknown mutation `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for Constraints {
-    fn to_value(&self) -> Value {
-        let mut fs: Vec<(String, Value)> = Vec::new();
-        if let Some(funcs) = &self.functions {
-            fs.push(("functions".into(), funcs.to_value()));
-        }
-        if self.chain {
-            fs.push(("chain".into(), Value::Bool(true)));
-        }
-        if let Some(cap) = self.max_per_func {
-            fs.push(("max-per-func".into(), cap.to_value()));
-        }
-        if self.min_func_len != 0 {
-            fs.push(("min-func-len".into(), self.min_func_len.to_value()));
-        }
-        Value::Object(fs)
-    }
-}
-
-impl Deserialize for Constraints {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fs = fields_of(v, "constraints")?;
-        check_keys(
-            fs,
-            &["functions", "chain", "max-per-func", "min-func-len"],
-            "constraints",
-        )?;
-        Ok(Constraints {
-            functions: field_or(fs, "functions", None)?,
-            chain: field_or(fs, "chain", false)?,
-            max_per_func: field_or(fs, "max-per-func", None)?,
-            min_func_len: field_or(fs, "min-func-len", 0)?,
-        })
-    }
-}
-
-impl Serialize for PackOperator {
-    fn to_value(&self) -> Value {
-        let mut fs: Vec<(String, Value)> = vec![
-            ("id".into(), self.id.to_value()),
-            ("fault-type".into(), self.fault_type.to_value()),
-        ];
-        if !self.description.is_empty() {
-            fs.push(("description".into(), self.description.to_value()));
-        }
-        fs.push(("pattern".into(), self.pattern.to_value()));
-        fs.push(("mutation".into(), self.mutation.to_value()));
-        if self.constraints != Constraints::default() {
-            fs.push(("constraints".into(), self.constraints.to_value()));
-        }
-        fs.push(("note".into(), self.note.to_value()));
-        Value::Object(fs)
-    }
-}
-
-impl Deserialize for PackOperator {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fs = fields_of(v, "operator")?;
-        check_keys(
-            fs,
-            &[
-                "id",
-                "fault-type",
-                "description",
-                "pattern",
-                "mutation",
-                "constraints",
-                "note",
-            ],
-            "operator",
-        )?;
-        Ok(PackOperator {
-            id: String::from_value(require(fs, "id", "operator")?)?,
-            fault_type: FaultType::from_value(require(fs, "fault-type", "operator")?)?,
-            description: field_or(fs, "description", String::new())?,
-            pattern: Pattern::from_value(require(fs, "pattern", "operator")?)?,
-            mutation: MutationSpec::from_value(require(fs, "mutation", "operator")?)?,
-            constraints: field_or(fs, "constraints", Constraints::default())?,
-            note: String::from_value(require(fs, "note", "operator")?)?,
-        })
-    }
-}
-
-impl Serialize for FaultPack {
-    fn to_value(&self) -> Value {
-        let mut fs: Vec<(String, Value)> = vec![
-            ("name".into(), self.name.to_value()),
-            ("version".into(), self.version.to_value()),
-        ];
-        if !self.description.is_empty() {
-            fs.push(("description".into(), self.description.to_value()));
-        }
-        fs.push(("operators".into(), self.operators.to_value()));
-        Value::Object(fs)
-    }
-}
-
-impl Deserialize for FaultPack {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fs = fields_of(v, "pack")?;
-        check_keys(fs, &["name", "version", "description", "operators"], "pack")?;
-        Ok(FaultPack {
-            name: String::from_value(require(fs, "name", "pack")?)?,
-            version: String::from_value(require(fs, "version", "pack")?)?,
-            description: field_or(fs, "description", String::new())?,
-            operators: Vec::from_value(require(fs, "operators", "pack")?)?,
-        })
-    }
+fn default_delta() -> i32 {
+    1
 }
 
 impl FaultPack {
@@ -1376,6 +1049,14 @@ mod tests {
         FaultPack::from_json(&pack_json(op))
     }
 
+    /// A one-operator pack whose operator has the given pattern/mutation
+    /// entries and fault type.
+    fn one_op_json(entries: &str, fault_type: &str) -> String {
+        pack_json(&format!(
+            r#"{{"id":"X","fault-type":"{fault_type}",{entries},"note":"x"}}"#
+        ))
+    }
+
     #[test]
     fn classic_pack_parses_and_has_twelve_operators() {
         let pack = classic();
@@ -1397,6 +1078,100 @@ mod tests {
         let back = FaultPack::from_json(&json).unwrap();
         assert_eq!(back, pack);
         assert_eq!(back.content_hash(), pack.content_hash());
+    }
+
+    #[test]
+    fn bundled_pack_content_hashes_are_pinned() {
+        // These hashes key fault-map cache entries and journal staleness
+        // checks: a serializer change that moves them invalidates stores.
+        assert_eq!(classic().content_hash(), 0x736b37ba94cfd090);
+        let chain = FaultPack::load(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../packs/chain-cleanup.json"),
+        )
+        .unwrap();
+        assert_eq!(chain.content_hash(), 0x22deff005bd557ea);
+    }
+
+    /// Parses `json` as a `T` and re-serializes it compactly.
+    fn canonical<T: Serialize + Deserialize>(json: &str) -> Result<String, String> {
+        let v: T = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        serde_json::to_string(&v).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn accepted_spellings_reserialize_canonically() {
+        type Canon = fn(&str) -> Result<String, String>;
+        let pattern: Canon = canonical::<Pattern>;
+        let mutation: Canon = canonical::<MutationSpec>;
+        let fault_type: Canon = canonical::<FaultType>;
+        let constraints: Canon = canonical::<Constraints>;
+        for (parse, input, expected) in [
+            (pattern, r#""and-chain-clause""#, r#""and-chain-clause""#),
+            (
+                pattern,
+                r#"{"and-chain-clause":{}}"#,
+                r#""and-chain-clause""#,
+            ),
+            (
+                pattern,
+                r#"{"and-chain-clause":null}"#,
+                r#""and-chain-clause""#,
+            ),
+            (pattern, r#""unused-call""#, r#""unused-call""#),
+            (pattern, r#"{"unused-call":{}}"#, r#""unused-call""#),
+            (pattern, r#"{"unused-call":null}"#, r#""unused-call""#),
+            (
+                pattern,
+                r#"{"unused-call":{"tail-window":3}}"#,
+                r#"{"unused-call":{"tail-window":3}}"#,
+            ),
+            (
+                pattern,
+                r#""if-construct""#,
+                r#"{"if-construct":{"max-body":24}}"#,
+            ),
+            (
+                pattern,
+                r#"{"straight-run":null}"#,
+                r#"{"straight-run":{"window":3,"min-run":6}}"#,
+            ),
+            (mutation, r#""flip-comparison""#, r#""flip-comparison""#),
+            (
+                mutation,
+                r#"{"flip-comparison":{}}"#,
+                r#""flip-comparison""#,
+            ),
+            (
+                mutation,
+                r#"{"flip-comparison":null}"#,
+                r#""flip-comparison""#,
+            ),
+            (
+                mutation,
+                r#"{"perturb-immediate":{}}"#,
+                r#"{"perturb-immediate":{"delta":1}}"#,
+            ),
+            (fault_type, r#""MIFS""#, r#""Mifs""#),
+            (fault_type, r#""Mifs""#, r#""Mifs""#),
+            (fault_type, r#""mifs""#, r#""Mifs""#),
+            (constraints, r#"{}"#, r#"{}"#),
+            (constraints, r#"{"chain":false,"min-func-len":0}"#, r#"{}"#),
+        ] {
+            assert_eq!(parse(input).as_deref(), Ok(expected), "input {input}");
+        }
+        // A struct variant with a required field still needs it when spelt
+        // as a bare tag or with a null payload.
+        for pattern in [r#""literal-assignment""#, r#"{"literal-assignment":null}"#] {
+            let err = one_op_pack(&format!(
+                r#"{{"id":"X","fault-type":"WVAV","pattern":{pattern},
+                    "mutation":{{"perturb-immediate":{{}}}},"note":"x"}}"#
+            ))
+            .unwrap_err();
+            assert!(
+                matches!(&err, PackError::Parse(m) if m.contains("missing field `region`")),
+                "{pattern}: got {err}"
+            );
+        }
     }
 
     #[test]
@@ -1448,6 +1223,34 @@ mod tests {
             matches!(&err, PackError::Parse(m) if m.contains("max-par-func")),
             "got {err}"
         );
+    }
+
+    #[test]
+    fn parse_errors_stay_short_for_huge_or_deep_documents() {
+        let nest = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
+        let long = "x".repeat(100_000);
+        for json in [
+            // Past the parser's nesting limit.
+            pack_json(&nest(20_000, "")),
+            // Within it, but a wide array where an operator belongs.
+            pack_json(&nest(100, &vec!["\"x\""; 10_000].join(","))),
+            // A huge string where a variant tag, a key or a fault type
+            // belongs.
+            one_op_json(&format!(r#""pattern":"{long}","mutation":"nop""#), "MIFS"),
+            one_op_json(
+                &format!(r#""pattern":{{"if-construct":{{"{long}":1}}}},"mutation":"nop""#),
+                "MIFS",
+            ),
+            one_op_json(r#""pattern":"unused-call","mutation":"nop""#, &long),
+        ] {
+            let err = FaultPack::from_json(&json).unwrap_err();
+            assert!(matches!(err, PackError::Parse(_)), "{err}");
+            assert!(
+                err.to_string().len() < 1024,
+                "{} bytes",
+                err.to_string().len()
+            );
+        }
     }
 
     #[test]

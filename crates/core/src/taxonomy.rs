@@ -98,7 +98,8 @@ impl Deserialize for FaultType {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let serde::Value::Str(s) = v else {
             return Err(serde::DeError::msg(format!(
-                "expected fault-type string, got {v:?}"
+                "expected fault-type string, got {}",
+                v.unexpected()
             )));
         };
         FaultType::ALL
@@ -106,8 +107,9 @@ impl Deserialize for FaultType {
             .find(|t| s == t.acronym() || s.eq_ignore_ascii_case(t.acronym()))
             .ok_or_else(|| {
                 serde::DeError::msg(format!(
-                    "unknown fault type `{s}` (expected one of MVI, MVAV, MVAE, MIA, MLAC, \
-                     MFC, MIFS, MLPC, WVAV, WLEC, WAEP, WPFV, in any case)"
+                    "unknown fault type `{}` (expected one of MVI, MVAV, MVAE, MIA, MLAC, \
+                     MFC, MIFS, MLPC, WVAV, WLEC, WAEP, WPFV, in any case)",
+                    serde::excerpt(s)
                 ))
             })
     }
