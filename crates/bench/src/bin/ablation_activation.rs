@@ -33,7 +33,9 @@ use swfit_core::Scanner;
 use webserver::ServerKind;
 
 fn main() {
-    let cli = CliArgs::parse();
+    let cli = CliArgs::parse(
+        "--limit --jobs --seed --store --resume --chaos-seed --chaos-profile --trace-dir",
+    );
     let store = cli.open_store().expect("store opens");
     let edition = Edition::Nimbus2000;
     let os = Os::boot(edition).expect("boots");

@@ -41,7 +41,7 @@ fn exercise(os: &mut Os) {
 type EditionData = (Edition, Vec<(String, u64)>, swfit_core::Faultload);
 
 fn main() {
-    let cli = bench::cli::CliArgs::parse();
+    let cli = bench::cli::CliArgs::parse("--store --chaos-seed --chaos-profile");
     let store = cli.open_store().expect("store opens");
     let mut data: Vec<EditionData> = Vec::new();
     for edition in Edition::ALL {

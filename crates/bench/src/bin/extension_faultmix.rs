@@ -25,7 +25,7 @@ use webserver::ServerKind;
 fn main() {
     let edition = Edition::Nimbus2000;
     let kind = ServerKind::Wren; // the fragile target shows models clearest
-    let cli = CliArgs::parse();
+    let cli = CliArgs::parse("--limit --jobs --seed --store --resume --chaos-seed --chaos-profile");
     let store = cli.open_store().expect("store opens");
     let cfg = cli.config();
     let n = cli.limit.unwrap_or(100);

@@ -1,33 +1,43 @@
 //! `faultbench` — command-line front end to the whole benchmark.
 //!
 //! ```text
-//! faultbench scan <edition> [--all] [--faultload FILE] [--limit N] [--out FILE]
-//!            [--store DIR]
+//! faultbench scan <edition> [--all] [--faultload FILE] [--pack FILE]…
+//!            [--limit N] [--out FILE] [--store DIR] [--chaos-seed N]
+//!            [--chaos-profile P]
 //! faultbench profile <edition>                     run the profiling phase
-//! faultbench campaign <edition> <server> [--faultload FILE] [--iters N]
-//!            [--ci-target P] [--jobs N] [--seed N] [--limit N] [--out FILE]
-//!            [--store DIR] [--resume] [--save NAME] [--trace] [--trace-dir D]
-//!            [--chaos-seed N] [--chaos-profile P] [--slot-budget-ms N]
-//! faultbench recovery <edition> <server> [--faultload FILE] [--limit N]
-//!            [--jobs N] [--seed N]                compare recovery policies
-//! faultbench trace <edition> <server> --slot K [--faultload FILE] [--limit N]
-//!            [--iteration N] [--seed N] [--out DIR] replay one slot with the
+//! faultbench campaign <edition> <server> [--faultload FILE] [--pack FILE]…
+//!            [--iters N] [--ci-target P] [--jobs N] [--seed N] [--limit N]
+//!            [--out FILE] [--store DIR] [--resume] [--save NAME] [--trace]
+//!            [--trace-dir D] [--chaos-seed N] [--chaos-profile P]
+//!            [--slot-budget-ms N]
+//! faultbench recovery <edition> <server> [--faultload FILE] [--pack FILE]…
+//!            [--limit N] [--jobs N] [--seed N] [--store DIR] [--chaos-seed N]
+//!            [--chaos-profile P] [--trace] [--trace-dir D]
+//!            [--slot-budget-ms N]                 compare recovery policies
+//! faultbench trace <edition> <server> --slot K [--faultload FILE]
+//!            [--pack FILE]… [--limit N] [--iteration N] [--seed N]
+//!            [--out DIR] [--store DIR] [--chaos-seed N] [--chaos-profile P]
+//!                                                  replay one slot with the
 //!                                                  flight recorder on
 //! faultbench diff <runA> <runB> --store DIR        compare two stored runs
-//! faultbench accuracy <edition>                    score the scanner
-//! faultbench operators list                        the loaded operator library
-//! faultbench operators show <ID>                   one operator's definition
+//! faultbench accuracy <edition> [--pack FILE]…     score the scanner
+//! faultbench operators list [--pack FILE]…         the loaded operator library
+//! faultbench operators show <ID> [--pack FILE]…    one operator's definition
 //! faultbench pack validate <FILE> [--min-precision P]
 //!                                                  lint + dry-run a pack file
 //! ```
 //!
-//! Every scanning subcommand (`scan`, `campaign`, `recovery`, `trace`,
-//! `accuracy`, `operators`) additionally accepts `--pack FILE`, repeatable:
-//! each named fault-model pack is loaded on top of the bundled `odc-classic`
-//! pack, its operators scan after the classic twelve, and the resulting
-//! faultloads (and, for `campaign`, the journal identity) carry the extra
-//! packs' provenance. `pack validate` lints a pack standalone: it parses
-//! with unknown-field rejection, compiles, dry-runs a scan of both OS
+//! Each subcommand reads exactly the flags its line lists; any other
+//! `--flag`, or a flag without its value, is a one-line usage error, exit
+//! status 1, before any work starts. The shared flags (`--jobs` …
+//! `--slot-budget-ms`) mean what `bench::cli` documents. Editions:
+//! `nimbus-2000`, `nimbus-xp`. Servers: `heron`, `wren`.
+//!
+//! `--pack FILE` (repeatable) loads a fault-model pack on top of the bundled
+//! `odc-classic` pack: its operators scan after the classic twelve, and the
+//! resulting faultloads (and, for `campaign`, the journal identity) carry
+//! the extra packs' provenance. `pack validate` lints a pack standalone: it
+//! parses with unknown-field rejection, compiles, dry-runs a scan of both OS
 //! editions, and scores each operator's precision against the compiler's
 //! ground truth — `--min-precision P` turns the worst scored precision into
 //! an exit code, for CI floors.
@@ -35,58 +45,35 @@
 //! `scan`, `campaign`, `recovery` and `trace` share one faultload source:
 //! `--faultload FILE` when given, otherwise a scan of the edition's API
 //! functions (`scan --all`: the whole image); `--limit N` then samples it
-//! evenly down to at most N faults. A flag given without its value is a
-//! usage error in every subcommand.
+//! evenly down to at most N faults.
 //!
-//! `campaign --iters N` runs N iterations (default 1). With `--ci-target P`,
-//! N is the iteration cap instead (default 8), and the campaign stops early
-//! once every tier-1 metric's 95 % confidence half-width falls below P
-//! (percent of the mean for SPCf/THRf/RTMf, percentage points for ER%f). Multi-iteration tables close with an
-//! `average` row carrying `± half-width` cells, and `--out` saves the full
-//! `MetricsSummary` (mean, CIs, per-iteration metrics). With `--store`, the
-//! stop decision is journaled durably the moment it is taken, so a crashed
-//! run resumed with `--resume` replays the same stopped-at iteration count
-//! byte-identically instead of re-deriving it.
-//!
-//! `campaign --trace` runs every slot with the per-slot flight recorder on:
-//! results additionally report fault-activation rates (did the mutated
-//! instruction actually execute?), overall and per fault type. `--trace-dir`
-//! also dumps quarantined slots' last recorded events as JSONL. `trace`
-//! replays a single slot deterministically (same `(seed, iteration, slot)`
-//! stream as the campaign) and exports the full event stream twice: as
-//! JSONL and as a Chrome `trace_event` file loadable in `about:tracing` /
-//! Perfetto.
+//! `campaign` runs its iterations (default 1) through
+//! `bench::campaign::run_iterations`, the driver `table5` and `figure5` use:
+//! a fixed `--iters N`, or `--ci-target P` convergence capped by `--iters`,
+//! journaled with `--store` so that `--resume` completes a crashed run
+//! byte-identically. Multi-iteration tables close with an `average` row
+//! carrying `± half-width` cells, `--out` saves the full `MetricsSummary`
+//! (mean, CIs, per-iteration metrics), and `--save NAME` stores each
+//! iteration's result for `diff`. With `--trace`, `campaign` and `recovery`
+//! add fault-activation tables (did the mutated instruction actually
+//! execute?), per iteration or per policy.
 //!
 //! `recovery` runs the same injection campaign once per watchdog recovery
 //! policy (`fixed`, `backoff`, `reboot`, `failover`) and tabulates the
 //! dependability trade-off: administrative interventions (ADMf),
-//! availability %, mean time to repair, and the SPECWeb measures.
-//!
-//! `campaign --chaos-seed N` turns the faultload on the harness itself:
-//! the store's own I/O (cache writes, journal appends, run saves) runs
-//! through a deterministic, seeded environment-fault layer.
-//! `--chaos-profile` picks the fault family — `transient` (EINTR/EAGAIN/
-//! short writes; every fault survivable by retry, results byte-identical
-//! to a fault-free run), `torn` (adds torn renames and failed fsyncs),
-//! `enospc` (persistent disk-full: the store degrades gracefully and the
-//! result is stamped `degraded: true`), or `off`. `--slot-budget-ms N`
-//! arms a per-slot watchdog: a slot that overruns its wall-clock budget is
-//! killed, quarantined as timed out, and re-attempted by `--resume`.
-//!
-//! Editions: `nimbus-2000`, `nimbus-xp`. Servers: `heron`, `wren`.
-//!
-//! With `--store DIR`, scans are served from the store's content-addressed
-//! fault-map cache and campaigns are journaled crash-safely: a run killed
-//! mid-campaign resumes with `--resume`, replaying the completed slots and
-//! producing a byte-identical result. `--save NAME` stores the campaign
-//! result for later `diff`.
+//! availability %, mean time to repair, and the SPECWeb measures. `trace`
+//! replays a single slot deterministically (same `(seed, iteration, slot)`
+//! stream as the campaign) and exports the full event stream twice: as
+//! JSONL and as a Chrome `trace_event` file loadable in `about:tracing` /
+//! Perfetto.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use bench::cli::{value_of, values_of, CliArgs};
-use depbench::report::{f, pct, TextTable};
-use depbench::{Campaign, CampaignConfig, DependabilityMetrics, RecoveryPolicy};
+use bench::campaign::{print_activation, print_activations, run_iterations};
+use bench::cli::{check_flags, value_of, values_of, CliArgs, SHARED_FLAGS};
+use depbench::report::{f, pct, pm, TextTable};
+use depbench::{Campaign, CampaignConfig, RecoveryPolicy};
 use faultstore::{diff_runs, FaultStore, StoreError};
 use simos::{Edition, Os, OsApi};
 use swfit_core::pack::{self, FaultPack, PackRef};
@@ -203,30 +190,12 @@ fn load_faultload(
     Ok(faultload.sample(cli.limit.unwrap_or(usize::MAX)))
 }
 
-/// Renders one iteration's activation summary: an overall line plus the
-/// per-fault-type rate table.
-fn print_activation(label: &str, act: &depbench::ActivationSummary) {
-    println!(
-        "fault activation ({label}): {}/{} slots hit their mutation site ({} %)",
-        act.activated,
-        act.tracked,
-        f(act.rate_pct(), 1)
-    );
-    let mut table = TextTable::new(["type", "tracked", "activated", "rate %"]);
-    for row in &act.per_type {
-        table.row([
-            row.fault_type.clone(),
-            row.tracked.to_string(),
-            row.activated.to_string(),
-            f(row.rate_pct(), 1),
-        ]);
-    }
-    print!("{}", table.render());
-}
-
 fn cmd_scan(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
-    let cli = CliArgs::from_slice(args)?;
+    let cli = CliArgs::from_slice(
+        args,
+        "--all --faultload --pack --limit --out --store --chaos-seed --chaos-profile",
+    )?;
     let out = value_of(args, "--out")?;
     let store = cli.open_store()?;
     let whole_image = args.iter().any(|a| a == "--all");
@@ -252,6 +221,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
+    check_flags(args, "")?;
     let cfg = depbench::ProfilePhaseConfig::default();
     let set = depbench::profile_servers(edition, &ServerKind::ALL, &cfg);
     let selected = set.select_functions(cfg.min_avg_pct);
@@ -280,23 +250,18 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
     let server = parse_server(args.get(1))?;
-    let cli = CliArgs::from_slice(args)?;
+    let reads = format!("{SHARED_FLAGS} --faultload --pack --out --save");
+    let cli = CliArgs::from_slice(args, &reads)?;
     let (save, out) = (value_of(args, "--save")?, value_of(args, "--out")?);
     let store = cli.open_store()?;
     if store.is_none() && save.is_some() {
         return Err("--save needs --store DIR (runs are stored in the store)".into());
     }
-    let conv = cli.convergence();
-    // Iteration budget: the convergence rule's cap when --ci-target is on,
-    // otherwise the fixed count from --iters (default 1).
-    let max_iterations = match &conv {
-        Some(c) => c.max_iters,
-        None => cli.iters.unwrap_or(1),
-    };
     let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
     eprintln!(
-        "campaign: {edition} / {server}, {} faults, up to {max_iterations} iteration(s), {} job(s){}",
+        "campaign: {edition} / {server}, {} faults, up to {} iteration(s), {} job(s){}",
         faultload.len(),
+        cli.max_iterations(1),
         cli.jobs.unwrap_or(1),
         if cli.trace {
             ", flight recorder on"
@@ -320,29 +285,15 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         .packs(extra_packs)
         .build();
     let campaign = cli.instrument(Campaign::new(edition, server, cfg));
+    let (baseline, summary) = run_iterations(
+        &cli,
+        store.as_ref(),
+        &campaign,
+        &faultload,
+        1,
+        save.map(String::as_str),
+    )?;
 
-    // A resumed campaign replays a journaled stop decision instead of
-    // re-deriving it; a fresh one must not inherit a stale decision.
-    let mut stop: Option<faultstore::StopRecord> = None;
-    if let (Some(s), Some(c)) = (&store, &conv) {
-        if cli.resume {
-            stop = s
-                .load_stop(&campaign, &faultload, c)
-                .map_err(|e| e.to_string())?;
-            if let Some(r) = &stop {
-                eprintln!(
-                    "replaying journaled stop decision: {} iteration(s), converged={}",
-                    r.stopped_at, r.converged
-                );
-            }
-        } else {
-            s.clear_stop(&campaign).map_err(|e| e.to_string())?;
-        }
-    }
-    let iteration_bound = stop.as_ref().map_or(max_iterations, |r| r.stopped_at);
-
-    let baseline = campaign.run_profile_mode(0).map_err(|e| e.to_string())?;
-    let mut metrics_out: Vec<DependabilityMetrics> = Vec::new();
     let mut table = TextTable::new([
         "run", "SPC", "THR", "RTM", "ER%", "MIS", "KNS", "KCP", "ADMf", "Avail%", "MTTR",
     ]);
@@ -359,40 +310,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         pct(1.0),
         "-".to_string(),
     ]);
-    let mut it: u64 = 0;
-    while it < iteration_bound {
-        let res = cli.run_injection(store.as_ref(), &campaign, &faultload, it)?;
-        if let (Some(s), Some(name)) = (&store, save) {
-            let run_name = if max_iterations == 1 {
-                name.clone()
-            } else {
-                format!("{name}-it{}", it + 1)
-            };
-            let path = s.save_run(&run_name, &res).map_err(|e| e.to_string())?;
-            eprintln!("saved run `{run_name}` -> {}", path.display());
-        }
-        if !res.quarantined.is_empty() {
-            let slots: Vec<String> = res
-                .quarantined
-                .iter()
-                .map(|q| format!("#{} ({})", q.slot, q.fault_id))
-                .collect();
-            eprintln!(
-                "warning: {} slot(s) quarantined (panicked or timed out): {}; \
-                 re-run with --store DIR --resume to re-attempt only those slots",
-                res.quarantined.len(),
-                slots.join(", ")
-            );
-        }
-        if res.degraded {
-            eprintln!(
-                "note: iteration {} ran degraded — the store hit a persistent \
-                 environment fault and fell back to less durable operation; the \
-                 stored result carries `degraded: true`",
-                it + 1
-            );
-        }
-        let m = DependabilityMetrics::from_runs(&baseline, &res);
+    for (it, m) in summary.per_iteration.iter().enumerate() {
         table.row([
             format!("iteration {}", it + 1),
             m.spc_f.to_string(),
@@ -406,50 +324,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             pct(m.availability.availability()),
             mttr_ms(&m.availability),
         ]);
-        metrics_out.push(m);
-        it += 1;
-
-        // The convergence check — skipped entirely when a journaled stop
-        // decision is being replayed (its iteration count is final).
-        if stop.is_none() {
-            if let Some(c) = &conv {
-                let summary = depbench::aggregate_metrics(&metrics_out)
-                    .ok_or("campaign produced no iterations to aggregate")?;
-                let converged = summary.converged(c);
-                if converged || it >= c.max_iters {
-                    // Journal the decision durably *before* reporting it:
-                    // a crash from here on must not change how many
-                    // iterations a resumed run claims.
-                    if let Some(s) = &store {
-                        s.record_stop(&campaign, &faultload, c, it, converged)
-                            .map_err(|e| e.to_string())?;
-                    }
-                    if std::env::var_os("FAULTBENCH_CRASH_AFTER_STOP").is_some() {
-                        // Test hook: die the instant the stop decision is
-                        // durable, before any summary output.
-                        std::process::abort();
-                    }
-                    if converged {
-                        eprintln!(
-                            "converged after {it} iteration(s): every tier-1 CI half-width is within {} %",
-                            c.target_halfwidth_pct
-                        );
-                    } else {
-                        eprintln!(
-                            "stopping at the iteration cap ({}) without convergence; \
-                             raise --iters or loosen --ci-target",
-                            c.max_iters
-                        );
-                    }
-                    break;
-                }
-            }
-        }
     }
-    let summary = depbench::aggregate_metrics(&metrics_out)
-        .ok_or("campaign produced no iterations to aggregate")?;
     if summary.iterations() >= 2 {
-        use depbench::report::pm;
         let m = &summary.mean;
         let ci = &summary.ci95;
         table.row([
@@ -471,11 +347,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         ]);
     }
     print!("{}", table.render());
-    for (it, m) in summary.per_iteration.iter().enumerate() {
-        if let Some(act) = &m.activation {
-            print_activation(&format!("iteration {}", it + 1), act);
-        }
-    }
+    print_activations("", &summary);
     if let Some(path) = out {
         let json = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
@@ -489,7 +361,11 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 fn cmd_recovery(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
     let server = parse_server(args.get(1))?;
-    let cli = CliArgs::from_slice(args)?;
+    let cli = CliArgs::from_slice(
+        args,
+        "--faultload --pack --limit --jobs --seed --store --chaos-seed --chaos-profile \
+         --trace --trace-dir --slot-budget-ms",
+    )?;
     let store = cli.open_store()?;
     let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
     eprintln!(
@@ -500,6 +376,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
     let mut table = TextTable::new([
         "policy", "ADMf", "Avail%", "MTTR", "outages", "repairs", "SPCf", "THRf", "ER%f",
     ]);
+    let mut activations = Vec::new();
     for name in RecoveryPolicy::NAMES {
         let policy = RecoveryPolicy::by_name(name).expect("NAMES entries all resolve");
         let cfg = cli
@@ -522,8 +399,12 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
             f(res.measures.thr(), 1),
             f(res.measures.er_pct(), 1),
         ]);
+        activations.extend(res.activation_summary().map(|act| (name, act)));
     }
     print!("{}", table.render());
+    for (name, act) in &activations {
+        print_activation(&format!("{name} policy"), act);
+    }
     Ok(())
 }
 
@@ -532,7 +413,11 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
     let server = parse_server(args.get(1))?;
-    let cli = CliArgs::from_slice(args)?;
+    let cli = CliArgs::from_slice(
+        args,
+        "--slot --iteration --out --faultload --pack --limit --seed --store --chaos-seed \
+         --chaos-profile",
+    )?;
     let store = cli.open_store()?;
     let slot: usize = value_of(args, "--slot")?
         .ok_or("trace needs --slot K (which faultload slot to replay)")?
@@ -550,7 +435,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             faultload.len()
         ));
     }
-    let campaign = cli.instrument(Campaign::new(edition, server, cli.config()));
+    let campaign = Campaign::new(edition, server, cli.config());
     let (result, trace) = campaign
         .trace_slot(&faultload, iteration, slot)
         .map_err(|e| e.to_string())?;
@@ -588,7 +473,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
     let (Some(name_a), Some(name_b)) = (args.first(), args.get(1)) else {
         return Err("usage: faultbench diff <runA> <runB> --store DIR".into());
     };
-    let cli = CliArgs::from_slice(args)?;
+    let cli = CliArgs::from_slice(args, "--store")?;
     let store = cli
         .open_store()?
         .ok_or("diff needs --store DIR (the runs live in the store)")?;
@@ -613,6 +498,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
 
 fn cmd_accuracy(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
+    check_flags(args, "--pack")?;
     let os = Os::boot(edition)?;
     let fl = build_scanner(args)?.scan_image(os.program().image());
     let report = accuracy::measure(&fl, os.program().constructs());
@@ -659,6 +545,7 @@ fn cmd_accuracy(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_operators(args: &[String]) -> Result<(), String> {
+    check_flags(args, "--pack")?;
     match args.first().map(String::as_str) {
         Some("list") => operators_list(&args[1..]),
         Some("show") => operators_show(&args[1..]),
@@ -761,6 +648,7 @@ fn pack_validate(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("usage: faultbench pack validate <FILE> [--min-precision P]")?;
+    check_flags(args, "--min-precision")?;
     let floor: Option<f64> = value_of(args, "--min-precision")?
         .map(|v| {
             v.parse::<f64>()

@@ -17,13 +17,14 @@
 //! minimum is the closest observable to the true cost.
 //!
 //! Exit status: 0 = pass, 1 = a gated metric regressed, 2 = usage error (a
-//! malformed flag value, a missing `--baseline`, or a baseline that cannot
-//! be read or parsed — all reported before anything is measured).
+//! flag the mode does not read, a malformed flag value, a missing
+//! `--baseline`, or a baseline that cannot be read or parsed — all
+//! reported before anything is measured).
 
 use std::collections::BTreeMap;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use bench::cli::value_of;
+use bench::cli::{check_flags, value_of};
 use depbench::{Campaign, CampaignConfig, IntervalConfig};
 use mvm::{Memory, NoHcalls, Vm, VmConfig};
 use serde::{Deserialize, Serialize};
@@ -105,34 +106,38 @@ fn main() {
 /// Parses the command line and loads the baseline — everything that can
 /// fail on bad input, before any measuring starts.
 fn parse(args: &[String]) -> Result<Invocation, String> {
-    const USAGE: &str =
-        "usage: perfgate record|check [--baseline PATH] [--out PATH] [--rounds N] [--tolerance PCT]";
+    const USAGE: &str = "usage: perfgate record [--out PATH] [--rounds N] | \
+         check --baseline PATH [--out PATH] [--rounds N] [--tolerance PCT]";
+    let reads = match args.first().map(String::as_str) {
+        Some("record") => "--out --rounds",
+        Some("check") => "--baseline --out --rounds --tolerance",
+        _ => return Err(USAGE.into()),
+    };
+    check_flags(args, reads)?;
     let rounds = match value_of(args, "--rounds")? {
         Some(v) => v
             .parse()
             .map_err(|_| format!("--rounds needs an unsigned integer, got `{v}`"))?,
         None => 7,
     };
-    let tolerance: f64 = match value_of(args, "--tolerance")? {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|t: &f64| t.is_finite())
-            .ok_or_else(|| format!("--tolerance needs a percentage, got `{v}`"))?,
-        None => 20.0,
-    };
     let out = value_of(args, "--out")?.cloned();
-    let check = match args.first().map(String::as_str) {
-        Some("record") => None,
-        Some("check") => {
-            let path = value_of(args, "--baseline")?.ok_or("check needs --baseline PATH")?;
-            let json = std::fs::read_to_string(path)
-                .map_err(|e| format!("baseline {path} is unreadable: {e}"))?;
-            let baseline: Report = serde_json::from_str(&json)
-                .map_err(|e| format!("baseline {path} is not a perfgate report: {e}"))?;
-            Some((path.clone(), baseline, tolerance))
-        }
-        _ => return Err(USAGE.into()),
+    let check = if args[0] == "check" {
+        let tolerance: f64 = match value_of(args, "--tolerance")? {
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|t: &f64| t.is_finite())
+                .ok_or_else(|| format!("--tolerance needs a percentage, got `{v}`"))?,
+            None => 20.0,
+        };
+        let path = value_of(args, "--baseline")?.ok_or("check needs --baseline PATH")?;
+        let json = std::fs::read_to_string(path)
+            .map_err(|e| format!("baseline {path} is unreadable: {e}"))?;
+        let baseline: Report = serde_json::from_str(&json)
+            .map_err(|e| format!("baseline {path} is not a perfgate report: {e}"))?;
+        Some((path.clone(), baseline, tolerance))
+    } else {
+        None
     };
     Ok(Invocation { rounds, out, check })
 }

@@ -6,8 +6,8 @@ use depbench::report::{f, TextTable};
 use swfit_core::{FaultType, Scanner};
 
 fn main() {
-    // Uniform CLI surface: validate (and ignore) the shared flags.
-    let _cli = bench::cli::CliArgs::parse();
+    // Reads no flags: any `--flag` is a usage error.
+    bench::cli::CliArgs::parse("");
     let scanner = Scanner::standard();
     let ops = scanner.operators();
     let mut table = TextTable::new([

@@ -9,8 +9,8 @@ use simos::{Edition, OsApi};
 use webserver::ServerKind;
 
 fn main() {
-    // Uniform CLI surface: validate (and ignore) the shared flags.
-    let _cli = bench::cli::CliArgs::parse();
+    // Reads no flags: any `--flag` is a usage error.
+    bench::cli::CliArgs::parse("");
     let edition = Edition::Nimbus2000;
     let cfg = ProfilePhaseConfig::default();
     let set = profile_servers(edition, &ServerKind::ALL, &cfg);

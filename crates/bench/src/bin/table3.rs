@@ -9,7 +9,7 @@ use simos::Edition;
 use swfit_core::FaultType;
 
 fn main() {
-    let cli = CliArgs::parse();
+    let cli = CliArgs::parse("--limit --store --chaos-seed --chaos-profile");
     let store = cli.open_store().expect("store opens");
     let mut header: Vec<String> = vec!["OS edition".into()];
     header.extend(FaultType::ALL.iter().map(|t| t.acronym().to_string()));

@@ -9,7 +9,7 @@ use simos::Edition;
 use webserver::ServerKind;
 
 fn main() {
-    let cfg = CliArgs::parse().config();
+    let cfg = CliArgs::parse("--jobs --seed").config();
     let mut table = TextTable::new([
         "OS / server",
         "SPC",

@@ -4,21 +4,20 @@
 //!
 //! This is the headline experiment. The full run takes a few minutes in
 //! release mode; `--limit N --iters M` gives a truncated smoke pass (N
-//! faults per faultload, M iterations instead of 3).
+//! faults per faultload, M iterations instead of 3); `--ci-target P` stops
+//! each pair at convergence, and `--trace` adds activation tables.
 
-use bench::cli::CliArgs;
+use bench::campaign::{print_activations, run_iterations};
+use bench::cli::{CliArgs, SHARED_FLAGS};
 use bench::tuned_faultload;
-use depbench::metrics::aggregate_metrics;
 use depbench::report::{f, pm, TextTable};
-use depbench::{Campaign, DependabilityMetrics};
+use depbench::Campaign;
 use simos::Edition;
 use webserver::ServerKind;
 
 fn main() {
-    let cli = CliArgs::parse();
+    let cli = CliArgs::parse(SHARED_FLAGS);
     let store = cli.open_store().expect("store opens");
-    let cfg = cli.config();
-    let iterations = cli.iters.unwrap_or(3);
 
     for edition in Edition::ALL {
         let faultload =
@@ -30,11 +29,13 @@ fn main() {
             faultload.len()
         );
         for kind in ServerKind::BENCHMARKED {
-            let campaign = Campaign::new(edition, kind, cfg.clone());
+            let campaign = cli.instrument(Campaign::new(edition, kind, cli.config()));
+            let (baseline, summary) =
+                run_iterations(&cli, store.as_ref(), &campaign, &faultload, 3, None)
+                    .expect("injection campaign runs");
             let mut table = TextTable::new([
                 "Run", "SPC", "THR", "RTM", "ER%", "MIS", "KCP", "KNS", "ADMf",
             ]);
-            let baseline = campaign.run_profile_mode(0).expect("profile mode runs");
             table.row([
                 "Baseline Perf.".to_string(),
                 baseline.spc().to_string(),
@@ -46,12 +47,7 @@ fn main() {
                 "0".into(),
                 "0".into(),
             ]);
-            let mut runs = Vec::new();
-            for it in 0..iterations {
-                let result = cli
-                    .run_injection(store.as_ref(), &campaign, &faultload, it)
-                    .expect("injection campaign runs");
-                let m = DependabilityMetrics::from_runs(&baseline, &result);
+            for (it, m) in summary.per_iteration.iter().enumerate() {
                 table.row([
                     format!("Iteration {}", it + 1),
                     m.spc_f.to_string(),
@@ -63,9 +59,7 @@ fn main() {
                     m.watchdog.kns.to_string(),
                     m.admf().to_string(),
                 ]);
-                runs.push(m);
             }
-            let summary = aggregate_metrics(&runs).expect("at least one iteration ran");
             let (avg, ci) = (&summary.mean, &summary.ci95);
             table.row([
                 "Average (all iter)".to_string(),
@@ -84,6 +78,7 @@ fn main() {
                 kind.paper_analogue(),
                 table.render()
             );
+            print_activations("", &summary);
         }
     }
     println!("Shape checks (paper Table 5): the Heron/Apache column should show");

@@ -1,9 +1,8 @@
-//! Shared command-line flags for every regenerator binary, and the one flag
-//! lookup ([`value_of`], [`values_of`]) every binary reads its own extra
-//! flags with.
-//!
-//! All binaries accept the same campaign-affecting flags, parsed here
-//! once instead of hand-rolled per binary:
+//! The one flag contract of every binary and `faultbench` subcommand. Each
+//! command names the flags it reads ([`check_flags`]; the lists are in the
+//! crate docs), and any other `--flag` — a typo, or a flag the command
+//! would ignore — is a one-line usage error before any work starts. The
+//! shared flags, parsed here once ([`CliArgs`]):
 //!
 //! ```text
 //! --jobs N       worker threads for fault slots (default 1; results are
@@ -38,9 +37,9 @@
 //!                       and quarantined as timed out
 //! ```
 //!
-//! Unrecognized arguments are left alone — binaries read their own extra
-//! flags (`--out`, `--faultload`, …) with [`value_of`], so a flag given
-//! without its value is an error everywhere, never silently dropped.
+//! A command reads its own extra flags (`--out`, `--faultload`, …) with
+//! [`value_of`], so a flag given without its value is an error everywhere,
+//! never silently dropped.
 
 use std::str::FromStr;
 
@@ -51,7 +50,13 @@ use depbench::{
 use faultstore::{ChaosConfig, ChaosFs, ChaosProfile, FaultStore};
 use swfit_core::Faultload;
 
-/// The shared flags, parsed from the process arguments.
+/// Every shared flag, in the order of the module docs: the `reads` list of
+/// a command that reads them all (`table5`, `figure5`).
+pub const SHARED_FLAGS: &str = "--jobs --seed --iters --limit --ci-target --store --resume \
+     --trace --trace-dir --chaos-seed --chaos-profile --slot-budget-ms";
+
+/// The shared flags, parsed from the process arguments; a flag the command
+/// does not read keeps its default.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CliArgs {
     /// `--jobs N`: campaign worker threads. `None` = 1 (sequential).
@@ -88,11 +93,12 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parses the current process arguments, exiting with a usage message
-    /// on malformed flag values.
-    pub fn parse() -> CliArgs {
+    /// Parses the current process arguments for a command that reads the
+    /// space-separated flags in `reads`, exiting 2 with a one-line usage
+    /// message on any other flag or a malformed flag value.
+    pub fn parse(reads: &str) -> CliArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match CliArgs::from_slice(&args) {
+        match CliArgs::from_slice(&args, reads) {
             Ok(cli) => cli,
             Err(e) => {
                 eprintln!("{e}");
@@ -101,13 +107,16 @@ impl CliArgs {
         }
     }
 
-    /// Parses a pre-collected argument slice.
+    /// Parses a pre-collected argument slice for a command that reads the
+    /// space-separated flags in `reads` (shared and its own).
     ///
     /// # Errors
     ///
-    /// A usage message when a flag value is missing or malformed, or when
+    /// A usage message when `args` holds a flag outside `reads` (see
+    /// [`check_flags`]), when a flag value is missing or malformed, or when
     /// `--resume` is given without `--store`.
-    pub fn from_slice(args: &[String]) -> Result<CliArgs, String> {
+    pub fn from_slice(args: &[String], reads: &str) -> Result<CliArgs, String> {
+        check_flags(args, reads)?;
         const UNSIGNED: &str = "an unsigned integer";
         const POSITIVE: &str = "a positive integer";
         let any = |_: &u64| true;
@@ -214,6 +223,13 @@ impl CliArgs {
         builder
     }
 
+    /// The iteration budget: the convergence cap with `--ci-target`,
+    /// otherwise `--iters`, or `default` when neither is given.
+    pub fn max_iterations(&self, default: u64) -> u64 {
+        self.convergence()
+            .map_or(self.iters.unwrap_or(default), |c| c.max_iters)
+    }
+
     /// A ready [`CampaignConfig`] reflecting `--jobs`/`--seed`.
     pub fn config(&self) -> CampaignConfig {
         self.configure(CampaignConfig::builder()).build()
@@ -283,6 +299,25 @@ impl CliArgs {
     }
 }
 
+/// Checks that every `--flag` in `args` is one of the space-separated
+/// flags in `reads`, the ones the command reads.
+///
+/// # Errors
+///
+/// A one-line usage message naming the first other flag.
+pub fn check_flags(args: &[String], reads: &str) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !reads.split_whitespace().any(|r| r == *a))
+    {
+        None => Ok(()),
+        Some(flag) => Err(format!(
+            "unknown flag `{flag}`; this command reads {}",
+            if reads.is_empty() { "no flags" } else { reads }
+        )),
+    }
+}
+
 /// The value of flag `name` in `args`: `None` when the flag is absent.
 ///
 /// # Errors
@@ -338,9 +373,14 @@ mod tests {
         list.iter().map(ToString::to_string).collect()
     }
 
+    /// Parses `list` for a command that reads every shared flag.
+    fn parse(list: &[&str]) -> Result<CliArgs, String> {
+        CliArgs::from_slice(&args(list), SHARED_FLAGS)
+    }
+
     #[test]
     fn defaults_are_sequential_and_storeless() {
-        let cli = CliArgs::from_slice(&[]).unwrap();
+        let cli = parse(&[]).unwrap();
         assert_eq!(cli, CliArgs::default());
         let cfg = cli.config();
         assert_eq!(cfg.parallelism, 1);
@@ -349,10 +389,7 @@ mod tests {
 
     #[test]
     fn flags_parse_and_configure() {
-        let cli = CliArgs::from_slice(&args(&[
-            "--jobs", "4", "--seed", "7", "--store", "s", "--resume",
-        ]))
-        .unwrap();
+        let cli = parse(&["--jobs", "4", "--seed", "7", "--store", "s", "--resume"]).unwrap();
         assert_eq!(cli.jobs, Some(4));
         assert_eq!(cli.seed, Some(7));
         assert_eq!(cli.store.as_deref(), Some(std::path::Path::new("s")));
@@ -383,7 +420,7 @@ mod tests {
             &["--limit", "0"],
             &["--limit", "x"],
         ] {
-            assert!(CliArgs::from_slice(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -398,7 +435,12 @@ mod tests {
         );
         assert_eq!(value_of(&a, "--save").unwrap(), None);
         assert_eq!(values_of(&a, "--pack").unwrap(), ["a.json", "b.json"]);
-        assert_eq!(CliArgs::from_slice(&a).unwrap().limit, Some(5));
+        assert_eq!(
+            CliArgs::from_slice(&a, "--pack --out --limit")
+                .unwrap()
+                .limit,
+            Some(5)
+        );
         for bad in [&["--pack", "a", "--pack"][..], &["--pack", "--out", "o"]] {
             assert_eq!(
                 values_of(&args(bad), "--pack").unwrap_err(),
@@ -409,7 +451,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_and_iters_clamp_to_one() {
-        let cli = CliArgs::from_slice(&args(&["--jobs", "0", "--iters", "0"])).unwrap();
+        let cli = parse(&["--jobs", "0", "--iters", "0"]).unwrap();
         assert_eq!(cli.jobs, Some(1));
         assert_eq!(cli.iters, Some(1));
         assert_eq!(cli.config().parallelism, 1);
@@ -419,10 +461,10 @@ mod tests {
     fn convergence_comes_from_ci_target_and_iters() {
         // Without --ci-target there is no convergence rule: campaigns run
         // their fixed iteration count as before.
-        let fixed = CliArgs::from_slice(&args(&["--iters", "5"])).unwrap();
+        let fixed = parse(&["--iters", "5"]).unwrap();
         assert!(fixed.convergence().is_none());
 
-        let conv = CliArgs::from_slice(&args(&["--ci-target", "5", "--iters", "6"]))
+        let conv = parse(&["--ci-target", "5", "--iters", "6"])
             .unwrap()
             .convergence()
             .unwrap();
@@ -431,14 +473,14 @@ mod tests {
         assert_eq!(conv.max_iters, 6);
 
         // The cap never drops below min_iters: a CI needs two samples.
-        let floored = CliArgs::from_slice(&args(&["--ci-target", "5", "--iters", "1"]))
+        let floored = parse(&["--ci-target", "5", "--iters", "1"])
             .unwrap()
             .convergence()
             .unwrap();
         assert_eq!(floored.max_iters, 2);
 
         // Default cap without --iters.
-        let default = CliArgs::from_slice(&args(&["--ci-target", "2.5"]))
+        let default = parse(&["--ci-target", "2.5"])
             .unwrap()
             .convergence()
             .unwrap();
@@ -446,10 +488,22 @@ mod tests {
     }
 
     #[test]
-    fn foreign_flags_are_ignored() {
-        let cli =
-            CliArgs::from_slice(&args(&["campaign", "--out", "x.json", "--jobs", "2"])).unwrap();
+    fn unread_flags_are_rejected() {
+        let a = args(&["campaign", "--out", "x.json", "--jobs", "2"]);
+        // A command's own flags are read alongside the shared ones.
+        let cli = CliArgs::from_slice(&a, "--jobs --out").unwrap();
         assert_eq!(cli.jobs, Some(2));
+        assert_eq!(
+            CliArgs::from_slice(&a, "--jobs --store").unwrap_err(),
+            "unknown flag `--out`; this command reads --jobs --store"
+        );
+        assert_eq!(
+            check_flags(&args(&["--jobs", "2"]), "").unwrap_err(),
+            "unknown flag `--jobs`; this command reads no flags"
+        );
+        // A typo is an unread flag, and positional arguments pass.
+        assert!(CliArgs::from_slice(&args(&["--job", "2"]), "--jobs").is_err());
+        assert!(check_flags(&args(&["nimbus-2000", "wren"]), "").is_ok());
     }
 
     #[test]
@@ -458,7 +512,7 @@ mod tests {
         use simos::Edition;
         use webserver::ServerKind;
 
-        let off = CliArgs::from_slice(&[]).unwrap();
+        let off = parse(&[]).unwrap();
         assert!(!off.trace);
         let untouched = off.instrument(Campaign::new(
             Edition::Nimbus2000,
@@ -467,12 +521,12 @@ mod tests {
         ));
         assert!(untouched.trace_config().is_none());
 
-        let on = CliArgs::from_slice(&args(&["--trace"])).unwrap();
+        let on = parse(&["--trace"]).unwrap();
         assert!(on.trace);
         assert_eq!(on.trace_dir, None);
 
         // --trace-dir implies --trace and carries the dump directory.
-        let with_dir = CliArgs::from_slice(&args(&["--trace-dir", "dumps"])).unwrap();
+        let with_dir = parse(&["--trace-dir", "dumps"]).unwrap();
         assert!(with_dir.trace);
         let traced = with_dir.instrument(Campaign::new(
             Edition::Nimbus2000,
@@ -482,37 +536,37 @@ mod tests {
         let tc = traced.trace_config().expect("tracing enabled");
         assert_eq!(tc.dump_dir.as_deref(), Some(std::path::Path::new("dumps")));
 
-        assert!(CliArgs::from_slice(&args(&["--trace-dir"])).is_err());
+        assert!(parse(&["--trace-dir"]).is_err());
     }
 
     #[test]
     fn chaos_flags_parse_and_validate() {
         // Seed alone implies the transient profile.
-        let cli = CliArgs::from_slice(&args(&["--store", "s", "--chaos-seed", "42"])).unwrap();
+        let cli = parse(&["--store", "s", "--chaos-seed", "42"]).unwrap();
         let cfg = cli.chaos().expect("chaos enabled");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.profile, ChaosProfile::Transient);
 
-        let torn = CliArgs::from_slice(&args(&[
+        let torn = parse(&[
             "--store",
             "s",
             "--chaos-seed",
             "7",
             "--chaos-profile",
             "torn",
-        ]))
+        ])
         .unwrap();
         assert_eq!(torn.chaos().unwrap().profile, ChaosProfile::Torn);
 
         // An explicit `off` disables injection even with a seed.
-        let off = CliArgs::from_slice(&args(&[
+        let off = parse(&[
             "--store",
             "s",
             "--chaos-seed",
             "7",
             "--chaos-profile",
             "off",
-        ]))
+        ])
         .unwrap();
         assert!(off.chaos().is_none());
 
@@ -530,7 +584,7 @@ mod tests {
             ],
             &["--store", "s", "--chaos-seed"],
         ] {
-            assert!(CliArgs::from_slice(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -540,7 +594,7 @@ mod tests {
         use simos::Edition;
         use webserver::ServerKind;
 
-        let cli = CliArgs::from_slice(&args(&["--slot-budget-ms", "750"])).unwrap();
+        let cli = parse(&["--slot-budget-ms", "750"]).unwrap();
         assert_eq!(cli.slot_budget_ms, Some(750));
         let watched = cli.instrument(Campaign::new(
             Edition::Nimbus2000,
@@ -552,7 +606,7 @@ mod tests {
         assert_eq!(wd.budget_ms(10_000), 750, "fixed budgets never scale");
 
         // Unset leaves the campaign unwatched.
-        let off = CliArgs::from_slice(&[]).unwrap();
+        let off = parse(&[]).unwrap();
         let unwatched = off.instrument(Campaign::new(
             Edition::Nimbus2000,
             ServerKind::Heron,
@@ -561,7 +615,7 @@ mod tests {
         assert!(unwatched.watchdog_config().is_none());
 
         for bad in [&["--slot-budget-ms", "0"][..], &["--slot-budget-ms", "x"]] {
-            assert!(CliArgs::from_slice(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -584,7 +638,7 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("bench-cli-foreign-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cli = CliArgs::from_slice(&args(&["--store", dir.to_str().unwrap()])).unwrap();
+        let cli = parse(&["--store", dir.to_str().unwrap()]).unwrap();
         let store = cli.open_store().unwrap().expect("--store opens a store");
         for store in [Some(&store), None] {
             let err = cli

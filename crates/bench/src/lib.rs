@@ -1,21 +1,26 @@
-//! Shared plumbing for the table/figure regenerator binaries.
+//! Shared plumbing for the table/figure regenerator binaries. Each one
+//! reads exactly the shared flags ([`cli::CliArgs`]) listed here; any other
+//! `--flag` is a one-line usage error (exit 2) before any work starts:
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper:
+//! | Binary    | Artifact | Shared flags it reads |
+//! |-----------|----------|-----------------------|
+//! | `table1`  | Table 1 — fault types and field coverage | none |
+//! | `table2`  | Table 2 — relevant API calls (profiling intersection) | none |
+//! | `table3`  | Table 3 — faultload details per OS edition | `--limit`, `--store`, `--chaos-seed`, `--chaos-profile` |
+//! | `table4`  | Table 4 — injector intrusiveness (max perf vs profile mode) | `--jobs`, `--seed` |
+//! | `table5`  | Table 5 — full campaign results, 3 iterations + averages | all twelve |
+//! | `figure5` | Figure 5 — Heron/Wren comparison bars | all twelve |
+//! | `ablation_activation` | §2.4 activation-assurance ablation | `--limit`, `--jobs`, `--seed`, `--store`, `--resume`, `--chaos-seed`, `--chaos-profile`, `--trace-dir` |
+//! | `ablation_editions` | per-edition cost and fault-surface attribution | `--store`, `--chaos-seed`, `--chaos-profile` |
+//! | `extension_faultmix` | software vs hardware vs operator faults | `--limit`, `--jobs`, `--seed`, `--store`, `--resume`, `--chaos-seed`, `--chaos-profile` |
 //!
-//! | Binary    | Paper artifact |
-//! |-----------|----------------|
-//! | `table1`  | Table 1 — fault types and field coverage |
-//! | `table2`  | Table 2 — relevant API calls (profiling intersection) |
-//! | `table3`  | Table 3 — faultload details per OS edition |
-//! | `table4`  | Table 4 — injector intrusiveness (max perf vs profile mode) |
-//! | `table5`  | Table 5 — full campaign results, 3 iterations + averages |
-//! | `figure5` | Figure 5 — Heron/Wren comparison bars |
-//!
-//! Every binary accepts the shared flags of [`cli::CliArgs`] (`--jobs`,
-//! `--seed`, `--store`, `--resume`, …). For a fast, truncated pass (CI
-//! smoke runs) pass `--limit N`, which evenly samples each faultload down to
-//! N faults, and, for `table5`/`figure5`, `--iters N` (default 3).
+//! `faultbench` and `perfgate` list their flags in their module docs.
+//! `--limit N` evenly samples each faultload down to N faults and `--iters
+//! N` sets the `table5`/`figure5` iteration count (default 3), for fast
+//! smoke passes. `table5`, `figure5` and `faultbench campaign` run their
+//! iterations through one driver, [`campaign::run_iterations`].
 
+pub mod campaign;
 pub mod cli;
 
 use depbench::{profilephase, ProfilePhaseConfig};

@@ -1,8 +1,8 @@
 //! Usage errors through the real binaries: a flag given without its value
-//! is rejected with a one-line error before any work starts, never silently
-//! dropped, a malformed `perfgate` flag is a usage error, not a panic, and a
-//! pathologically nested pack file is a one-line error, not a stack
-//! overflow.
+//! or a flag the command never reads is rejected with a one-line error
+//! before any work starts, never silently dropped, a malformed `perfgate`
+//! flag is a usage error, not a panic, and a pathologically nested pack
+//! file is a one-line error, not a stack overflow.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -54,6 +54,120 @@ fn faultbench_flags_without_a_value_are_usage_errors() {
         );
     }
     let _ = std::fs::remove_dir_all(store);
+}
+
+#[test]
+fn every_command_rejects_the_flags_it_never_reads() {
+    let base = std::env::temp_dir().join(format!("unread-flags-{}", std::process::id()));
+    let (dir, file) = (base.join("store"), base.join("out.json"));
+    let (dir, file) = (dir.to_str().unwrap(), file.to_str().unwrap());
+    // (binary, arguments, the unread flag). Each row would otherwise run
+    // cheaply, so a command that ignored the flag fails fast, not slowly.
+    let rows: [(&str, &[&str], &str); 15] = [
+        (env!("CARGO_BIN_EXE_table1"), &["--jobs", "2"], "--jobs"),
+        (env!("CARGO_BIN_EXE_table2"), &["--store", dir], "--store"),
+        (
+            env!("CARGO_BIN_EXE_table4"),
+            &["--jbos", "2"], // a typo
+            "--jbos",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table5"),
+            &["--job", "2", "--limit", "2", "--iters", "1"], // a typo
+            "--job",
+        ),
+        (
+            env!("CARGO_BIN_EXE_figure5"),
+            &["--limit", "2", "--iters", "1", "--save", "r"],
+            "--save",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation_editions"),
+            &["--limit", "5"],
+            "--limit",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &["profile", "nimbus-2000", "--store", dir],
+            "--store",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &["scan", "nimbus-2000", "--iters", "3", "--out", file],
+            "--iters",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            // recovery never journals, so it cannot resume
+            &[
+                "recovery",
+                "nimbus-2000",
+                "wren",
+                "--limit",
+                "2",
+                "--store",
+                dir,
+                "--resume",
+            ],
+            "--resume",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            // trace_slot runs unwatched
+            &[
+                "trace",
+                "nimbus-2000",
+                "heron",
+                "--slot",
+                "0",
+                "--limit",
+                "2",
+                "--out",
+                dir,
+                "--slot-budget-ms",
+                "5",
+            ],
+            "--slot-budget-ms",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &["diff", "a", "b", "--store", dir, "--seed", "1"],
+            "--seed",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &["accuracy", "nimbus-2000", "--limit", "3"],
+            "--limit",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &["operators", "show", "MFC", "--jobs", "2"],
+            "--jobs",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &["pack", "validate", "packs/odc-classic.json", "--bogus"],
+            "--bogus",
+        ),
+        (
+            env!("CARGO_BIN_EXE_perfgate"),
+            &["record", "--rounds", "1", "--out", file, "--baseline", "x"],
+            "--baseline",
+        ),
+    ];
+    for (bin, args, flag) in rows {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // Exit 2 from the regenerators and perfgate, 1 from faultbench.
+        let code = if bin.ends_with("faultbench") { 1 } else { 2 };
+        assert_eq!(out.status.code(), Some(code), "{bin} {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(base);
 }
 
 #[test]

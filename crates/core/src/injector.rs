@@ -77,16 +77,6 @@ impl Injector {
         }
     }
 
-    /// True when running in profile mode.
-    pub fn is_profile_mode(&self) -> bool {
-        self.profile_mode
-    }
-
-    /// The id of the currently injected fault, if any.
-    pub fn active_fault(&self) -> Option<&str> {
-        self.active.as_ref().map(|(id, _)| id.as_str())
-    }
-
     /// Campaign counters.
     pub fn stats(&self) -> InjectorStats {
         self.stats
@@ -164,7 +154,6 @@ mod tests {
         let mut inj = Injector::new();
         for fault in &fl.faults {
             inj.inject(p.image_mut(), fault).unwrap();
-            assert_eq!(inj.active_fault(), Some(fault.id.as_str()));
             inj.restore(p.image_mut());
             assert_eq!(p.image().words(), &before[..], "{} leaked", fault.id);
         }
@@ -188,7 +177,6 @@ mod tests {
         let (mut p, fl) = setup();
         let before = p.image().words().to_vec();
         let mut inj = Injector::profile_mode();
-        assert!(inj.is_profile_mode());
         for fault in &fl.faults {
             inj.inject(p.image_mut(), fault).unwrap();
             assert_eq!(p.image().words(), &before[..]);
@@ -243,6 +231,5 @@ mod tests {
             inj.inject(p.image_mut(), &bogus),
             Err(InjectError::BadPatch(_))
         ));
-        assert_eq!(inj.active_fault(), None);
     }
 }

@@ -95,17 +95,8 @@ impl DependabilityMetrics {
         self.watchdog.admf()
     }
 
-    /// SPC retention under faults, in `[0, 1]` — the paper's "performance
+    /// THR retention under faults, in `[0, 1]` — the paper's "performance
     /// relative to its normal condition".
-    pub fn spc_retention(&self) -> f64 {
-        if self.spc_baseline == 0 {
-            0.0
-        } else {
-            f64::from(self.spc_f) / f64::from(self.spc_baseline)
-        }
-    }
-
-    /// THR retention under faults, in `[0, 1]`.
     pub fn thr_retention(&self) -> f64 {
         if self.thr_baseline <= 0.0 {
             0.0
@@ -339,7 +330,6 @@ mod tests {
     fn admf_and_retention() {
         let m = metrics(12, 60);
         assert_eq!(m.admf(), 71);
-        assert!((m.spc_retention() - 12.0 / 36.0).abs() < 1e-12);
         assert!((m.thr_retention() - 0.9).abs() < 1e-12);
     }
 
@@ -348,7 +338,6 @@ mod tests {
         let mut m = metrics(0, 0);
         m.spc_baseline = 0;
         m.thr_baseline = 0.0;
-        assert_eq!(m.spc_retention(), 0.0);
         assert_eq!(m.thr_retention(), 0.0);
     }
 

@@ -93,8 +93,6 @@ pub enum ImageError {
     AddressOutOfRange(u32),
     /// A symbol was defined twice at link time.
     DuplicateSymbol(String),
-    /// A requested symbol does not exist.
-    UnknownSymbol(String),
     /// An instruction word failed to decode.
     Decode(u32, DecodeError),
 }
@@ -104,7 +102,6 @@ impl fmt::Display for ImageError {
         match self {
             ImageError::AddressOutOfRange(a) => write!(f, "address {a} out of image range"),
             ImageError::DuplicateSymbol(s) => write!(f, "duplicate symbol `{s}`"),
-            ImageError::UnknownSymbol(s) => write!(f, "unknown symbol `{s}`"),
             ImageError::Decode(a, e) => write!(f, "word at {a} does not decode: {e}"),
         }
     }
@@ -254,21 +251,6 @@ impl CodeImage {
         self.by_name.get(name).map(|&i| &self.funcs[i])
     }
 
-    /// Looks up a function by name, erroring when absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ImageError::UnknownSymbol`] when the function is not linked.
-    pub fn require_func(&self, name: &str) -> Result<&FuncInfo, ImageError> {
-        self.func(name)
-            .ok_or_else(|| ImageError::UnknownSymbol(name.to_string()))
-    }
-
-    /// The function containing address `addr`, if any.
-    pub fn func_at(&self, addr: u32) -> Option<&FuncInfo> {
-        self.funcs.iter().find(|f| f.contains(addr))
-    }
-
     /// The instruction at `addr`, served from the pre-decoded cache — the
     /// same entry the executor dispatches on, so disassembly and scans can
     /// never disagree with what actually ran after a patch.
@@ -398,9 +380,6 @@ mod tests {
         assert_eq!(img.func("one").unwrap().entry, 0);
         assert_eq!(img.func("double").unwrap().len(), 2);
         assert!(img.func("missing").is_none());
-        assert!(img.require_func("missing").is_err());
-        assert_eq!(img.func_at(3).unwrap().name, "double");
-        assert!(img.func_at(99).is_none());
     }
 
     #[test]

@@ -172,13 +172,6 @@ impl ChaosFs {
         self.inner.is_some()
     }
 
-    /// How many injection decisions have been consumed so far (test hook).
-    pub fn op_count(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.ops.load(Ordering::Relaxed))
-    }
-
     /// Consults the seeded schedule for the next operation at `stage`.
     fn decide(&self, stage: Stage) -> Option<Injected> {
         let inner = self.inner.as_ref()?;
@@ -409,7 +402,6 @@ mod tests {
         let q = dir.join("b.txt");
         fs.rename(&p, &q).unwrap();
         assert_eq!(fs.read_to_string(&q).unwrap(), "hello");
-        assert_eq!(fs.op_count(), 0);
     }
 
     #[test]

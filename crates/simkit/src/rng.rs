@@ -143,11 +143,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
-    }
-
     /// Samples an index according to non-negative `weights`.
     ///
     /// # Panics

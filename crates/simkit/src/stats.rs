@@ -69,20 +69,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance; `0.0` with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Sample variance (`n − 1` denominator, the unbiased estimate a
     /// confidence interval needs); `0.0` with fewer than two observations.
     pub fn sample_variance(&self) -> f64 {
@@ -140,7 +126,6 @@ mod tests {
             s.push(x);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         // Sum of squared deviations is 32: 32 / 8 population, 32 / 7 sample.
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert!((s.sample_stddev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
@@ -152,7 +137,6 @@ mod tests {
     fn empty_stats_are_benign() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
@@ -170,7 +154,7 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
+        assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-9);
     }
 
     proptest! {
@@ -188,7 +172,7 @@ mod tests {
             left.merge(&right);
             prop_assert_eq!(left.count(), whole.count());
             prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1e-6);
+            prop_assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-6);
         }
 
         #[test]

@@ -145,16 +145,6 @@ impl FileSet {
     pub fn class_entries(&self, class: usize) -> impl Iterator<Item = &FileEntry> {
         self.entries.iter().filter(move |e| e.class == class)
     }
-
-    /// Mean payload size in cells under the class access weights — used to
-    /// reason about expected aggregate bitrates.
-    pub fn weighted_mean_len(&self) -> f64 {
-        CLASS_WEIGHTS
-            .iter()
-            .zip(self.config.class_sizes.iter())
-            .map(|(w, s)| w * *s as f64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -203,13 +193,5 @@ mod tests {
     #[test]
     fn weights_sum_to_one() {
         assert!((CLASS_WEIGHTS.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_len_is_reasonable() {
-        let mut dev = DeviceStore::new();
-        let fs = FileSet::populate(FileSetConfig::default(), &mut dev);
-        let mean = fs.weighted_mean_len();
-        assert!(mean > 512.0 && mean < 24576.0, "{mean}");
     }
 }
