@@ -1,12 +1,13 @@
 //! Performance gate and trajectory recorder.
 //!
 //! Times the hot paths the campaign rests on (the VM interpreter, the
-//! inject/restore cycle and a short campaign) and emits a machine-readable
-//! `BENCH_<date>.json`. In `check` mode it compares against a stored
-//! baseline and fails the build when a *gated* metric — the VM
-//! interpreter or the inject/restore cycle — regresses by more than
-//! 20 %; the end-to-end campaign number is recorded for the trajectory
-//! but not gated (it folds in too much scheduler noise for a hard gate).
+//! inject/restore cycle, the store's read path and a short campaign) and
+//! emits a machine-readable `BENCH_<date>.json`. In `check` mode it
+//! compares against a stored baseline and fails the build when a *gated*
+//! metric — the VM interpreter, the inject/restore cycle or the read path
+//! — regresses by more than 20 %; the end-to-end campaign number is
+//! recorded for the trajectory but not gated (it folds in too much
+//! scheduler noise for a hard gate).
 //!
 //! ```text
 //! perfgate record [--out PATH] [--rounds N]
@@ -25,7 +26,8 @@ use std::collections::BTreeMap;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use bench::cli::{check_flags, value_of};
-use depbench::{Campaign, CampaignConfig, IntervalConfig};
+use depbench::{Campaign, CampaignConfig, CampaignResult, IntervalConfig, SlotResult};
+use faultstore::JournalHeader;
 use mvm::{Memory, NoHcalls, Vm, VmConfig};
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
@@ -36,10 +38,11 @@ use webserver::ServerKind;
 /// Metrics that fail the gate on regression. The campaign metric is
 /// deliberately absent: it is the product of everything else and of the
 /// host's scheduler, so it is tracked, not gated.
-const GATED: [&str; 3] = [
+const GATED: [&str; 4] = [
     "vm_interpreter_arith_loop_10k",
     "inject_restore_cycle_missing",
     "inject_restore_cycle_wrong",
+    "store_read_journal_and_run_10_slots",
 ];
 
 /// One `BENCH_<date>.json` file.
@@ -64,6 +67,13 @@ struct Report {
 #[derive(Serialize, Deserialize)]
 struct MetricValue {
     ns: f64,
+}
+
+/// A completed slot's journal line, in the shape `faultstore` writes it.
+#[derive(Serialize, Deserialize)]
+struct JournalLine {
+    slot: usize,
+    result: SlotResult,
 }
 
 /// What to do, with every flag parsed and the baseline loaded.
@@ -224,6 +234,29 @@ fn measure(rounds: usize) -> Report {
         "injection_campaign_10_slots",
         min_ns(rounds, 1, || {
             campaign.run_injection(&ten, 0).expect("runs");
+        }),
+    );
+
+    // The store's read path: the journal and the stored run of that
+    // campaign, held in memory so only parsing is timed.
+    let result = campaign.run_injection(&ten, 0).expect("runs");
+    let mut journal =
+        serde_json::to_string(&JournalHeader::describe(&campaign, &ten, 0)).expect("serializes");
+    for (slot, result) in result.slots.iter().cloned().enumerate() {
+        journal.push('\n');
+        journal += &serde_json::to_string(&JournalLine { slot, result }).expect("serializes");
+    }
+    let run = serde_json::to_string_pretty(&result).expect("serializes");
+    record(
+        "store_read_journal_and_run_10_slots",
+        min_ns(rounds, 200, || {
+            let mut lines = journal.lines();
+            let header = lines.next().expect("header line");
+            std::hint::black_box(serde_json::from_str::<JournalHeader>(header).expect("parses"));
+            for line in lines {
+                std::hint::black_box(serde_json::from_str::<JournalLine>(line).expect("parses"));
+            }
+            std::hint::black_box(serde_json::from_str::<CampaignResult>(&run).expect("parses"));
         }),
     );
 
