@@ -33,9 +33,11 @@ use swfit_core::Scanner;
 use webserver::ServerKind;
 
 fn main() {
-    let cli = CliArgs::parse(
-        "--limit --jobs --seed --store --resume --chaos-seed --chaos-profile --trace-dir",
-    );
+    // `--store` caches the fault map only. The three faultloads run at
+    // iteration 0 of one (edition, server) pair, so they would share one
+    // journal path: this short regenerator does not journal or resume.
+    let cli =
+        CliArgs::parse("--limit --jobs --seed --store --chaos-seed --chaos-profile --trace-dir");
     let store = cli.open_store().expect("store opens");
     let edition = Edition::Nimbus2000;
     let os = Os::boot(edition).expect("boots");
@@ -98,11 +100,11 @@ fn main() {
         ("complement (rest of OS)", &complement),
         ("cold (startup/diagnostic)", &cold_fl),
     ] {
-        let res = cli
-            .run_injection(store.as_ref(), &campaign, fl, 0)
+        let res = campaign
+            .run_injection(fl, 0)
             .expect("injection campaign runs");
-        // A resumed journal from a pre-trace run can carry untraced slots;
-        // their activation is simply untracked then, not an error.
+        // Every completed slot is traced; only a faultload whose slots were
+        // all quarantined tracks none.
         let act = res.activation_summary().unwrap_or_default();
         let affected = res.affected_slots();
         let affected_rate = affected as f64 * 100.0 / fl.len().max(1) as f64;

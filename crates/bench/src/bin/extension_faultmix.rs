@@ -19,14 +19,17 @@ use depbench::{
 use simkit::SimRng;
 use simos::{Edition, Os, OsApi};
 use specweb::{FileSet, RequestGenerator};
-use swfit_core::{HardwareFaultload, Scanner};
+use swfit_core::{hardware, Scanner};
 use webserver::ServerKind;
 
 fn main() {
     let edition = Edition::Nimbus2000;
     let kind = ServerKind::Wren; // the fragile target shows models clearest
-    let cli = CliArgs::parse("--limit --jobs --seed --store --resume --chaos-seed --chaos-profile");
-    let store = cli.open_store().expect("store opens");
+
+    // Several faultloads run at iteration 0 of one (edition, server) pair,
+    // so they would share one journal path: this short regenerator does not
+    // journal, and reads no store flags.
+    let cli = CliArgs::parse("--limit --jobs --seed");
     let cfg = cli.config();
     let n = cli.limit.unwrap_or(100);
     let api = OsApi::symbols();
@@ -35,9 +38,7 @@ fn main() {
     let sw = Scanner::standard()
         .scan_functions(os.program().image(), &api)
         .sample(n);
-    let hw = HardwareFaultload::generate(os.program().image(), Some(&api), 1)
-        .as_faultload()
-        .sample(n);
+    let hw = hardware::bit_flips(os.program().image(), Some(&api)).sample(n);
 
     let campaign = Campaign::new(edition, kind, cfg.clone());
     let baseline = campaign.run_profile_mode(0).expect("profile mode runs");
@@ -66,8 +67,8 @@ fn main() {
     ]);
 
     for (name, fl) in [("software (G-SWFIT)", &sw), ("hardware (bit flips)", &hw)] {
-        let res = cli
-            .run_injection(store.as_ref(), &campaign, fl, 0)
+        let res = campaign
+            .run_injection(fl, 0)
             .expect("injection campaign runs");
         table.row([
             name.to_string(),

@@ -43,10 +43,7 @@
 
 use std::str::FromStr;
 
-use depbench::{
-    Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult, SlotWatchdogConfig,
-    TraceConfig,
-};
+use depbench::{Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult, TraceConfig};
 use faultstore::{ChaosConfig, ChaosFs, ChaosProfile, FaultStore};
 use swfit_core::Faultload;
 
@@ -241,9 +238,7 @@ impl CliArgs {
     #[must_use]
     pub fn instrument(&self, campaign: Campaign) -> Campaign {
         let campaign = match self.slot_budget_ms {
-            Some(ms) => campaign.with_watchdog(SlotWatchdogConfig::fixed(
-                std::time::Duration::from_millis(ms),
-            )),
+            Some(ms) => campaign.with_slot_budget(std::time::Duration::from_millis(ms)),
             None => campaign,
         };
         if !self.trace {
@@ -601,9 +596,8 @@ mod tests {
             ServerKind::Heron,
             CampaignConfig::default(),
         ));
-        let wd = watched.watchdog_config().expect("watchdog armed");
-        assert_eq!(wd.budget_ms(0), 750);
-        assert_eq!(wd.budget_ms(10_000), 750, "fixed budgets never scale");
+        let armed = format!("{watched:?}");
+        assert!(armed.contains("slot_budget: Some(750ms)"), "{armed}");
 
         // Unset leaves the campaign unwatched.
         let off = parse(&[]).unwrap();
@@ -612,7 +606,8 @@ mod tests {
             ServerKind::Heron,
             CampaignConfig::default(),
         ));
-        assert!(unwatched.watchdog_config().is_none());
+        let unarmed = format!("{unwatched:?}");
+        assert!(unarmed.contains("slot_budget: None"), "{unarmed}");
 
         for bad in [&["--slot-budget-ms", "0"][..], &["--slot-budget-ms", "x"]] {
             assert!(parse(bad).is_err(), "{bad:?}");

@@ -10,9 +10,9 @@
 //! | `table4`  | Table 4 — injector intrusiveness (max perf vs profile mode) | `--jobs`, `--seed` |
 //! | `table5`  | Table 5 — full campaign results, 3 iterations + averages | all twelve |
 //! | `figure5` | Figure 5 — Heron/Wren comparison bars | all twelve |
-//! | `ablation_activation` | §2.4 activation-assurance ablation | `--limit`, `--jobs`, `--seed`, `--store`, `--resume`, `--chaos-seed`, `--chaos-profile`, `--trace-dir` |
+//! | `ablation_activation` | §2.4 activation-assurance ablation | `--limit`, `--jobs`, `--seed`, `--store`, `--chaos-seed`, `--chaos-profile`, `--trace-dir` |
 //! | `ablation_editions` | per-edition cost and fault-surface attribution | `--store`, `--chaos-seed`, `--chaos-profile` |
-//! | `extension_faultmix` | software vs hardware vs operator faults | `--limit`, `--jobs`, `--seed`, `--store`, `--resume`, `--chaos-seed`, `--chaos-profile` |
+//! | `extension_faultmix` | software vs hardware vs operator faults | `--limit`, `--jobs`, `--seed` |
 //!
 //! `faultbench` and `perfgate` list their flags in their module docs.
 //! `--limit N` evenly samples each faultload down to N faults and `--iters

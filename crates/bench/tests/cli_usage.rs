@@ -63,7 +63,7 @@ fn every_command_rejects_the_flags_it_never_reads() {
     let (dir, file) = (dir.to_str().unwrap(), file.to_str().unwrap());
     // (binary, arguments, the unread flag). Each row would otherwise run
     // cheaply, so a command that ignored the flag fails fast, not slowly.
-    let rows: [(&str, &[&str], &str); 15] = [
+    let rows: [(&str, &[&str], &str); 17] = [
         (env!("CARGO_BIN_EXE_table1"), &["--jobs", "2"], "--jobs"),
         (env!("CARGO_BIN_EXE_table2"), &["--store", dir], "--store"),
         (
@@ -85,6 +85,17 @@ fn every_command_rejects_the_flags_it_never_reads() {
             env!("CARGO_BIN_EXE_ablation_editions"),
             &["--limit", "5"],
             "--limit",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation_activation"),
+            // its faultloads would share one journal, so it never journals
+            &["--limit", "2", "--store", dir, "--resume"],
+            "--resume",
+        ),
+        (
+            env!("CARGO_BIN_EXE_extension_faultmix"),
+            &["--limit", "2", "--resume"],
+            "--resume",
         ),
         (
             env!("CARGO_BIN_EXE_faultbench"),

@@ -8,8 +8,9 @@
 //! * **parallelism independence** — activation observations, like every
 //!   other result, do not depend on the worker count;
 //! * **post-mortem dumps** — a quarantined (panicked) slot leaves its
-//!   recorder tail on disk as parseable JSONL.
+//!   recorder tail on disk as parseable JSONL, one file per iteration.
 
+use depbench::campaign::DUMP_LAST;
 use depbench::{Campaign, CampaignConfig, IntervalConfig, TraceConfig};
 use simkit::SimDuration;
 use simos::{Edition, Os, OsApi};
@@ -139,62 +140,77 @@ fn quarantined_slot_dumps_its_recorder_tail() {
     let victim = 3;
     let mut c = campaign(1).with_trace(TraceConfig {
         dump_dir: Some(dump_dir.clone()),
-        dump_last: 16,
         ..TraceConfig::default()
     });
     c.panic_on_fault(&fl.faults[victim].id);
-    let result = c
-        .run_injection(&fl, 0)
-        .expect("campaign survives the panic");
-    assert_eq!(result.quarantined.len(), 1);
-    assert_eq!(result.quarantined[0].slot, victim);
+    // The victim panics in both iterations; each iteration keeps its own
+    // dump instead of overwriting the other's.
+    for iteration in [0, 1] {
+        let result = c
+            .run_injection(&fl, iteration)
+            .expect("campaign survives the panic");
+        assert_eq!(result.quarantined.len(), 1);
+        assert_eq!(result.quarantined[0].slot, victim);
 
-    let path = dump_dir.join(format!("nimbus-2000-wren-slot{victim:04}.quarantine.jsonl"));
-    let dump = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("dump {} missing: {e}", path.display()));
-    let lines: Vec<&str> = dump.lines().collect();
-    // Header + at most `dump_last` tail events.
-    assert!(lines.len() >= 2, "dump has a header and events:\n{dump}");
-    assert!(lines.len() <= 17, "tail respects dump_last:\n{dump}");
-    assert!(
-        lines[0].contains(&format!("\"fault_id\":\"{}\"", fl.faults[victim].id)),
-        "header names the fault: {}",
-        lines[0]
-    );
-    assert!(lines[0].contains(&format!("\"slot\":{victim}")));
-    // Every event line is a JSON object with the stable envelope fields.
-    for line in &lines[1..] {
+        let path = dump_dir.join(format!(
+            "nimbus-2000-wren-it{iteration}-slot{victim:04}.quarantine.jsonl"
+        ));
+        let dump = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("dump {} missing: {e}", path.display()));
+        let lines: Vec<&str> = dump.lines().collect();
+        // Header + at most `DUMP_LAST` tail events.
+        assert!(lines.len() >= 2, "dump has a header and events:\n{dump}");
         assert!(
-            line.starts_with('{') && line.contains("\"seq\":") && line.contains("\"kind\":"),
-            "malformed event line: {line}"
+            lines.len() <= DUMP_LAST + 1,
+            "tail respects DUMP_LAST:\n{dump}"
+        );
+        assert!(
+            lines[0].starts_with(&format!("{{\"iteration\":{iteration},\"slot\":{victim},")),
+            "header names the iteration and slot: {}",
+            lines[0]
+        );
+        assert!(
+            lines[0].contains(&format!("\"fault_id\":\"{}\"", fl.faults[victim].id)),
+            "header names the fault: {}",
+            lines[0]
+        );
+        // Every event line is a JSON object with the stable envelope fields.
+        for line in &lines[1..] {
+            assert!(
+                line.starts_with('{') && line.contains("\"seq\":") && line.contains("\"kind\":"),
+                "malformed event line: {line}"
+            );
+        }
+        // The slot panicked right after its warm-up, so the tail holds the
+        // latest warm-up traffic (API enter/exit events); the phase marker
+        // itself scrolled out of the tail long ago.
+        assert!(
+            dump.contains("ApiEnter") || dump.contains("ApiExit"),
+            "expected API traffic in the tail:\n{dump}"
+        );
+        // No silent gaps: the header's dropped count is exactly the first
+        // retained event's sequence number.
+        let dropped: u64 = lines[0]
+            .split("\"dropped\":")
+            .nth(1)
+            .and_then(|s| s.split(&[',', '}'][..]).next())
+            .and_then(|s| s.parse().ok())
+            .expect("header carries dropped");
+        assert!(
+            lines[1].contains(&format!("\"seq\":{dropped},")),
+            "first tail event should have seq {dropped}: {}",
+            lines[1]
         );
     }
-    // The slot panicked right after its warm-up, so the tail holds the
-    // latest warm-up traffic (API enter/exit events); the phase marker
-    // itself scrolled out of the 16-event tail long ago.
-    assert!(
-        dump.contains("ApiEnter") || dump.contains("ApiExit"),
-        "expected API traffic in the tail:\n{dump}"
-    );
-    // No silent gaps: the header's dropped count is exactly the first
-    // retained event's sequence number.
-    let dropped: u64 = lines[0]
-        .split("\"dropped\":")
-        .nth(1)
-        .and_then(|s| s.split(&[',', '}'][..]).next())
-        .and_then(|s| s.parse().ok())
-        .expect("header carries dropped");
-    assert!(
-        lines[1].contains(&format!("\"seq\":{dropped},")),
-        "first tail event should have seq {dropped}: {}",
-        lines[1]
-    );
 
     // Healthy slots leave no dumps behind.
     let dumps = std::fs::read_dir(&dump_dir)
         .expect("dump dir exists")
         .count();
-    assert_eq!(dumps, 1, "only the quarantined slot dumps");
+    assert_eq!(
+        dumps, 2,
+        "only the quarantined slot dumps, once per iteration"
+    );
     if !keep {
         let _ = std::fs::remove_dir_all(&dump_dir);
     }

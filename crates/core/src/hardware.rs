@@ -4,8 +4,9 @@
 //! can be defined by adding more fault models (hardware faults, operator
 //! faults, etc.)"*. This module adds the classic hardware model — transient
 //! single-bit flips in code memory — using the same two-step structure as
-//! G-SWFIT: locations are enumerated offline into a storable faultload and
-//! injected via the identical patch/undo mechanism.
+//! G-SWFIT: locations are enumerated offline into an ordinary
+//! [`Faultload`], which the fingerprint check, the store and the injector
+//! handle like a software faultload.
 //!
 //! Unlike software faults, bit flips are not constrained to decode into
 //! *plausible compiler output*; they only need to decode at all (an
@@ -14,146 +15,50 @@
 //! model where the corrupted word still executes).
 
 use mvm::{CodeImage, Instr, Patch};
-use serde::{Deserialize, Serialize};
 
-/// One transient bit-flip fault in code memory.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BitFlip {
-    /// Stable identifier, e.g. `"FLIP@rtl_free_heap+3:17"`.
-    pub id: String,
-    /// Function containing the flipped word.
-    pub func: String,
-    /// Instruction address.
-    pub addr: u32,
-    /// Which bit (0–63) is flipped.
-    pub bit: u8,
-    /// The corrupted (still decodable) word.
-    pub new_word: u64,
-}
+use crate::{FaultDef, FaultType, Faultload};
 
-impl BitFlip {
-    /// The single-word patch emulating this flip.
-    pub fn patch(&self) -> Patch {
-        Patch {
-            addr: self.addr,
-            new_word: self.new_word,
-        }
-    }
-}
-
-/// A hardware faultload: bit flips over a target image.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HardwareFaultload {
-    /// Name of the target image.
-    pub target: String,
-    /// Fingerprint of the target image at generation time (`None` only in
-    /// legacy JSON artifacts) — carried into [`Self::as_faultload`] so the
-    /// campaign's pre-injection build check and the persistent store both
-    /// work for hardware faultloads too.
-    #[serde(default)]
-    pub fingerprint: Option<u64>,
-    /// The flips, in scan order.
-    pub faults: Vec<BitFlip>,
-}
-
-impl HardwareFaultload {
-    /// Number of flips.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Enumerates bit-flip locations over `image`, optionally restricted to
-    /// `functions` (the same fine-tuning rule as software faultloads).
-    ///
-    /// For every instruction the scan emits up to `flips_per_word`
-    /// deterministic flips (lowest qualifying bit positions first) whose
-    /// result still decodes and differs from the original.
-    pub fn generate(
-        image: &CodeImage,
-        functions: Option<&[String]>,
-        flips_per_word: usize,
-    ) -> HardwareFaultload {
-        let mut faults = Vec::new();
-        for func in image.funcs() {
-            if let Some(allowed) = functions {
-                if !allowed.contains(&func.name) {
-                    continue;
-                }
-            }
-            for addr in func.entry..func.end {
-                let word = image.words()[addr as usize];
-                let mut emitted = 0;
-                for bit in 0..64u8 {
-                    if emitted >= flips_per_word {
-                        break;
-                    }
-                    let flipped = word ^ (1u64 << bit);
-                    if Instr::decode(flipped).is_ok() {
-                        faults.push(BitFlip {
-                            id: format!("FLIP@{}+{}:{bit}", func.name, addr - func.entry),
-                            func: func.name.clone(),
-                            addr,
-                            bit,
-                            new_word: flipped,
-                        });
-                        emitted += 1;
-                    }
-                }
+/// Enumerates one bit flip per instruction over `image`, optionally
+/// restricted to `functions` (the same fine-tuning rule as software
+/// faultloads).
+///
+/// Each word gets the flip of its lowest bit whose result still decodes
+/// (and differs from the original). Every flip becomes a single-patch
+/// [`FaultDef`] with id `FLIP@func+offset:bit`; the fault type is
+/// meaningless for hardware faults and set to the closest "wrong construct"
+/// type, WVAV, purely for bookkeeping. The faultload carries the image
+/// fingerprint, so the campaign's pre-injection build check and the
+/// persistent store work for hardware faultloads too.
+pub fn bit_flips(image: &CodeImage, functions: Option<&[String]>) -> Faultload {
+    let mut faults = Vec::new();
+    for func in image.funcs() {
+        if let Some(allowed) = functions {
+            if !allowed.contains(&func.name) {
+                continue;
             }
         }
-        HardwareFaultload {
-            target: image.name().to_string(),
-            fingerprint: Some(image.fingerprint()),
-            faults,
+        for addr in func.entry..func.end {
+            let word = image.words()[addr as usize];
+            let flip = (0..64u8)
+                .map(|bit| (bit, word ^ (1u64 << bit)))
+                .find(|&(_, flipped)| Instr::decode(flipped).is_ok());
+            if let Some((bit, new_word)) = flip {
+                faults.push(FaultDef {
+                    id: format!("FLIP@{}+{}:{bit}", func.name, addr - func.entry),
+                    fault_type: FaultType::Wvav,
+                    func: func.name.clone(),
+                    site: addr,
+                    patches: vec![Patch { addr, new_word }],
+                    note: format!("hardware bit flip (bit {bit})"),
+                });
+            }
         }
     }
-
-    /// Serializes to JSON (storable artifact, like the software faultload).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `serde_json` failures.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Parses from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error for malformed input.
-    pub fn from_json(s: &str) -> Result<HardwareFaultload, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Converts into software-faultload form so the standard injector and
-    /// campaign machinery can run it unchanged (each flip becomes a
-    /// single-patch [`crate::FaultDef`] tagged WVAV-nature-free; the fault
-    /// type field is meaningless for hardware faults and set to the closest
-    /// "wrong construct" type purely for bookkeeping).
-    pub fn as_faultload(&self) -> crate::Faultload {
-        crate::Faultload {
-            target: self.target.clone(),
-            fingerprint: self.fingerprint,
-            packs: Vec::new(),
-            faults: self
-                .faults
-                .iter()
-                .map(|flip| crate::FaultDef {
-                    id: flip.id.clone(),
-                    fault_type: crate::FaultType::Wvav,
-                    func: flip.func.clone(),
-                    site: flip.addr,
-                    patches: vec![flip.patch()],
-                    note: format!("hardware bit flip (bit {})", flip.bit),
-                })
-                .collect(),
-        }
+    Faultload {
+        target: image.name().to_string(),
+        fingerprint: Some(image.fingerprint()),
+        packs: Vec::new(),
+        faults,
     }
 }
 
@@ -173,48 +78,36 @@ mod tests {
     #[test]
     fn generates_decodable_flips() {
         let p = compile("t", SRC).unwrap();
-        let hw = HardwareFaultload::generate(p.image(), None, 2);
+        let hw = bit_flips(p.image(), None);
         assert!(!hw.is_empty());
-        for flip in &hw.faults {
-            let original = p.image().words()[flip.addr as usize];
-            assert_ne!(flip.new_word, original, "{}", flip.id);
-            assert_eq!(flip.new_word ^ original, 1u64 << flip.bit);
-            assert!(Instr::decode(flip.new_word).is_ok(), "{}", flip.id);
+        assert!(hw.len() <= p.image().len(), "at most one flip per word");
+        assert!(hw.matches_image(p.image()));
+        for fault in &hw.faults {
+            let [patch] = fault.patches[..] else {
+                panic!("{} is not a single-word patch", fault.id)
+            };
+            assert_eq!(patch.addr, fault.site);
+            let original = p.image().words()[patch.addr as usize];
+            let bit = (patch.new_word ^ original).trailing_zeros();
+            assert_eq!(patch.new_word ^ original, 1u64 << bit, "{}", fault.id);
+            assert!(fault.id.ends_with(&format!(":{bit}")), "{}", fault.id);
+            assert!(Instr::decode(patch.new_word).is_ok(), "{}", fault.id);
         }
-    }
-
-    #[test]
-    fn flips_per_word_caps_output() {
-        let p = compile("t", SRC).unwrap();
-        let one = HardwareFaultload::generate(p.image(), None, 1);
-        let three = HardwareFaultload::generate(p.image(), None, 3);
-        assert!(one.len() <= p.image().len());
-        assert!(three.len() > one.len());
     }
 
     #[test]
     fn restriction_by_function() {
         let p = compile("t", "fn a() { return 1; } fn b() { return 2; }").unwrap();
-        let hw = HardwareFaultload::generate(p.image(), Some(&["b".to_string()]), 1);
+        let hw = bit_flips(p.image(), Some(&["b".to_string()]));
         assert!(!hw.is_empty());
         assert!(hw.faults.iter().all(|f| f.func == "b"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let p = compile("t", SRC).unwrap();
-        let hw = HardwareFaultload::generate(p.image(), None, 1);
-        let back = HardwareFaultload::from_json(&hw.to_json().unwrap()).unwrap();
-        assert_eq!(back, hw);
     }
 
     #[test]
     fn converts_to_injectable_faultload() {
         use crate::Injector;
         let mut p = compile("t", SRC).unwrap();
-        let hw = HardwareFaultload::generate(p.image(), None, 1);
-        let fl = hw.as_faultload();
-        assert_eq!(fl.len(), hw.len());
+        let fl = bit_flips(p.image(), None);
         let pristine = p.image().words().to_vec();
         let mut injector = Injector::new();
         for fault in &fl.faults {

@@ -6,14 +6,15 @@
 //! undo log — deliberately cheap, because the paper's intrusiveness argument
 //! (Table 4) rests on step 2 doing almost no work.
 //!
-//! The injector also implements **profile mode**: every bookkeeping step of
-//! an injection campaign runs, but the target image is left untouched. The
-//! paper uses this mode to measure the injector's own overhead.
+//! The injector has one mode: it always patches the target. The paper's
+//! profile mode, which leaves the target untouched to measure the injector's
+//! own overhead, needs no injector at all: `depbench`'s
+//! `Campaign::run_profile_mode` runs fault-free slots and models the
+//! injector's bookkeeping as busy time on the server machine.
 
 use std::fmt;
 
 use mvm::{CodeImage, PatchSet};
-use serde::{Deserialize, Serialize};
 
 use crate::faultload::FaultDef;
 
@@ -42,50 +43,19 @@ impl fmt::Display for InjectError {
 
 impl std::error::Error for InjectError {}
 
-/// Counters the injector keeps across a campaign (reported with Table 4/5).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InjectorStats {
-    /// Faults injected (or simulated, in profile mode).
-    pub injections: u64,
-    /// Faults restored.
-    pub restores: u64,
-    /// Total code words overwritten.
-    pub words_patched: u64,
-}
-
 /// The G-SWFIT injector.
 #[derive(Debug, Default)]
 pub struct Injector {
     active: Option<(String, PatchSet)>,
-    profile_mode: bool,
-    stats: InjectorStats,
 }
 
 impl Injector {
-    /// An injector that really patches the target.
+    /// An injector with no active fault.
     pub fn new() -> Injector {
         Injector::default()
     }
 
-    /// An injector in profile mode: all bookkeeping, no mutation — used to
-    /// measure intrusiveness (paper §3.4, Table 4).
-    pub fn profile_mode() -> Injector {
-        Injector {
-            active: None,
-            profile_mode: true,
-            stats: InjectorStats::default(),
-        }
-    }
-
-    /// Campaign counters.
-    pub fn stats(&self) -> InjectorStats {
-        self.stats
-    }
-
     /// Injects `fault` into `image`.
-    ///
-    /// In profile mode the image is not touched, but the slot is still
-    /// marked active so campaign control flow is identical.
     ///
     /// # Errors
     ///
@@ -95,15 +65,9 @@ impl Injector {
         if let Some((id, _)) = &self.active {
             return Err(InjectError::AlreadyInjected { active: id.clone() });
         }
-        let undo = if self.profile_mode {
-            image.apply(&[]).expect("empty patch always applies")
-        } else {
-            image
-                .apply(&fault.patches)
-                .map_err(|e| InjectError::BadPatch(e.to_string()))?
-        };
-        self.stats.injections += 1;
-        self.stats.words_patched += fault.patches.len() as u64;
+        let undo = image
+            .apply(&fault.patches)
+            .map_err(|e| InjectError::BadPatch(e.to_string()))?;
         self.active = Some((fault.id.clone(), undo));
         Ok(())
     }
@@ -113,7 +77,6 @@ impl Injector {
     pub fn restore(&mut self, image: &mut CodeImage) {
         if let Some((_, undo)) = self.active.take() {
             image.revert(&undo);
-            self.stats.restores += 1;
         }
     }
 }
@@ -157,8 +120,6 @@ mod tests {
             inj.restore(p.image_mut());
             assert_eq!(p.image().words(), &before[..], "{} leaked", fault.id);
         }
-        assert_eq!(inj.stats().injections, fl.len() as u64);
-        assert_eq!(inj.stats().restores, fl.len() as u64);
     }
 
     #[test]
@@ -170,21 +131,6 @@ mod tests {
         assert!(matches!(err, InjectError::AlreadyInjected { .. }));
         inj.restore(p.image_mut());
         inj.inject(p.image_mut(), &fl.faults[1]).unwrap();
-    }
-
-    #[test]
-    fn profile_mode_never_mutates() {
-        let (mut p, fl) = setup();
-        let before = p.image().words().to_vec();
-        let mut inj = Injector::profile_mode();
-        for fault in &fl.faults {
-            inj.inject(p.image_mut(), fault).unwrap();
-            assert_eq!(p.image().words(), &before[..]);
-            // Behaviour is pristine while "injected".
-            assert_eq!(call_f(&p, 5, 3), 1);
-            inj.restore(p.image_mut());
-        }
-        assert_eq!(inj.stats().injections, fl.len() as u64);
     }
 
     #[test]
@@ -209,7 +155,6 @@ mod tests {
         let mut inj = Injector::new();
         inj.restore(p.image_mut());
         assert_eq!(p.image().words(), &before[..]);
-        assert_eq!(inj.stats().restores, 0);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   the map of fault locations, i.e. the [`faultload::Faultload`].
 //!   Assembled via [`Scanner::builder`] from packs and custom operators.
 //! * [`injector`] — step 2: applies one pre-computed mutation at a time to a
-//!   running target's code (and undoes it), plus the *profile mode* used for
-//!   the intrusiveness evaluation of Table 4.
+//!   running target's code (and undoes it).
 //! * [`profile`] — the faultload fine-tuning of §2.4: API-call tracing,
 //!   per-function representativeness, intersection across benchmark targets
 //!   (Table 2).
@@ -29,7 +28,8 @@
 //!   ground-truth construct map (the accuracy argument the paper inherits
 //!   from its reference \[13\]).
 //! * [`hardware`] — the paper's suggested extension: a transient bit-flip
-//!   fault model sharing the same two-step structure and injector.
+//!   fault model emitted as an ordinary [`Faultload`], so it shares the
+//!   same store, fingerprint check and injector.
 //!
 //! # Example
 //!
@@ -64,7 +64,6 @@ pub mod scanner;
 pub mod taxonomy;
 
 pub use faultload::{FaultDef, Faultload};
-pub use hardware::{BitFlip, HardwareFaultload};
 pub use injector::{InjectError, Injector};
 pub use operators::Mutation;
 pub use pack::{FaultPack, PackError, PackRef};

@@ -18,6 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
@@ -28,7 +29,7 @@ use swfit_core::pack::PackRef;
 use swfit_core::{Faultload, InjectError, Injector};
 use webserver::{ServerKind, ServerState, WebServer};
 
-use crate::executor::{run_slots, SlotRun, SlotToken, SlotWatchdogConfig};
+use crate::executor::{run_slots, SlotRun, SlotToken};
 use crate::interval::{run_interval, IntervalConfig, WatchdogCounts};
 use crate::recovery::{AvailabilityMetrics, RecoveryPolicy};
 
@@ -508,7 +509,8 @@ fn rate_pct(activated: u64, tracked: u64) -> f64 {
 
 /// One worker's private benchmark stack: a booted OS with the populated
 /// file set, a server process, a pristine request-generator template (cloned
-/// fresh for every slot, so slots stay independent), and an injector.
+/// fresh for every slot, so slots stay independent), and an injector (idle
+/// in fault-free runs).
 ///
 /// `checkpoint` captures the stack right after the one-time boot → populate
 /// → server-start sequence; every slot starts by reinstating it, because
@@ -560,11 +562,10 @@ impl WorkerStack {
 pub struct TraceConfig {
     /// Per-slot ring capacity: how many events a slot's recorder retains.
     pub capacity: usize,
-    /// Where quarantined slots dump their recorder tail (JSONL, one file
-    /// per slot). `None` disables dumps.
+    /// Where quarantined slots dump the last [`DUMP_LAST`] events of their
+    /// recorder (JSONL, one file per slot and iteration). `None` disables
+    /// dumps.
     pub dump_dir: Option<PathBuf>,
-    /// How many tail events a quarantine dump keeps.
-    pub dump_last: usize,
 }
 
 impl Default for TraceConfig {
@@ -572,10 +573,12 @@ impl Default for TraceConfig {
         TraceConfig {
             capacity: DEFAULT_CAPACITY,
             dump_dir: None,
-            dump_last: 64,
         }
     }
 }
+
+/// How many tail events a quarantine dump keeps.
+pub const DUMP_LAST: usize = 64;
 
 /// A configured campaign for one (edition, server) pair.
 #[derive(Clone, Debug)]
@@ -586,11 +589,11 @@ pub struct Campaign {
     /// Flight-recorder settings; `None` (the default) records nothing and
     /// costs one branch per would-be event.
     trace: Option<TraceConfig>,
-    /// Per-slot watchdog settings; `None` (the default) runs unwatched.
+    /// Per-slot wall-clock budget; `None` (the default) runs unwatched.
     /// Like [`TraceConfig`], this is harness machinery, not benchmark
     /// configuration: it lives outside [`CampaignConfig::stable_hash`], so
     /// a journal written unwatched resumes watched and vice versa.
-    watchdog: Option<SlotWatchdogConfig>,
+    slot_budget: Option<Duration>,
     /// Test hook: the fault id whose slot panics instead of running, to
     /// exercise quarantine without a genuinely buggy stack.
     panic_on: Option<String>,
@@ -607,7 +610,7 @@ impl Campaign {
             server,
             config,
             trace: None,
-            watchdog: None,
+            slot_budget: None,
             panic_on: None,
             hang_on: None,
         }
@@ -628,20 +631,15 @@ impl Campaign {
         self.trace.as_ref()
     }
 
-    /// Arms a per-slot watchdog: slots that overrun their wall-clock budget
-    /// are killed at a cancellation checkpoint, quarantined as
+    /// Arms a per-slot watchdog: slots that overrun `budget` of wall-clock
+    /// time are killed at a cancellation checkpoint, quarantined as
     /// [`SlotError::TimedOut`], and re-attempted by `--resume`. Watching is
     /// observation-only for well-behaved slots — measures, config hash and
     /// journal replay are unchanged.
     #[must_use]
-    pub fn with_watchdog(mut self, watchdog: SlotWatchdogConfig) -> Campaign {
-        self.watchdog = Some(watchdog);
+    pub fn with_slot_budget(mut self, budget: Duration) -> Campaign {
+        self.slot_budget = Some(budget);
         self
-    }
-
-    /// The watchdog settings, when slot watching is enabled.
-    pub fn watchdog_config(&self) -> Option<&SlotWatchdogConfig> {
-        self.watchdog.as_ref()
     }
 
     /// Makes the slot running fault `fault_id` panic instead of executing —
@@ -686,7 +684,7 @@ impl Campaign {
     /// a failure here would be a bug (the compiled image is cached). The
     /// server is started once, here, on the pristine OS; slots reinstate
     /// the resulting checkpoint instead of re-running startup.
-    fn worker_stack(&self, injector: Injector) -> WorkerStack {
+    fn worker_stack(&self) -> WorkerStack {
         let (mut os, generator_template) = self
             .boot()
             .expect("a probe boot of this edition already succeeded");
@@ -700,7 +698,7 @@ impl Campaign {
             os,
             server,
             generator_template,
-            injector,
+            injector: Injector::new(),
             checkpoint,
         }
     }
@@ -721,9 +719,9 @@ impl Campaign {
         self.run_fault_free(iteration, SimDuration::ZERO)
     }
 
-    /// Baseline run with the injector in profile mode: all campaign
-    /// bookkeeping happens, the target is never mutated, and the injector's
-    /// busy time loads the server machine (Table 4's "Profile mode" row).
+    /// Baseline run in profile mode: the target is never mutated, and the
+    /// injector's bookkeeping is modelled as the busy time it loads the
+    /// server machine with (Table 4's "Profile mode" row).
     ///
     /// # Errors
     ///
@@ -755,24 +753,9 @@ impl Campaign {
             self.config.parallelism,
             &worklist,
             None,
-            || self.worker_stack(Injector::profile_mode()),
+            || self.worker_stack(),
             |stack, slot, _| {
                 stack.reset();
-                if injector_busy > SimDuration::ZERO {
-                    // Profile-mode bookkeeping: a no-op inject/restore cycle.
-                    let fake = swfit_core::FaultDef {
-                        id: format!("profile-{slot}"),
-                        fault_type: swfit_core::FaultType::Mifs,
-                        func: String::new(),
-                        site: 0,
-                        patches: vec![],
-                        note: String::new(),
-                    };
-                    stack
-                        .injector
-                        .inject(stack.os.image_mut(), &fake)
-                        .expect("profile inject");
-                }
                 let mut generator = stack.generator_template.clone();
                 let mut rng = self.slot_rng(iteration, slot);
                 let out = run_interval(
@@ -782,7 +765,6 @@ impl Campaign {
                     &mut rng,
                     &cfg,
                 );
-                stack.injector.restore(stack.os.image_mut());
                 out.measures
             },
             |_, _| {},
@@ -903,8 +885,8 @@ impl Campaign {
         let ran: Vec<SlotRun<Result<SlotResult, CampaignError>>> = run_slots(
             self.config.parallelism,
             &worklist,
-            self.watchdog.as_ref(),
-            || self.worker_stack(Injector::new()),
+            self.slot_budget,
+            || self.worker_stack(),
             |stack, slot, token| {
                 let tracer = self.slot_tracer();
                 let traced = tracer.is_enabled();
@@ -940,7 +922,8 @@ impl Campaign {
                                 });
                             }
                         }
-                        self.dump_quarantined_trace(slot, &faultload.faults[slot].id, &tracers);
+                        let fault_id = &faultload.faults[slot].id;
+                        self.dump_quarantined_trace(iteration, slot, fault_id, &tracers);
                         SlotOutcome::Quarantined(slot_error(quarantined))
                     }
                 };
@@ -1005,6 +988,7 @@ impl Campaign {
     /// way.
     fn dump_quarantined_trace(
         &self,
+        iteration: u64,
         slot: usize,
         fault_id: &str,
         tracers: &Mutex<HashMap<usize, Tracer>>,
@@ -1014,8 +998,9 @@ impl Campaign {
         let Some(tracer) = lock_tracers(tracers).remove(&slot) else {
             return;
         };
-        let tail = tracer.snapshot().tail(tc.dump_last);
+        let tail = tracer.snapshot().tail(DUMP_LAST);
         let header = DumpHeader {
+            iteration,
             slot: slot as u64,
             fault_id: fault_id.to_string(),
             dropped: tail.dropped,
@@ -1025,9 +1010,10 @@ impl Campaign {
         body.push('\n');
         body.push_str(&tail.to_jsonl());
         let path = dir.join(format!(
-            "{}-{}-slot{:04}.quarantine.jsonl",
+            "{}-{}-it{}-slot{:04}.quarantine.jsonl",
             self.edition.name(),
             self.server.name(),
+            iteration,
             slot
         ));
         let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, body));
@@ -1083,7 +1069,7 @@ impl Campaign {
             .as_ref()
             .map_or(DEFAULT_CAPACITY, |tc| tc.capacity);
         let tracer = Tracer::enabled(capacity);
-        let mut stack = self.worker_stack(Injector::new());
+        let mut stack = self.worker_stack();
         let result = self.run_one_fault_slot(
             &mut stack,
             &faultload.faults[slot],
@@ -1139,7 +1125,7 @@ impl Campaign {
             // Simulated wedge: spin until the watchdog cancels, then die at
             // the checkpoint exactly as a genuinely hung slot would.
             while !token.is_cancelled() {
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
         token.checkpoint();
@@ -1196,10 +1182,11 @@ impl Campaign {
     }
 }
 
-/// First line of a quarantine dump: which slot, which fault, and how much
-/// of the stream the retained tail omits.
+/// First line of a quarantine dump: which iteration, slot and fault, and
+/// how much of the stream the retained tail omits.
 #[derive(Serialize)]
 struct DumpHeader {
+    iteration: u64,
     slot: u64,
     fault_id: String,
     dropped: u64,

@@ -30,7 +30,7 @@
 //! worklist order** as the completed prefix grows — the hook the persistent
 //! campaign journal (`faultstore`) uses to record progress crash-safely.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -66,17 +66,7 @@ pub enum SlotRun<R> {
 /// The panic payload [`SlotToken::checkpoint`] throws when its slot has
 /// been cancelled: lets the executor distinguish a watchdog kill from a
 /// genuine harness panic when it catches the unwind.
-struct TimeoutSentinel {
-    budget_ms: u64,
-}
-
-#[derive(Debug, Default)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    /// The budget (ms) in force when the cancellation was issued; recorded
-    /// so the quarantine entry can say what limit the slot exceeded.
-    budget_ms: AtomicU64,
-}
+struct TimeoutSentinel;
 
 /// A cooperative cancellation token handed to every slot run under
 /// [`run_slots`].
@@ -89,19 +79,19 @@ struct TokenInner {
 /// ([`SlotToken::never`]) is inert: checkpoints are a single branch.
 #[derive(Clone, Debug, Default)]
 pub struct SlotToken {
-    inner: Option<Arc<TokenInner>>,
+    cancelled: Option<Arc<AtomicBool>>,
 }
 
 impl SlotToken {
     /// A token that is never cancelled (for unwatched runs).
     pub fn never() -> SlotToken {
-        SlotToken { inner: None }
+        SlotToken { cancelled: None }
     }
 
     /// A live token the watchdog can cancel.
     fn armed() -> SlotToken {
         SlotToken {
-            inner: Some(Arc::new(TokenInner::default())),
+            cancelled: Some(Arc::new(AtomicBool::new(false))),
         }
     }
 
@@ -110,9 +100,9 @@ impl SlotToken {
     /// [`checkpoint`](SlotToken::checkpoint)) when it turns true.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.inner
+        self.cancelled
             .as_ref()
-            .is_some_and(|i| i.cancelled.load(Ordering::Relaxed))
+            .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
     /// Kills the slot (by unwinding with a typed sentinel the executor
@@ -125,80 +115,18 @@ impl SlotToken {
     /// [`SlotRun::TimedOut`], never propagated to the caller.
     #[inline]
     pub fn checkpoint(&self) {
-        if let Some(inner) = &self.inner {
-            if inner.cancelled.load(Ordering::Relaxed) {
-                // resume_unwind (not panic_any) skips the global panic
-                // hook: a watchdog kill is an expected, handled event, not
-                // something to print a panic banner for.
-                std::panic::resume_unwind(Box::new(TimeoutSentinel {
-                    budget_ms: inner.budget_ms.load(Ordering::Relaxed),
-                }));
-            }
+        if self.is_cancelled() {
+            // resume_unwind (not panic_any) skips the global panic hook: a
+            // watchdog kill is an expected, handled event, not something to
+            // print a panic banner for.
+            std::panic::resume_unwind(Box::new(TimeoutSentinel));
         }
     }
 
-    /// Marks the slot cancelled under `budget_ms` (watchdog side).
-    fn cancel(&self, budget_ms: u64) {
-        if let Some(inner) = &self.inner {
-            inner.budget_ms.store(budget_ms, Ordering::Relaxed);
-            inner.cancelled.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Wall-clock budget policy for [`run_slots`]'s per-slot watchdog.
-///
-/// The budget is *derived from observed slot times*: until a slot
-/// completes, `initial` applies; afterwards the budget is
-/// `max(min, multiplier × longest-completed-slot)` — a hung slot is one
-/// that takes many times longer than the slowest slot that ever finished.
-/// Timed-out slots are excluded from the observations so one hang cannot
-/// ratchet the budget up for the next. The defaults are deliberately
-/// generous (a watchdog that kills healthy slots corrupts the campaign;
-/// one that fires late merely wastes minutes).
-#[derive(Clone, Copy, Debug)]
-pub struct SlotWatchdogConfig {
-    /// Budget before any slot has completed.
-    pub initial: Duration,
-    /// Budget multiplier over the longest observed completed slot.
-    pub multiplier: f64,
-    /// Budget floor once observations exist.
-    pub min: Duration,
-    /// How often the monitor thread re-checks in-flight slots.
-    pub poll: Duration,
-}
-
-impl Default for SlotWatchdogConfig {
-    fn default() -> Self {
-        SlotWatchdogConfig {
-            initial: Duration::from_secs(120),
-            multiplier: 8.0,
-            min: Duration::from_secs(10),
-            poll: Duration::from_millis(25),
-        }
-    }
-}
-
-impl SlotWatchdogConfig {
-    /// A fixed-budget watchdog: every slot gets exactly `budget`,
-    /// regardless of observed slot times (`--slot-budget-ms` on the CLI).
-    pub fn fixed(budget: Duration) -> SlotWatchdogConfig {
-        SlotWatchdogConfig {
-            initial: budget,
-            multiplier: 0.0,
-            min: budget,
-            poll: (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(5)),
-        }
-    }
-
-    /// The budget in force given the longest completed slot observed so
-    /// far (`0` = nothing completed yet), in milliseconds.
-    pub fn budget_ms(&self, max_observed_ms: u64) -> u64 {
-        if max_observed_ms == 0 {
-            self.initial.as_millis() as u64
-        } else {
-            let scaled = (max_observed_ms as f64 * self.multiplier).ceil() as u64;
-            scaled.max(self.min.as_millis() as u64)
+    /// Marks the slot cancelled (watchdog side).
+    fn cancel(&self) {
+        if let Some(cancelled) = &self.cancelled {
+            cancelled.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -234,12 +162,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `make_worker` builds a fresh one before the worker's next slot, so one
 /// quarantined slot cannot contaminate later ones.
 ///
-/// When `watchdog` is `Some`, a monitor thread polls every in-flight slot's
-/// elapsed wall time against the budget the config derives from observed
-/// slot times, and cancels overdue slots through their [`SlotToken`]. A
-/// cancelled slot unwinds at its next checkpoint and is recorded as
+/// When `budget` is `Some`, a monitor thread polls every in-flight slot's
+/// elapsed wall time against that fixed budget (every quarter budget, at
+/// least every 5 ms) and cancels overdue slots through their [`SlotToken`].
+/// A cancelled slot unwinds at its next checkpoint and is recorded as
 /// [`SlotRun::TimedOut`] — quarantined exactly like a panicking slot. With
-/// `watchdog = None` tokens are inert, and with `parallelism <= 1` as well
+/// `budget = None` tokens are inert, and with `parallelism <= 1` as well
 /// everything runs inline on the caller's thread, with no spawning.
 ///
 /// # Panics
@@ -249,7 +177,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub fn run_slots<T, R, MW, RS, OB>(
     parallelism: usize,
     worklist: &[usize],
-    watchdog: Option<&SlotWatchdogConfig>,
+    budget: Option<Duration>,
     make_worker: MW,
     run_slot: RS,
     observe: OB,
@@ -260,6 +188,7 @@ where
     OB: Fn(usize, &SlotRun<R>) + Sync,
     R: Send,
 {
+    let budget_ms = budget.map_or(0, |b| b.as_millis() as u64);
     let run_guarded = |state: &mut Option<T>, slot: usize, token: &SlotToken| -> SlotRun<R> {
         let st = state.get_or_insert_with(&make_worker);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_slot(st, slot, token))) {
@@ -268,9 +197,7 @@ where
                 // The slot died mid-flight: its worker state is suspect.
                 *state = None;
                 match payload.downcast::<TimeoutSentinel>() {
-                    Ok(sentinel) => SlotRun::TimedOut {
-                        budget_ms: sentinel.budget_ms,
-                    },
+                    Ok(_) => SlotRun::TimedOut { budget_ms },
                     Err(payload) => SlotRun::Panicked(panic_message(payload)),
                 }
             }
@@ -286,12 +213,10 @@ where
         out: (0..worklist.len()).map(|_| None).collect(),
         next: 0,
     });
-    // Watchdog state: what each worker is running right now, the longest
-    // completed slot seen so far (ms), and the shutdown flag the monitor
-    // polls. All inert when `watchdog` is None.
+    // Watchdog state: what each worker is running right now, and the
+    // shutdown flag the monitor polls. Both inert when `budget` is None.
     let inflight: Vec<Mutex<Option<(Instant, SlotToken)>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
-    let max_observed_ms = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     // One worker's loop: steal the next worklist position until none is
     // left, park the result, and drain the contiguous completed prefix to
@@ -303,22 +228,14 @@ where
             if pos >= worklist.len() {
                 break;
             }
-            let token = if watchdog.is_some() {
+            let token = if budget.is_some() {
                 SlotToken::armed()
             } else {
                 SlotToken::never()
             };
-            let started = Instant::now();
-            *inflight[w].lock().expect("inflight lock") = Some((started, token.clone()));
+            *inflight[w].lock().expect("inflight lock") = Some((Instant::now(), token.clone()));
             let r = run_guarded(&mut state, worklist[pos], &token);
             *inflight[w].lock().expect("inflight lock") = None;
-            if !matches!(r, SlotRun::TimedOut { .. }) {
-                // Timed-out slots are excluded: their duration *is* the
-                // budget, and feeding it back would ratchet the budget
-                // upward after every hang.
-                let elapsed_ms = started.elapsed().as_millis() as u64;
-                max_observed_ms.fetch_max(elapsed_ms, Ordering::Relaxed);
-            }
             let mut buf = reorder.lock().expect("reorder lock");
             buf.out[pos] = Some(r);
             while buf.next < worklist.len() {
@@ -332,26 +249,25 @@ where
             }
         }
     };
-    if workers == 1 && watchdog.is_none() {
+    if workers == 1 && budget.is_none() {
         // No monitor and one worker: a sequential campaign never spawns.
         work(0);
     } else {
         std::thread::scope(|scope| {
-            let monitor = watchdog.map(|cfg| {
-                let (inflight, max_observed_ms, done) = (&inflight, &max_observed_ms, &done);
+            let monitor = budget.map(|budget| {
+                let poll = (budget / 4).clamp(Duration::from_millis(1), Duration::from_millis(5));
+                let (inflight, done) = (&inflight, &done);
                 scope.spawn(move || {
                     while !done.load(Ordering::SeqCst) {
-                        let budget_ms = cfg.budget_ms(max_observed_ms.load(Ordering::Relaxed));
-                        let budget = Duration::from_millis(budget_ms);
                         for slot_state in inflight {
                             let guard = slot_state.lock().expect("inflight lock");
                             if let Some((started, token)) = guard.as_ref() {
                                 if started.elapsed() >= budget {
-                                    token.cancel(budget_ms);
+                                    token.cancel();
                                 }
                             }
                         }
-                        std::thread::sleep(cfg.poll);
+                        std::thread::sleep(poll);
                     }
                 })
             });
@@ -537,14 +453,13 @@ mod tests {
 
     #[test]
     fn watchdog_kills_hung_slot_and_campaign_continues() {
-        let cfg = SlotWatchdogConfig::fixed(Duration::from_millis(40));
         for parallelism in [1, 3] {
             let worklist: Vec<usize> = (0..6).collect();
             let seen = Mutex::new(Vec::new());
             let out = run_slots(
                 parallelism,
                 &worklist,
-                Some(&cfg),
+                Some(Duration::from_millis(40)),
                 || (),
                 |(), slot, token: &SlotToken| {
                     if slot == 2 {
@@ -588,14 +503,14 @@ mod tests {
     fn worker_build_panic_propagates_under_a_watchdog() {
         // The monitor thread must stop even when a worker dies outside a
         // slot, or the panic would hang the campaign instead of surfacing.
-        let cfg = SlotWatchdogConfig::fixed(Duration::from_secs(60));
         let build = || -> () { panic!("no stack") };
-        run_slots(1, &[0], Some(&cfg), build, |(), s, _| s, |_, _| {});
+        let budget = Some(Duration::from_secs(60));
+        run_slots(1, &[0], budget, build, |(), s, _| s, |_, _| {});
     }
 
     #[test]
-    fn unwatched_tokens_are_inert_and_timeouts_do_not_ratchet_budget() {
-        // watchdog = None: tokens never cancel, even for slow slots.
+    fn unwatched_tokens_are_inert() {
+        // budget = None: tokens never cancel, even for slow slots.
         let out = run_slots(
             2,
             &[0, 1, 2],
@@ -609,21 +524,6 @@ mod tests {
             |_, _| {},
         );
         assert_eq!(done(out), vec![0, 1, 2]);
-
-        // Budget derivation: with no completions the initial budget rules;
-        // afterwards it scales from the longest completed slot, floored.
-        let cfg = SlotWatchdogConfig {
-            initial: Duration::from_secs(120),
-            multiplier: 8.0,
-            min: Duration::from_secs(10),
-            poll: Duration::from_millis(25),
-        };
-        assert_eq!(cfg.budget_ms(0), 120_000);
-        assert_eq!(cfg.budget_ms(100), 10_000, "floor applies to small slots");
-        assert_eq!(cfg.budget_ms(5_000), 40_000, "8x the slowest observed");
-        let fixed = SlotWatchdogConfig::fixed(Duration::from_millis(500));
-        assert_eq!(fixed.budget_ms(0), 500);
-        assert_eq!(fixed.budget_ms(60_000), 500, "fixed budget never scales");
     }
 
     #[test]

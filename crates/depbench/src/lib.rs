@@ -43,7 +43,7 @@ pub use campaign::{
     CampaignResult, QuarantinedSlot, SlotActivation, SlotError, SlotOutcome, SlotResult,
     TraceConfig, TypeActivation,
 };
-pub use executor::{SlotToken, SlotWatchdogConfig};
+pub use executor::SlotToken;
 pub use interval::{IntervalConfig, WatchdogCounts};
 pub use metrics::{
     aggregate_metrics, ConvergenceConfig, DependabilityMetrics, MetricsCi, MetricsSummary,

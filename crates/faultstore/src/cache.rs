@@ -91,7 +91,7 @@ impl FaultMapCache {
     }
 
     /// Opens a cache sharing a store's resilience context (chaos layer,
-    /// retry policy, tracer, degradation latch).
+    /// tracer, degradation latch).
     pub(crate) fn open_with(
         dir: impl Into<PathBuf>,
         ctx: Arc<StoreCtx>,

@@ -528,7 +528,7 @@ impl Journal {
     /// prefix rule) or as the re-attempt of a quarantined slot; anything
     /// else is ignored — see the per-slot state kept by the journal.
     ///
-    /// Transient I/O faults are retried under the store's retry policy;
+    /// Transient I/O faults are retried on the one retry schedule;
     /// every attempt first rewinds the file to the durable length, so a
     /// short write can never duplicate or interleave partial bytes.
     ///

@@ -1,5 +1,5 @@
 //! The store's survival kit: one shared context carrying the chaos layer,
-//! the retry policy, the harness tracer, and the degradation latch.
+//! the harness tracer, and the degradation latch.
 //!
 //! Every store I/O path (cache writes, journal appends, run saves) goes
 //! through [`StoreCtx::retrying`], which classifies errors with
@@ -17,21 +17,19 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use simchaos::{error_kind_name, ChaosFs, RetryPolicy};
+use simchaos::{error_kind_name, retry, ChaosFs};
 use simtrace::{EventKind, Tracer};
 
 use crate::{io_err, StoreError};
 
 /// Shared resilience state for one [`crate::FaultStore`] (and the cache and
 /// journals it opens). Cheap to share via `Arc`; the default context is
-/// chaos-off, default retry policy, disabled tracer.
+/// chaos-off with a disabled tracer.
 #[derive(Debug)]
 pub(crate) struct StoreCtx {
     /// The (possibly disabled) environment-fault injection layer all store
     /// I/O is routed through.
     pub chaos: ChaosFs,
-    /// Retry policy for transient I/O faults.
-    pub retry: RetryPolicy,
     /// Flight recorder for harness-level fault events.
     pub tracer: Tracer,
     /// Latched once the store has given up on some persistence duty.
@@ -45,12 +43,10 @@ pub(crate) struct StoreCtx {
 }
 
 impl StoreCtx {
-    /// A context with explicit chaos and tracer choices and the default
-    /// retry policy.
+    /// A context with explicit chaos and tracer choices.
     pub fn new(chaos: ChaosFs, tracer: Tracer) -> Arc<StoreCtx> {
         Arc::new(StoreCtx {
             chaos,
-            retry: RetryPolicy::default(),
             tracer,
             degraded: AtomicBool::new(false),
             warned: AtomicBool::new(false),
@@ -63,12 +59,12 @@ impl StoreCtx {
         StoreCtx::new(ChaosFs::off(), Tracer::disabled())
     }
 
-    /// Runs `f` under the retry policy, emitting `HarnessFault` + `Retry`
-    /// events for every transient failure and a final `HarnessFault` if the
-    /// operation ultimately fails.
+    /// Runs `f` under [`simchaos::retry::run`], emitting `HarnessFault` +
+    /// `Retry` events for every transient failure and a final
+    /// `HarnessFault` if the operation ultimately fails.
     pub fn retrying<T>(&self, op: &'static str, f: impl FnMut() -> io::Result<T>) -> io::Result<T> {
         let op_index = self.ops.fetch_add(1, Ordering::Relaxed);
-        let out = self.retry.run(
+        let out = retry::run(
             op,
             op_index,
             |ev| {

@@ -37,8 +37,8 @@ use crate::{io_err, StoreError};
 const MAX_CONSECUTIVE_APPEND_FAILURES: u32 = 3;
 
 /// A store rooted at one directory. Cheap to clone; all state is on disk
-/// except the shared resilience context (chaos layer, retry policy, tracer
-/// and degradation latch), which clones share.
+/// except the shared resilience context (chaos layer, tracer and
+/// degradation latch), which clones share.
 #[derive(Clone, Debug)]
 pub struct FaultStore {
     root: PathBuf,

@@ -13,7 +13,7 @@
 //! * a persistently failing store (ENOSPC) degrades gracefully: the
 //!   campaign completes, loudly, with `degraded: true` stamped on it.
 
-use depbench::{Campaign, CampaignConfig, IntervalConfig, SlotError, SlotWatchdogConfig};
+use depbench::{Campaign, CampaignConfig, IntervalConfig, SlotError};
 use faultstore::{ChaosConfig, ChaosFs, ChaosProfile, FaultStore, HarnessTracer, StoreError};
 use simkit::SimDuration;
 use simos::{Edition, Os};
@@ -165,16 +165,11 @@ fn hung_slot_is_watchdog_killed_journaled_and_resumed() {
         .unwrap();
     let clean_json = serde_json::to_string(&clean).unwrap();
 
-    // Slot 2 wedges (spins until cancelled). The adaptive watchdog learns
-    // a budget from slots 0 and 1, kills slot 2 when it overruns, and the
-    // campaign carries on.
+    // Slot 2 wedges (spins until cancelled). The fixed budget sits well
+    // above a debug-build slot, so only slot 2 overruns it: the watchdog
+    // kills it and the campaign carries on.
     let mut hung = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config())
-        .with_watchdog(SlotWatchdogConfig {
-            initial: Duration::from_secs(60),
-            multiplier: 4.0,
-            min: Duration::from_millis(200),
-            poll: Duration::from_millis(5),
-        });
+        .with_slot_budget(Duration::from_secs(2));
     hung.hang_on_fault(&fl.faults[2].id);
     let partial = store.run_resumable(&hung, &fl, 0, false).unwrap();
     assert_eq!(partial.slots.len(), 3);

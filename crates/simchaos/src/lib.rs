@@ -15,7 +15,7 @@
 //!   so two runs with the same seed and the same operation sequence see
 //!   the same faults — which is what lets the chaos test suite assert
 //!   byte-identical campaign results with and without injection.
-//! * [`retry`] — the survival half: a bounded-retry policy with
+//! * [`retry`] — the survival half: one bounded-retry schedule with
 //!   exponential backoff and deterministic jitter (same `derive`
 //!   discipline) that callers wrap around transient-fallible operations.
 //!
@@ -25,10 +25,10 @@
 
 pub mod retry;
 
-pub use retry::{RetryEvent, RetryPolicy};
+pub use retry::RetryEvent;
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -316,19 +316,6 @@ impl ChaosFs {
     pub fn rewind(&self, file: &mut File, len: u64) -> io::Result<()> {
         file.set_len(len)?;
         file.seek(SeekFrom::End(0)).map(|_| ())
-    }
-
-    /// Opens `path` read-only and reads it fully, with transient faults on
-    /// the read path.
-    pub fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.decide(Stage::Read) {
-            Some(Injected::Eintr) => return Err(eintr("read")),
-            Some(Injected::Eagain) => return Err(eagain("read")),
-            _ => {}
-        }
-        let mut buf = Vec::new();
-        File::open(path)?.read_to_end(&mut buf)?;
-        Ok(buf)
     }
 }
 

@@ -1,10 +1,14 @@
 //! Bounded retry with exponential backoff and deterministic jitter.
 //!
-//! The policy mirrors what a production store would do about transient
+//! The schedule mirrors what a production store would do about transient
 //! environment faults — retry a handful of times with growing, jittered
 //! delays — but keeps the harness's reproducibility discipline: the jitter
-//! comes from `SimRng::derive(seed, [attempt])`, not a wall clock, so the
-//! backoff sequence for a given policy is a pure function of its seed.
+//! comes from `SimRng::derive(seed, [op, attempt])`, not a wall clock, so
+//! the backoff sequence is a pure function of the operation index.
+//!
+//! There is one schedule: at most [`MAX_ATTEMPTS`] attempts, backoff
+//! starting at 2 ms and doubling per retry up to 50 ms, plus up to a quarter
+//! of that in jitter.
 
 use std::io;
 use std::time::Duration;
@@ -29,82 +33,62 @@ pub struct RetryEvent {
     pub kind: &'static str,
 }
 
-/// Bounded-retry policy for transient I/O faults.
+/// Total attempts per operation, including the first.
+pub const MAX_ATTEMPTS: u32 = 8;
+/// Backoff before the first retry.
+const BASE: Duration = Duration::from_millis(2);
+/// Multiplier applied per retry (`BASE * FACTOR^(attempt-1)`).
+const FACTOR: f64 = 2.0;
+/// Upper bound on any single backoff, pre-jitter.
+const CAP: Duration = Duration::from_millis(50);
+/// Seed for the deterministic jitter stream.
+const JITTER_SEED: u64 = 0x7265_7472_7921; // "retry!"
+
+/// The jittered backoff before retry `attempt` (1-based) of the operation
+/// whose deterministic index is `op_index`. Pure in `(op_index, attempt)`.
+pub fn backoff(op_index: u64, attempt: u32) -> Duration {
+    let exp = BASE.as_micros() as f64 * FACTOR.powi(attempt.saturating_sub(1) as i32);
+    let capped = exp.min(CAP.as_micros() as f64) as u64;
+    // Jitter in [0, capped/4]: enough to de-synchronise contending
+    // writers, small enough to keep the exponential shape readable.
+    let jitter_span = capped / 4 + 1;
+    let jitter =
+        SimRng::derive(JITTER_SEED, &[op_index, u64::from(attempt)]).next_u64() % jitter_span;
+    Duration::from_micros(capped + jitter)
+}
+
+/// Runs `f`, retrying transient I/O faults. Non-transient errors (see
+/// [`crate::is_transient`]) are returned immediately; transient ones are
+/// retried up to [`MAX_ATTEMPTS`] total attempts with exponentially
+/// growing, deterministically jittered sleeps.
 ///
-/// Non-transient errors (see [`crate::is_transient`]) are returned
-/// immediately; transient ones are retried up to `max_attempts` total
-/// attempts with exponentially growing, deterministically jittered sleeps.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (so `max_attempts = 1` means
-    /// "never retry").
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Multiplier applied per retry (`base * factor^(attempt-1)`).
-    pub factor: f64,
-    /// Upper bound on any single backoff, pre-jitter.
-    pub cap: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 8,
-            base: Duration::from_millis(2),
-            factor: 2.0,
-            cap: Duration::from_millis(50),
-            jitter_seed: 0x7265_7472_7921, // "retry!"
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The jittered backoff before retry `attempt` (1-based) of the
-    /// operation whose deterministic index is `op_index`. Pure in
-    /// `(jitter_seed, op_index, attempt)`.
-    pub fn backoff(&self, op_index: u64, attempt: u32) -> Duration {
-        let exp = self.base.as_micros() as f64 * self.factor.powi(attempt.saturating_sub(1) as i32);
-        let capped = exp.min(self.cap.as_micros() as f64) as u64;
-        // Jitter in [0, capped/4]: enough to de-synchronise contending
-        // writers, small enough to keep the exponential shape readable.
-        let jitter_span = capped / 4 + 1;
-        let jitter = SimRng::derive(self.jitter_seed, &[op_index, u64::from(attempt)]).next_u64()
-            % jitter_span;
-        Duration::from_micros(capped + jitter)
-    }
-
-    /// Runs `f` under this policy. `op` labels the operation for
-    /// [`RetryEvent`]s; `op_index` pins the jitter stream (callers pass a
-    /// per-operation counter); `observe` fires once per retry, before the
-    /// sleep. Returns the first success, the first non-transient error, or
-    /// the last transient error once attempts are exhausted.
-    pub fn run<T>(
-        &self,
-        op: &'static str,
-        op_index: u64,
-        mut observe: impl FnMut(&RetryEvent),
-        mut f: impl FnMut() -> io::Result<T>,
-    ) -> io::Result<T> {
-        let mut attempt: u32 = 0;
-        loop {
-            match f() {
-                Ok(v) => return Ok(v),
-                Err(e) if is_transient(&e) && attempt + 1 < self.max_attempts.max(1) => {
-                    attempt += 1;
-                    let backoff = self.backoff(op_index, attempt);
-                    observe(&RetryEvent {
-                        op,
-                        attempt,
-                        backoff,
-                        kind: error_kind_name(&e),
-                    });
-                    std::thread::sleep(backoff);
-                }
-                Err(e) => return Err(e),
+/// `op` labels the operation for [`RetryEvent`]s; `op_index` pins the
+/// jitter stream (callers pass a per-operation counter); `observe` fires
+/// once per retry, before the sleep. Returns the first success, the first
+/// non-transient error, or the last transient error once attempts are
+/// exhausted.
+pub fn run<T>(
+    op: &'static str,
+    op_index: u64,
+    mut observe: impl FnMut(&RetryEvent),
+    mut f: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
+    let mut attempt: u32 = 0;
+    loop {
+        match f() {
+            Ok(v) => return Ok(v),
+            Err(e) if is_transient(&e) && attempt + 1 < MAX_ATTEMPTS => {
+                attempt += 1;
+                let backoff = backoff(op_index, attempt);
+                observe(&RetryEvent {
+                    op,
+                    attempt,
+                    backoff,
+                    kind: error_kind_name(&e),
+                });
+                std::thread::sleep(backoff);
             }
+            Err(e) => return Err(e),
         }
     }
 }
@@ -120,14 +104,9 @@ mod tests {
 
     #[test]
     fn succeeds_after_transient_failures() {
-        let policy = RetryPolicy {
-            base: Duration::from_micros(1),
-            cap: Duration::from_micros(10),
-            ..RetryPolicy::default()
-        };
         let mut calls = 0;
         let mut retries = Vec::new();
-        let out = policy.run(
+        let out = run(
             "probe",
             0,
             |ev| retries.push(ev.attempt),
@@ -146,9 +125,8 @@ mod tests {
 
     #[test]
     fn non_transient_errors_return_immediately() {
-        let policy = RetryPolicy::default();
         let mut calls = 0;
-        let out: io::Result<()> = policy.run(
+        let out: io::Result<()> = run(
             "probe",
             0,
             |_| panic!("must not retry a non-transient error"),
@@ -163,14 +141,8 @@ mod tests {
 
     #[test]
     fn exhausts_after_max_attempts() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_micros(1),
-            cap: Duration::from_micros(5),
-            ..RetryPolicy::default()
-        };
         let mut calls = 0;
-        let out: io::Result<()> = policy.run(
+        let out: io::Result<()> = run(
             "probe",
             9,
             |_| {},
@@ -180,17 +152,16 @@ mod tests {
             },
         );
         assert!(out.is_err());
-        assert_eq!(calls, 3, "max_attempts bounds total attempts");
+        assert_eq!(calls, MAX_ATTEMPTS, "MAX_ATTEMPTS bounds total attempts");
     }
 
     #[test]
     fn backoff_is_deterministic_and_grows() {
-        let policy = RetryPolicy::default();
-        let a: Vec<Duration> = (1..=5).map(|i| policy.backoff(3, i)).collect();
-        let b: Vec<Duration> = (1..=5).map(|i| policy.backoff(3, i)).collect();
+        let a: Vec<Duration> = (1..=5).map(|i| backoff(3, i)).collect();
+        let b: Vec<Duration> = (1..=5).map(|i| backoff(3, i)).collect();
         assert_eq!(a, b, "jitter must be deterministic in (seed, op, attempt)");
         assert!(a[0] < a[3], "backoff grows across attempts");
-        let other: Vec<Duration> = (1..=5).map(|i| policy.backoff(4, i)).collect();
+        let other: Vec<Duration> = (1..=5).map(|i| backoff(4, i)).collect();
         assert_ne!(a, other, "different op indices draw different jitter");
     }
 }

@@ -1,7 +1,7 @@
 //! Trace export: JSONL for machine consumption, Chrome `trace_event` JSON
 //! for chrome://tracing (or Perfetto) visualisation.
 
-use std::fmt::Write as _;
+use serde::{Serialize, Value};
 
 use crate::event::EventKind;
 use crate::tracer::Trace;
@@ -28,61 +28,85 @@ impl Trace {
     /// `pid` distinguishes slots when several traces are merged, and all
     /// events share tid 0 (each slot is single-threaded by construction).
     pub fn to_chrome(&self, pid: u64) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ts = event.at.as_micros();
-            let (ph, name, args) = chrome_parts(&event.kind);
-            write!(
-                out,
-                "{{\"name\":{name},\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\"tid\":0",
-                name = json_str(&name),
-            )
-            .expect("writing to String cannot fail");
-            if ph == 'i' {
-                // Instant events need a scope; "t" = thread-scoped tick.
-                out.push_str(",\"s\":\"t\"");
-            }
-            if !args.is_empty() {
-                write!(out, ",\"args\":{{{args}}}").expect("writing to String cannot fail");
-            }
-            out.push('}');
-        }
-        write!(
-            out,
-            "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped\":{}}}}}",
-            self.dropped
-        )
-        .expect("writing to String cannot fail");
-        out
+        let events = self
+            .events
+            .iter()
+            .map(|event| {
+                let (ph, name, args) = chrome_parts(&event.kind);
+                let mut fields = object([
+                    ("name", Value::Str(name)),
+                    ("ph", Value::Str(ph.to_string())),
+                    ("ts", event.at.as_micros().to_value()),
+                    ("pid", pid.to_value()),
+                    ("tid", 0u64.to_value()),
+                ]);
+                if ph == 'i' {
+                    // Instant events need a scope; "t" = thread-scoped tick.
+                    fields.push(("s".to_string(), "t".to_value()));
+                }
+                if !args.is_empty() {
+                    fields.push(("args".to_string(), Value::Object(args)));
+                }
+                Value::Object(fields)
+            })
+            .collect();
+        let chrome = Value::Object(object([
+            ("traceEvents", Value::Array(events)),
+            ("displayTimeUnit", "ms".to_value()),
+            (
+                "otherData",
+                Value::Object(object([("dropped", self.dropped.to_value())])),
+            ),
+        ]));
+        serde_json::to_string(&chrome).expect("trace values hold no floats")
     }
 }
 
-/// Chrome phase, event name and pre-rendered `args` body for one event.
-fn chrome_parts(kind: &EventKind) -> (char, String, String) {
+/// The fields of a JSON object, in the given order.
+fn object<const N: usize>(pairs: [(&str, Value); N]) -> Vec<(String, Value)> {
+    pairs
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
+}
+
+/// Chrome phase, event name and `args` fields for one event.
+fn chrome_parts(kind: &EventKind) -> (char, String, Vec<(String, Value)>) {
     match kind {
-        EventKind::ApiEnter { api } => ('B', (*api).to_string(), String::new()),
+        EventKind::ApiEnter { api } => ('B', (*api).to_string(), Vec::new()),
         EventKind::ApiExit { api, ok, cost } => (
             'E',
             (*api).to_string(),
-            format!("\"ok\":{ok},\"cost\":{cost}"),
+            object([("ok", ok.to_value()), ("cost", cost.to_value())]),
         ),
         EventKind::Watchpoint { pc, hits } => (
             'i',
             "watchpoint".to_string(),
-            format!("\"pc\":{pc},\"hits\":{hits}"),
+            object([("pc", pc.to_value()), ("hits", hits.to_value())]),
         ),
-        EventKind::DeviceIo { cost } => ('i', "device_io".to_string(), format!("\"cost\":{cost}")),
-        EventKind::Reboot { count } => ('i', "reboot".to_string(), format!("\"count\":{count}")),
-        EventKind::RequestStart { seq } => {
-            ('i', "request_start".to_string(), format!("\"seq\":{seq}"))
-        }
+        EventKind::DeviceIo { cost } => (
+            'i',
+            "device_io".to_string(),
+            object([("cost", cost.to_value())]),
+        ),
+        EventKind::Reboot { count } => (
+            'i',
+            "reboot".to_string(),
+            object([("count", count.to_value())]),
+        ),
+        EventKind::RequestStart { seq } => (
+            'i',
+            "request_start".to_string(),
+            object([("seq", seq.to_value())]),
+        ),
         EventKind::RequestDone { seq, ok, cost } => (
             'i',
             "request_done".to_string(),
-            format!("\"seq\":{seq},\"ok\":{ok},\"cost\":{cost}"),
+            object([
+                ("seq", seq.to_value()),
+                ("ok", ok.to_value()),
+                ("cost", cost.to_value()),
+            ]),
         ),
         EventKind::RequestFailed {
             seq,
@@ -91,33 +115,33 @@ fn chrome_parts(kind: &EventKind) -> (char, String, String) {
         } => (
             'i',
             format!("request_failed:{failure}"),
-            format!("\"seq\":{seq},\"phase\":{}", json_str(phase)),
+            object([("seq", seq.to_value()), ("phase", phase.to_value())]),
         ),
         EventKind::Watchdog { action, class, ok } => (
             'i',
             format!("watchdog:{action}"),
-            format!("\"class\":{},\"ok\":{ok}", json_str(class)),
+            object([("class", class.to_value()), ("ok", ok.to_value())]),
         ),
         EventKind::Kill { reason } => (
             'i',
             "kill".to_string(),
-            format!("\"reason\":{}", json_str(reason)),
+            object([("reason", reason.to_value())]),
         ),
-        EventKind::Phase { name } => ('i', format!("phase:{name}"), String::new()),
+        EventKind::Phase { name } => ('i', format!("phase:{name}"), Vec::new()),
         EventKind::InjectApply { fault_id, site } => (
             'i',
             "inject_apply".to_string(),
-            format!("\"fault_id\":{},\"site\":{site}", json_str(fault_id)),
+            object([("fault_id", fault_id.to_value()), ("site", site.to_value())]),
         ),
         EventKind::InjectUndo { fault_id } => (
             'i',
             "inject_undo".to_string(),
-            format!("\"fault_id\":{}", json_str(fault_id)),
+            object([("fault_id", fault_id.to_value())]),
         ),
         EventKind::HarnessFault { op, kind } => (
             'i',
             format!("harness_fault:{kind}"),
-            format!("\"op\":{}", json_str(op)),
+            object([("op", op.to_value())]),
         ),
         EventKind::Retry {
             op,
@@ -126,43 +150,26 @@ fn chrome_parts(kind: &EventKind) -> (char, String, String) {
         } => (
             'i',
             "retry".to_string(),
-            format!(
-                "\"op\":{},\"attempt\":{attempt},\"backoff_us\":{backoff_us}",
-                json_str(op)
-            ),
+            object([
+                ("op", op.to_value()),
+                ("attempt", attempt.to_value()),
+                ("backoff_us", backoff_us.to_value()),
+            ]),
         ),
         EventKind::Degraded { reason } => (
             'i',
             "degraded".to_string(),
-            format!("\"reason\":{}", json_str(reason)),
+            object([("reason", reason.to_value())]),
         ),
         EventKind::SlotTimeout { slot, budget_ms } => (
             'i',
             "slot_timeout".to_string(),
-            format!("\"slot\":{slot},\"budget_ms\":{budget_ms}"),
+            object([
+                ("slot", slot.to_value()),
+                ("budget_ms", budget_ms.to_value()),
+            ]),
         ),
     }
-}
-
-/// Minimal JSON string rendering (quote + escape) for names/args.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

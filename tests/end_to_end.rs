@@ -158,13 +158,12 @@ fn operator_faults_compose_with_the_interval() {
 /// Hardware bit-flip faultloads run through the standard campaign unchanged.
 #[test]
 fn hardware_faultload_runs_through_campaign() {
-    use swfit_core::HardwareFaultload;
     let os = Os::boot(Edition::Nimbus2000).unwrap();
     let api: Vec<String> = OsApi::TABLE2
         .iter()
         .map(|f| f.symbol().to_string())
         .collect();
-    let mut hw = HardwareFaultload::generate(os.program().image(), Some(&api), 1).as_faultload();
+    let mut hw = swfit_core::hardware::bit_flips(os.program().image(), Some(&api));
     hw.faults = hw.faults.into_iter().step_by(40).collect();
     assert!(!hw.faults.is_empty());
     let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
