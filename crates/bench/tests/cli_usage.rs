@@ -2,7 +2,7 @@
 //! or a flag the command never reads is rejected with a one-line error
 //! before any work starts, never silently dropped, a malformed `perfgate`
 //! flag is a usage error, not a panic, and a pathologically nested pack
-//! file is a one-line error, not a stack overflow.
+//! or faultload file is a one-line error, not a stack overflow.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -190,24 +190,62 @@ fn perfgate_rejects_a_malformed_flag_without_panicking() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
 
-#[test]
-fn a_deeply_nested_pack_is_a_one_line_error() {
-    let depth = 100_000;
-    let path = std::env::temp_dir().join(format!("deep-pack-{}.json", std::process::id()));
-    let json = format!(
-        r#"{{"name":"deep","version":"1","operators":{}{}}}"#,
-        "[".repeat(depth),
-        "]".repeat(depth)
-    );
+/// Writes `json` to a scratch file, runs `faultbench` with `args` and the
+/// file's path in place of `FILE`, and checks the result is a one-line
+/// error with exit 1, never a stack overflow; returns stderr.
+fn one_line_error(name: &str, json: &str, args: &[&str]) -> String {
+    let path = std::env::temp_dir().join(format!("{name}-{}.json", std::process::id()));
     std::fs::write(&path, json).unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_faultbench"),
-        &["pack", "validate", path.to_str().unwrap()],
-    );
+    let args: Vec<&str> = args
+        .iter()
+        .map(|&a| {
+            if a == "FILE" {
+                path.to_str().unwrap()
+            } else {
+                a
+            }
+        })
+        .collect();
+    let out = run(env!("CARGO_BIN_EXE_faultbench"), &args);
     let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.len() < 1024, "{} bytes", stderr.len());
-    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
+    assert!(!stderr.contains("overflowed"), "{stderr}");
+    stderr
+}
+
+fn nest(depth: usize) -> String {
+    "[".repeat(depth) + &"]".repeat(depth)
+}
+
+#[test]
+fn a_deeply_nested_pack_is_a_one_line_error() {
+    let json = format!(
+        r#"{{"name":"deep","version":"1","operators":{}}}"#,
+        nest(100_000)
+    );
+    one_line_error("deep-pack", &json, &["pack", "validate", "FILE"]);
+}
+
+/// A faultload skips keys it does not know, so nesting under one is read
+/// by the recursive skip and hits the nesting limit.
+#[test]
+fn deep_nesting_under_an_unknown_faultload_key_hits_the_recursion_limit() {
+    let json = format!(r#"{{"extra":{}}}"#, nest(100_000));
+    let args = [
+        "campaign",
+        "nimbus-2000",
+        "wren",
+        "--faultload",
+        "FILE",
+        "--limit",
+        "2",
+    ];
+    let stderr = one_line_error("deep-faultload", &json, &args);
+    assert!(
+        stderr.contains("recursion limit exceeded at byte 136"),
+        "{stderr}"
+    );
 }

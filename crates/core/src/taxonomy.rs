@@ -95,12 +95,15 @@ pub enum FaultType {
 }
 
 impl Deserialize for FaultType {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::Str(s) = v else {
-            return Err(serde::DeError::msg(format!(
-                "expected fault-type string, got {}",
-                v.unexpected()
-            )));
+    fn deserialize<'de, R: serde::Read<'de>>(r: &mut R) -> Result<Self, serde::DeError> {
+        let s = match r.next()? {
+            serde::Token::Str(s) => s,
+            other => {
+                return Err(serde::DeError::msg(format!(
+                    "expected fault-type string, got {}",
+                    other.unexpected()
+                )))
+            }
         };
         FaultType::ALL
             .into_iter()
@@ -109,7 +112,7 @@ impl Deserialize for FaultType {
                 serde::DeError::msg(format!(
                     "unknown fault type `{}` (expected one of MVI, MVAV, MVAE, MIA, MLAC, \
                      MFC, MIFS, MLPC, WVAV, WLEC, WAEP, WPFV, in any case)",
-                    serde::excerpt(s)
+                    serde::excerpt(&s)
                 ))
             })
     }

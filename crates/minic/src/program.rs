@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use mvm::CodeImage;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::construct::Construct;
 
@@ -15,7 +15,7 @@ pub const GLOBALS_BASE: i64 = 16;
 ///
 /// Wraps the executable [`CodeImage`] together with the data-layout and the
 /// ground-truth [`Construct`] map.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Program {
     image: CodeImage,
     globals: BTreeMap<String, i64>,

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::isa::{DecodeError, Instr};
 
@@ -154,24 +154,6 @@ impl Serialize for CodeImage {
             ("funcs".to_string(), self.funcs.to_value()),
             ("by_name".to_string(), self.by_name.to_value()),
         ])
-    }
-}
-
-impl Deserialize for CodeImage {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| DeError::msg(format!("missing field `{k}` in CodeImage")))
-        };
-        let words = Vec::<u64>::from_value(field("words")?)?;
-        let ops = decode_all(&words);
-        Ok(CodeImage {
-            name: String::from_value(field("name")?)?,
-            funcs: Vec::<FuncInfo>::from_value(field("funcs")?)?,
-            by_name: BTreeMap::<String, usize>::from_value(field("by_name")?)?,
-            words,
-            ops,
-        })
     }
 }
 
@@ -477,26 +459,6 @@ mod tests {
         img.revert(&undo);
         assert_eq!(img.instr_at(1).unwrap(), Instr::ret());
         assert_cache_coherent(&img);
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_the_cache() {
-        let mut img = toy_image();
-        img.apply(&[Patch {
-            addr: 0,
-            new_word: 0xFF << 56,
-        }])
-        .unwrap();
-        let back = CodeImage::from_value(&img.to_value()).unwrap();
-        assert_eq!(back, img);
-        assert_cache_coherent(&back);
-        assert!(matches!(back.instr_at(0), Err(ImageError::Decode(0, _))));
-    }
-
-    #[test]
-    fn serde_missing_field_is_an_error() {
-        let v = Value::Object(vec![("name".to_string(), "x".to_value())]);
-        assert!(CodeImage::from_value(&v).is_err());
     }
 
     #[test]
