@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
-use simos::Os;
+use simos::{DeviceFile, Os};
 use specweb::FileSet;
 
 /// One administrator mistake.
@@ -60,18 +60,15 @@ impl OperatorFault {
 /// A saved device state that can undo an operator fault.
 #[derive(Debug)]
 pub struct OperatorUndo {
-    saved: Vec<(String, Vec<i64>)>,
+    /// File handles as they were, sharing the content.
+    saved: Vec<(String, DeviceFile)>,
     unlinked: Vec<(String, usize)>,
 }
 
 /// Applies `fault` to the OS's device layer, returning the undo record.
 pub fn apply_operator_fault(os: &mut Os, fault: &OperatorFault) -> OperatorUndo {
+    let handle = |os: &Os, path: &str| os.devices().handle(path).cloned();
     let mut saved = Vec::new();
-    let save = |os: &Os, path: &str, saved: &mut Vec<(String, Vec<i64>)>| {
-        if let Some(content) = os.devices().file(path) {
-            saved.push((path.to_string(), content.to_vec()));
-        }
-    };
     let mut unlinked = Vec::new();
     match fault {
         OperatorFault::DeleteFile { path } => {
@@ -81,20 +78,17 @@ pub fn apply_operator_fault(os: &mut Os, fault: &OperatorFault) -> OperatorUndo 
             }
         }
         OperatorFault::TruncateFile { path, keep } => {
-            save(os, path, &mut saved);
-            if let Some(content) = os.devices().file(path).map(<[i64]>::to_vec) {
-                let truncated: Vec<i64> = content.into_iter().take(*keep).collect();
-                os.devices_mut().add_file_cells(path, truncated);
+            if let Some(file) = handle(os, path) {
+                os.devices_mut().install(path, file.truncated(*keep));
+                saved.push((path.clone(), file));
             }
         }
         OperatorFault::SwapContent { a, b } => {
-            save(os, a, &mut saved);
-            save(os, b, &mut saved);
-            let ca = os.devices().file(a).map(<[i64]>::to_vec);
-            let cb = os.devices().file(b).map(<[i64]>::to_vec);
-            if let (Some(ca), Some(cb)) = (ca, cb) {
-                os.devices_mut().add_file_cells(a, cb);
-                os.devices_mut().add_file_cells(b, ca);
+            if let (Some(fa), Some(fb)) = (handle(os, a), handle(os, b)) {
+                os.devices_mut().install(a, fb.clone());
+                os.devices_mut().install(b, fa.clone());
+                saved.push((a.clone(), fa));
+                saved.push((b.clone(), fb));
             }
         }
         OperatorFault::BreakVirtualRoot => {
@@ -114,8 +108,8 @@ pub fn undo_operator_fault(os: &mut Os, undo: OperatorUndo) {
     for (path, id) in undo.unlinked {
         os.devices_mut().link(&path, id);
     }
-    for (path, content) in undo.saved {
-        os.devices_mut().add_file_cells(&path, content);
+    for (path, file) in undo.saved {
+        os.devices_mut().install(&path, file);
     }
 }
 

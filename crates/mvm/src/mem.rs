@@ -5,22 +5,29 @@
 //! This keeps pointer arithmetic in MiniC trivially predictable, which in
 //! turn keeps compiled idioms canonical for the mutation-operator patterns.
 //!
-//! Every mutating method records which [`PAGE_CELLS`]-cell pages it touched,
-//! so [`Memory::restore`] can roll back to a [`MemorySnapshot`] by copying
-//! only the pages written since the last restore of that same snapshot.
+//! Every mutating method flags the [`PAGE_CELLS`]-cell pages it touched
+//! twice: *dirty* (written since the last restore) and *resident* (may hold
+//! a non-zero cell). [`Memory::restore`] rolls back to a [`MemorySnapshot`]
+//! by copying only the pages written since the last restore of that same
+//! snapshot; a snapshot stores only the pages that hold a non-zero cell, and
+//! [`Memory::clear`] zeroes only resident pages. A page that is never
+//! written is never touched, so a fresh allocation costs no resident memory
+//! beyond the pages the program actually uses.
 
+use std::iter::StepBy;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cells per dirty-tracking page (4 KiB of `i64`s).
 pub const PAGE_CELLS: usize = 512;
 
-/// Number of dirty flags. Page `p` sets flag `p % DIRTY_FLAGS`, so marking a
-/// store is a shift, a mask and a byte store — no bounds check and no second
-/// heap pointer in the interpreter's store path. A memory of at most
-/// `DIRTY_FLAGS` pages (the OS's 262,144 cells) has one flag per page; in a
-/// larger one, pages `DIRTY_FLAGS` apart share a flag and a restore copies
-/// all of them.
-const DIRTY_FLAGS: usize = 512;
+/// Number of flags in each per-page bitmap. Page `p` sets flag
+/// `p % PAGE_FLAGS`, so marking a store is a shift, a mask and two byte
+/// stores — no bounds check and no second heap pointer in the interpreter's
+/// store path. A memory of at most `PAGE_FLAGS` pages (the OS's 262,144
+/// cells) has one flag per page; in a larger one, pages `PAGE_FLAGS` apart
+/// share a flag and are copied, zeroed and scanned together.
+const PAGE_FLAGS: usize = 512;
 
 /// Source of process-wide [`MemorySnapshot`] ids.
 static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(0);
@@ -42,20 +49,35 @@ static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(0);
 pub struct Memory {
     cells: Vec<i64>,
     /// Per-page flags, set by every write since the last [`Memory::restore`].
-    dirty: [bool; DIRTY_FLAGS],
+    dirty: [bool; PAGE_FLAGS],
+    /// Per-page flags, set by every write and cleared only where the pages
+    /// are known to be zero again. Invariant: every page whose flag is clear
+    /// holds only zeros.
+    resident: [bool; PAGE_FLAGS],
     /// Id of the snapshot this memory last restored from. Invariant: every
-    /// page whose flag is clear equals that snapshot's page.
+    /// page whose dirty flag is clear equals that snapshot's page.
     basis: Option<u64>,
 }
 
 /// An immutable checkpoint of a [`Memory`], taken with [`Memory::snapshot`].
 ///
-/// The id is unique per `snapshot` call and clones share it, so equal ids
-/// always mean equal contents.
+/// Only pages holding a non-zero cell are stored; every other page is known
+/// to be zero. The id is unique per `snapshot` call and clones share it, so
+/// equal ids always mean equal contents.
 #[derive(Clone, Debug)]
 pub struct MemorySnapshot {
     id: u64,
-    cells: Vec<i64>,
+    /// Cells in the memory the snapshot was taken from.
+    len: usize,
+    /// Per page: its cells, or `None` for a page of zeros.
+    pages: Vec<Option<Box<[i64]>>>,
+}
+
+impl MemorySnapshot {
+    /// Number of pages stored: those that held a non-zero cell.
+    pub fn stored_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
 }
 
 /// An out-of-bounds access, carrying the faulting address.
@@ -77,18 +99,22 @@ impl std::fmt::Display for MemError {
 impl std::error::Error for MemError {}
 
 impl Memory {
-    /// Allocates `size` zeroed cells.
+    /// Allocates `size` zeroed cells. The allocation is left untouched
+    /// until written, so unused pages cost no resident memory.
     pub fn new(size: usize) -> Memory {
         Memory {
             cells: vec![0; size],
-            dirty: [false; DIRTY_FLAGS],
+            dirty: [false; PAGE_FLAGS],
+            resident: [false; PAGE_FLAGS],
             basis: None,
         }
     }
 
     #[inline]
     fn mark_page(&mut self, page: usize) {
-        self.dirty[page % DIRTY_FLAGS] = true;
+        let flag = page % PAGE_FLAGS;
+        self.dirty[flag] = true;
+        self.resident[flag] = true;
     }
 
     /// Marks every page overlapping the in-bounds cells `start..end`.
@@ -100,9 +126,15 @@ impl Memory {
         }
     }
 
-    /// Marks every page as written.
-    fn mark_all(&mut self) {
-        self.dirty = [true; DIRTY_FLAGS];
+    /// The pages that share flag `flag`.
+    fn flag_pages(&self, flag: usize) -> StepBy<Range<usize>> {
+        (flag..self.cells.len().div_ceil(PAGE_CELLS)).step_by(PAGE_FLAGS)
+    }
+
+    /// The cells of page `page` (the last page may be short).
+    fn page_cells(&self, page: usize) -> Range<usize> {
+        let start = page * PAGE_CELLS;
+        start..(start + PAGE_CELLS).min(self.cells.len())
     }
 
     /// Number of cells.
@@ -113,6 +145,16 @@ impl Memory {
     /// True if the memory has zero cells.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
+    }
+
+    /// Number of pages that may hold a non-zero cell: every page written
+    /// since it was last known to be zero (at allocation, [`Memory::clear`],
+    /// or a [`Memory::restore`] that left it zero).
+    pub fn resident_pages(&self) -> usize {
+        (0..PAGE_FLAGS)
+            .filter(|&flag| self.resident[flag])
+            .map(|flag| self.flag_pages(flag).len())
+            .sum()
     }
 
     /// Reads the cell at `addr`.
@@ -187,6 +229,20 @@ impl Memory {
     /// stay written (the VM traps immediately after, so partial writes model
     /// real wild-store behaviour).
     pub fn write_block(&mut self, addr: i64, values: &[i64]) -> Result<(), MemError> {
+        self.store(addr, values)
+    }
+
+    /// Writes `bytes` one per cell — [`Memory::write_block`] for a device
+    /// transfer out of a byte-stored file.
+    ///
+    /// # Errors
+    ///
+    /// As [`Memory::write_block`], including the partial wild store.
+    pub fn write_bytes(&mut self, addr: i64, bytes: &[u8]) -> Result<(), MemError> {
+        self.store(addr, bytes)
+    }
+
+    fn store<T: Copy + Into<i64>>(&mut self, addr: i64, values: &[T]) -> Result<(), MemError> {
         if values.is_empty() {
             return Ok(());
         }
@@ -194,20 +250,19 @@ impl Memory {
         if start >= self.cells.len() {
             return Err(MemError { addr });
         }
-        let avail = self.cells.len() - start;
-        if values.len() <= avail {
-            self.cells[start..start + values.len()].copy_from_slice(values);
-            self.mark_range(start, start + values.len());
-            Ok(())
-        } else {
-            // Partial wild store: everything in bounds lands, then the
-            // first out-of-bounds cell is reported (one past the end).
-            self.cells[start..].copy_from_slice(&values[..avail]);
-            self.mark_range(start, self.cells.len());
-            Err(MemError {
-                addr: self.cells.len() as i64,
-            })
+        let end = self.cells.len().min(start + values.len());
+        for (cell, &v) in self.cells[start..end].iter_mut().zip(values) {
+            *cell = v.into();
         }
+        self.mark_range(start, end);
+        if end - start < values.len() {
+            // Partial wild store: everything in bounds landed; report the
+            // first out-of-bounds cell (one past the end).
+            return Err(MemError {
+                addr: self.cells.len() as i64,
+            });
+        }
+        Ok(())
     }
 
     /// Reads a NUL-terminated string (one char per cell) of at most
@@ -240,77 +295,90 @@ impl Memory {
         self.write(addr + s.chars().count() as i64, 0)
     }
 
-    /// Zeroes every cell (fresh boot of the substrate).
+    /// Zeroes every cell (fresh boot of the substrate). Only resident pages
+    /// are written — and marked dirty — since every other page is zero.
     pub fn clear(&mut self) {
-        self.cells.fill(0);
-        self.mark_all();
+        for flag in 0..PAGE_FLAGS {
+            if std::mem::take(&mut self.resident[flag]) {
+                for page in self.flag_pages(flag) {
+                    let cells = self.page_cells(page);
+                    self.cells[cells].fill(0);
+                }
+                self.dirty[flag] = true;
+            }
+        }
     }
 
-    /// Overwrites every cell from a same-sized memory — one `memcpy`, no
-    /// reallocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two memories differ in size.
-    pub fn copy_from(&mut self, other: &Memory) {
-        self.copy_all(&other.cells);
-    }
-
-    fn copy_all(&mut self, cells: &[i64]) {
-        assert_eq!(
-            self.cells.len(),
-            cells.len(),
-            "snapshot size mismatch: {} cells vs {}",
-            cells.len(),
-            self.cells.len()
-        );
-        self.cells.copy_from_slice(cells);
-        self.mark_all();
-    }
-
-    /// Checkpoints the current contents under a fresh process-wide id.
+    /// Checkpoints the current contents under a fresh process-wide id,
+    /// storing only the pages that hold a non-zero cell. Pages whose
+    /// resident flag is clear are zero and are not scanned.
     pub fn snapshot(&self) -> MemorySnapshot {
+        let mut pages = vec![None; self.cells.len().div_ceil(PAGE_CELLS)];
+        for flag in (0..PAGE_FLAGS).filter(|&flag| self.resident[flag]) {
+            for page in self.flag_pages(flag) {
+                let cells = &self.cells[self.page_cells(page)];
+                if cells.iter().any(|&c| c != 0) {
+                    pages[page] = Some(cells.into());
+                }
+            }
+        }
         MemorySnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
-            cells: self.cells.clone(),
+            len: self.cells.len(),
+            pages,
         }
     }
 
     /// Rolls every cell back to `snap` and returns how many cells were
-    /// copied. This is the restore half of checkpoint/restore.
+    /// written. This is the restore half of checkpoint/restore.
     ///
     /// When this memory last restored from the same snapshot, only the pages
-    /// written since are copied back; otherwise (first restore, a different
-    /// snapshot) every cell is. [`Memory::clear`] and [`Memory::copy_from`]
-    /// mark every page written, so a restore after them copies everything.
+    /// written since (including those [`Memory::clear`] zeroed) are
+    /// restored; otherwise (first restore, a different snapshot) every page
+    /// is. Restoring a page writes the snapshot's cells back if it stored
+    /// the page, and otherwise zero-fills it only if it is resident, so the
+    /// count covers the snapshot's stored pages plus the resident pages it
+    /// does not store.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken from a memory of another size (a
     /// snapshot only makes sense against the machine it was taken from).
     pub fn restore(&mut self, snap: &MemorySnapshot) -> usize {
-        let copied = if self.basis == Some(snap.id) {
-            let mut copied = 0;
-            let pages = self.cells.len().div_ceil(PAGE_CELLS);
-            for (first, flag) in self.dirty.iter_mut().enumerate() {
-                if !std::mem::take(flag) {
-                    continue;
-                }
-                for page in (first..pages).step_by(DIRTY_FLAGS) {
-                    let start = page * PAGE_CELLS;
-                    let end = (start + PAGE_CELLS).min(self.cells.len());
-                    self.cells[start..end].copy_from_slice(&snap.cells[start..end]);
-                    copied += end - start;
+        assert_eq!(
+            self.cells.len(),
+            snap.len,
+            "snapshot size mismatch: {} cells vs {}",
+            snap.len,
+            self.cells.len()
+        );
+        let full = self.basis != Some(snap.id);
+        let mut written = 0;
+        for flag in 0..PAGE_FLAGS {
+            let dirty = std::mem::take(&mut self.dirty[flag]);
+            if !(full || dirty) {
+                continue;
+            }
+            let mut resident = false;
+            for page in self.flag_pages(flag) {
+                let cells = self.page_cells(page);
+                match &snap.pages[page] {
+                    Some(stored) => {
+                        written += stored.len();
+                        self.cells[cells].copy_from_slice(stored);
+                        resident = true;
+                    }
+                    None if self.resident[flag] => {
+                        written += cells.len();
+                        self.cells[cells].fill(0);
+                    }
+                    None => {}
                 }
             }
-            copied
-        } else {
-            self.copy_all(&snap.cells);
-            self.cells.len()
-        };
-        self.dirty = [false; DIRTY_FLAGS];
+            self.resident[flag] = resident;
+        }
         self.basis = Some(snap.id);
-        copied
+        written
     }
 }
 
@@ -370,25 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_restores_snapshot_contents() {
-        let mut m = Memory::new(4);
-        m.write(1, 7).unwrap();
-        let snap = m.clone();
-        m.write(1, -1).unwrap();
-        m.write(3, 9).unwrap();
-        m.copy_from(&snap);
-        assert_eq!(m.read(1).unwrap(), 7);
-        assert_eq!(m.read(3).unwrap(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot size mismatch")]
-    fn copy_from_rejects_mismatched_sizes() {
-        let mut m = Memory::new(4);
-        m.copy_from(&Memory::new(8));
-    }
-
-    #[test]
     #[should_panic(expected = "snapshot size mismatch")]
     fn restore_rejects_mismatched_sizes() {
         let mut m = Memory::new(4);
@@ -401,7 +450,7 @@ mod tests {
         let mut m = Memory::new(size);
         m.write(5, 7).unwrap();
         let snap = m.snapshot();
-        assert_eq!(m.restore(&snap), size, "first restore is a full copy");
+        assert_eq!(m.restore(&snap), PAGE_CELLS, "first restore: page 0");
 
         m.write(5, -1).unwrap();
         m.write_block(3 * PAGE_CELLS as i64 - 1, &[1, 2]).unwrap();
@@ -411,10 +460,41 @@ mod tests {
         assert_eq!(m.restore(&snap), 0, "nothing written since");
 
         let other = m.snapshot();
-        assert_eq!(m.restore(&other), size, "a different snapshot");
+        assert_eq!(m.restore(&other), PAGE_CELLS, "a different snapshot");
         m.clear();
-        assert_eq!(m.restore(&other), size, "after clear");
+        assert_eq!(m.restore(&other), PAGE_CELLS, "after clear: page 0");
         assert_eq!(m.read(5).unwrap(), 7);
+    }
+
+    #[test]
+    fn snapshots_store_and_clear_zeroes_only_resident_pages() {
+        let mut m = Memory::new(8 * PAGE_CELLS + 3);
+        assert_eq!(m.resident_pages(), 0, "a fresh memory");
+        m.write(2 * PAGE_CELLS as i64, 9).unwrap();
+        m.write(5 * PAGE_CELLS as i64, 0).unwrap();
+        m.write_bytes(8 * PAGE_CELLS as i64, &[1, 2, 3]).unwrap();
+        assert_eq!(m.resident_pages(), 3, "pages 2, 5 and 8");
+        let snap = m.snapshot();
+        assert_eq!(snap.stored_pages(), 2, "page 5 holds only zeros");
+
+        m.clear();
+        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.read(2 * PAGE_CELLS as i64).unwrap(), 0);
+        assert_eq!(m.restore(&snap), PAGE_CELLS + 3, "pages 2 and 8");
+        assert_eq!(m.read_block(8 * PAGE_CELLS as i64, 3).unwrap(), [1, 2, 3]);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn write_bytes_widens_and_stores_partially_like_write_block() {
+        let mut m = Memory::new(6);
+        m.write_bytes(1, &[0, 255, 7]).unwrap();
+        assert_eq!(m.read_block(0, 4).unwrap(), [0, 0, 255, 7]);
+        assert_eq!(m.write_bytes(4, &[1, 2, 3]), Err(MemError { addr: 6 }));
+        assert_eq!(m.read_block(4, 2).unwrap(), [1, 2]);
+        assert_eq!(m.write_bytes(-1, &[1]), Err(MemError { addr: -1 }));
+        assert_eq!(m.write_bytes(6, &[1]), Err(MemError { addr: 6 }));
+        assert_eq!(m.write_bytes(99, &[]), Ok(()));
     }
 
     #[test]
@@ -431,11 +511,11 @@ mod tests {
 
     #[test]
     fn pages_sharing_a_flag_are_all_restored() {
-        let pages = DIRTY_FLAGS + 2;
+        let pages = PAGE_FLAGS + 2;
         let mut m = Memory::new(pages * PAGE_CELLS);
         let snap = m.snapshot();
         m.restore(&snap);
-        let far = ((DIRTY_FLAGS + 1) * PAGE_CELLS) as i64;
+        let far = ((PAGE_FLAGS + 1) * PAGE_CELLS) as i64;
         m.write(far, 9).unwrap();
         assert_eq!(m.restore(&snap), 2 * PAGE_CELLS, "pages 1 and 513");
         assert_eq!(m.read(far).unwrap(), 0);
@@ -446,29 +526,45 @@ mod tests {
     enum Op {
         Write(i64, i64),
         WriteBlock(i64, Vec<i64>),
+        WriteBytes(i64, Vec<u8>),
         WriteCstr(i64, String),
+        /// Writes a page back to all zeros.
+        ZeroPage(usize),
         Clear,
-        CopyFrom(i64),
-        Restore(bool),
+        Snapshot,
+        Restore(usize),
     }
 
-    /// A few pages of memory, so ops revisit pages often; block writes can
-    /// start in bounds and run off the end (partial wild stores).
-    const PROP_CELLS: i64 = 4 * PAGE_CELLS as i64 + 37;
+    /// Two pages more than there are flags, plus a short last page, so
+    /// pages 0–2 share their flags with pages 512–514.
+    const PROP_PAGES: usize = PAGE_FLAGS + 3;
+    const PROP_CELLS: i64 = ((PROP_PAGES - 1) * PAGE_CELLS + 37) as i64;
+
+    /// Addresses in the low pages, in the pages sharing their flags, and
+    /// around both ends, so ops revisit pages and flags often; block
+    /// writes can start in bounds and run off the end (partial wild
+    /// stores).
+    fn addr() -> impl Strategy<Value = i64> {
+        let shared = (PAGE_FLAGS * PAGE_CELLS) as i64;
+        prop_oneof![-2i64..0, 0..4 * PAGE_CELLS as i64, shared..PROP_CELLS + 2]
+    }
 
     fn op() -> impl Strategy<Value = Op> {
-        let addr = -2i64..PROP_CELLS + 2;
+        let page = prop_oneof![0usize..4, PAGE_FLAGS..PROP_PAGES];
         prop_oneof![
-            (addr.clone(), any::<i64>()).prop_map(|(a, v)| Op::Write(a, v)),
+            (addr(), any::<i64>()).prop_map(|(a, v)| Op::Write(a, v)),
             (
-                addr.clone(),
+                addr(),
                 proptest::collection::vec(any::<i64>(), 0..PAGE_CELLS + 40)
             )
                 .prop_map(|(a, vs)| Op::WriteBlock(a, vs)),
-            (addr, "[a-z]{0,12}").prop_map(|(a, s)| Op::WriteCstr(a, s)),
+            (addr(), proptest::collection::vec(any::<u8>(), 0..80))
+                .prop_map(|(a, bs)| Op::WriteBytes(a, bs)),
+            (addr(), "[a-z]{0,12}").prop_map(|(a, s)| Op::WriteCstr(a, s)),
+            page.prop_map(Op::ZeroPage),
             Just(Op::Clear),
-            any::<i64>().prop_map(Op::CopyFrom),
-            any::<bool>().prop_map(Op::Restore),
+            Just(Op::Snapshot),
+            any::<usize>().prop_map(Op::Restore),
         ]
     }
 
@@ -487,6 +583,8 @@ mod tests {
             prop_assert_eq!(m.read_cstr(0, 63).unwrap(), s);
         }
 
+        /// Restoring any snapshot, taken of any state, leaves memory equal
+        /// to a full copy of the cells at the time it was taken.
         #[test]
         fn prop_restore_equals_a_full_copy(
             seed_a: i64,
@@ -494,26 +592,39 @@ mod tests {
             ops in proptest::collection::vec(op(), 1..40),
         ) {
             let size = PROP_CELLS as usize;
+            let full_copy = |m: &Memory| m.read_slice(0, size).unwrap().to_vec();
             let filled = |seed: i64| {
                 let mut m = Memory::new(size);
-                let cells: Vec<i64> = (0..PROP_CELLS).map(|i| seed ^ i).collect();
-                m.write_block(0, &cells).unwrap();
-                m
+                let low: Vec<i64> = (0..3 * PAGE_CELLS as i64).map(|i| seed ^ i).collect();
+                m.write_block(0, &low).unwrap();
+                let shared = PAGE_FLAGS * PAGE_CELLS;
+                m.write_block(shared as i64, &low[..size - shared]).unwrap();
+                (m.snapshot(), full_copy(&m))
             };
-            let snaps = [filled(seed_a).snapshot(), filled(seed_b).snapshot()];
+            let mut snaps = vec![filled(seed_a), filled(seed_b)];
             let mut m = Memory::new(size);
             for op in ops {
                 match op {
                     Op::Write(a, v) => drop(m.write(a, v)),
                     Op::WriteBlock(a, vs) => drop(m.write_block(a, &vs)),
+                    Op::WriteBytes(a, bs) => drop(m.write_bytes(a, &bs)),
                     Op::WriteCstr(a, s) => drop(m.write_cstr(a, &s)),
-                    Op::Clear => m.clear(),
-                    Op::CopyFrom(seed) => m.copy_from(&filled(seed)),
-                    Op::Restore(second) => {
-                        let snap = &snaps[usize::from(second)];
-                        let copied = m.restore(snap);
-                        prop_assert!(copied <= size);
-                        prop_assert_eq!(m.read_slice(0, size).unwrap(), &snap.cells[..]);
+                    Op::ZeroPage(p) => {
+                        let len = PAGE_CELLS.min(size - p * PAGE_CELLS);
+                        m.write_block((p * PAGE_CELLS) as i64, &vec![0; len]).unwrap();
+                    }
+                    Op::Clear => {
+                        m.clear();
+                        prop_assert_eq!(m.resident_pages(), 0);
+                        prop_assert!(m.read_slice(0, size).unwrap().iter().all(|&c| c == 0));
+                    }
+                    Op::Snapshot => snaps.push((m.snapshot(), full_copy(&m))),
+                    Op::Restore(i) => {
+                        let (snap, cells) = &snaps[i % snaps.len()];
+                        let written = m.restore(snap);
+                        prop_assert!(written <= size);
+                        prop_assert_eq!(m.read_slice(0, size).unwrap(), &cells[..]);
+                        prop_assert!(snap.stored_pages() <= m.resident_pages());
                     }
                 }
             }

@@ -7,6 +7,7 @@
 //! units* so that callers can charge simulated time proportional to I/O
 //! volume.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -20,17 +21,86 @@ const DEV_MAX_PATH: usize = 512;
 /// Fixed cost units per I/O hypercall, plus per-cell transfer cost.
 const IO_BASE_COST: u64 = 20;
 
+/// Largest file the device holds, in cells. A `WRITE` that would end past
+/// it fails with `-1`, like a full disk, so a wild offset read out of
+/// corrupted OS memory cannot make the host allocate without bound.
+const MAX_FILE_CELLS: usize = 1 << 20;
+
+/// The content of one device file, shared by handle.
+///
+/// Installed content (the document corpus, [`DeviceStore::add_file`]) is
+/// stored as bytes, one eighth of its size as cells; a `WRITE` hypercall
+/// first widens the file it writes to cells. Both read back as the same
+/// cells ([`DeviceFile::cells`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DeviceFile {
+    /// One byte per cell.
+    Bytes(Arc<Vec<u8>>),
+    /// Full cells, as written by the OS.
+    Cells(Arc<Vec<i64>>),
+}
+
+impl DeviceFile {
+    /// Length in cells.
+    pub fn len(&self) -> usize {
+        match self {
+            DeviceFile::Bytes(b) => b.len(),
+            DeviceFile::Cells(c) => c.len(),
+        }
+    }
+
+    /// True if the file holds no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The content as cells: borrowed from a cell file, widened from a byte
+    /// file.
+    pub fn cells(&self) -> Cow<'_, [i64]> {
+        match self {
+            DeviceFile::Bytes(b) => Cow::Owned(widen(b)),
+            DeviceFile::Cells(c) => Cow::Borrowed(c.as_slice()),
+        }
+    }
+
+    /// The first `keep` cells, stored as this file is.
+    pub fn truncated(&self, keep: usize) -> DeviceFile {
+        let keep = keep.min(self.len());
+        match self {
+            DeviceFile::Bytes(b) => DeviceFile::Bytes(Arc::new(b[..keep].to_vec())),
+            DeviceFile::Cells(c) => DeviceFile::Cells(Arc::new(c[..keep].to_vec())),
+        }
+    }
+
+    /// The cells to write into, detached from every other handle
+    /// (copy-on-write) and widened first if the file holds bytes.
+    fn cells_mut(&mut self) -> &mut Vec<i64> {
+        if let DeviceFile::Bytes(b) = self {
+            *self = DeviceFile::Cells(Arc::new(widen(b)));
+        }
+        match self {
+            DeviceFile::Cells(c) => Arc::make_mut(c),
+            DeviceFile::Bytes(_) => unreachable!("widened above"),
+        }
+    }
+}
+
+fn widen(bytes: &[u8]) -> Vec<i64> {
+    bytes.iter().map(|&b| i64::from(b)).collect()
+}
+
 /// Host-side file store plus hypercall dispatch.
 ///
 /// File contents and the path table live behind [`Arc`]s, so cloning the
 /// store (taken as a campaign checkpoint, or restored from one) shares them
 /// and only copies the file handle list. A write to a shared file copies
-/// just that file first ([`Arc::make_mut`]), and a path change copies the
-/// path table first — copy-on-write, which is what makes per-slot snapshot
-/// restore cheap even with a large static file set.
+/// just that file first ([`Arc::make_mut`], or widening a byte file into
+/// cells of its own), and a path change copies the path table first —
+/// copy-on-write, which is what makes per-slot snapshot restore cheap even
+/// with a large static file set.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceStore {
-    files: Vec<Arc<Vec<i64>>>,
+    files: Vec<DeviceFile>,
     by_path: Arc<BTreeMap<String, usize>>,
     cost_units: u64,
     io_ops: u64,
@@ -44,27 +114,33 @@ impl DeviceStore {
 
     /// Adds (or replaces) a file with byte content; returns its id.
     pub fn add_file(&mut self, path: &str, content: &[u8]) -> usize {
-        let cells: Vec<i64> = content.iter().map(|&b| b as i64).collect();
-        self.add_file_cells(path, cells)
+        self.adopt_file(path, Arc::new(content.to_vec()))
     }
 
     /// Adds (or replaces) a file with cell content; returns its id.
     pub fn add_file_cells(&mut self, path: &str, cells: Vec<i64>) -> usize {
-        self.adopt_file(path, Arc::new(cells))
+        self.install(path, DeviceFile::Cells(Arc::new(cells)))
     }
 
-    /// Adds (or replaces) a file whose contents stay shared with the caller
-    /// — [`DeviceStore::add_file_cells`] without the copy. The slot holds
-    /// the caller's `Arc`; a later write to the file detaches it first
-    /// (copy-on-write), exactly as with checkpoint-shared contents. Lets a
-    /// generated corpus be installed into many stores at refcount cost.
-    pub fn adopt_file(&mut self, path: &str, cells: Arc<Vec<i64>>) -> usize {
+    /// Adds (or replaces) a byte file whose contents stay shared with the
+    /// caller — [`DeviceStore::add_file`] without the copy. A later write
+    /// to the file widens it into a copy of its own, leaving the caller's
+    /// bytes untouched. Lets a generated corpus be installed into many
+    /// stores at refcount cost.
+    pub fn adopt_file(&mut self, path: &str, bytes: Arc<Vec<u8>>) -> usize {
+        self.install(path, DeviceFile::Bytes(bytes))
+    }
+
+    /// Adds (or replaces) the file at `path` with `file`, a handle taken
+    /// from [`DeviceStore::handle`] or built by the caller; returns its id.
+    /// Replacing keeps the file's id.
+    pub fn install(&mut self, path: &str, file: DeviceFile) -> usize {
         if let Some(&id) = self.by_path.get(path) {
-            self.files[id] = cells;
+            self.files[id] = file;
             id
         } else {
             let id = self.files.len();
-            self.files.push(cells);
+            self.files.push(file);
             Arc::make_mut(&mut self.by_path).insert(path.to_string(), id);
             id
         }
@@ -75,14 +151,20 @@ impl DeviceStore {
         self.files.len()
     }
 
-    /// Content of `path`, if present.
-    pub fn file(&self, path: &str) -> Option<&[i64]> {
-        self.by_path.get(path).map(|&id| self.files[id].as_slice())
+    /// The handle of the file at `path`, if present: a cheap clone shares
+    /// the content.
+    pub fn handle(&self, path: &str) -> Option<&DeviceFile> {
+        self.by_path.get(path).map(|&id| &self.files[id])
+    }
+
+    /// Content of `path` as cells, if present.
+    pub fn file(&self, path: &str) -> Option<Cow<'_, [i64]>> {
+        self.handle(path).map(DeviceFile::cells)
     }
 
     /// Size in cells of the file at `path`, if present.
     pub fn file_size(&self, path: &str) -> Option<usize> {
-        self.file(path).map(<[i64]>::len)
+        self.handle(path).map(DeviceFile::len)
     }
 
     /// All linked paths, sorted.
@@ -163,13 +245,13 @@ impl DeviceStore {
             return Ok(0); // EOF
         }
         let n = (file.len() - off).min(len as usize);
-        // Clone the handle, not the cells: the transfer reads straight out
-        // of the (shared) file buffer while the cost tally borrows `self`.
-        let file = Arc::clone(file);
-        self.cost_units += n as u64;
         // A wild destination (possible under injected faults) is a bus error.
-        mem.write_block(dst, &file[off..off + n])
-            .map_err(|e| Trap::BadMemory { at, addr: e.addr })?;
+        let stored = match file {
+            DeviceFile::Bytes(b) => mem.write_bytes(dst, &b[off..off + n]),
+            DeviceFile::Cells(c) => mem.write_block(dst, &c[off..off + n]),
+        };
+        self.cost_units += n as u64;
+        stored.map_err(|e| Trap::BadMemory { at, addr: e.addr })?;
         Ok(n as i64)
     }
 
@@ -189,9 +271,11 @@ impl DeviceStore {
         else {
             return Ok(-1);
         };
-        // Copy-on-write: detach from any checkpoint sharing this file.
-        let file = Arc::make_mut(file);
         let off = off as usize;
+        if off + data.len() > MAX_FILE_CELLS {
+            return Ok(-1); // disk full
+        }
+        let file = file.cells_mut();
         if file.len() < off + data.len() {
             file.resize(off + data.len(), 0);
         }
@@ -290,7 +374,75 @@ mod tests {
         let n = call(&mut dev, hc::WRITE, &[id, 0, 300, 3], &mut mem).unwrap();
         assert_eq!(n, 3);
         assert_eq!(call(&mut dev, hc::SIZE, &[id], &mut mem).unwrap(), 3);
-        assert_eq!(dev.file("/new").unwrap(), &[1, 2, 3]);
+        assert_eq!(*dev.file("/new").unwrap(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_write_past_the_size_cap_fails_like_a_full_disk() {
+        let mut dev = DeviceStore::new();
+        let id = dev.add_file("/f", b"abc") as i64;
+        let mut mem = Memory::new(4096);
+        mem.write_block(300, &[1, 2, 3]).unwrap();
+        let wild = 1i64 << 50;
+        assert_eq!(
+            call(&mut dev, hc::WRITE, &[id, wild, 300, 3], &mut mem).unwrap(),
+            -1
+        );
+        let last = (MAX_FILE_CELLS - 3) as i64;
+        assert_eq!(
+            call(&mut dev, hc::WRITE, &[id, last + 1, 300, 3], &mut mem).unwrap(),
+            -1
+        );
+        assert_eq!(
+            dev.file_size("/f"),
+            Some(3),
+            "a refused write changes nothing"
+        );
+        assert!(matches!(dev.handle("/f"), Some(DeviceFile::Bytes(_))));
+        assert_eq!(
+            call(&mut dev, hc::WRITE, &[id, last, 300, 3], &mut mem).unwrap(),
+            3
+        );
+        assert_eq!(dev.file_size("/f"), Some(MAX_FILE_CELLS));
+    }
+
+    #[test]
+    fn writes_widen_byte_files_without_touching_shared_copies() {
+        let mut dev = DeviceStore::new();
+        let bytes = Arc::new(b"hello".to_vec());
+        let id = dev.adopt_file("/f", Arc::clone(&bytes)) as i64;
+        let checkpoint = dev.clone();
+        let mut mem = Memory::new(4096);
+        mem.write_block(300, &[-1, 1000]).unwrap();
+        assert_eq!(
+            call(&mut dev, hc::WRITE, &[id, 4, 300, 2], &mut mem).unwrap(),
+            2
+        );
+        assert_eq!(*dev.file("/f").unwrap(), [104, 101, 108, 108, -1, 1000]);
+        assert!(matches!(dev.handle("/f"), Some(DeviceFile::Cells(_))));
+        assert_eq!(checkpoint.handle("/f"), Some(&DeviceFile::Bytes(bytes)));
+        assert_eq!(*checkpoint.file("/f").unwrap(), [104, 101, 108, 108, 111]);
+    }
+
+    #[test]
+    fn byte_and_cell_files_read_back_the_same_cells() {
+        let mut dev = DeviceStore::new();
+        let bytes = dev.add_file("/b", &[0, 7, 255]) as i64;
+        let cells = dev.add_file_cells("/c", vec![0, 7, 255]) as i64;
+        let mut mem = Memory::new(4096);
+        for (id, dst) in [(bytes, 200), (cells, 300)] {
+            assert_eq!(
+                call(&mut dev, hc::READ, &[id, 0, dst, 8], &mut mem).unwrap(),
+                3
+            );
+            assert_eq!(mem.read_block(dst, 3).unwrap(), [0, 7, 255]);
+        }
+        assert_eq!(dev.file("/b"), dev.file("/c"));
+        assert_eq!(*dev.handle("/b").unwrap().truncated(2).cells(), [0, 7]);
+        assert!(matches!(
+            dev.handle("/b").unwrap().truncated(9),
+            DeviceFile::Bytes(b) if b.len() == 3
+        ));
     }
 
     #[test]

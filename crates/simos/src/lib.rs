@@ -43,7 +43,7 @@ pub mod os;
 pub mod source;
 
 pub use api::{Module, OsApi};
-pub use device::DeviceStore;
+pub use device::{DeviceFile, DeviceStore};
 pub use os::{
     compile_count, image_fingerprint, reboot_count, CallResult, Edition, Os, OsCallError,
     OsSnapshot,

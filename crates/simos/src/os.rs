@@ -183,24 +183,31 @@ pub struct Os {
     watch_seen: u64,
     /// Virtual time the mutation site first executed, if it has.
     watch_first: Option<SimTime>,
-    /// Memory cells copied back by [`Os::restore_snapshot`] so far.
+    /// Memory cells written by [`Os::restore_snapshot`] so far.
     cells_restored: u64,
 }
 
 /// A copy-on-write checkpoint of booted OS state, taken with
 /// [`Os::snapshot`] and reinstated with [`Os::restore_snapshot`].
 ///
-/// Holds the machine memory and the device store (whose file contents and
-/// path table are `Arc`-shared, so the clone here is cheap and stays cheap
-/// to restore). The code image is deliberately *not* restored: the injector
-/// owns image state via its `PatchSet` undo log, and a snapshot restore must
-/// not be able to paper over a leaked patch — instead the code words are
-/// recorded and compared at restore time.
+/// Holds the machine memory's non-zero pages and the device store (whose
+/// file contents and path table are `Arc`-shared, so the clone here is
+/// cheap and stays cheap to restore). The code image is deliberately *not*
+/// restored: the injector owns image state via its `PatchSet` undo log,
+/// and a snapshot restore must not be able to paper over a leaked patch —
+/// instead the code words are recorded and compared at restore time.
 #[derive(Clone, Debug)]
 pub struct OsSnapshot {
     mem: MemorySnapshot,
     devices: DeviceStore,
     image_words: Vec<u64>,
+}
+
+impl OsSnapshot {
+    /// Memory pages the snapshot stores: those that held a non-zero cell.
+    pub fn stored_pages(&self) -> usize {
+        self.mem.stored_pages()
+    }
 }
 
 impl Os {
@@ -341,10 +348,12 @@ impl Os {
     /// and the device store returns to the checkpointed file set. This
     /// replaces the re-boot between campaign slots — restoring is equivalent
     /// to the deterministic boot + populate + start sequence the snapshot
-    /// captured. Repeated restores of the same snapshot copy back only the
-    /// memory pages written since the previous one (see
-    /// [`Memory::restore`]); the first restore, a different snapshot, or a
-    /// restore after [`Os::reboot`] copies all of it.
+    /// captured. Repeated restores of the same snapshot restore only the
+    /// memory pages written since the previous one, including those an
+    /// [`Os::reboot`] zeroed; the first restore or a different snapshot
+    /// restores every page. Either way a page is written only if the
+    /// snapshot stores it or it may hold a non-zero cell (see
+    /// [`Memory::restore`]).
     ///
     /// Accumulated observability state (API counts, `Vm::total_executed`,
     /// reboot counters, tracer) is intentionally left alone, matching the
@@ -364,10 +373,20 @@ impl Os {
         self.devices = snap.devices.clone();
     }
 
-    /// Memory cells copied back by [`Os::restore_snapshot`] over this
+    /// Memory cells written by [`Os::restore_snapshot`] over this
     /// instance's life — the deterministic work counter of the slot reset.
+    /// A restore writes back the snapshot's stored pages and zero-fills the
+    /// resident pages it does not store, among the pages it restores;
+    /// pages known to be zero on both sides cost nothing.
     pub fn cells_restored(&self) -> u64 {
         self.cells_restored
+    }
+
+    /// Memory pages that may hold a non-zero cell (see
+    /// [`Memory::resident_pages`]): the pages the OS has written since they
+    /// were last known to be zero. The rest of memory is never touched.
+    pub fn resident_pages(&self) -> usize {
+        self.mem.resident_pages()
     }
 
     /// Calls an OS API function.
@@ -675,7 +694,7 @@ mod tests {
         assert_eq!(os.peek(SCRATCH).unwrap(), 7);
         assert_eq!(os.peek(SCRATCH + 1).unwrap(), 0);
         assert_eq!(
-            os.devices().file("/web/index.html").map(<[i64]>::len),
+            os.devices().file_size("/web/index.html"),
             Some(b"<html>hi</html>".len())
         );
         assert!(os.devices().file("/web/new.html").is_none());
@@ -700,10 +719,13 @@ mod tests {
 
     #[test]
     fn restore_copies_only_what_the_served_load_dirtied() {
+        const PAGE: usize = mvm::mem::PAGE_CELLS;
         let mut os = booted();
         let snap = os.snapshot();
+        assert_eq!(snap.stored_pages(), 3);
         os.restore_snapshot(&snap);
-        assert_eq!(os.cells_restored(), MEM_SIZE as u64, "first restore");
+        // The 3 stored pages plus the 5 pages boot wrote only zeros to.
+        assert_eq!(os.cells_restored(), 8 * PAGE as u64, "first restore");
 
         // Serve some load: heap churn, a file read, a registry write.
         let p = os.call(OsApi::RtlAllocateHeap, &[100]).unwrap().value;
@@ -727,18 +749,20 @@ mod tests {
         let other = os.snapshot();
         let before = os.cells_restored();
         os.restore_snapshot(&other);
+        // Its 3 stored pages: the last restore left no other page flagged.
         assert_eq!(
             os.cells_restored() - before,
-            MEM_SIZE as u64,
+            3 * PAGE as u64,
             "other snapshot"
         );
 
         os.reboot().unwrap();
         let before = os.cells_restored();
         os.restore_snapshot(&other);
+        // The 8 pages the reboot's clear and boot wrote.
         assert_eq!(
             os.cells_restored() - before,
-            MEM_SIZE as u64,
+            8 * PAGE as u64,
             "after reboot"
         );
     }

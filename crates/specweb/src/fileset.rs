@@ -72,7 +72,7 @@ struct GeneratedSet {
     fileset: FileSet,
     /// `(native_path, content)` in the exact order `populate` creates files,
     /// so installing them reproduces the device ids of a direct generation.
-    files: Vec<(String, Arc<Vec<i64>>)>,
+    files: Vec<(String, Arc<Vec<u8>>)>,
 }
 
 /// Process-wide corpus cache. Content generation is deterministic from the
@@ -97,8 +97,8 @@ fn generated_set(config: FileSetConfig) -> Arc<GeneratedSet> {
                 let native_path = format!("/web/dir{d}/class{class}_{f}");
                 let dos_path = format!("C:\\web\\dir{d}\\class{class}_{f}");
                 let len = config.class_sizes[class];
-                let content: Vec<i64> = (0..len).map(|_| (rng.next_u64() & 0xFF) as i64).collect();
-                let sum = checksum_of(&content);
+                let content: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
+                let sum = checksum_of(&content.iter().map(|&b| i64::from(b)).collect::<Vec<_>>());
                 files.push((native_path.clone(), Arc::new(content)));
                 entries.push(FileEntry {
                     dos_path,
@@ -169,7 +169,7 @@ mod tests {
         let fs = FileSet::populate(FileSetConfig::default(), &mut dev);
         for e in fs.entries().iter().take(10) {
             let content = dev.file(&e.native_path).unwrap();
-            assert_eq!(checksum_of(content), e.sum, "{}", e.native_path);
+            assert_eq!(checksum_of(&content), e.sum, "{}", e.native_path);
         }
     }
 
