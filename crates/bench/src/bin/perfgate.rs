@@ -1,13 +1,13 @@
 //! Performance gate and trajectory recorder.
 //!
 //! Times the hot paths the campaign rests on (the VM interpreter, the
-//! inject/restore cycle, the store's read path and a short campaign) and
-//! emits a machine-readable `BENCH_<date>.json`. In `check` mode it
-//! compares against a stored baseline and fails the build when a *gated*
-//! metric — the VM interpreter, the inject/restore cycle or the read path
-//! — regresses by more than 20 %; the end-to-end campaign number is
-//! recorded for the trajectory but not gated (it folds in too much
-//! scheduler noise for a hard gate).
+//! inject/restore cycle, the store's write and read paths and a short
+//! campaign) and emits a machine-readable `BENCH_<date>.json`. In `check`
+//! mode it compares against a stored baseline and fails the build when a
+//! *gated* metric — the VM interpreter, the inject/restore cycle, the
+//! write path or the read path — regresses by more than 20 %; the
+//! end-to-end campaign number is recorded for the trajectory but not gated
+//! (it folds in too much scheduler noise for a hard gate).
 //!
 //! ```text
 //! perfgate record [--out PATH] [--rounds N]
@@ -38,10 +38,11 @@ use webserver::ServerKind;
 /// Metrics that fail the gate on regression. The campaign metric is
 /// deliberately absent: it is the product of everything else and of the
 /// host's scheduler, so it is tracked, not gated.
-const GATED: [&str; 4] = [
+const GATED: [&str; 5] = [
     "vm_interpreter_arith_loop_10k",
     "inject_restore_cycle_missing",
     "inject_restore_cycle_wrong",
+    "store_write_journal_and_run_10_slots",
     "store_read_journal_and_run_10_slots",
 ];
 
@@ -237,16 +238,38 @@ fn measure(rounds: usize) -> Report {
         }),
     );
 
-    // The store's read path: the journal and the stored run of that
-    // campaign, held in memory so only parsing is timed.
+    // The store's write path: the journal header, each slot's journal
+    // line and the pretty stored run of that campaign, written to memory
+    // so only serializing is timed.
     let result = campaign.run_injection(&ten, 0).expect("runs");
-    let mut journal =
-        serde_json::to_string(&JournalHeader::describe(&campaign, &ten, 0)).expect("serializes");
-    for (slot, result) in result.slots.iter().cloned().enumerate() {
-        journal.push('\n');
-        journal += &serde_json::to_string(&JournalLine { slot, result }).expect("serializes");
-    }
-    let run = serde_json::to_string_pretty(&result).expect("serializes");
+    let header = JournalHeader::describe(&campaign, &ten, 0);
+    let lines: Vec<JournalLine> = result
+        .slots
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(slot, result)| JournalLine { slot, result })
+        .collect();
+    let write_journal = || {
+        let mut journal = serde_json::to_string(&header).expect("serializes");
+        for line in &lines {
+            journal.push('\n');
+            journal += &serde_json::to_string(line).expect("serializes");
+        }
+        journal
+    };
+    let write_run = || serde_json::to_string_pretty(&result).expect("serializes");
+    record(
+        "store_write_journal_and_run_10_slots",
+        min_ns(rounds, 200, || {
+            std::hint::black_box(write_journal());
+            std::hint::black_box(write_run());
+        }),
+    );
+
+    // The store's read path: the same journal and stored run, held in
+    // memory so only parsing is timed.
+    let (journal, run) = (write_journal(), write_run());
     record(
         "store_read_journal_and_run_10_slots",
         min_ns(rounds, 200, || {

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, SerError, Serialize, Token, Write};
 
 use crate::isa::{DecodeError, Instr};
 
@@ -145,15 +145,20 @@ impl PartialEq for CodeImage {
 impl Eq for CodeImage {}
 
 impl Serialize for CodeImage {
-    fn to_value(&self) -> Value {
+    fn serialize<W: Write>(&self, w: &mut W) -> Result<(), SerError> {
         // Field-for-field what the derive produced before the ops cache
         // existed — serialized images must stay byte-identical.
-        Value::Object(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("words".to_string(), self.words.to_value()),
-            ("funcs".to_string(), self.funcs.to_value()),
-            ("by_name".to_string(), self.by_name.to_value()),
-        ])
+        w.value(Token::Object)?;
+        w.key("name");
+        self.name.serialize(w)?;
+        w.key("words");
+        self.words.serialize(w)?;
+        w.key("funcs");
+        self.funcs.serialize(w)?;
+        w.key("by_name");
+        self.by_name.serialize(w)?;
+        w.close();
+        Ok(())
     }
 }
 

@@ -1,9 +1,11 @@
 //! Trace export: JSONL for machine consumption, Chrome `trace_event` JSON
 //! for chrome://tracing (or Perfetto) visualisation.
 
-use serde::{Serialize, Value};
+use std::borrow::Cow;
 
-use crate::event::EventKind;
+use serde::{SerError, Serialize, Token, Write};
+
+use crate::event::{EventKind, TraceEvent};
 use crate::tracer::Trace;
 
 impl Trace {
@@ -28,148 +30,133 @@ impl Trace {
     /// `pid` distinguishes slots when several traces are merged, and all
     /// events share tid 0 (each slot is single-threaded by construction).
     pub fn to_chrome(&self, pid: u64) -> String {
-        let events = self
-            .events
-            .iter()
-            .map(|event| {
-                let (ph, name, args) = chrome_parts(&event.kind);
-                let mut fields = object([
-                    ("name", Value::Str(name)),
-                    ("ph", Value::Str(ph.to_string())),
-                    ("ts", event.at.as_micros().to_value()),
-                    ("pid", pid.to_value()),
-                    ("tid", 0u64.to_value()),
-                ]);
-                if ph == 'i' {
-                    // Instant events need a scope; "t" = thread-scoped tick.
-                    fields.push(("s".to_string(), "t".to_value()));
-                }
-                if !args.is_empty() {
-                    fields.push(("args".to_string(), Value::Object(args)));
-                }
-                Value::Object(fields)
-            })
-            .collect();
-        let chrome = Value::Object(object([
-            ("traceEvents", Value::Array(events)),
-            ("displayTimeUnit", "ms".to_value()),
-            (
-                "otherData",
-                Value::Object(object([("dropped", self.dropped.to_value())])),
-            ),
-        ]));
-        serde_json::to_string(&chrome).expect("trace values hold no floats")
+        serde_json::to_string(&Chrome { trace: self, pid }).expect("trace values hold no floats")
     }
 }
 
-/// The fields of a JSON object, in the given order.
-fn object<const N: usize>(pairs: [(&str, Value); N]) -> Vec<(String, Value)> {
-    pairs
-        .into_iter()
-        .map(|(key, value)| (key.to_string(), value))
-        .collect()
+/// A trace in Chrome `trace_event` form, written event by event.
+struct Chrome<'a> {
+    trace: &'a Trace,
+    pid: u64,
 }
 
-/// Chrome phase, event name and `args` fields for one event.
-fn chrome_parts(kind: &EventKind) -> (char, String, Vec<(String, Value)>) {
+impl Serialize for Chrome<'_> {
+    fn serialize<W: Write>(&self, w: &mut W) -> Result<(), SerError> {
+        w.value(Token::Object)?;
+        w.key("traceEvents");
+        w.value(Token::Array)?;
+        for event in &self.trace.events {
+            w.element();
+            write_event(w, event, self.pid)?;
+        }
+        w.close();
+        entry(w, "displayTimeUnit", "ms")?;
+        w.key("otherData");
+        w.value(Token::Object)?;
+        entry(w, "dropped", &self.trace.dropped)?;
+        w.close();
+        w.close();
+        Ok(())
+    }
+}
+
+/// Writes one object entry: `key`, then `value`.
+fn entry<W: Write, T: Serialize + ?Sized>(w: &mut W, key: &str, value: &T) -> Result<(), SerError> {
+    w.key(key);
+    value.serialize(w)
+}
+
+/// Writes one Chrome event object.
+fn write_event<W: Write>(w: &mut W, event: &TraceEvent, pid: u64) -> Result<(), SerError> {
+    let (ph, name) = chrome_parts(&event.kind);
+    w.value(Token::Object)?;
+    entry(w, "name", &*name)?;
+    entry(w, "ph", ph)?;
+    entry(w, "ts", &event.at.as_micros())?;
+    entry(w, "pid", &pid)?;
+    entry(w, "tid", &0u64)?;
+    if ph == "i" {
+        // Instant events need a scope; "t" = thread-scoped tick.
+        entry(w, "s", "t")?;
+    }
+    write_args(w, &event.kind)?;
+    w.close();
+    Ok(())
+}
+
+/// Chrome phase and event name for one event.
+fn chrome_parts(kind: &EventKind) -> (&'static str, Cow<'static, str>) {
     match kind {
-        EventKind::ApiEnter { api } => ('B', (*api).to_string(), Vec::new()),
-        EventKind::ApiExit { api, ok, cost } => (
-            'E',
-            (*api).to_string(),
-            object([("ok", ok.to_value()), ("cost", cost.to_value())]),
-        ),
-        EventKind::Watchpoint { pc, hits } => (
-            'i',
-            "watchpoint".to_string(),
-            object([("pc", pc.to_value()), ("hits", hits.to_value())]),
-        ),
-        EventKind::DeviceIo { cost } => (
-            'i',
-            "device_io".to_string(),
-            object([("cost", cost.to_value())]),
-        ),
-        EventKind::Reboot { count } => (
-            'i',
-            "reboot".to_string(),
-            object([("count", count.to_value())]),
-        ),
-        EventKind::RequestStart { seq } => (
-            'i',
-            "request_start".to_string(),
-            object([("seq", seq.to_value())]),
-        ),
-        EventKind::RequestDone { seq, ok, cost } => (
-            'i',
-            "request_done".to_string(),
-            object([
-                ("seq", seq.to_value()),
-                ("ok", ok.to_value()),
-                ("cost", cost.to_value()),
-            ]),
-        ),
-        EventKind::RequestFailed {
-            seq,
-            phase,
-            failure,
-        } => (
-            'i',
-            format!("request_failed:{failure}"),
-            object([("seq", seq.to_value()), ("phase", phase.to_value())]),
-        ),
-        EventKind::Watchdog { action, class, ok } => (
-            'i',
-            format!("watchdog:{action}"),
-            object([("class", class.to_value()), ("ok", ok.to_value())]),
-        ),
-        EventKind::Kill { reason } => (
-            'i',
-            "kill".to_string(),
-            object([("reason", reason.to_value())]),
-        ),
-        EventKind::Phase { name } => ('i', format!("phase:{name}"), Vec::new()),
-        EventKind::InjectApply { fault_id, site } => (
-            'i',
-            "inject_apply".to_string(),
-            object([("fault_id", fault_id.to_value()), ("site", site.to_value())]),
-        ),
-        EventKind::InjectUndo { fault_id } => (
-            'i',
-            "inject_undo".to_string(),
-            object([("fault_id", fault_id.to_value())]),
-        ),
-        EventKind::HarnessFault { op, kind } => (
-            'i',
-            format!("harness_fault:{kind}"),
-            object([("op", op.to_value())]),
-        ),
+        EventKind::ApiEnter { api } => ("B", Cow::Borrowed(api)),
+        EventKind::ApiExit { api, .. } => ("E", Cow::Borrowed(api)),
+        EventKind::RequestFailed { failure, .. } => {
+            ("i", format!("request_failed:{failure}").into())
+        }
+        EventKind::Watchdog { action, .. } => ("i", format!("watchdog:{action}").into()),
+        EventKind::Phase { name } => ("i", format!("phase:{name}").into()),
+        EventKind::HarnessFault { kind, .. } => ("i", format!("harness_fault:{kind}").into()),
+        other => ("i", Cow::Borrowed(other.label())),
+    }
+}
+
+/// Writes the event's `args` entry, unless it has no arguments.
+fn write_args<W: Write>(w: &mut W, kind: &EventKind) -> Result<(), SerError> {
+    if let EventKind::ApiEnter { .. } | EventKind::Phase { .. } = kind {
+        return Ok(());
+    }
+    w.key("args");
+    w.value(Token::Object)?;
+    match kind {
+        EventKind::ApiEnter { .. } | EventKind::Phase { .. } => {}
+        EventKind::ApiExit { ok, cost, .. } => {
+            entry(w, "ok", ok)?;
+            entry(w, "cost", cost)?;
+        }
+        EventKind::Watchpoint { pc, hits } => {
+            entry(w, "pc", pc)?;
+            entry(w, "hits", hits)?;
+        }
+        EventKind::DeviceIo { cost } => entry(w, "cost", cost)?,
+        EventKind::Reboot { count } => entry(w, "count", count)?,
+        EventKind::RequestStart { seq } => entry(w, "seq", seq)?,
+        EventKind::RequestDone { seq, ok, cost } => {
+            entry(w, "seq", seq)?;
+            entry(w, "ok", ok)?;
+            entry(w, "cost", cost)?;
+        }
+        EventKind::RequestFailed { seq, phase, .. } => {
+            entry(w, "seq", seq)?;
+            entry(w, "phase", phase)?;
+        }
+        EventKind::Watchdog { class, ok, .. } => {
+            entry(w, "class", class)?;
+            entry(w, "ok", ok)?;
+        }
+        EventKind::Kill { reason } | EventKind::Degraded { reason } => {
+            entry(w, "reason", reason)?;
+        }
+        EventKind::InjectApply { fault_id, site } => {
+            entry(w, "fault_id", fault_id)?;
+            entry(w, "site", site)?;
+        }
+        EventKind::InjectUndo { fault_id } => entry(w, "fault_id", fault_id)?,
+        EventKind::HarnessFault { op, .. } => entry(w, "op", op)?,
         EventKind::Retry {
             op,
             attempt,
             backoff_us,
-        } => (
-            'i',
-            "retry".to_string(),
-            object([
-                ("op", op.to_value()),
-                ("attempt", attempt.to_value()),
-                ("backoff_us", backoff_us.to_value()),
-            ]),
-        ),
-        EventKind::Degraded { reason } => (
-            'i',
-            "degraded".to_string(),
-            object([("reason", reason.to_value())]),
-        ),
-        EventKind::SlotTimeout { slot, budget_ms } => (
-            'i',
-            "slot_timeout".to_string(),
-            object([
-                ("slot", slot.to_value()),
-                ("budget_ms", budget_ms.to_value()),
-            ]),
-        ),
+        } => {
+            entry(w, "op", op)?;
+            entry(w, "attempt", attempt)?;
+            entry(w, "backoff_us", backoff_us)?;
+        }
+        EventKind::SlotTimeout { slot, budget_ms } => {
+            entry(w, "slot", slot)?;
+            entry(w, "budget_ms", budget_ms)?;
+        }
     }
+    w.close();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -207,6 +194,153 @@ mod tests {
         }
         assert!(jsonl.contains("\"Watchpoint\""));
         assert!(jsonl.contains("MIFS@f+1"));
+    }
+
+    #[test]
+    fn jsonl_of_the_sample_is_pinned() {
+        assert_eq!(
+            sample().to_jsonl(),
+            concat!(
+                r#"{"seq":0,"at":10,"kind":{"Phase":{"name":"measure"}}}"#,
+                "\n",
+                r#"{"seq":1,"at":10,"kind":{"ApiEnter":{"api":"os_alloc"}}}"#,
+                "\n",
+                r#"{"seq":2,"at":10,"kind":{"Watchpoint":{"pc":99,"hits":3}}}"#,
+                "\n",
+                r#"{"seq":3,"at":10,"kind":{"ApiExit":{"api":"os_alloc","ok":true,"cost":120}}}"#,
+                "\n",
+                r#"{"seq":4,"at":40,"kind":{"InjectApply":{"fault_id":"MIFS@f+1","site":99}}}"#,
+                "\n",
+            )
+        );
+    }
+
+    #[test]
+    fn chrome_of_the_sample_is_pinned() {
+        assert_eq!(
+            sample().to_chrome(7),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"phase:measure","ph":"i","ts":10,"pid":7,"tid":0,"s":"t"},"#,
+                r#"{"name":"os_alloc","ph":"B","ts":10,"pid":7,"tid":0},"#,
+                r#"{"name":"watchpoint","ph":"i","ts":10,"pid":7,"tid":0,"s":"t","args":{"pc":99,"hits":3}},"#,
+                r#"{"name":"os_alloc","ph":"E","ts":10,"pid":7,"tid":0,"args":{"ok":true,"cost":120}},"#,
+                r#"{"name":"inject_apply","ph":"i","ts":40,"pid":7,"tid":0,"s":"t","args":{"fault_id":"MIFS@f+1","site":99}}"#,
+                r#"],"displayTimeUnit":"ms","otherData":{"dropped":0}}"#,
+            )
+        );
+    }
+
+    /// One event of every kind.
+    fn every_kind() -> Trace {
+        let t = Tracer::enabled(32);
+        t.set_now(SimTime::from_micros(5));
+        for kind in [
+            EventKind::Watchpoint { pc: 1, hits: 2 },
+            EventKind::ApiEnter { api: "os_read" },
+            EventKind::ApiExit {
+                api: "os_read",
+                ok: false,
+                cost: 3,
+            },
+            EventKind::DeviceIo { cost: 4 },
+            EventKind::Reboot { count: 5 },
+            EventKind::RequestStart { seq: 6 },
+            EventKind::RequestDone {
+                seq: 7,
+                ok: true,
+                cost: 8,
+            },
+            EventKind::RequestFailed {
+                seq: 9,
+                phase: "worker",
+                failure: "hang",
+            },
+            EventKind::Watchdog {
+                action: "restart",
+                class: "crash",
+                ok: true,
+            },
+            EventKind::Kill { reason: "storm" },
+            EventKind::Phase { name: "warmup" },
+            EventKind::InjectApply {
+                fault_id: "MFC@g+2".to_string(),
+                site: 10,
+            },
+            EventKind::InjectUndo {
+                fault_id: "MFC@g+2".to_string(),
+            },
+            EventKind::HarnessFault {
+                op: "journal append",
+                kind: "EINTR",
+            },
+            EventKind::Retry {
+                op: "journal append",
+                attempt: 1,
+                backoff_us: 11,
+            },
+            EventKind::Degraded { reason: "gave up" },
+            EventKind::SlotTimeout {
+                slot: 12,
+                budget_ms: 13,
+            },
+        ] {
+            t.emit(kind);
+        }
+        t.snapshot()
+    }
+
+    #[test]
+    fn every_kind_exports_as_pinned() {
+        let events = [
+            r#"{"name":"watchpoint","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"pc":1,"hits":2}}"#,
+            r#"{"name":"os_read","ph":"B","ts":5,"pid":3,"tid":0}"#,
+            r#"{"name":"os_read","ph":"E","ts":5,"pid":3,"tid":0,"args":{"ok":false,"cost":3}}"#,
+            r#"{"name":"device_io","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"cost":4}}"#,
+            r#"{"name":"reboot","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"count":5}}"#,
+            r#"{"name":"request_start","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"seq":6}}"#,
+            r#"{"name":"request_done","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"seq":7,"ok":true,"cost":8}}"#,
+            r#"{"name":"request_failed:hang","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"seq":9,"phase":"worker"}}"#,
+            r#"{"name":"watchdog:restart","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"class":"crash","ok":true}}"#,
+            r#"{"name":"kill","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"reason":"storm"}}"#,
+            r#"{"name":"phase:warmup","ph":"i","ts":5,"pid":3,"tid":0,"s":"t"}"#,
+            r#"{"name":"inject_apply","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"fault_id":"MFC@g+2","site":10}}"#,
+            r#"{"name":"inject_undo","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"fault_id":"MFC@g+2"}}"#,
+            r#"{"name":"harness_fault:EINTR","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"op":"journal append"}}"#,
+            r#"{"name":"retry","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"op":"journal append","attempt":1,"backoff_us":11}}"#,
+            r#"{"name":"degraded","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"reason":"gave up"}}"#,
+            r#"{"name":"slot_timeout","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"slot":12,"budget_ms":13}}"#,
+        ];
+        assert_eq!(
+            every_kind().to_chrome(3),
+            format!(
+                r#"{{"traceEvents":[{}],"displayTimeUnit":"ms","otherData":{{"dropped":0}}}}"#,
+                events.join(",")
+            )
+        );
+        let lines = [
+            r#"{"seq":0,"at":5,"kind":{"Watchpoint":{"pc":1,"hits":2}}}"#,
+            r#"{"seq":1,"at":5,"kind":{"ApiEnter":{"api":"os_read"}}}"#,
+            r#"{"seq":2,"at":5,"kind":{"ApiExit":{"api":"os_read","ok":false,"cost":3}}}"#,
+            r#"{"seq":3,"at":5,"kind":{"DeviceIo":{"cost":4}}}"#,
+            r#"{"seq":4,"at":5,"kind":{"Reboot":{"count":5}}}"#,
+            r#"{"seq":5,"at":5,"kind":{"RequestStart":{"seq":6}}}"#,
+            r#"{"seq":6,"at":5,"kind":{"RequestDone":{"seq":7,"ok":true,"cost":8}}}"#,
+            r#"{"seq":7,"at":5,"kind":{"RequestFailed":{"seq":9,"phase":"worker","failure":"hang"}}}"#,
+            r#"{"seq":8,"at":5,"kind":{"Watchdog":{"action":"restart","class":"crash","ok":true}}}"#,
+            r#"{"seq":9,"at":5,"kind":{"Kill":{"reason":"storm"}}}"#,
+            r#"{"seq":10,"at":5,"kind":{"Phase":{"name":"warmup"}}}"#,
+            r#"{"seq":11,"at":5,"kind":{"InjectApply":{"fault_id":"MFC@g+2","site":10}}}"#,
+            r#"{"seq":12,"at":5,"kind":{"InjectUndo":{"fault_id":"MFC@g+2"}}}"#,
+            r#"{"seq":13,"at":5,"kind":{"HarnessFault":{"op":"journal append","kind":"EINTR"}}}"#,
+            r#"{"seq":14,"at":5,"kind":{"Retry":{"op":"journal append","attempt":1,"backoff_us":11}}}"#,
+            r#"{"seq":15,"at":5,"kind":{"Degraded":{"reason":"gave up"}}}"#,
+            r#"{"seq":16,"at":5,"kind":{"SlotTimeout":{"slot":12,"budget_ms":13}}}"#,
+        ];
+        assert_eq!(
+            every_kind().to_jsonl(),
+            lines.map(|l| format!("{l}\n")).concat()
+        );
     }
 
     #[test]
