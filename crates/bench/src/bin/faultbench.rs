@@ -61,16 +61,17 @@
 //! `recovery` runs the same injection campaign once per watchdog recovery
 //! policy (`fixed`, `backoff`, `reboot`, `failover`) and tabulates the
 //! dependability trade-off: administrative interventions (ADMf),
-//! availability %, mean time to repair, and the SPECWeb measures. `trace`
-//! replays a single slot deterministically (same `(seed, iteration, slot)`
-//! stream as the campaign) and exports the full event stream twice: as
-//! JSONL and as a Chrome `trace_event` file loadable in `about:tracing` /
-//! Perfetto.
+//! availability %, mean time to repair, and the SPECWeb measures; with
+//! `--trace-dir D`, each policy's quarantined slots dump into `D/<policy>/`.
+//! `trace` replays a single slot deterministically (same `(seed,
+//! iteration, slot)` stream as the campaign) and exports the full event
+//! stream twice: as JSONL and as a Chrome `trace_event` file loadable in
+//! `about:tracing` / Perfetto.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use bench::campaign::{print_activation, print_activations, run_iterations};
+use bench::campaign::{print_activation, print_activations, run_iterations, warn_quarantined};
 use bench::cli::{check_flags, value_of, values_of, CliArgs, SHARED_FLAGS};
 use depbench::report::{f, pct, pm, TextTable};
 use depbench::{Campaign, CampaignConfig, RecoveryPolicy};
@@ -383,10 +384,17 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
             .configure(CampaignConfig::builder())
             .recovery(policy)
             .build();
-        let campaign = cli.instrument(Campaign::new(edition, server, cfg));
+        // Every policy runs iteration 0, so each dumps into its own
+        // directory: `--trace-dir D` holds `D/<policy>/`.
+        let policy_cli = CliArgs {
+            trace_dir: cli.trace_dir.as_ref().map(|dir| dir.join(name)),
+            ..cli.clone()
+        };
+        let campaign = policy_cli.instrument(Campaign::new(edition, server, cfg));
         let res = campaign
             .run_injection(&faultload, 0)
             .map_err(|e| e.to_string())?;
+        warn_quarantined(&res);
         let a = &res.availability;
         table.row([
             name.to_string(),

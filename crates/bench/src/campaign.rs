@@ -4,7 +4,7 @@
 //! traced campaign's fault-activation tables.
 
 use depbench::report::{f, TextTable};
-use depbench::{aggregate_metrics, Campaign, DependabilityMetrics, MetricsSummary};
+use depbench::{aggregate_metrics, Campaign, CampaignResult, DependabilityMetrics, MetricsSummary};
 use faultstore::FaultStore;
 use specweb::IntervalMeasures;
 use swfit_core::Faultload;
@@ -71,19 +71,7 @@ pub fn run_iterations(
             let path = s.save_run(&run_name, &res).map_err(|e| e.to_string())?;
             eprintln!("saved run `{run_name}` -> {}", path.display());
         }
-        if !res.quarantined.is_empty() {
-            let slots: Vec<String> = res
-                .quarantined
-                .iter()
-                .map(|q| format!("#{} ({})", q.slot, q.fault_id))
-                .collect();
-            eprintln!(
-                "warning: {} slot(s) quarantined (panicked or timed out): {}; \
-                 re-run with --store DIR --resume to re-attempt only those slots",
-                res.quarantined.len(),
-                slots.join(", ")
-            );
-        }
+        warn_quarantined(&res);
         if res.degraded {
             eprintln!(
                 "note: iteration {it} ran degraded — the store hit a persistent \
@@ -128,6 +116,24 @@ pub fn run_iterations(
     }
     let summary = aggregate_metrics(&runs).ok_or("campaign produced no iterations to aggregate")?;
     Ok((baseline, summary))
+}
+
+/// Warns on stderr about `res`'s quarantined slots, if it has any.
+pub fn warn_quarantined(res: &CampaignResult) {
+    if res.quarantined.is_empty() {
+        return;
+    }
+    let slots: Vec<String> = res
+        .quarantined
+        .iter()
+        .map(|q| format!("#{} ({})", q.slot, q.fault_id))
+        .collect();
+    eprintln!(
+        "warning: {} slot(s) quarantined (panicked or timed out): {}; \
+         re-run with --store DIR --resume to re-attempt only those slots",
+        res.quarantined.len(),
+        slots.join(", ")
+    );
 }
 
 /// Prints a traced campaign's activation tables, one per iteration,

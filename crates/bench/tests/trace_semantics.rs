@@ -8,7 +8,8 @@
 //! * **parallelism independence** — activation observations, like every
 //!   other result, do not depend on the worker count;
 //! * **post-mortem dumps** — a quarantined (panicked) slot leaves its
-//!   recorder tail on disk as parseable JSONL, one file per iteration.
+//!   recorder tail on disk as parseable JSONL, one file per iteration, and
+//!   `faultbench recovery` keeps one dump directory per policy.
 
 use depbench::campaign::DUMP_LAST;
 use depbench::{Campaign, CampaignConfig, IntervalConfig, TraceConfig};
@@ -214,4 +215,45 @@ fn quarantined_slot_dumps_its_recorder_tail() {
     if !keep {
         let _ = std::fs::remove_dir_all(&dump_dir);
     }
+}
+
+#[test]
+fn recovery_dumps_each_policy_into_its_own_directory() {
+    let dir = std::env::temp_dir().join(format!("faultbench-recovery-dump-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A 1 ms wall-clock budget times out every slot of every policy, and
+    // every policy runs iteration 0: shared dump names would leave 3 files.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_faultbench"))
+        .args(["recovery", "nimbus-2000", "wren", "--limit", "3"])
+        .args(["--slot-budget-ms", "1", "--trace-dir"])
+        .arg(&dir)
+        .output()
+        .expect("faultbench runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches("warning: 3 slot(s) quarantined").count(),
+        4,
+        "one quarantine notice per policy:\n{stderr}"
+    );
+    for policy in depbench::RecoveryPolicy::NAMES {
+        let mut dumps: Vec<String> = std::fs::read_dir(dir.join(policy))
+            .unwrap_or_else(|e| panic!("no dump directory for `{policy}`: {e}"))
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        dumps.sort();
+        assert_eq!(
+            dumps,
+            (0..3)
+                .map(|slot| format!("nimbus-2000-wren-it0-slot{slot:04}.quarantine.jsonl"))
+                .collect::<Vec<_>>(),
+            "{policy}"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        4,
+        "one directory per policy"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

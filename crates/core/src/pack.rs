@@ -949,11 +949,6 @@ pub struct CompiledOperator {
 }
 
 impl CompiledOperator {
-    /// The operator's declarative definition.
-    pub fn definition(&self) -> &PackOperator {
-        &self.def
-    }
-
     /// The emulated fault type.
     pub fn fault_type(&self) -> FaultType {
         self.def.fault_type

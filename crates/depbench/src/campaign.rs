@@ -30,7 +30,7 @@ use swfit_core::{Faultload, InjectError, Injector};
 use webserver::{ServerKind, ServerState, WebServer};
 
 use crate::executor::{run_slots, SlotRun, SlotToken};
-use crate::interval::{run_interval, IntervalConfig, WatchdogCounts};
+use crate::interval::{run_interval, IntervalConfig, WatchdogCounts, CONNS};
 use crate::recovery::{AvailabilityMetrics, RecoveryPolicy};
 
 /// Why a campaign run could not produce a result.
@@ -190,13 +190,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Sets the file-set shape.
-    #[must_use]
-    pub fn fileset(mut self, fileset: FileSetConfig) -> Self {
-        self.config.fileset = fileset;
-        self
-    }
-
     /// Sets the pre-injection warm-up duration.
     #[must_use]
     pub fn warmup(mut self, warmup: SimDuration) -> Self {
@@ -225,16 +218,9 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Records the provenance of one extra fault-model pack the campaign's
+    /// Sets the provenance of the extra fault-model packs the campaign's
     /// faultload was scanned with. Part of [`CampaignConfig::stable_hash`]:
     /// a journal written under one pack set will not resume under another.
-    #[must_use]
-    pub fn pack(mut self, pack: PackRef) -> Self {
-        self.config.packs.push(pack);
-        self
-    }
-
-    /// Replaces the extra-pack provenance list wholesale.
     #[must_use]
     pub fn packs(mut self, packs: Vec<PackRef>) -> Self {
         self.config.packs = packs;
@@ -345,9 +331,9 @@ pub struct QuarantinedSlot {
 
 /// How one campaign slot ended — the unit the campaign journal records.
 ///
-/// `Done` outweighs `Quarantined`, but outcomes only ever exist one at a
-/// time on their way to an observer/journal — they are never stored in
-/// bulk, so the size skew costs nothing.
+/// `Done` outweighs `Quarantined`, but a campaign holds at most one
+/// outcome per slot, most of them `Done`, so boxing the result would add an
+/// allocation per slot and save nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum SlotOutcome {
@@ -882,7 +868,7 @@ impl Campaign {
         // can be dumped post-mortem. Completed slots deregister on the spot,
         // bounding the registry to the in-flight window.
         let tracers: Mutex<HashMap<usize, Tracer>> = Mutex::new(HashMap::new());
-        let ran: Vec<SlotRun<Result<SlotResult, CampaignError>>> = run_slots(
+        let ran: Vec<SlotRun<Result<SlotOutcome, CampaignError>>> = run_slots(
             self.config.parallelism,
             &worklist,
             self.slot_budget,
@@ -907,32 +893,31 @@ impl Campaign {
                 if traced {
                     lock_tracers(&tracers).remove(&slot);
                 }
-                result
+                result.map(SlotOutcome::Done)
             },
-            |slot, run| {
-                let outcome = match run {
-                    SlotRun::Done(Ok(r)) => SlotOutcome::Done(r.clone()),
-                    SlotRun::Done(Err(_)) => return,
-                    quarantined => {
-                        if let SlotRun::TimedOut { budget_ms } = quarantined {
-                            if let Some(tracer) = lock_tracers(&tracers).get(&slot) {
-                                tracer.emit(EventKind::SlotTimeout {
-                                    slot: slot as u64,
-                                    budget_ms: *budget_ms,
-                                });
-                            }
+            |slot, run| match run {
+                // The worker's own outcome, lent to the observer: a journal
+                // writes its line from it with no copy.
+                SlotRun::Done(Ok(outcome)) => observe(slot, outcome),
+                SlotRun::Done(Err(_)) => {}
+                quarantined => {
+                    if let SlotRun::TimedOut { budget_ms } = quarantined {
+                        if let Some(tracer) = lock_tracers(&tracers).get(&slot) {
+                            tracer.emit(EventKind::SlotTimeout {
+                                slot: slot as u64,
+                                budget_ms: *budget_ms,
+                            });
                         }
-                        let fault_id = &faultload.faults[slot].id;
-                        self.dump_quarantined_trace(iteration, slot, fault_id, &tracers);
-                        SlotOutcome::Quarantined(slot_error(quarantined))
                     }
-                };
-                observe(slot, &outcome);
+                    let fault_id = &faultload.faults[slot].id;
+                    self.dump_quarantined_trace(iteration, slot, fault_id, &tracers);
+                    observe(slot, &SlotOutcome::Quarantined(slot_error(quarantined)));
+                }
             },
         );
         for (&slot, run) in worklist.iter().zip(ran) {
             outcomes[slot] = Some(match run {
-                SlotRun::Done(result) => SlotOutcome::Done(result?),
+                SlotRun::Done(outcome) => outcome?,
                 quarantined => SlotOutcome::Quarantined(slot_error(&quarantined)),
             });
         }
@@ -964,7 +949,7 @@ impl Campaign {
         Ok(CampaignResult {
             edition: self.edition,
             server: self.server,
-            measures: total.unwrap_or_else(|| IntervalMeasures::new(self.config.interval.conns)),
+            measures: total.unwrap_or_else(|| IntervalMeasures::new(CONNS)),
             watchdog,
             availability,
             slots,
@@ -1424,11 +1409,11 @@ mod tests {
         let with_pack = CampaignConfig::builder()
             .interval(base.interval)
             .os_budget(base.os_budget)
-            .pack(swfit_core::pack::PackRef {
+            .packs(vec![swfit_core::pack::PackRef {
                 name: "chain-cleanup".into(),
                 version: "1.0.0".into(),
                 content_hash: 0xfeed,
-            })
+            }])
             .build();
         assert_ne!(base.stable_hash(), with_pack.stable_hash());
         // Round-trips like any config.

@@ -20,30 +20,33 @@ use crate::recovery::{
     AvailabilityMetrics, FailureClass, RecoveryPolicy, RepairAction, RepairPlan,
 };
 
-/// Interval parameters.
+/// Simultaneous client connections.
+pub(crate) const CONNS: usize = 40;
+/// Nanoseconds of simulated time per server cost unit.
+const NS_PER_UNIT: u64 = 450;
+/// Per-connection streaming bandwidth, cells per second.
+const CONN_CELLS_PER_SEC: u64 = 25_000;
+/// Client think time between operations.
+const THINK: SimDuration = SimDuration::from_millis(25);
+/// Client-side latency charged to an operation that hits a dead server.
+const DEAD_OP_LATENCY: SimDuration = SimDuration::from_millis(250);
+/// Extra client delay after a failed operation (teardown + reconnect).
+const ERROR_BACKOFF: SimDuration = SimDuration::from_millis(500);
+/// Watchdog delay to detect a dead process and restart it.
+const CRASH_REPAIR_DELAY: SimDuration = SimDuration::from_millis(400);
+/// Watchdog delay to decide the server is not answering (KNS kill).
+const HANG_KILL_DELAY: SimDuration = SimDuration::from_millis(400);
+/// Self-restarts without a single successful operation in between that
+/// classify the process as a CPU hog (KCP kill).
+const KCP_RESTART_STORM: u64 = 10;
+
+/// Interval parameters. The client load and the watchdog's delays are the
+/// fixed constants above, as in the paper, where only the target, the OS
+/// and the faultload vary.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct IntervalConfig {
-    /// Simultaneous client connections.
-    pub conns: usize,
     /// Interval length (one benchmark slot).
     pub duration: SimDuration,
-    /// Nanoseconds of simulated time per server cost unit.
-    pub ns_per_unit: u64,
-    /// Per-connection streaming bandwidth, cells per second.
-    pub conn_cells_per_sec: u64,
-    /// Client think time between operations.
-    pub think: SimDuration,
-    /// Client-side latency charged to an operation that hits a dead server.
-    pub dead_op_latency: SimDuration,
-    /// Extra client delay after a failed operation (teardown + reconnect).
-    pub error_backoff: SimDuration,
-    /// Watchdog delay to detect a dead process and restart it.
-    pub crash_repair_delay: SimDuration,
-    /// Watchdog delay to decide the server is not answering (KNS kill).
-    pub hang_kill_delay: SimDuration,
-    /// Self-restarts without a single successful operation in between that
-    /// classify the process as a CPU hog (KCP kill).
-    pub kcp_restart_storm: u64,
     /// Extra busy time charged at interval start (injector bookkeeping in
     /// profile mode; zero otherwise).
     pub injector_busy: SimDuration,
@@ -58,16 +61,7 @@ pub struct IntervalConfig {
 impl Default for IntervalConfig {
     fn default() -> Self {
         IntervalConfig {
-            conns: 40,
             duration: SimDuration::from_secs(2),
-            ns_per_unit: 450,
-            conn_cells_per_sec: 25_000,
-            think: SimDuration::from_millis(25),
-            dead_op_latency: SimDuration::from_millis(250),
-            error_backoff: SimDuration::from_millis(500),
-            crash_repair_delay: SimDuration::from_millis(400),
-            hang_kill_delay: SimDuration::from_millis(400),
-            kcp_restart_storm: 10,
             injector_busy: SimDuration::ZERO,
             recovery: RecoveryPolicy::FixedDelay,
         }
@@ -154,7 +148,7 @@ pub fn run_interval(
     rng: &mut SimRng,
     cfg: &IntervalConfig,
 ) -> IntervalOutcome {
-    let mut measures = IntervalMeasures::new(cfg.conns);
+    let mut measures = IntervalMeasures::new(CONNS);
     let mut watchdog = WatchdogCounts::default();
     let mut avail = AvailabilityMetrics::default();
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -169,8 +163,8 @@ pub fn run_interval(
     let mut storm_base = server.stats().self_restarts;
     // The class-based fixed delay every policy can fall back to.
     let class_delay = |class: FailureClass| match class {
-        FailureClass::Crash => cfg.crash_repair_delay,
-        FailureClass::Hang => cfg.hang_kill_delay,
+        FailureClass::Crash => CRASH_REPAIR_DELAY,
+        FailureClass::Hang => HANG_KILL_DELAY,
     };
     if matches!(cfg.recovery, RecoveryPolicy::StandbyFailover { .. }) {
         // The watchdog keeps a warm spare ready from the start.
@@ -178,7 +172,7 @@ pub fn run_interval(
     }
 
     // Stagger connection starts across the first few milliseconds.
-    for conn in 0..cfg.conns {
+    for conn in 0..CONNS {
         queue.schedule(
             SimTime::ZERO + SimDuration::from_micros(200 * conn as u64),
             Event::Issue(conn),
@@ -252,8 +246,8 @@ pub fn run_interval(
                 }
             }
             // Either way this operation fails at the client.
-            measures.record_op(conn, 0, true, cfg.dead_op_latency);
-            queue.schedule(now + cfg.dead_op_latency + cfg.think, Event::Issue(conn));
+            measures.record_op(conn, 0, true, DEAD_OP_LATENCY);
+            queue.schedule(now + DEAD_OP_LATENCY + THINK, Event::Issue(conn));
             continue;
         }
 
@@ -261,24 +255,24 @@ pub fn run_interval(
         let req = generator.next_request(rng);
         let start = now.max(server_free);
         let result = server.serve(os, &req);
-        let service = SimDuration::from_micros(result.cost * cfg.ns_per_unit / 1000);
+        let service = SimDuration::from_micros(result.cost * NS_PER_UNIT / 1000);
         server_free = start + service;
         let cells = match result.outcome {
             webserver::Outcome::Ok { bytes, .. } => bytes,
             webserver::Outcome::Error => 0,
         };
-        let transfer = SimDuration::from_micros(cells * 1_000_000 / cfg.conn_cells_per_sec);
+        let transfer = SimDuration::from_micros(cells * 1_000_000 / CONN_CELLS_PER_SEC);
         let complete = server_free + transfer;
         let rt = complete.since(now);
         let error = !result.is_correct_for(&req);
         let backoff = if error {
-            cfg.error_backoff
+            ERROR_BACKOFF
         } else {
             SimDuration::ZERO
         };
         // The client perceives the backoff as part of the failed operation.
         measures.record_op(conn, cells, error, rt + backoff);
-        queue.schedule(complete + cfg.think + backoff, Event::Issue(conn));
+        queue.schedule(complete + THINK + backoff, Event::Issue(conn));
         if !error {
             // Service is being provided: the restart-storm window resets.
             storm_base = server.stats().self_restarts;
@@ -286,7 +280,7 @@ pub fn run_interval(
 
         // Post-dispatch watchdog checks.
         if server.state() == ServerState::Running
-            && server.stats().self_restarts.saturating_sub(storm_base) >= cfg.kcp_restart_storm
+            && server.stats().self_restarts.saturating_sub(storm_base) >= KCP_RESTART_STORM
         {
             // Restart storm: the process burns CPU re-forking workers
             // without providing service. Kill and restart it.
@@ -501,7 +495,7 @@ mod tests {
             assert!(server.start(&mut os));
             let mut rng = SimRng::seed_from_u64(13);
             let cfg = quick_cfg();
-            assert_eq!(cfg.kcp_restart_storm, 10, "test assumes default storm");
+            assert_eq!(KCP_RESTART_STORM, 10, "test assumes default storm");
             run_interval(&mut os, &mut server, &mut generator, &mut rng, &cfg)
         };
         // One restart short of the storm threshold: no kill, ever.

@@ -5,7 +5,6 @@
 //! `swfit_core::ProfileSet`, whose intersection/threshold rule yields the
 //! FIT subset eligible for fault injection.
 
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng};
 use simos::{Edition, Os, OsApi};
 use specweb::{FileSet, FileSetConfig, RequestGenerator};
@@ -14,17 +13,15 @@ use webserver::ServerKind;
 
 use crate::interval::{run_interval, IntervalConfig};
 
-/// Profiling-phase parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+/// RNG seed of every profiling run.
+const SEED: u64 = 0xF17E;
+
+/// Profiling-phase parameters. Each server is profiled on the default file
+/// set and interval, seeded with the same fixed stream.
+#[derive(Clone, Copy, Debug)]
 pub struct ProfilePhaseConfig {
     /// How long each server is profiled.
     pub duration: SimDuration,
-    /// Interval parameters (connections etc.).
-    pub interval: IntervalConfig,
-    /// File-set shape.
-    pub fileset: FileSetConfig,
-    /// RNG seed.
-    pub seed: u64,
     /// Minimum average call share (percent) for a function to stay eligible.
     pub min_avg_pct: f64,
 }
@@ -33,9 +30,6 @@ impl Default for ProfilePhaseConfig {
     fn default() -> Self {
         ProfilePhaseConfig {
             duration: SimDuration::from_secs(2),
-            interval: IntervalConfig::default(),
-            fileset: FileSetConfig::default(),
-            seed: 0xF17E,
             min_avg_pct: 0.05,
         }
     }
@@ -50,16 +44,16 @@ pub fn profile_servers(
     let mut set = ProfileSet::new();
     for &kind in servers {
         let mut os = Os::boot(edition).expect("OS boots");
-        let fs = FileSet::populate(cfg.fileset, os.devices_mut());
+        let fs = FileSet::populate(FileSetConfig::default(), os.devices_mut());
         let mut generator = RequestGenerator::new(fs);
         let mut server = kind.build();
         assert!(server.start(&mut os), "profiling server starts");
         os.clear_api_counts(); // exclude startup allocations, as a real
                                // profile window would
-        let mut rng = SimRng::seed_from_u64(cfg.seed);
+        let mut rng = SimRng::seed_from_u64(SEED);
         let interval = IntervalConfig {
             duration: cfg.duration,
-            ..cfg.interval
+            ..IntervalConfig::default()
         };
         let _ = run_interval(
             &mut os,

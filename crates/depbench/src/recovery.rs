@@ -48,8 +48,8 @@ pub enum FailureClass {
 /// [`FixedDelay`]: RecoveryPolicy::FixedDelay
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryPolicy {
-    /// Restart after the class delay (`crash_repair_delay` /
-    /// `hang_kill_delay`), retrying at the same cadence. The original
+    /// Restart after the class delay (`CRASH_REPAIR_DELAY` /
+    /// `HANG_KILL_DELAY`), retrying at the same cadence. The original
     /// behavior and the default.
     #[default]
     FixedDelay,
@@ -218,8 +218,8 @@ impl RepairPlan {
     }
 
     /// Delay before the next repair attempt. `fallback` is the class-based
-    /// fixed delay (`crash_repair_delay` / `hang_kill_delay`) the caller
-    /// computed from its interval config; policies that keep the original
+    /// fixed delay (`CRASH_REPAIR_DELAY` / `HANG_KILL_DELAY`) the caller
+    /// picked for the failure class; policies that keep the original
     /// cadence return it unchanged — and only backoff jitter ever touches
     /// `rng`, so the default policy's random stream is untouched.
     pub fn next_delay(&self, fallback: SimDuration, rng: &mut SimRng) -> SimDuration {

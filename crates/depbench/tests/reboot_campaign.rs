@@ -27,8 +27,6 @@ fn reboot_escalation_campaign_is_byte_identical_across_parallelism() {
         let cfg = CampaignConfig::builder()
             .interval(IntervalConfig {
                 duration: SimDuration::from_millis(300),
-                crash_repair_delay: SimDuration::from_millis(20),
-                hang_kill_delay: SimDuration::from_millis(20),
                 ..IntervalConfig::default()
             })
             // Every watchdog repair reboots the OS first.

@@ -170,10 +170,7 @@ impl FaultMapCache {
         let written = faultload
             .to_json()
             .map_err(|e| StoreError::Json(e.to_string()))
-            .and_then(|json| {
-                self.ctx
-                    .write_atomic("faultmap write", "faultmap rename", &path, json.as_bytes())
-            });
+            .and_then(|json| self.ctx.write_atomic(&path, json.as_bytes()));
         if let Err(e) = written {
             // The scan itself succeeded; the cache write is an optimization
             // for the *next* process, so a persistently failing disk costs
@@ -190,7 +187,7 @@ impl FaultMapCache {
     fn load_valid(&self, path: &Path, key: &CacheKey) -> Option<Faultload> {
         let json = self
             .ctx
-            .retrying("faultmap read", || self.ctx.chaos.read_to_string(path))
+            .retrying(|| self.ctx.chaos.read_to_string(path))
             .ok()?;
         let faultload = Faultload::from_json(&json).ok()?;
         (faultload.fingerprint == Some(key.image_fingerprint)).then_some(faultload)

@@ -97,11 +97,12 @@ impl JournalHeader {
         }
     }
 
-    /// Field-by-field comparison with a precise mismatch description.
-    fn validate_against(&self, expected: &JournalHeader) -> Result<(), StoreError> {
+    /// Field-by-field comparison with a precise mismatch description,
+    /// whose reason starts with `prefix`.
+    fn validate_against(&self, expected: &JournalHeader, prefix: &str) -> Result<(), StoreError> {
         let mismatch = |field: &str, found: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
             Err(StoreError::StaleJournal {
-                reason: format!("{field} is {found:?}, campaign expects {want:?}"),
+                reason: format!("{prefix}{field} is {found:?}, campaign expects {want:?}"),
             })
         };
         if self.schema != expected.schema {
@@ -226,76 +227,55 @@ impl StopRecord {
     /// stop decision taken under a different config or target would freeze
     /// the wrong iteration count into the results.
     pub fn validate_against(&self, expected: &StopRecord) -> Result<(), StoreError> {
-        let mismatch = |field: &str, found: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
-            Err(StoreError::StaleJournal {
-                reason: format!("stop record {field} is {found:?}, campaign expects {want:?}"),
-            })
-        };
-        if self.schema != expected.schema {
-            return mismatch("schema", &self.schema, &expected.schema);
-        }
-        if self.edition != expected.edition {
-            return mismatch("edition", &self.edition, &expected.edition);
-        }
-        if self.server != expected.server {
-            return mismatch("server", &self.server, &expected.server);
-        }
-        if self.config_hash != expected.config_hash {
-            return mismatch("config hash", &self.config_hash, &expected.config_hash);
-        }
-        if self.faultload_fingerprint != expected.faultload_fingerprint {
-            return mismatch(
-                "faultload fingerprint",
-                &self.faultload_fingerprint,
-                &expected.faultload_fingerprint,
-            );
-        }
-        if self.faultload_hash != expected.faultload_hash {
-            return mismatch(
-                "faultload content",
-                &self.faultload_hash,
-                &expected.faultload_hash,
-            );
-        }
+        self.header()
+            .validate_against(&expected.header(), "stop record ")?;
         if self.convergence != expected.convergence {
-            return mismatch("convergence rule", &self.convergence, &expected.convergence);
+            return Err(StoreError::StaleJournal {
+                reason: format!(
+                    "stop record convergence rule is {:?}, campaign expects {:?}",
+                    self.convergence, expected.convergence
+                ),
+            });
         }
         Ok(())
     }
+
+    /// The campaign identity this record shares with a journal header, as
+    /// a header: the fields a stop record lacks are fixed (iteration 0, no
+    /// pack hash, no fault count), so they compare equal and one comparison
+    /// serves both.
+    fn header(&self) -> JournalHeader {
+        JournalHeader {
+            schema: self.schema,
+            edition: self.edition.clone(),
+            server: self.server.clone(),
+            iteration: 0,
+            config_hash: self.config_hash,
+            faultload_fingerprint: self.faultload_fingerprint,
+            faultload_hash: self.faultload_hash,
+            pack_hash: None,
+            fault_count: 0,
+        }
+    }
 }
 
-/// One journal line after the header. Exactly one of `result` and
-/// `quarantined` is set; completed-slot records serialize byte-identically
-/// to the pre-quarantine format (`{"slot": i, "result": {…}}`), so journals
-/// written before quarantine existed replay unchanged.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// One journal line after the header, as read back. Exactly one of
+/// `result` and `quarantined` is set; completed-slot records read
+/// byte-identically to the pre-quarantine format (`{"slot": i, "result":
+/// {…}}`), so journals written before quarantine existed replay unchanged.
+#[derive(Debug, Deserialize)]
 struct SlotRecord {
     /// Slot index (= fault index in the faultload).
     slot: usize,
     /// The completed slot's result.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     result: Option<SlotResult>,
     /// Why the slot was quarantined instead.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     quarantined: Option<SlotError>,
 }
 
 impl SlotRecord {
-    fn describe(slot: usize, outcome: &SlotOutcome) -> SlotRecord {
-        match outcome {
-            SlotOutcome::Done(r) => SlotRecord {
-                slot,
-                result: Some(r.clone()),
-                quarantined: None,
-            },
-            SlotOutcome::Quarantined(e) => SlotRecord {
-                slot,
-                result: None,
-                quarantined: Some(e.clone()),
-            },
-        }
-    }
-
     fn outcome(self) -> Option<SlotOutcome> {
         match (self.result, self.quarantined) {
             (Some(r), None) => Some(SlotOutcome::Done(r)),
@@ -303,6 +283,33 @@ impl SlotRecord {
             // Neither or both: a record this journal never writes.
             _ => None,
         }
+    }
+}
+
+/// One journal line after the header, as written: the [`SlotRecord`]
+/// shape, serialized straight from the borrowed outcome.
+struct RecordLine<'a> {
+    slot: usize,
+    outcome: &'a SlotOutcome,
+}
+
+impl Serialize for RecordLine<'_> {
+    fn serialize<W: serde::Write>(&self, w: &mut W) -> Result<(), serde::SerError> {
+        w.value(serde::Token::Object)?;
+        w.key("slot");
+        self.slot.serialize(w)?;
+        match self.outcome {
+            SlotOutcome::Done(r) => {
+                w.key("result");
+                r.serialize(w)?;
+            }
+            SlotOutcome::Quarantined(e) => {
+                w.key("quarantined");
+                e.serialize(w)?;
+            }
+        }
+        w.close();
+        Ok(())
     }
 }
 
@@ -364,7 +371,7 @@ impl Journal {
         let path = path.into();
         let line = serde_json::to_string(header).map_err(|e| StoreError::Json(e.to_string()))?;
         let file = ctx
-            .retrying("journal create", || {
+            .retrying(|| {
                 let mut file = File::create(&path)?;
                 ctx.chaos.append_line(&mut file, &line)?;
                 ctx.chaos.sync_data(&file)?;
@@ -412,7 +419,7 @@ impl Journal {
     ) -> Result<(Journal, Vec<SlotOutcome>), StoreError> {
         let path = path.into();
         let raw = ctx
-            .retrying("journal read", || ctx.chaos.read_to_string(&path))
+            .retrying(|| ctx.chaos.read_to_string(&path))
             .map_err(|e| io_err(&path, e))?;
         let header_end = raw.find('\n').ok_or_else(|| {
             StoreError::Json(format!(
@@ -422,7 +429,7 @@ impl Journal {
         })?;
         let header: JournalHeader = serde_json::from_str(&raw[..header_end])
             .map_err(|e| StoreError::Json(format!("{}: bad header: {e}", path.display())))?;
-        header.validate_against(expected)?;
+        header.validate_against(expected, "")?;
 
         let mut outcomes: Vec<SlotOutcome> = Vec::new();
         // Byte offset of the end of the last durable, acceptable record.
@@ -549,12 +556,12 @@ impl Journal {
         if !accept {
             return Ok(());
         }
-        let line = serde_json::to_string(&SlotRecord::describe(slot, outcome))
+        let line = serde_json::to_string(&RecordLine { slot, outcome })
             .map_err(|e| StoreError::Json(e.to_string()))?;
         let pos = inner.len;
         let ctx = &self.ctx;
         let file = &mut inner.file;
-        ctx.retrying("journal append", || {
+        ctx.retrying(|| {
             ctx.chaos.rewind(file, pos)?;
             ctx.chaos.append_line(file, &line)?;
             ctx.chaos.sync_data(file)
@@ -634,6 +641,49 @@ mod tests {
         let (_journal, outcomes) = Journal::open_resume(&path, &header).unwrap();
         assert_eq!(outcomes.len(), 1);
         assert!(matches!(outcomes[0], SlotOutcome::Quarantined(_)));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn records_are_written_as_slot_and_result_or_quarantine() {
+        let path = tmp_journal("lines");
+        let campaign = Campaign::new(
+            Edition::Nimbus2000,
+            ServerKind::Wren,
+            CampaignConfig::default(),
+        );
+        let header = JournalHeader::describe(&campaign, &small_faultload(2), 0);
+        let journal = Journal::create(&path, &header).unwrap();
+        let mut measures = specweb::IntervalMeasures::new(1);
+        measures.record_op(0, 64, false, simkit::SimDuration::from_millis(3));
+        let result = SlotResult {
+            fault_id: "MIFS@f+1".to_string(),
+            measures,
+            watchdog: Default::default(),
+            ended_dead: false,
+            availability: Default::default(),
+            activation: None,
+        };
+        let quarantined = SlotOutcome::Quarantined(SlotError::Panicked {
+            message: "synthetic".to_string(),
+        });
+        journal.record(0, &quarantined).unwrap();
+        journal
+            .record(1, &SlotOutcome::Done(result.clone()))
+            .unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[1..],
+            [
+                r#"{"slot":0,"quarantined":{"Panicked":{"message":"synthetic"}}}"#.to_string(),
+                format!(
+                    r#"{{"slot":1,"result":{}}}"#,
+                    serde_json::to_string(&result).unwrap()
+                ),
+            ]
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

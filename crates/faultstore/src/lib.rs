@@ -60,10 +60,9 @@ use std::fmt;
 pub use cache::{CacheKey, FaultMapCache};
 pub use diff::{diff_runs, diff_table};
 pub use journal::{Journal, JournalHeader, StopRecord, JOURNAL_SCHEMA};
-// Re-exported so store users can configure resilience without naming the
-// simchaos / simtrace crates themselves.
+// Re-exported so store users can configure chaos injection without naming
+// the simchaos crate themselves.
 pub use simchaos::{ChaosConfig, ChaosFs, ChaosProfile};
-pub use simtrace::Tracer as HarnessTracer;
 pub use store::FaultStore;
 
 /// Why a store operation could not complete.

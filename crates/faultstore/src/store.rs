@@ -21,7 +21,6 @@ use std::sync::Arc;
 use depbench::{Campaign, CampaignResult, ConvergenceConfig};
 use mvm::CodeImage;
 use simchaos::ChaosFs;
-use simtrace::Tracer;
 use swfit_core::{Faultload, Scanner};
 
 use crate::cache::FaultMapCache;
@@ -37,8 +36,8 @@ use crate::{io_err, StoreError};
 const MAX_CONSECUTIVE_APPEND_FAILURES: u32 = 3;
 
 /// A store rooted at one directory. Cheap to clone; all state is on disk
-/// except the shared resilience context (chaos layer, tracer and
-/// degradation latch), which clones share.
+/// except the shared resilience context (chaos layer and degradation
+/// latch), which clones share.
 #[derive(Clone, Debug)]
 pub struct FaultStore {
     root: PathBuf,
@@ -65,35 +64,13 @@ impl FaultStore {
         Ok(FaultStore { root, cache, ctx })
     }
 
-    /// Rebuilds this store around an updated resilience context. Builder
-    /// methods call this at setup time, before any campaign I/O.
-    fn with_ctx(self, chaos: ChaosFs, tracer: Tracer) -> FaultStore {
-        FaultStore::open_ctx(self.root, StoreCtx::new(chaos, tracer))
-            .expect("store root already existed when this store was first opened")
-    }
-
     /// Routes all store I/O through `chaos` — the environment-fault
     /// injection layer (`--chaos-seed` / `--chaos-profile` on the CLI).
+    /// Called at setup time, before any campaign I/O.
     #[must_use]
     pub fn with_chaos(self, chaos: ChaosFs) -> FaultStore {
-        let tracer = self.ctx.tracer.clone();
-        self.with_ctx(chaos, tracer)
-    }
-
-    /// Records harness-level fault events (`HarnessFault`, `Retry`,
-    /// `Degraded`) into `tracer`, alongside whatever target-level tracing
-    /// the campaign does.
-    #[must_use]
-    pub fn with_tracer(self, tracer: Tracer) -> FaultStore {
-        let chaos = self.ctx.chaos.clone();
-        self.with_ctx(chaos, tracer)
-    }
-
-    /// The harness tracer (disabled unless set via
-    /// [`with_tracer`](FaultStore::with_tracer)); snapshot it after a
-    /// campaign to export harness-fault events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.ctx.tracer
+        FaultStore::open_ctx(self.root, StoreCtx::new(chaos))
+            .expect("store root already existed when this store was first opened")
     }
 
     /// Whether this store has abandoned any persistence duty (journal or
@@ -275,8 +252,7 @@ impl FaultStore {
         let path = self.stop_path(campaign);
         let json =
             serde_json::to_string_pretty(&record).map_err(|e| StoreError::Json(e.to_string()))?;
-        self.ctx
-            .write_atomic("stop record", "stop record", &path, json.as_bytes())?;
+        self.ctx.write_atomic(&path, json.as_bytes())?;
         Ok(record)
     }
 
@@ -348,8 +324,7 @@ impl FaultStore {
         let path = self.run_path(name)?;
         let json =
             serde_json::to_string_pretty(result).map_err(|e| StoreError::Json(e.to_string()))?;
-        self.ctx
-            .write_atomic("run save", "run save", &path, json.as_bytes())?;
+        self.ctx.write_atomic(&path, json.as_bytes())?;
         Ok(path)
     }
 

@@ -19,13 +19,12 @@
 //!   exponential backoff and deterministic jitter (same `derive`
 //!   discipline) that callers wrap around transient-fallible operations.
 //!
-//! The crate deliberately knows nothing about `faultstore` or `simtrace`;
-//! callers observe retries through a callback and adapt it to their own
-//! telemetry.
+//! The crate knows nothing about `faultstore`. It reports no events: an
+//! enabled [`ChaosFs`] counts the faults it injected
+//! ([`ChaosFs::injected`]), which is what a test reads to show that a
+//! chaos run exercised anything.
 
 pub mod retry;
-
-pub use retry::RetryEvent;
 
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -124,6 +123,8 @@ struct Inner {
     /// Global operation counter; each injection decision consumes one
     /// index into the seeded schedule.
     ops: AtomicU64,
+    /// How many of those decisions injected a fault.
+    injected: AtomicU64,
 }
 
 /// A virtual-filesystem layer that injects environment faults on a seeded
@@ -163,6 +164,7 @@ impl ChaosFs {
             inner: Some(Arc::new(Inner {
                 cfg,
                 ops: AtomicU64::new(0),
+                injected: AtomicU64::new(0),
             })),
         }
     }
@@ -170,6 +172,14 @@ impl ChaosFs {
     /// Whether this instance injects faults at all.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// How many faults this instance (and every clone of it) has injected
+    /// so far; always 0 when disabled.
+    pub fn injected(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.injected.load(Ordering::Relaxed))
     }
 
     /// Consults the seeded schedule for the next operation at `stage`.
@@ -181,7 +191,7 @@ impl ChaosFs {
         // as the operation *sequence* is deterministic (which the store
         // guarantees by serialising journal appends in slot order).
         let roll = SimRng::derive(inner.cfg.seed, &[n]).next_u64() % 1000;
-        match (inner.cfg.profile, stage) {
+        let injected = match (inner.cfg.profile, stage) {
             (ChaosProfile::Enospc, Stage::Read) => None,
             (ChaosProfile::Enospc, _) => Some(Injected::Enospc),
             (ChaosProfile::Transient, Stage::Write) => match roll {
@@ -211,7 +221,11 @@ impl ChaosFs {
                 0..=59 => Some(Injected::Eintr),
                 _ => None,
             },
+        };
+        if injected.is_some() {
+            inner.injected.fetch_add(1, Ordering::Relaxed);
         }
+        injected
     }
 
     /// Creates (truncating) `path`, writes `bytes`, and syncs the file to
@@ -329,19 +343,6 @@ pub fn is_transient(e: &io::Error) -> bool {
     )
 }
 
-/// A short, stable name for an error kind, for telemetry labels.
-pub fn error_kind_name(e: &io::Error) -> &'static str {
-    match e.kind() {
-        io::ErrorKind::Interrupted => "EINTR",
-        io::ErrorKind::WouldBlock => "EAGAIN",
-        io::ErrorKind::TimedOut => "ETIMEDOUT",
-        io::ErrorKind::StorageFull => "ENOSPC",
-        io::ErrorKind::NotFound => "ENOENT",
-        io::ErrorKind::PermissionDenied => "EACCES",
-        _ => "EIO",
-    }
-}
-
 fn eintr(what: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::Interrupted,
@@ -382,6 +383,7 @@ mod tests {
     fn off_is_pass_through() {
         let fs = ChaosFs::off();
         assert!(!fs.is_enabled());
+        assert_eq!(fs.injected(), 0);
         let dir = tmp_dir("off");
         let p = dir.join("a.txt");
         fs.write_sync(&p, b"hello").unwrap();
@@ -403,20 +405,24 @@ mod tests {
             (0..200)
                 .map(|_| match fs.write_sync(&p, b"payload-payload") {
                     Ok(()) => "ok".to_string(),
-                    Err(e) => error_kind_name(&e).to_string(),
+                    Err(e) => format!("{:?}", e.kind()),
                 })
                 .collect()
         };
-        let a = record(&ChaosFs::seeded(cfg));
+        let fs = ChaosFs::seeded(cfg);
+        let a = record(&fs);
         let b = record(&ChaosFs::seeded(cfg));
         assert_eq!(
             a, b,
             "same seed + same op sequence must inject the same faults"
         );
+        let failed = a.iter().filter(|s| *s != "ok").count() as u64;
         assert!(
-            a.iter().any(|s| s != "ok"),
+            failed > 0,
             "a 200-op transient schedule should inject at least one fault"
         );
+        // Each failed write is one injected fault, counted on every clone.
+        assert_eq!(fs.clone().injected(), failed);
     }
 
     #[test]

@@ -9,29 +9,17 @@
 //! There is one schedule: at most [`MAX_ATTEMPTS`] attempts, backoff
 //! starting at 2 ms and doubling per retry up to 50 ms, plus up to a quarter
 //! of that in jitter.
+//!
+//! Retries are silent: the caller sees the first success or the final
+//! error. How many faults fired is the injecting layer's count
+//! ([`crate::ChaosFs::injected`]).
 
 use std::io;
 use std::time::Duration;
 
 use simkit::SimRng;
 
-use crate::{error_kind_name, is_transient};
-
-/// One observed retry, reported through the caller's callback before the
-/// backoff sleep. Carries everything telemetry needs without this crate
-/// depending on any tracer.
-#[derive(Debug, Clone)]
-pub struct RetryEvent {
-    /// Which operation is being retried (static label, e.g. `"journal append"`).
-    pub op: &'static str,
-    /// 1-based retry attempt number (the first *re*-try is 1).
-    pub attempt: u32,
-    /// How long the policy will sleep before this retry.
-    pub backoff: Duration,
-    /// Short stable name of the error kind that triggered the retry
-    /// (`"EINTR"`, `"EAGAIN"`, ...).
-    pub kind: &'static str,
-}
+use crate::is_transient;
 
 /// Total attempts per operation, including the first.
 pub const MAX_ATTEMPTS: u32 = 8;
@@ -62,31 +50,17 @@ pub fn backoff(op_index: u64, attempt: u32) -> Duration {
 /// retried up to [`MAX_ATTEMPTS`] total attempts with exponentially
 /// growing, deterministically jittered sleeps.
 ///
-/// `op` labels the operation for [`RetryEvent`]s; `op_index` pins the
-/// jitter stream (callers pass a per-operation counter); `observe` fires
-/// once per retry, before the sleep. Returns the first success, the first
-/// non-transient error, or the last transient error once attempts are
-/// exhausted.
-pub fn run<T>(
-    op: &'static str,
-    op_index: u64,
-    mut observe: impl FnMut(&RetryEvent),
-    mut f: impl FnMut() -> io::Result<T>,
-) -> io::Result<T> {
+/// `op_index` pins the jitter stream (callers pass a per-operation
+/// counter). Returns the first success, the first non-transient error, or
+/// the last transient error once attempts are exhausted.
+pub fn run<T>(op_index: u64, mut f: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut attempt: u32 = 0;
     loop {
         match f() {
             Ok(v) => return Ok(v),
             Err(e) if is_transient(&e) && attempt + 1 < MAX_ATTEMPTS => {
                 attempt += 1;
-                let backoff = backoff(op_index, attempt);
-                observe(&RetryEvent {
-                    op,
-                    attempt,
-                    backoff,
-                    kind: error_kind_name(&e),
-                });
-                std::thread::sleep(backoff);
+                std::thread::sleep(backoff(op_index, attempt));
             }
             Err(e) => return Err(e),
         }
@@ -105,36 +79,24 @@ mod tests {
     #[test]
     fn succeeds_after_transient_failures() {
         let mut calls = 0;
-        let mut retries = Vec::new();
-        let out = run(
-            "probe",
-            0,
-            |ev| retries.push(ev.attempt),
-            || {
-                calls += 1;
-                if calls < 4 {
-                    Err(transient_err())
-                } else {
-                    Ok(calls)
-                }
-            },
-        );
+        let out = run(0, || {
+            calls += 1;
+            if calls < 4 {
+                Err(transient_err())
+            } else {
+                Ok(calls)
+            }
+        });
         assert_eq!(out.unwrap(), 4);
-        assert_eq!(retries, vec![1, 2, 3]);
     }
 
     #[test]
     fn non_transient_errors_return_immediately() {
         let mut calls = 0;
-        let out: io::Result<()> = run(
-            "probe",
-            0,
-            |_| panic!("must not retry a non-transient error"),
-            || {
-                calls += 1;
-                Err(io::Error::new(ErrorKind::StorageFull, "disk full"))
-            },
-        );
+        let out: io::Result<()> = run(0, || {
+            calls += 1;
+            Err(io::Error::new(ErrorKind::StorageFull, "disk full"))
+        });
         assert_eq!(out.unwrap_err().kind(), ErrorKind::StorageFull);
         assert_eq!(calls, 1);
     }
@@ -142,15 +104,10 @@ mod tests {
     #[test]
     fn exhausts_after_max_attempts() {
         let mut calls = 0;
-        let out: io::Result<()> = run(
-            "probe",
-            9,
-            |_| {},
-            || {
-                calls += 1;
-                Err(transient_err())
-            },
-        );
+        let out: io::Result<()> = run(9, || {
+            calls += 1;
+            Err(transient_err())
+        });
         assert!(out.is_err());
         assert_eq!(calls, MAX_ATTEMPTS, "MAX_ATTEMPTS bounds total attempts");
     }

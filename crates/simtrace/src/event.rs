@@ -118,32 +118,6 @@ pub enum EventKind {
         /// The fault's stable identifier.
         fault_id: String,
     },
-    /// The *harness's own* environment faulted: a store I/O operation hit
-    /// an (injected or real) error. Target-level and harness-level faults
-    /// share one flight recorder so a campaign forensic can tell them
-    /// apart at a glance.
-    HarnessFault {
-        /// Which store operation faulted, e.g. `"journal append"`.
-        op: &'static str,
-        /// Short errno-style name: `"EINTR"`, `"EAGAIN"`, `"ENOSPC"`, ...
-        kind: &'static str,
-    },
-    /// The store is about to retry a transient harness fault.
-    Retry {
-        /// Which store operation is being retried.
-        op: &'static str,
-        /// 1-based retry attempt number.
-        attempt: u32,
-        /// Backoff slept before this retry, in microseconds.
-        backoff_us: u64,
-    },
-    /// The store gave up on persistence and the campaign continues
-    /// un-journaled; the result will be stamped `degraded`.
-    Degraded {
-        /// Why the store degraded, e.g. `"journal disabled after repeated
-        /// append failures"`.
-        reason: &'static str,
-    },
     /// The executor's watchdog killed a slot that exceeded its wall-clock
     /// budget; the slot is quarantined as `SlotError::TimedOut`.
     SlotTimeout {
@@ -172,9 +146,6 @@ impl EventKind {
             EventKind::Phase { .. } => "phase",
             EventKind::InjectApply { .. } => "inject_apply",
             EventKind::InjectUndo { .. } => "inject_undo",
-            EventKind::HarnessFault { .. } => "harness_fault",
-            EventKind::Retry { .. } => "retry",
-            EventKind::Degraded { .. } => "degraded",
             EventKind::SlotTimeout { .. } => "slot_timeout",
         }
     }
@@ -240,18 +211,6 @@ mod tests {
             },
             EventKind::InjectUndo {
                 fault_id: "f".into(),
-            },
-            EventKind::HarnessFault {
-                op: "journal append",
-                kind: "EINTR",
-            },
-            EventKind::Retry {
-                op: "journal append",
-                attempt: 1,
-                backoff_us: 2000,
-            },
-            EventKind::Degraded {
-                reason: "journal unavailable",
             },
             EventKind::SlotTimeout {
                 slot: 3,

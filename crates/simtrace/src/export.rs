@@ -94,7 +94,6 @@ fn chrome_parts(kind: &EventKind) -> (&'static str, Cow<'static, str>) {
         }
         EventKind::Watchdog { action, .. } => ("i", format!("watchdog:{action}").into()),
         EventKind::Phase { name } => ("i", format!("phase:{name}").into()),
-        EventKind::HarnessFault { kind, .. } => ("i", format!("harness_fault:{kind}").into()),
         other => ("i", Cow::Borrowed(other.label())),
     }
 }
@@ -132,24 +131,12 @@ fn write_args<W: Write>(w: &mut W, kind: &EventKind) -> Result<(), SerError> {
             entry(w, "class", class)?;
             entry(w, "ok", ok)?;
         }
-        EventKind::Kill { reason } | EventKind::Degraded { reason } => {
-            entry(w, "reason", reason)?;
-        }
+        EventKind::Kill { reason } => entry(w, "reason", reason)?,
         EventKind::InjectApply { fault_id, site } => {
             entry(w, "fault_id", fault_id)?;
             entry(w, "site", site)?;
         }
         EventKind::InjectUndo { fault_id } => entry(w, "fault_id", fault_id)?,
-        EventKind::HarnessFault { op, .. } => entry(w, "op", op)?,
-        EventKind::Retry {
-            op,
-            attempt,
-            backoff_us,
-        } => {
-            entry(w, "op", op)?;
-            entry(w, "attempt", attempt)?;
-            entry(w, "backoff_us", backoff_us)?;
-        }
         EventKind::SlotTimeout { slot, budget_ms } => {
             entry(w, "slot", slot)?;
             entry(w, "budget_ms", budget_ms)?;
@@ -270,16 +257,6 @@ mod tests {
             EventKind::InjectUndo {
                 fault_id: "MFC@g+2".to_string(),
             },
-            EventKind::HarnessFault {
-                op: "journal append",
-                kind: "EINTR",
-            },
-            EventKind::Retry {
-                op: "journal append",
-                attempt: 1,
-                backoff_us: 11,
-            },
-            EventKind::Degraded { reason: "gave up" },
             EventKind::SlotTimeout {
                 slot: 12,
                 budget_ms: 13,
@@ -306,9 +283,6 @@ mod tests {
             r#"{"name":"phase:warmup","ph":"i","ts":5,"pid":3,"tid":0,"s":"t"}"#,
             r#"{"name":"inject_apply","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"fault_id":"MFC@g+2","site":10}}"#,
             r#"{"name":"inject_undo","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"fault_id":"MFC@g+2"}}"#,
-            r#"{"name":"harness_fault:EINTR","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"op":"journal append"}}"#,
-            r#"{"name":"retry","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"op":"journal append","attempt":1,"backoff_us":11}}"#,
-            r#"{"name":"degraded","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"reason":"gave up"}}"#,
             r#"{"name":"slot_timeout","ph":"i","ts":5,"pid":3,"tid":0,"s":"t","args":{"slot":12,"budget_ms":13}}"#,
         ];
         assert_eq!(
@@ -332,10 +306,7 @@ mod tests {
             r#"{"seq":10,"at":5,"kind":{"Phase":{"name":"warmup"}}}"#,
             r#"{"seq":11,"at":5,"kind":{"InjectApply":{"fault_id":"MFC@g+2","site":10}}}"#,
             r#"{"seq":12,"at":5,"kind":{"InjectUndo":{"fault_id":"MFC@g+2"}}}"#,
-            r#"{"seq":13,"at":5,"kind":{"HarnessFault":{"op":"journal append","kind":"EINTR"}}}"#,
-            r#"{"seq":14,"at":5,"kind":{"Retry":{"op":"journal append","attempt":1,"backoff_us":11}}}"#,
-            r#"{"seq":15,"at":5,"kind":{"Degraded":{"reason":"gave up"}}}"#,
-            r#"{"seq":16,"at":5,"kind":{"SlotTimeout":{"slot":12,"budget_ms":13}}}"#,
+            r#"{"seq":13,"at":5,"kind":{"SlotTimeout":{"slot":12,"budget_ms":13}}}"#,
         ];
         assert_eq!(
             every_kind().to_jsonl(),

@@ -140,11 +140,6 @@ impl FileSet {
     pub fn entries(&self) -> &[FileEntry] {
         &self.entries
     }
-
-    /// Files of one class.
-    pub fn class_entries(&self, class: usize) -> impl Iterator<Item = &FileEntry> {
-        self.entries.iter().filter(move |e| e.class == class)
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ const POST_LEN: u64 = 96;
 #[derive(Clone, Debug)]
 pub struct RequestGenerator {
     fileset: FileSet,
-    /// Entry indices per class, in [`FileSet::class_entries`] order —
+    /// Entry indices per class, in [`FileSet::entries`] order —
     /// precomputed so a draw is an index, not a per-request scan.
     by_class: [Vec<usize>; CLASSES],
     post_counter: u64,
