@@ -73,7 +73,7 @@ use std::process::ExitCode;
 
 use bench::campaign::{print_activation, print_activations, run_iterations, warn_quarantined};
 use bench::cli::{check_flags, value_of, values_of, CliArgs, SHARED_FLAGS};
-use depbench::report::{f, pct, pm, TextTable};
+use depbench::report::{f, or_na, pct, pm, TextTable};
 use depbench::{Campaign, CampaignConfig, RecoveryPolicy};
 use faultstore::{diff_runs, FaultStore, StoreError};
 use simos::{Edition, Os, OsApi};
@@ -312,38 +312,40 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         "-".to_string(),
     ]);
     for (it, m) in summary.per_iteration.iter().enumerate() {
+        let na = |cell| or_na(m.measured(), cell);
         table.row([
             format!("iteration {}", it + 1),
-            m.spc_f.to_string(),
-            f(m.thr_f, 1),
-            f(m.rtm_f, 1),
-            f(m.er_pct_f, 1),
+            na(m.spc_f.to_string()),
+            na(f(m.thr_f, 1)),
+            na(f(m.rtm_f, 1)),
+            na(f(m.er_pct_f, 1)),
             m.watchdog.mis.to_string(),
             m.watchdog.kns.to_string(),
             m.watchdog.kcp.to_string(),
             m.admf().to_string(),
-            pct(m.availability.availability()),
+            na(pct(m.availability.availability())),
             mttr_ms(&m.availability),
         ]);
     }
     if summary.iterations() >= 2 {
         let m = &summary.mean;
         let ci = &summary.ci95;
+        let na = |cell| or_na(m.measured(), cell);
         table.row([
             "average".to_string(),
-            pm(f64::from(m.spc_f), 0, ci.spc_f.as_ref()),
-            pm(m.thr_f, 1, ci.thr_f.as_ref()),
-            pm(m.rtm_f, 1, ci.rtm_f.as_ref()),
-            pm(m.er_pct_f, 1, ci.er_pct_f.as_ref()),
+            na(pm(f64::from(m.spc_f), 0, ci.spc_f.as_ref())),
+            na(pm(m.thr_f, 1, ci.thr_f.as_ref())),
+            na(pm(m.rtm_f, 1, ci.rtm_f.as_ref())),
+            na(pm(m.er_pct_f, 1, ci.er_pct_f.as_ref())),
             m.watchdog.mis.to_string(),
             m.watchdog.kns.to_string(),
             m.watchdog.kcp.to_string(),
             m.admf().to_string(),
-            pm(
+            na(pm(
                 m.availability.availability_pct(),
                 2,
                 ci.availability_pct.as_ref(),
-            ),
+            )),
             mttr_ms(&m.availability),
         ]);
     }

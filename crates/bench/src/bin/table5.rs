@@ -10,7 +10,7 @@
 use bench::campaign::{print_activations, run_iterations};
 use bench::cli::{CliArgs, SHARED_FLAGS};
 use bench::tuned_faultload;
-use depbench::report::{f, pm, TextTable};
+use depbench::report::{f, or_na, pm, TextTable};
 use depbench::Campaign;
 use simos::Edition;
 use webserver::ServerKind;
@@ -48,12 +48,13 @@ fn main() {
                 "0".into(),
             ]);
             for (it, m) in summary.per_iteration.iter().enumerate() {
+                let na = |cell| or_na(m.measured(), cell);
                 table.row([
                     format!("Iteration {}", it + 1),
-                    m.spc_f.to_string(),
-                    f(m.thr_f, 1),
-                    f(m.rtm_f, 1),
-                    f(m.er_pct_f, 1),
+                    na(m.spc_f.to_string()),
+                    na(f(m.thr_f, 1)),
+                    na(f(m.rtm_f, 1)),
+                    na(f(m.er_pct_f, 1)),
                     m.watchdog.mis.to_string(),
                     m.watchdog.kcp.to_string(),
                     m.watchdog.kns.to_string(),
@@ -61,12 +62,13 @@ fn main() {
                 ]);
             }
             let (avg, ci) = (&summary.mean, &summary.ci95);
+            let na = |cell| or_na(avg.measured(), cell);
             table.row([
                 "Average (all iter)".to_string(),
-                pm(f64::from(avg.spc_f), 0, ci.spc_f.as_ref()),
-                pm(avg.thr_f, 1, ci.thr_f.as_ref()),
-                pm(avg.rtm_f, 1, ci.rtm_f.as_ref()),
-                pm(avg.er_pct_f, 1, ci.er_pct_f.as_ref()),
+                na(pm(f64::from(avg.spc_f), 0, ci.spc_f.as_ref())),
+                na(pm(avg.thr_f, 1, ci.thr_f.as_ref())),
+                na(pm(avg.rtm_f, 1, ci.rtm_f.as_ref())),
+                na(pm(avg.er_pct_f, 1, ci.er_pct_f.as_ref())),
                 avg.watchdog.mis.to_string(),
                 avg.watchdog.kcp.to_string(),
                 avg.watchdog.kns.to_string(),

@@ -153,7 +153,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// grows, so the observer sees exactly the records an append-only journal
 /// can replay after a crash — a gap-free prefix — even when work-stealing
 /// finishes slot 7 before slot 3. The observer runs under the reorder
-/// lock: keep it short (serialize + append + fsync is the intended use).
+/// lock: keep it short (serialize + append, with an fsync once per group
+/// of records, is the intended use).
 ///
 /// Each `run_slot` call runs under `catch_unwind`, so one panicking slot is
 /// recorded as [`SlotRun::Panicked`] instead of killing the whole campaign

@@ -90,6 +90,15 @@ impl DependabilityMetrics {
         }
     }
 
+    /// Whether any slot completed. The observed time sums the completed
+    /// slots' measurement intervals, so it is zero exactly when none did (a
+    /// 0-fault or an all-quarantined campaign). SPCf, THRf, RTMf, ER%f and
+    /// availability over no slot have no value, and tables render them as
+    /// `n/a` ([`crate::report::or_na`]).
+    pub fn measured(&self) -> bool {
+        !self.availability.observed.is_zero()
+    }
+
     /// ADMf — administrative interventions needed (MIS + KNS + KCP).
     pub fn admf(&self) -> u64 {
         self.watchdog.admf()

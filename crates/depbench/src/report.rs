@@ -88,6 +88,17 @@ pub fn pm(value: f64, digits: usize, ci: Option<&simstats::Ci>) -> String {
     }
 }
 
+/// `cell`, or `n/a` for a metric over zero completed slots (see
+/// [`crate::DependabilityMetrics::measured`]): such a metric has no value,
+/// and a `0.0` in its place would read as a measured zero.
+pub fn or_na(measured: bool, cell: String) -> String {
+    if measured {
+        cell
+    } else {
+        "n/a".to_string()
+    }
+}
+
 /// Renders a horizontal ASCII bar scaled to `max` over `width` chars.
 ///
 /// Degenerate inputs render an empty or clamped bar instead of an
@@ -146,6 +157,12 @@ mod tests {
         };
         assert_eq!(pm(12.0, 1, Some(&ci)), "12.0 \u{b1}0.5");
         assert_eq!(pm(12.0, 1, None), "12.0");
+    }
+
+    #[test]
+    fn unmeasured_cells_read_na() {
+        assert_eq!(or_na(true, f(0.0, 1)), "0.0");
+        assert_eq!(or_na(false, f(0.0, 1)), "n/a");
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl FaultMapCache {
         }
         let written = faultload
             .to_json()
-            .map_err(|e| StoreError::Json(e.to_string()))
+            .map_err(|e| StoreError::Encode(e.to_string()))
             .and_then(|json| self.ctx.write_atomic(&path, json.as_bytes()));
         if let Err(e) = written {
             // The scan itself succeeded; the cache write is an optimization

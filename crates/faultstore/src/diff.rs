@@ -17,7 +17,7 @@
 //! against a zero (or near-zero) baseline has no meaningful percentage;
 //! the `delta %` cell reads `n/a` and the verdict stays WITHIN-NOISE.
 
-use depbench::report::{f, pm, TextTable};
+use depbench::report::{f, or_na, pm, TextTable};
 use depbench::{CampaignResult, SlotResult};
 use simstats::{bootstrap_ratio_ci, t_interval, Ci, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED};
 
@@ -151,6 +151,9 @@ pub fn diff_table(name_a: &str, a: &CampaignResult, name_b: &str, b: &CampaignRe
         String::new(),
     ]);
 
+    // A run with no completed slot has no value for a measured metric: its
+    // cells, and the deltas against it, read `n/a`.
+    let (ma, mb) = (!a.slots.is_empty(), !b.slots.is_empty());
     // One measured-metric row: ± cells, signed delta, percent delta and a
     // CONFIRMED / WITHIN-NOISE verdict from the two intervals.
     let judged = |table: &mut TextTable,
@@ -162,10 +165,10 @@ pub fn diff_table(name_a: &str, a: &CampaignResult, name_b: &str, b: &CampaignRe
                   ci_b: Option<&Ci>| {
         table.row([
             metric.to_string(),
-            pm(va, digits, ci_a),
-            pm(vb, digits, ci_b),
-            format!("{:+.digits$}", vb - va),
-            delta_pct(va, vb),
+            or_na(ma, pm(va, digits, ci_a)),
+            or_na(mb, pm(vb, digits, ci_b)),
+            or_na(ma && mb, format!("{:+.digits$}", vb - va)),
+            or_na(ma && mb, delta_pct(va, vb)),
             verdict(va, ci_a, ci_b),
         ]);
     };
@@ -257,10 +260,16 @@ pub fn diff_table(name_a: &str, a: &CampaignResult, name_b: &str, b: &CampaignRe
     let (aa, ab) = (&a.availability, &b.availability);
     table.row([
         "availability %".to_string(),
-        pm(aa.availability_pct(), 2, cis_a.avail.as_ref()),
-        pm(ab.availability_pct(), 2, cis_b.avail.as_ref()),
-        format!("{:+.2}pp", ab.availability_pct() - aa.availability_pct()),
-        delta_pct(aa.availability_pct(), ab.availability_pct()),
+        or_na(ma, pm(aa.availability_pct(), 2, cis_a.avail.as_ref())),
+        or_na(mb, pm(ab.availability_pct(), 2, cis_b.avail.as_ref())),
+        or_na(
+            ma && mb,
+            format!("{:+.2}pp", ab.availability_pct() - aa.availability_pct()),
+        ),
+        or_na(
+            ma && mb,
+            delta_pct(aa.availability_pct(), ab.availability_pct()),
+        ),
         verdict(
             aa.availability_pct(),
             cis_a.avail.as_ref(),

@@ -1,5 +1,6 @@
 //! The crash-safe campaign journal: append-only JSONL, one record per
-//! completed slot, fsynced before the campaign moves on.
+//! completed slot, written before the campaign moves on and fsynced in
+//! groups of [`GROUP`].
 //!
 //! # Format
 //!
@@ -18,12 +19,20 @@
 //!
 //! # Crash safety
 //!
-//! Each record is written and `fsync`ed (`File::sync_data`) before
-//! [`Journal::record`] returns, so a record is either durably complete or
-//! absent. A SIGKILL mid-write leaves at most one torn trailing line;
-//! [`Journal::open_resume`] stops at the first unparsable or non-contiguous
-//! record, truncates the file back to the last durable record, and resumes
-//! from there — the torn tail is re-executed, never trusted.
+//! [`Journal::record`] writes its record to the file, in one `write`, before
+//! it returns. The bytes are then in the kernel's page cache, which outlives
+//! the process, so a SIGKILL loses no record that `record` returned; a kill
+//! mid-write leaves at most one torn trailing line.
+//!
+//! The `fsync` (`File::sync_data`) is group-committed: it runs when the
+//! [`GROUP`]th unsynced record is written, and [`Journal::sync`] syncs the
+//! rest (`FaultStore::run_resumable` calls it before it returns; `Drop`
+//! calls it as a best effort). A power loss therefore loses at most the
+//! last `GROUP - 1` = 31 records, and may leave a torn tail in their place:
+//! whole records, a partial one, zeroed bytes. [`Journal::open_resume`]
+//! stops at the first unparsable or non-contiguous record, truncates the
+//! file back to the last whole record, and resumes from there — the lost
+//! slots are re-executed, never trusted.
 //!
 //! # Staleness
 //!
@@ -33,11 +42,13 @@
 //! build into a campaign would fabricate benchmark numbers.
 
 use std::fs::{File, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use depbench::{Campaign, ConvergenceConfig, SlotError, SlotOutcome, SlotResult};
 use serde::{Deserialize, Serialize};
+use simchaos::ChaosFs;
 use swfit_core::Faultload;
 
 use crate::resilience::StoreCtx;
@@ -45,6 +56,12 @@ use crate::{io_err, StoreError};
 
 /// Journal schema version; bumped on any incompatible format change.
 pub const JOURNAL_SCHEMA: u32 = 1;
+
+/// Records per group commit: [`Journal::record`] fsyncs when it writes the
+/// `GROUP`th record since the last sync. A power loss loses at most
+/// `GROUP - 1` records; the unsynced bytes it keeps for retries stay under
+/// `GROUP` records (about 56 KB).
+pub const GROUP: usize = 32;
 
 /// First line of a journal: identifies the campaign the slot records belong
 /// to.
@@ -329,14 +346,71 @@ struct JournalInner {
     /// Per-slot record state, sized to the campaign's fault count. A record
     /// is accepted only for the first [`SlotState::Missing`] slot (the
     /// gap-free prefix rule) or to supersede a [`SlotState::Quarantined`]
-    /// slot on resume; anything else is dropped — it could only follow a
-    /// failed slot, and the campaign aborts on failure anyway.
+    /// slot on resume. Anything else is refused: an error after a failed
+    /// append (see `lost`), and dropped otherwise — it could then only
+    /// follow a failed slot, and the campaign aborts on failure anyway.
     state: Vec<SlotState>,
-    /// Byte length of the durable prefix (header + accepted records). Every
-    /// append attempt first rewinds the file to this length, so a short
-    /// write from a previous failed attempt can never leave partial bytes
-    /// in front of a retried record.
-    len: u64,
+    /// Byte length of the fsynced prefix (header + group-committed records).
+    synced: u64,
+    /// The records written after `synced` and not yet fsynced, as bytes:
+    /// what a retry rewrites after rewinding to `synced`.
+    unsynced: Vec<u8>,
+    /// How many records `unsynced` holds.
+    unsynced_records: usize,
+    /// Set when an attempt failed part-way, so the file past `synced` may
+    /// hold anything: the next attempt first rewinds to `synced` and
+    /// rewrites all of `unsynced`, so no partial bytes ever sit in front of
+    /// a record.
+    rewind: bool,
+    /// The first slot whose in-order record could not be appended. Every
+    /// later in-order record would leave a gap, so it is refused with an
+    /// error, and the store counts it towards degrading.
+    lost: Option<usize>,
+    /// Completed fsyncs, the header's included.
+    syncs: u64,
+}
+
+impl JournalInner {
+    fn new(file: File, state: Vec<SlotState>, synced: u64) -> JournalInner {
+        JournalInner {
+            file,
+            state,
+            synced,
+            unsynced: Vec::new(),
+            unsynced_records: 0,
+            rewind: false,
+            lost: None,
+            syncs: 0,
+        }
+    }
+
+    /// One attempt to write the unsynced bytes from offset `from` on — all
+    /// of them after a failed attempt — and, when `sync`, to fsync them.
+    fn write(&mut self, chaos: &ChaosFs, from: usize, sync: bool) -> io::Result<()> {
+        let from = if self.rewind {
+            chaos.rewind(&mut self.file, self.synced)?;
+            0
+        } else {
+            from
+        };
+        self.rewind = true;
+        if from < self.unsynced.len() {
+            chaos.append(&mut self.file, &self.unsynced[from..])?;
+        }
+        if sync {
+            chaos.sync_data(&self.file)?;
+        }
+        self.rewind = false;
+        Ok(())
+    }
+
+    /// Marks every unsynced byte durable after a successful fsync.
+    fn synced_all(&mut self) {
+        self.synced += self.unsynced.len() as u64;
+        self.unsynced.clear();
+        self.unsynced_records = 0;
+        self.syncs += 1;
+    }
 }
 
 /// An open campaign journal, safe to record into from the executor's
@@ -354,7 +428,7 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] / [`StoreError::Json`] on write failure.
+    /// [`StoreError::Io`] / [`StoreError::Encode`] on write failure.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Journal, StoreError> {
         Journal::create_with(path, header, StoreCtx::default_arc())
     }
@@ -369,24 +443,27 @@ impl Journal {
         ctx: Arc<StoreCtx>,
     ) -> Result<Journal, StoreError> {
         let path = path.into();
-        let line = serde_json::to_string(header).map_err(|e| StoreError::Json(e.to_string()))?;
+        let mut line =
+            serde_json::to_string(header).map_err(|e| StoreError::Encode(e.to_string()))?;
+        line.push('\n');
         let file = ctx
             .retrying(|| {
                 let mut file = File::create(&path)?;
-                ctx.chaos.append_line(&mut file, &line)?;
+                ctx.chaos.append(&mut file, line.as_bytes())?;
                 ctx.chaos.sync_data(&file)?;
                 Ok(file)
             })
             .map_err(|e| io_err(&path, e))?;
-        let len = (line.len() + 1) as u64;
+        let mut inner = JournalInner::new(
+            file,
+            vec![SlotState::Missing; header.fault_count],
+            line.len() as u64,
+        );
+        inner.syncs = 1;
         Ok(Journal {
             path,
             ctx,
-            inner: Mutex::new(JournalInner {
-                file,
-                state: vec![SlotState::Missing; header.fault_count],
-                len,
-            }),
+            inner: Mutex::new(inner),
         })
     }
 
@@ -476,11 +553,7 @@ impl Journal {
                 SlotOutcome::Quarantined(_) => SlotState::Quarantined,
             };
         }
-        let mut inner = JournalInner {
-            file,
-            state,
-            len: durable_end as u64,
-        };
+        let mut inner = JournalInner::new(file, state, durable_end as u64);
         use std::io::Seek as _;
         inner
             .file
@@ -505,11 +578,11 @@ impl Journal {
     ///
     /// A poisoned lock means a harness thread panicked while holding it
     /// (e.g. a quarantined slot's panic unwound through an observer). The
-    /// guarded state is a write-ahead file whose mutation protocol is
-    /// rewind-then-append: whatever a panicking writer left behind is
-    /// truncated by the next append's rewind (or by `open_resume` after a
-    /// crash), so continuing is safe — abandoning the whole journal over
-    /// one quarantined slot would be the real data loss.
+    /// guarded state is a write-ahead file whose every attempt either
+    /// completes or leaves the rewind flag set: whatever a panicking writer
+    /// left behind is truncated by the next append's rewind (or by
+    /// `open_resume` after a crash), so continuing is safe — abandoning the
+    /// whole journal over one quarantined slot would be the real data loss.
     fn lock_inner(&self) -> MutexGuard<'_, JournalInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -530,22 +603,27 @@ impl Journal {
         std::panic::set_hook(prev);
     }
 
-    /// Durably appends one slot outcome (write + fsync before returning).
-    /// A record is accepted for the first unrecorded slot (the gap-free
-    /// prefix rule) or as the re-attempt of a quarantined slot; anything
-    /// else is ignored — see the per-slot state kept by the journal.
+    /// Appends one slot outcome: the record is written to the file before
+    /// this returns, and fsynced with its group (every [`GROUP`]th record
+    /// syncs; [`Journal::sync`] syncs the rest). A record is accepted for
+    /// the first unrecorded slot (the gap-free prefix rule) or as the
+    /// re-attempt of a quarantined slot.
     ///
-    /// Transient I/O faults are retried on the one retry schedule;
-    /// every attempt first rewinds the file to the durable length, so a
-    /// short write can never duplicate or interleave partial bytes.
+    /// Transient I/O faults are retried on the one retry schedule. A retry
+    /// first rewinds the file to the fsynced length and rewrites every
+    /// unsynced record, so a short write can never duplicate or interleave
+    /// partial bytes.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] / [`StoreError::Json`] on write failure. A
-    /// failed append leaves the journal usable: the record simply is not
-    /// durable and the slot re-runs on resume.
+    /// [`StoreError::Io`] / [`StoreError::Encode`] on write or fsync
+    /// failure. The record is then not journaled and the slot re-runs on
+    /// resume. Every later in-order record would leave a gap behind it, so
+    /// it is refused with [`StoreError::Io`] too; only a quarantine
+    /// re-attempt can still be journaled.
     pub fn record(&self, slot: usize, outcome: &SlotOutcome) -> Result<(), StoreError> {
-        let mut inner = self.lock_inner();
+        let mut guard = self.lock_inner();
+        let inner = &mut *guard;
         let next_missing = inner
             .state
             .iter()
@@ -554,25 +632,71 @@ impl Journal {
         let accept = slot < inner.state.len()
             && (slot == next_missing || inner.state[slot] == SlotState::Quarantined);
         if !accept {
-            return Ok(());
+            return match inner.lost {
+                Some(lost) if slot > lost => Err(StoreError::Io(format!(
+                    "{}: slot {slot} not journaled: the record of slot {lost} was lost \
+                     to a failed append",
+                    self.path.display()
+                ))),
+                _ => Ok(()),
+            };
         }
         let line = serde_json::to_string(&RecordLine { slot, outcome })
-            .map_err(|e| StoreError::Json(e.to_string()))?;
-        let pos = inner.len;
-        let ctx = &self.ctx;
-        let file = &mut inner.file;
-        ctx.retrying(|| {
-            ctx.chaos.rewind(file, pos)?;
-            ctx.chaos.append_line(file, &line)?;
-            ctx.chaos.sync_data(file)
-        })
-        .map_err(|e| io_err(&self.path, e))?;
-        inner.len = pos + line.len() as u64 + 1;
+            .map_err(|e| StoreError::Encode(e.to_string()))?;
+        let from = inner.unsynced.len();
+        inner.unsynced.extend_from_slice(line.as_bytes());
+        inner.unsynced.push(b'\n');
+        let sync = inner.unsynced_records + 1 == GROUP;
+        if let Err(e) = self
+            .ctx
+            .retrying(|| inner.write(&self.ctx.chaos, from, sync))
+        {
+            inner.unsynced.truncate(from);
+            if inner.state[slot] == SlotState::Missing {
+                inner.lost = Some(slot);
+            }
+            return Err(io_err(&self.path, e));
+        }
+        if sync {
+            inner.synced_all();
+        } else {
+            inner.unsynced_records += 1;
+        }
         inner.state[slot] = match outcome {
             SlotOutcome::Done(_) => SlotState::Done,
             SlotOutcome::Quarantined(_) => SlotState::Quarantined,
         };
         Ok(())
+    }
+
+    /// Fsyncs every record written since the last group commit, so all of
+    /// them survive a power loss. A no-op when nothing is unsynced.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the fsync (or, after a failed append, the
+    /// rewrite before it) fails past its retries; the unsynced records then
+    /// re-run on resume if a power loss takes them.
+    pub fn sync(&self) -> Result<(), StoreError> {
+        let mut guard = self.lock_inner();
+        let inner = &mut *guard;
+        if inner.unsynced.is_empty() && !inner.rewind {
+            return Ok(());
+        }
+        let from = inner.unsynced.len();
+        self.ctx
+            .retrying(|| inner.write(&self.ctx.chaos, from, true))
+            .map_err(|e| io_err(&self.path, e))?;
+        inner.synced_all();
+        Ok(())
+    }
+
+    /// Number of fsyncs this journal has completed: the header's, one per
+    /// group of [`GROUP`] records, and one per [`Journal::sync`] that had
+    /// records to sync. An `n`-record journal, synced at the end, counts
+    /// `1 + ⌈n / GROUP⌉`. A resumed journal starts at 0.
+    pub fn syncs(&self) -> u64 {
+        self.lock_inner().syncs
     }
 
     /// Number of slots with a durable record (completed or quarantined).
@@ -582,6 +706,14 @@ impl Journal {
             .iter()
             .filter(|s| **s != SlotState::Missing)
             .count()
+    }
+}
+
+impl Drop for Journal {
+    /// Syncs what is left unsynced, as a best effort: a caller that needs
+    /// to know the outcome calls [`Journal::sync`] first.
+    fn drop(&mut self) {
+        let _ = self.sync();
     }
 }
 
@@ -644,6 +776,119 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
+    /// A header for an `n`-slot campaign, with no campaign behind it.
+    fn header(n: usize) -> JournalHeader {
+        JournalHeader {
+            schema: JOURNAL_SCHEMA,
+            edition: "nimbus-2000".to_string(),
+            server: "wren".to_string(),
+            iteration: 0,
+            config_hash: 7,
+            faultload_fingerprint: Some(11),
+            faultload_hash: 13,
+            pack_hash: None,
+            fault_count: n,
+        }
+    }
+
+    /// Slot `i`'s outcome: every fifth slot quarantined, the rest completed
+    /// with a few slot-specific measures.
+    fn outcome(i: usize) -> SlotOutcome {
+        if i % 5 == 4 {
+            return SlotOutcome::Quarantined(SlotError::Panicked {
+                message: format!("synthetic {i}"),
+            });
+        }
+        let mut measures = specweb::IntervalMeasures::new(2);
+        for op in 0..=i % 3 {
+            let rt = simkit::SimDuration::from_millis(3 + op as u64);
+            measures.record_op(op % 2, 64 + i as u64, i.is_multiple_of(2), rt);
+        }
+        SlotOutcome::Done(SlotResult {
+            fault_id: format!("MIFS@f+{i}"),
+            measures,
+            watchdog: Default::default(),
+            ended_dead: false,
+            availability: Default::default(),
+            activation: None,
+        })
+    }
+
+    /// The fsync count is exact: an `n`-record journal, synced at the end,
+    /// issues `1 + ⌈n / 32⌉` fsyncs (the header, one per full group, one
+    /// for the rest), where one per record used to be synced: 19 for a
+    /// 553-slot whole-image iteration, against 554. Its bytes equal a
+    /// reference written the per-record-synced way.
+    #[test]
+    fn fsyncs_are_group_committed_and_bytes_match_per_record_sync() {
+        use std::io::Write as _;
+        for n in [32, 33, 70, 553] {
+            let path = tmp_journal(&format!("group-{n}"));
+            let journal = Journal::create(&path, &header(n)).unwrap();
+            for i in 0..n {
+                journal.record(i, &outcome(i)).unwrap();
+            }
+            assert_eq!(journal.syncs(), 1 + (n / GROUP) as u64, "n = {n}");
+            journal.sync().unwrap();
+            assert_eq!(journal.syncs(), 1 + n.div_ceil(GROUP) as u64, "n = {n}");
+            if n == 553 {
+                assert_eq!(journal.syncs(), 19);
+            }
+            journal.sync().unwrap();
+            assert_eq!(journal.syncs(), 1 + n.div_ceil(GROUP) as u64, "n = {n}");
+            assert_eq!(journal.recorded(), n);
+
+            let reference = path.with_extension("reference");
+            let mut file = File::create(&reference).unwrap();
+            let line = serde_json::to_string(&header(n)).unwrap();
+            file.write_all(line.as_bytes()).unwrap();
+            file.write_all(b"\n").unwrap();
+            file.sync_data().unwrap();
+            for i in 0..n {
+                let outcome = outcome(i);
+                let line = serde_json::to_string(&RecordLine {
+                    slot: i,
+                    outcome: &outcome,
+                })
+                .unwrap();
+                file.write_all(line.as_bytes()).unwrap();
+                file.write_all(b"\n").unwrap();
+                file.sync_data().unwrap();
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                std::fs::read(&reference).unwrap(),
+                "n = {n}"
+            );
+            drop(journal);
+            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        }
+    }
+
+    /// Regression test: after one failed append, every later in-order
+    /// record was dropped with `Ok(())`, so the store saw no further
+    /// failure, never degraded, and stamped `degraded: false` on a campaign
+    /// whose journal had stopped. Each refused record is now an error.
+    #[test]
+    fn records_after_a_failed_append_are_errors() {
+        let path = tmp_journal("failed");
+        let journal = Journal::create(&path, &header(3)).unwrap();
+        let header_bytes = std::fs::read(&path).unwrap();
+        // A read-only handle: every write fails, and not transiently.
+        journal.lock_inner().file = File::open(&path).unwrap();
+        for slot in 0..3 {
+            let err = journal.record(slot, &outcome(slot)).unwrap_err();
+            assert!(matches!(err, StoreError::Io(_)), "slot {slot}: {err}");
+            if slot > 0 {
+                assert!(err.to_string().contains("slot 0"), "{err}");
+            }
+        }
+        assert_eq!(journal.recorded(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), header_bytes);
+        drop(journal);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
     #[test]
     fn records_are_written_as_slot_and_result_or_quarantine() {
         let path = tmp_journal("lines");
@@ -671,6 +916,8 @@ mod tests {
         journal
             .record(1, &SlotOutcome::Done(result.clone()))
             .unwrap();
+        // Both records are in the file before their group is synced.
+        assert_eq!(journal.syncs(), 1);
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();

@@ -15,8 +15,10 @@
 //!   [`FaultMapCache::scan_count`] counts the lookups that fell through to
 //!   a real scan, proving cache hits.
 //! * [`journal`] — a **crash-safe, append-only campaign journal** (JSONL,
-//!   write-then-fsync, one record per completed slot, written in slot order
-//!   via the executor's ordered observer). Re-running an interrupted
+//!   one record per completed slot, written in slot order via the
+//!   executor's ordered observer before the campaign moves on, and fsynced
+//!   once per 32 records: a SIGKILL loses no written record, a power loss
+//!   at most the last 31). Re-running an interrupted
 //!   campaign replays the journaled prefix and executes only the remainder;
 //!   because every slot's randomness derives from `(seed, iteration, slot)`,
 //!   the resumed [`depbench::CampaignResult`] is byte-identical to an
@@ -72,6 +74,8 @@ pub enum StoreError {
     Io(String),
     /// An artifact on disk does not parse.
     Json(String),
+    /// A value could not be written as JSON (e.g. a non-finite float).
+    Encode(String),
     /// The faultload carries no fingerprint, so the store cannot key or
     /// validate it (see `Faultload::is_fingerprinted`).
     MissingFingerprint {
@@ -104,6 +108,7 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(m) => write!(f, "store I/O error: {m}"),
             StoreError::Json(m) => write!(f, "store artifact does not parse: {m}"),
+            StoreError::Encode(m) => write!(f, "store artifact cannot be written as JSON: {m}"),
             StoreError::MissingFingerprint { target } => write!(
                 f,
                 "faultload `{target}` carries no fingerprint; the store refuses to \

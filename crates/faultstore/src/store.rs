@@ -128,11 +128,17 @@ impl FaultStore {
     /// journal left by a *completed* campaign resumes to an immediate
     /// replay of the full result, executing nothing.
     ///
-    /// Every completed slot is fsynced to the journal before the campaign
-    /// proceeds, so a crash (including SIGKILL) at any point loses at most
-    /// the in-flight slots. A journal *write* failure mid-campaign does not
-    /// abort the run; the slot is simply not durable and re-executes on
-    /// resume (a warning is printed).
+    /// Every completed slot is written to the journal before the campaign
+    /// proceeds, so a SIGKILL at any point loses at most the in-flight
+    /// slots. Records are fsynced once per [`GROUP`](crate::journal::GROUP)
+    /// records, and the rest before this returns, so a power loss
+    /// mid-campaign loses at most the last 31 records (they re-run on
+    /// resume) and a returned iteration is durable before any stop record
+    /// is written. A journal *write* failure mid-campaign does not abort
+    /// the run (a warning is printed): that slot and every later one are
+    /// not journaled and re-execute on resume, and the store degrades after
+    /// three refused records. A failed fsync counts the same, and a failed
+    /// final sync degrades at once.
     ///
     /// # Errors
     ///
@@ -141,7 +147,8 @@ impl FaultStore {
     /// * [`StoreError::StaleJournal`] — `resume = true` but the existing
     ///   journal belongs to a different campaign/config/faultload;
     /// * [`StoreError::Campaign`] — the campaign itself failed;
-    /// * [`StoreError::Io`] / [`StoreError::Json`] — journal I/O failure.
+    /// * [`StoreError::Io`] / [`StoreError::Json`] — journal I/O failure or
+    ///   an unparsable journal header.
     pub fn run_resumable(
         &self,
         campaign: &Campaign,
@@ -209,6 +216,15 @@ impl FaultStore {
                 }
             },
         )?;
+        if let Some(journal) = &journal {
+            if let Err(e) = journal.sync() {
+                eprintln!(
+                    "warning: journal sync failed ({e}); its unsynced slots re-run on \
+                     resume if a power loss takes them"
+                );
+                self.ctx.degrade("journal sync failed");
+            }
+        }
         result.degraded = self.ctx.is_degraded();
         Ok(result)
     }
@@ -239,7 +255,7 @@ impl FaultStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] / [`StoreError::Json`] on write failure.
+    /// [`StoreError::Io`] / [`StoreError::Encode`] on write failure.
     pub fn record_stop(
         &self,
         campaign: &Campaign,
@@ -251,7 +267,7 @@ impl FaultStore {
         let record = StopRecord::describe(campaign, faultload, conv, stopped_at, converged);
         let path = self.stop_path(campaign);
         let json =
-            serde_json::to_string_pretty(&record).map_err(|e| StoreError::Json(e.to_string()))?;
+            serde_json::to_string_pretty(&record).map_err(|e| StoreError::Encode(e.to_string()))?;
         self.ctx.write_atomic(&path, json.as_bytes())?;
         Ok(record)
     }
@@ -317,13 +333,13 @@ impl FaultStore {
     /// # Errors
     ///
     /// [`StoreError::BadRunName`] for unstorable names, otherwise
-    /// [`StoreError::Io`] / [`StoreError::Json`]. Unlike journal appends,
+    /// [`StoreError::Io`] / [`StoreError::Encode`]. Unlike journal appends,
     /// a persistent save failure is an error, not a degradation: the
     /// caller explicitly asked for this artifact.
     pub fn save_run(&self, name: &str, result: &CampaignResult) -> Result<PathBuf, StoreError> {
         let path = self.run_path(name)?;
         let json =
-            serde_json::to_string_pretty(result).map_err(|e| StoreError::Json(e.to_string()))?;
+            serde_json::to_string_pretty(result).map_err(|e| StoreError::Encode(e.to_string()))?;
         self.ctx.write_atomic(&path, json.as_bytes())?;
         Ok(path)
     }
@@ -474,6 +490,43 @@ mod tests {
         // A journal of a completed campaign replays without executing.
         let replayed = store.run_resumable(&campaign, &fl, 0, true).unwrap();
         assert_eq!(full_json, serde_json::to_string(&replayed).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A power loss keeps the fsynced prefix and leaves anything in place
+    /// of the unsynced group: here one whole record, a torn one and a run
+    /// of NUL bytes after the last group commit. A fresh store's resume
+    /// truncates that tail, re-runs the lost slots and reproduces the
+    /// uninterrupted journal and result byte for byte.
+    #[test]
+    fn power_loss_tail_after_last_group_commit_resumes_byte_identical() {
+        let (dir, store) = tmp_store("powerloss");
+        let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
+        let n = crate::journal::GROUP + 4;
+        let fl = small_faultload(n);
+        assert_eq!(fl.len(), n);
+        let full = store.run_resumable(&campaign, &fl, 0, false).unwrap();
+        let full_json = serde_json::to_string(&full).unwrap();
+        let path = store.journal_path(&campaign, 0);
+        let reference = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = reference.lines().collect();
+        assert_eq!(lines.len(), 1 + n);
+
+        // Header plus the first group is what the group commit synced.
+        let synced = 1 + crate::journal::GROUP;
+        let mut torn = lines[..synced].join("\n") + "\n";
+        torn += lines[synced];
+        torn += "\n";
+        torn += &lines[synced + 1][..lines[synced + 1].len() / 2];
+        torn += &"\0".repeat(4096);
+        std::fs::write(&path, torn).unwrap();
+
+        let resumed = FaultStore::open(&dir)
+            .unwrap()
+            .run_resumable(&campaign, &fl, 0, true)
+            .unwrap();
+        assert_eq!(full_json, serde_json::to_string(&resumed).unwrap());
+        assert_eq!(reference, std::fs::read_to_string(&path).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

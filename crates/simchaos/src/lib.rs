@@ -281,23 +281,22 @@ impl ChaosFs {
         std::fs::read_to_string(path)
     }
 
-    /// Appends `line` plus a newline to an open file positioned at its
-    /// end. A short write leaves a prefix of the line in the file before
-    /// erroring — the journal's rewind-on-retry discipline (`set_len` back
-    /// to the pre-append length) is what makes this safe to retry.
-    pub fn append_line(&self, file: &mut File, line: &str) -> io::Result<()> {
+    /// Appends `bytes` to an open file positioned at its end, in one
+    /// `write_all`. A short write leaves a prefix of the bytes in the file
+    /// before erroring — the journal's rewind-on-retry discipline (`set_len`
+    /// back to the durable length) is what makes this safe to retry.
+    pub fn append(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
         match self.decide(Stage::Write) {
             Some(Injected::Eintr) => return Err(eintr("append")),
             Some(Injected::Eagain) => return Err(eagain("append")),
             Some(Injected::Enospc) => return Err(enospc("append")),
             Some(Injected::ShortWrite) => {
-                file.write_all(&line.as_bytes()[..line.len() / 2])?;
+                file.write_all(&bytes[..bytes.len() / 2])?;
                 return Err(eintr("short append"));
             }
             Some(Injected::FsyncFail) | Some(Injected::TornRename) | None => {}
         }
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")
+        file.write_all(bytes)
     }
 
     /// `File::sync_data` with injected fsync failures.

@@ -12,6 +12,10 @@ use serde::{Deserialize, Serialize};
 /// `m2`; [`merge`](OnlineStats::merge) combines two accumulators exactly as
 /// one sequential pass would (Chan et al.'s parallel update).
 ///
+/// There is one empty state, [`OnlineStats::new`] (= `Default`): no
+/// observations, and no `min`/`max`, so its JSON omits those keys rather
+/// than holding a non-finite float JSON cannot represent.
+///
 /// # Example
 ///
 /// ```
@@ -29,20 +33,16 @@ pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    min: Option<f64>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    max: Option<f64>,
 }
 
 impl OnlineStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Adds one observation.
@@ -51,8 +51,8 @@ impl OnlineStats {
         let d = x - self.mean;
         self.mean += d / self.n as f64;
         self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.min = Some(self.min.map_or(x, |m| m.min(x)));
+        self.max = Some(self.max.map_or(x, |m| m.max(x)));
     }
 
     /// Number of observations.
@@ -86,12 +86,12 @@ impl OnlineStats {
 
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
+        self.min
     }
 
     /// Largest observation; `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
+        self.max
     }
 
     /// Merges another accumulator into this one.
@@ -109,8 +109,8 @@ impl OnlineStats {
         self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
         self.mean = mean;
         self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = self.min.zip(other.min).map(|(a, b)| a.min(b));
+        self.max = self.max.zip(other.max).map(|(a, b)| a.max(b));
     }
 }
 
@@ -140,6 +140,34 @@ mod tests {
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
+    }
+
+    /// Regression test: the empty accumulator used to hold `min`/`max` at
+    /// ±∞, which JSON cannot represent, so a campaign with no completed
+    /// slot could not be saved. The one empty state omits both keys and
+    /// reads back as itself; a non-empty one writes them as before.
+    #[test]
+    fn one_empty_state_writes_and_reads_back() {
+        let empty = serde_json::to_string(&OnlineStats::new()).unwrap();
+        assert_eq!(empty, r#"{"n":0,"mean":0.0,"m2":0.0}"#);
+        assert_eq!(
+            serde_json::to_string(&OnlineStats::default()).unwrap(),
+            empty
+        );
+        let back: OnlineStats = serde_json::from_str(&empty).unwrap();
+        assert_eq!((back.count(), back.min(), back.max()), (0, None, None));
+
+        let mut s = OnlineStats::new();
+        s.push(2.5);
+        s.push(-1.0);
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"n":2,"mean":0.75,"m2":6.125,"min":-1.0,"max":2.5}"#
+        );
+        let mut merged = OnlineStats::new();
+        merged.merge(&s);
+        merged.merge(&OnlineStats::new());
+        assert_eq!((merged.min(), merged.max()), (Some(-1.0), Some(2.5)));
     }
 
     #[test]
