@@ -259,7 +259,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         return Err("--save needs --store DIR (runs are stored in the store)".into());
     }
     let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
-    eprintln!(
+    // The report's heading, on stdout with the tables below it: stderr
+    // stays for notices and errors, so a refused resume is one line there.
+    println!(
         "campaign: {edition} / {server}, {} faults, up to {} iteration(s), {} job(s){}",
         faultload.len(),
         cli.max_iterations(1),
@@ -272,8 +274,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     );
     // Campaign identity must track the pack set: packs beyond the bundled
     // odc-classic are recorded in the config, so journals and stop records
-    // key on them — while campaigns under the default library hash exactly
-    // as they always have (the field is additive).
+    // key on them.
     let classic_ref = pack::classic().pack_ref();
     let extra_packs: Vec<PackRef> = faultload
         .packs
@@ -439,12 +440,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .unwrap_or(0);
     let dir = value_of(args, "--out")?.map_or_else(|| ".".into(), std::path::PathBuf::from);
     let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
-    if slot >= faultload.len() {
-        return Err(format!(
-            "--slot {slot} is out of range: the faultload has {} faults",
-            faultload.len()
-        ));
-    }
     let campaign = Campaign::new(edition, server, cli.config());
     let (result, trace) = campaign
         .trace_slot(&faultload, iteration, slot)

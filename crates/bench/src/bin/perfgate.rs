@@ -7,7 +7,10 @@
 //! *gated* metric — the VM interpreter, the inject/restore cycle, the
 //! write path or the read path — regresses by more than 20 %; the
 //! end-to-end campaign number is recorded for the trajectory but not gated
-//! (it folds in too much scheduler noise for a hard gate).
+//! (it folds in too much scheduler noise for a hard gate). `check` also
+//! holds four absolute budgets, uncalibrated: a traced campaign within
+//! 1.35× the untraced one, 150 ns per enabled trace emit, 20 M disabled
+//! emits under 1 s, and an XP boot plus scan under 30 s.
 //!
 //! ```text
 //! perfgate record [--out PATH] [--rounds N]
@@ -17,21 +20,22 @@
 //! All timings are minimum-of-N: noise only ever adds time, so the
 //! minimum is the closest observable to the true cost.
 //!
-//! Exit status: 0 = pass, 1 = a gated metric regressed, 2 = usage error (a
-//! flag the mode does not read, a malformed flag value, a missing
-//! `--baseline`, or a baseline that cannot be read or parsed — all
-//! reported before anything is measured).
+//! Exit status: 0 = pass, 1 = a gated metric regressed or a budget was
+//! exceeded, 2 = usage error (a flag the mode does not read, a malformed
+//! flag value, a missing `--baseline`, or a baseline that cannot be read
+//! or parsed — all reported before anything is measured).
 
 use std::collections::BTreeMap;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use bench::cli::{check_flags, value_of};
-use depbench::{Campaign, CampaignConfig, CampaignResult, IntervalConfig, SlotResult};
+use depbench::{Campaign, CampaignConfig, CampaignResult, IntervalConfig, SlotResult, TraceConfig};
 use faultstore::JournalHeader;
 use mvm::{Memory, NoHcalls, Vm, VmConfig};
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
-use simos::{Edition, Os};
+use simos::{Edition, Os, OsApi};
+use simtrace::{EventKind, Tracer};
 use swfit_core::{FaultNature, Injector, Scanner};
 use webserver::ServerKind;
 
@@ -61,7 +65,6 @@ struct Report {
     calibration_ns: f64,
     /// Free-form provenance notes (what the numbers were measured
     /// against, host peculiarities); empty unless curated by hand.
-    #[serde(default)]
     context: BTreeMap<String, String>,
 }
 
@@ -107,7 +110,8 @@ fn main() {
                 write_report(&report, &path);
                 println!("recorded {path}");
             }
-            if compare(&report, &baseline, &baseline_path, tolerance) {
+            let regressed = compare(&report, &baseline, &baseline_path, tolerance);
+            if over_budget() || regressed {
                 std::process::exit(1);
             }
         }
@@ -293,6 +297,72 @@ fn measure(rounds: usize) -> Report {
     }
 }
 
+/// Measures the absolute budgets, prints one line each and returns
+/// whether any was exceeded. A limit is a property of the design, not a
+/// point on the trajectory, so it holds on any host, uncalibrated.
+fn over_budget() -> bool {
+    println!("absolute budgets");
+    let mut over = false;
+    let mut budget = |name: &str, measured: f64, limit: f64, unit: &str| {
+        over |= measured > limit;
+        let verdict = if measured > limit { "FAIL" } else { "ok" };
+        println!("  {name}: {measured:.3} {unit} (budget {limit} {unit}) {verdict}");
+    };
+
+    // §4 "Feasibility": the paper's scan takes minutes at most.
+    let start = Instant::now();
+    let os = Os::boot(Edition::NimbusXp).expect("boots");
+    let scan = Scanner::standard().scan_functions(os.program().image(), &OsApi::symbols());
+    assert!(!scan.is_empty(), "the scan finds faults");
+    budget("boot_and_scan_xp", start.elapsed().as_secs_f64(), 30.0, "s");
+
+    // Traced over untraced campaign, the cleanest of 7 paired rounds: a
+    // load burst must hit every round's traced half to fail the budget.
+    let os = Os::boot(Edition::Nimbus2000).expect("boots");
+    let faultload = Scanner::standard()
+        .scan_functions(os.program().image(), &OsApi::symbols())
+        .sample(4);
+    let config = CampaignConfig::builder()
+        .interval(IntervalConfig {
+            duration: SimDuration::from_millis(300),
+            ..IntervalConfig::default()
+        })
+        .os_budget(150_000)
+        .build();
+    let untraced = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, config.clone());
+    let traced = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, config)
+        .with_trace(TraceConfig::default());
+    let run = |campaign: &Campaign| {
+        min_ns(1, 1, || {
+            campaign.run_injection(&faultload, 0).expect("runs");
+        })
+    };
+    run(&untraced); // warm both paths
+    run(&traced);
+    let ratio = (0..7)
+        .map(|_| {
+            let base = run(&untraced);
+            run(&traced) / base
+        })
+        .fold(f64::INFINITY, f64::min);
+    budget("trace_campaign_overhead", ratio, 1.35, "x");
+
+    // An enabled emit is a mutex lock and a ring write (~30 ns); a
+    // disabled one is a branch, which `black_box` keeps in the loop.
+    let emit_ns = |tracer: &Tracer, emits: u64| {
+        min_ns(3, 1, || {
+            for seq in 0..emits {
+                std::hint::black_box(tracer).emit(EventKind::RequestStart { seq });
+            }
+        })
+    };
+    let enabled = emit_ns(&Tracer::enabled(4096), 2_000_000) / 2e6;
+    budget("trace_enabled_emit", enabled, 150.0, "ns");
+    let disabled = emit_ns(&Tracer::disabled(), 20_000_000) / 1e9;
+    budget("trace_disabled_20m_emits", disabled, 1.0, "s");
+    over
+}
+
 /// The host-speed yardstick: a pinned xorshift64* loop that no workspace
 /// change can touch. Metric-to-calibration ratios are host-independent,
 /// so comparing them across reports isolates code changes from machine
@@ -369,9 +439,9 @@ fn compare(report: &Report, baseline: &Report, baseline_path: &str, tolerance: f
         }
     }
     if failed {
-        println!("perf gate FAILED: a gated metric regressed more than {tolerance:.0} %");
+        println!("gated metrics FAILED: one regressed more than {tolerance:.0} %");
     } else {
-        println!("perf gate passed");
+        println!("gated metrics passed");
     }
     failed
 }

@@ -1,8 +1,9 @@
 //! Usage errors through the real binaries: a flag given without its value
 //! or a flag the command never reads is rejected with a one-line error
 //! before any work starts, never silently dropped, a malformed `perfgate`
-//! flag is a usage error, not a panic, and a pathologically nested pack
-//! or faultload file is a one-line error, not a stack overflow.
+//! flag is a usage error, not a panic, a pathologically nested pack or
+//! faultload file is a one-line error, not a stack overflow, and so are a
+//! faultload with no fingerprint and an out-of-range `trace --slot`.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -247,5 +248,49 @@ fn deep_nesting_under_an_unknown_faultload_key_hits_the_recursion_limit() {
     assert!(
         stderr.contains("recursion limit exceeded at byte 136"),
         "{stderr}"
+    );
+}
+
+/// A faultload is valid only for the image it was scanned from, so one
+/// without an image fingerprint is refused when it is read.
+#[test]
+fn a_faultload_without_a_fingerprint_is_a_one_line_error() {
+    let args = [
+        "campaign",
+        "nimbus-2000",
+        "wren",
+        "--faultload",
+        "FILE",
+        "--limit",
+        "2",
+    ];
+    let stderr = one_line_error(
+        "no-fingerprint",
+        r#"{"target":"nimbus-2000","faults":[]}"#,
+        &args,
+    );
+    assert_eq!(
+        stderr,
+        "faultbench: missing field `fingerprint` in Faultload\n"
+    );
+}
+
+#[test]
+fn an_out_of_range_trace_slot_is_a_one_line_error() {
+    let args = [
+        "trace",
+        "nimbus-2000",
+        "heron",
+        "--slot",
+        "999",
+        "--limit",
+        "5",
+    ];
+    let out = run(env!("CARGO_BIN_EXE_faultbench"), &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "faultbench: slot 999 is out of range: the faultload has 5 faults\n"
     );
 }

@@ -69,8 +69,8 @@ fn tracing_is_observation_only_and_untraced_bytes_carry_no_activation() {
         .run_injection(&fl, 0)
         .expect("traced run");
 
-    // Untraced results serialize with no activation key anywhere — the
-    // byte-stability contract for pre-trace journals and stored runs.
+    // Untraced results serialize with no activation key anywhere: an
+    // absent observation is absent from journals and stored runs.
     let untraced_json = serde_json::to_string(&untraced).expect("serializes");
     assert!(
         !untraced_json.contains("activation"),

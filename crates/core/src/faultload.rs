@@ -51,13 +51,13 @@ impl fmt::Display for FaultDef {
 pub struct Faultload {
     /// Name of the target image the faultload was generated from.
     pub target: String,
-    /// Fingerprint of the target image's code at scan time (`None` in
-    /// hand-built or legacy artifacts).
-    #[serde(default)]
-    pub fingerprint: Option<u64>,
+    /// Fingerprint of the target image's code at scan time
+    /// ([`mvm::CodeImage::fingerprint`]): a faultload is valid only for the
+    /// image it was scanned from.
+    pub fingerprint: u64,
     /// Provenance of the fault-model packs that generated this faultload,
-    /// in scan order (empty in hand-built or pre-pack artifacts — the field
-    /// is additive, so legacy JSON round-trips byte-identically).
+    /// in scan order. Empty (and then omitted from JSON) for faultloads
+    /// generated by no pack, such as hardware bit flips.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub packs: Vec<PackRef>,
     /// All fault definitions, in scan order (deterministic).
@@ -65,11 +65,12 @@ pub struct Faultload {
 }
 
 impl Faultload {
-    /// Creates an empty faultload for `target`.
-    pub fn new(target: impl Into<String>) -> Faultload {
+    /// Creates an empty faultload for `target`, the image whose code has
+    /// `fingerprint`.
+    pub fn new(target: impl Into<String>, fingerprint: u64) -> Faultload {
         Faultload {
             target: target.into(),
-            fingerprint: None,
+            fingerprint,
             packs: Vec::new(),
             faults: Vec::new(),
         }
@@ -86,25 +87,11 @@ impl Faultload {
         self
     }
 
-    /// True when this faultload was generated from exactly this image (or
-    /// carries no fingerprint to check). Injecting a faultload into a
-    /// *different* build patches arbitrary words — always verify first.
-    ///
-    /// A `None` fingerprint passes this check for backward compatibility
-    /// with hand-built artifacts, but it is a degraded state: the scanner
-    /// always stamps one, campaigns log a loud warning when it is missing
-    /// (see `depbench::Campaign::run_injection`), and the persistent store
-    /// refuses to cache unfingerprinted faultloads. Use
-    /// [`Faultload::is_fingerprinted`] to detect it.
+    /// True when this faultload was generated from exactly this image.
+    /// Injecting a faultload into a *different* build patches arbitrary
+    /// words — always verify first.
     pub fn matches_image(&self, image: &mvm::CodeImage) -> bool {
-        self.fingerprint.is_none_or(|fp| fp == image.fingerprint())
-    }
-
-    /// True when the faultload records which build it was scanned from.
-    /// Scanner output always does; only hand-built or legacy JSON artifacts
-    /// can lack the stamp.
-    pub fn is_fingerprinted(&self) -> bool {
-        self.fingerprint.is_some()
+        self.fingerprint == image.fingerprint()
     }
 
     /// Number of faults.
@@ -186,7 +173,7 @@ mod tests {
     fn sample() -> Faultload {
         Faultload {
             target: "os".into(),
-            fingerprint: None,
+            fingerprint: 7,
             packs: Vec::new(),
             faults: vec![
                 FaultDef {
@@ -268,14 +255,6 @@ mod tests {
         assert_eq!(sites(fl.clone().sample(3)), [0, 3, 6]);
         assert_eq!(sites(fl.clone().sample(4)), [0, 2, 4, 6]);
         assert_eq!(fl.clone().sample(20), fl, "n above len keeps everything");
-    }
-
-    #[test]
-    fn unfingerprinted_artifacts_are_detectable() {
-        let mut fl = sample();
-        assert!(!fl.is_fingerprinted());
-        fl.fingerprint = Some(7);
-        assert!(fl.is_fingerprinted());
     }
 
     #[test]

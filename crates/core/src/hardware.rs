@@ -55,10 +55,8 @@ pub fn bit_flips(image: &CodeImage, functions: Option<&[String]>) -> Faultload {
         }
     }
     Faultload {
-        target: image.name().to_string(),
-        fingerprint: Some(image.fingerprint()),
-        packs: Vec::new(),
         faults,
+        ..Faultload::new(image.name(), image.fingerprint())
     }
 }
 

@@ -9,7 +9,8 @@
 //! interpreter compiles a pack into [`CompiledOperator`]s that run on the
 //! same [`FuncView`] analyses the hard-coded operators used, so a pack
 //! expressing the classic 12 produces *byte-identical* faultloads (the
-//! bundled [`classic`] pack is golden-tested against the pre-pack scanner).
+//! bundled [`classic`] pack is golden-tested against the faultloads the
+//! hard-coded operators produced).
 //!
 //! Packs are validated eagerly: unknown fields, incompatible
 //! pattern/mutation pairings, out-of-range parameters and malformed note

@@ -202,8 +202,7 @@ impl Scanner {
     }
 
     fn scan(&self, image: &CodeImage, restrict: Option<&[String]>) -> Faultload {
-        let mut faultload = Faultload::new(image.name());
-        faultload.fingerprint = Some(image.fingerprint());
+        let mut faultload = Faultload::new(image.name(), image.fingerprint());
         faultload.packs = self.packs.clone();
         for view in FuncView::all_of(image) {
             if let Some(allowed) = restrict {
@@ -357,10 +356,10 @@ mod tests {
     fn every_scan_stamps_fingerprint_and_pack_provenance() {
         let p = compile("os", SRC).unwrap();
         let full = Scanner::standard().scan_image(p.image());
-        assert_eq!(full.fingerprint, Some(p.image().fingerprint()));
+        assert_eq!(full.fingerprint, p.image().fingerprint());
         assert_eq!(full.packs, vec![pack::classic().pack_ref()]);
         let restricted = Scanner::standard().scan_functions(p.image(), &["beta".to_string()]);
-        assert_eq!(restricted.fingerprint, Some(p.image().fingerprint()));
+        assert_eq!(restricted.fingerprint, p.image().fingerprint());
         assert_eq!(restricted.packs.len(), 1);
     }
 

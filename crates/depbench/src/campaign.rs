@@ -49,6 +49,13 @@ pub enum CampaignError {
     BootFailed(String),
     /// A fault could not be injected into the image.
     InjectFailed(InjectError),
+    /// A single-slot run named a slot the faultload does not have.
+    SlotOutOfRange {
+        /// The requested slot.
+        slot: usize,
+        /// The faultload's fault count.
+        faults: usize,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -61,6 +68,10 @@ impl fmt::Display for CampaignError {
             ),
             CampaignError::BootFailed(m) => write!(f, "OS boot failed: {m}"),
             CampaignError::InjectFailed(e) => write!(f, "fault injection failed: {e}"),
+            CampaignError::SlotOutOfRange { slot, faults } => write!(
+                f,
+                "slot {slot} is out of range: the faultload has {faults} faults"
+            ),
         }
     }
 }
@@ -97,14 +108,11 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads running fault slots. `1` (or `0`) runs sequentially
     /// on the caller's thread; results are bit-identical either way.
-    #[serde(default)]
     pub parallelism: usize,
     /// Provenance of *extra* fault-model packs the campaign's scanner loads
     /// beyond the bundled `odc-classic` (e.g. `faultbench --pack FILE`).
-    /// Empty for classic-only campaigns, so their [`Self::stable_hash`] —
-    /// and therefore every pre-pack journal — is unchanged; loading a pack
-    /// changes the hash, because pack content changes which faults exist.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    /// Part of [`Self::stable_hash`]: pack content changes which faults
+    /// exist.
     pub packs: Vec<PackRef>,
 }
 
@@ -253,11 +261,9 @@ pub struct SlotResult {
     /// Whether the server ended the slot dead or hung.
     pub ended_dead: bool,
     /// Downtime/repair timeline observed during the slot.
-    #[serde(default)]
     pub availability: AvailabilityMetrics,
     /// Fault-activation observation. `Some` only on traced campaigns
-    /// ([`Campaign::with_trace`]); omitted from JSON when absent, so
-    /// untraced journals stay byte-identical to pre-trace ones.
+    /// ([`Campaign::with_trace`]); omitted from JSON when absent.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub activation: Option<SlotActivation>,
 }
@@ -355,20 +361,17 @@ pub struct CampaignResult {
     /// Total watchdog interventions.
     pub watchdog: WatchdogCounts,
     /// Aggregated downtime/repair timeline over all completed slots.
-    #[serde(default)]
     pub availability: AvailabilityMetrics,
     /// Per-slot results (completed slots only, in slot order).
     pub slots: Vec<SlotResult>,
     /// Slots that panicked and were quarantined instead of aborting the
-    /// campaign. Empty on a healthy run (and then omitted from JSON, so
-    /// stored runs from before quarantine existed compare byte-identical).
+    /// campaign. Empty on a healthy run, and then omitted from JSON.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub quarantined: Vec<QuarantinedSlot>,
     /// `true` when the harness hit a persistent environment fault mid-run
     /// (journal or cache unavailable) and fell back to degraded, less
     /// durable operation. The measures themselves are unaffected — this is
-    /// a provenance stamp, omitted from JSON on healthy runs so stored
-    /// results from before it existed compare byte-identical.
+    /// a provenance stamp, omitted from JSON on healthy runs.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub degraded: bool,
 }
@@ -837,19 +840,6 @@ impl Campaign {
             completed.len(),
             faultload.len()
         );
-        if !faultload.is_fingerprinted() {
-            // Loud by design: an unfingerprinted faultload cannot be checked
-            // against the booted build, so a mismatch would silently patch
-            // arbitrary words instead of erroring. Only hand-assembled
-            // artifacts can get here: every scanner-produced faultload —
-            // pack-loaded libraries included — is stamped with the image
-            // fingerprint and the pack provenance at scan time.
-            eprintln!(
-                "warning: faultload `{}` carries no fingerprint; cannot verify it was \
-                 generated from this {} build (re-generate it with `faultbench scan`)",
-                faultload.target, self.edition
-            );
-        }
         self.check_fingerprint(faultload)?;
 
         // Replayed Done outcomes keep their results; everything else —
@@ -1030,24 +1020,22 @@ impl Campaign {
     /// derived seed a campaign run would, so the trace replays precisely
     /// what the campaign saw.
     ///
-    /// # Panics
-    ///
-    /// Panics when `slot` is out of range for the faultload.
-    ///
     /// # Errors
     ///
-    /// Same as [`Campaign::run_injection`].
+    /// [`CampaignError::SlotOutOfRange`] when the faultload has no slot
+    /// `slot`; otherwise the same as [`Campaign::run_injection`].
     pub fn trace_slot(
         &self,
         faultload: &Faultload,
         iteration: u64,
         slot: usize,
     ) -> Result<(SlotResult, Trace), CampaignError> {
-        assert!(
-            slot < faultload.len(),
-            "slot {slot} out of range: faultload has {} faults",
-            faultload.len()
-        );
+        if slot >= faultload.len() {
+            return Err(CampaignError::SlotOutOfRange {
+                slot,
+                faults: faultload.len(),
+            });
+        }
         self.check_fingerprint(faultload)?;
         let capacity = self
             .trace
@@ -1400,12 +1388,9 @@ mod tests {
 
     #[test]
     fn pack_refs_are_additive_in_config_json_and_hash() {
-        // Classic-only campaigns carry no `packs` key, so their stable hash
-        // — and every journal written before packs existed — is unchanged;
-        // loading an extra pack must change it (other fault set).
+        // Loading an extra pack must change the stable hash (other fault
+        // set).
         let base = quick_config();
-        let json = serde_json::to_string(&base).unwrap();
-        assert!(!json.contains("packs"), "default config JSON: {json}");
         let with_pack = CampaignConfig::builder()
             .interval(base.interval)
             .os_budget(base.os_budget)
@@ -1502,16 +1487,8 @@ mod tests {
     }
 
     #[test]
-    fn default_config_json_is_policy_free_and_hash_stable() {
-        // The FixedDelay default must serialize exactly as the pre-policy
-        // config did: no `recovery` key, so stable hashes (and therefore
-        // stored journals) from before the recovery subsystem stay valid.
+    fn recovery_policy_is_part_of_the_config_hash() {
         let base = quick_config();
-        let json = serde_json::to_string(&base).unwrap();
-        assert!(!json.contains("recovery"), "default config JSON: {json}");
-        let mut explicit = base.clone();
-        explicit.interval.recovery = crate::recovery::RecoveryPolicy::FixedDelay;
-        assert_eq!(base.stable_hash(), explicit.stable_hash());
         let mut backoff = base.clone();
         backoff.interval.recovery = crate::recovery::RecoveryPolicy::backoff();
         assert_ne!(
@@ -1524,7 +1501,7 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_is_an_error_not_a_panic() {
         let mut fl = small_faultload(Edition::Nimbus2000, 3);
-        fl.fingerprint = Some(0xDEAD_BEEF);
+        fl.fingerprint = 0xDEAD_BEEF;
         let c = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
         match c.run_injection(&fl, 0) {
             Err(CampaignError::FingerprintMismatch { target, edition }) => {

@@ -51,10 +51,7 @@ pub struct IntervalConfig {
     /// profile mode; zero otherwise).
     pub injector_busy: SimDuration,
     /// Watchdog recovery policy. The default, [`RecoveryPolicy::FixedDelay`],
-    /// reproduces the class-delay restart cadence bit-for-bit and is omitted
-    /// from the serialized config, so default configs hash and journal
-    /// exactly as they did before policies existed.
-    #[serde(default, skip_serializing_if = "RecoveryPolicy::is_fixed_delay")]
+    /// restarts on the watchdog's class delays.
     pub recovery: RecoveryPolicy,
 }
 

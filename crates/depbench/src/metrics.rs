@@ -54,19 +54,14 @@ pub struct DependabilityMetrics {
     pub watchdog: WatchdogCounts,
     /// Downtime/repair timeline aggregated over the campaign's slots
     /// (availability %, MTTR, time-to-first-repair, longest outage).
-    #[serde(default)]
     pub availability: AvailabilityMetrics,
     /// Fault-activation rates (overall and per fault type). `Some` only
-    /// when the campaign ran traced; omitted from JSON otherwise, so
-    /// untraced metric sets stay byte-identical to pre-trace ones.
+    /// when the campaign ran traced; omitted from JSON otherwise.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub activation: Option<ActivationSummary>,
-    /// The request counts behind `er_pct_f`. `Some` on metric sets built
-    /// by this version; omitted from JSON when absent, so artifacts
-    /// written before the statistics engine still load (and aggregation
-    /// then falls back to the old unweighted ER%f mean).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub requests: Option<RequestCounts>,
+    /// The request counts behind `er_pct_f`, which aggregation weights
+    /// each iteration by.
+    pub requests: RequestCounts,
 }
 
 impl DependabilityMetrics {
@@ -83,10 +78,10 @@ impl DependabilityMetrics {
             watchdog: campaign.watchdog,
             availability: campaign.availability,
             activation: campaign.activation_summary(),
-            requests: Some(RequestCounts {
+            requests: RequestCounts {
                 ops: campaign.measures.ops(),
                 errors: campaign.measures.errors(),
-            }),
+            },
         }
     }
 
@@ -116,8 +111,8 @@ impl DependabilityMetrics {
 }
 
 /// 95 % confidence intervals over a summary's iterations, one per tier-1
-/// metric. Every field is `None` when the interval cannot be computed
-/// (fewer than 2 iterations, or missing counts on legacy artifacts).
+/// metric. A field is `None` when its interval cannot be computed (fewer
+/// than 2 iterations, or no activation counts on an untraced campaign).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsCi {
     /// Student-t interval over per-iteration SPCf.
@@ -206,20 +201,18 @@ pub fn aggregate_metrics(runs: &[DependabilityMetrics]) -> Option<MetricsSummary
     };
 
     // ER%f weights each iteration by its request volume: merge the counts
-    // and recompute, exactly as one long run would. Metric sets from before
-    // the counts existed fall back to the historical unweighted mean.
-    let requests: Option<RequestCounts> =
-        runs.iter()
-            .map(|r| r.requests)
-            .try_fold(RequestCounts::default(), |acc, r| {
-                r.map(|r| RequestCounts {
-                    ops: acc.ops + r.ops,
-                    errors: acc.errors + r.errors,
-                })
-            });
-    let er_pct_f = match requests {
-        Some(c) if c.ops > 0 => c.errors as f64 * 100.0 / c.ops as f64,
-        _ => mean_f(|r| r.er_pct_f),
+    // and recompute, exactly as one long run would (0 with no operation,
+    // like `IntervalMeasures::er_pct`).
+    let requests = runs
+        .iter()
+        .fold(RequestCounts::default(), |acc, r| RequestCounts {
+            ops: acc.ops + r.requests.ops,
+            errors: acc.errors + r.requests.errors,
+        });
+    let er_pct_f = if requests.ops > 0 {
+        requests.errors as f64 * 100.0 / requests.ops as f64
+    } else {
+        0.0
     };
 
     let availability = {
@@ -264,9 +257,9 @@ pub fn aggregate_metrics(runs: &[DependabilityMetrics]) -> Option<MetricsSummary
 
     let samples =
         |f: fn(&DependabilityMetrics) -> f64| -> Vec<f64> { runs.iter().map(f).collect() };
-    let er_pairs: Option<Vec<(f64, f64)>> = runs
+    let er_pairs: Vec<(f64, f64)> = runs
         .iter()
-        .map(|r| r.requests.map(|c| (c.errors as f64, c.ops as f64)))
+        .map(|r| (r.requests.errors as f64, r.requests.ops as f64))
         .collect();
     let avail_pairs: Vec<(f64, f64)> = runs
         .iter()
@@ -296,7 +289,7 @@ pub fn aggregate_metrics(runs: &[DependabilityMetrics]) -> Option<MetricsSummary
         spc_f: t_interval(&samples(|r| f64::from(r.spc_f))),
         thr_f: t_interval(&samples(|r| r.thr_f)),
         rtm_f: t_interval(&samples(|r| r.rtm_f)),
-        er_pct_f: er_pairs.as_deref().and_then(|p| boot(p, ER_SEED_TAG)),
+        er_pct_f: boot(&er_pairs, ER_SEED_TAG),
         availability_pct: boot(&avail_pairs, AVAIL_SEED_TAG),
         activation_rate_pct: act_pairs.as_deref().and_then(|p| boot(p, ACT_SEED_TAG)),
     };
@@ -328,10 +321,10 @@ mod tests {
             },
             availability: AvailabilityMetrics::default(),
             activation: None,
-            requests: Some(RequestCounts {
+            requests: RequestCounts {
                 ops: 1000,
                 errors: 80,
-            }),
+            },
         }
     }
 
@@ -360,10 +353,10 @@ mod tests {
         assert!((avg.er_pct_f - 8.0).abs() < 1e-12);
         assert_eq!(
             avg.requests,
-            Some(RequestCounts {
+            RequestCounts {
                 ops: 3000,
                 errors: 240,
-            })
+            }
         );
     }
 
@@ -393,16 +386,16 @@ mod tests {
         //   volume-weighted   → 110 / 10 010  ≈ 1.0989 %
         let mut big = metrics(12, 0);
         big.er_pct_f = 1.0;
-        big.requests = Some(RequestCounts {
+        big.requests = RequestCounts {
             ops: 10_000,
             errors: 100,
-        });
+        };
         let mut tiny = metrics(12, 0);
         tiny.er_pct_f = 100.0;
-        tiny.requests = Some(RequestCounts {
+        tiny.requests = RequestCounts {
             ops: 10,
             errors: 10,
-        });
+        };
         let unweighted = (big.er_pct_f + tiny.er_pct_f) / 2.0;
         let avg = aggregate_metrics(&[big, tiny]).unwrap().mean;
         let weighted = 110.0 * 100.0 / 10_010.0;
@@ -411,22 +404,6 @@ mod tests {
             (avg.er_pct_f - unweighted).abs() > 40.0,
             "the two answers must visibly differ for this regression to bite"
         );
-    }
-
-    #[test]
-    fn legacy_runs_without_counts_fall_back_to_unweighted_mean() {
-        let mut a = metrics(12, 0);
-        a.requests = None;
-        a.er_pct_f = 2.0;
-        let mut b = metrics(12, 0);
-        b.er_pct_f = 4.0;
-        let summary = aggregate_metrics(&[a, b]).unwrap();
-        assert!((summary.mean.er_pct_f - 3.0).abs() < 1e-12);
-        assert_eq!(summary.mean.requests, None);
-        // No counts → no bootstrap interval for ER%f.
-        assert!(summary.ci95.er_pct_f.is_none());
-        // But the t intervals over plain samples still exist.
-        assert!(summary.ci95.thr_f.is_some());
     }
 
     #[test]
@@ -462,19 +439,5 @@ mod tests {
         // And a single iteration can never converge, however calm.
         let one = aggregate_metrics(&calm[..1]).unwrap();
         assert!(!one.converged(&conv));
-    }
-
-    #[test]
-    fn pre_stats_artifacts_still_deserialize() {
-        // A metric set serialized before `requests` existed must parse,
-        // defaulting the counts away.
-        let old = r#"{
-            "spc_baseline": 36, "thr_baseline": 100.0, "rtm_baseline": 350.0,
-            "spc_f": 12, "thr_f": 90.0, "rtm_f": 365.0, "er_pct_f": 8.0,
-            "watchdog": {"mis": 60, "kns": 10, "kcp": 1}
-        }"#;
-        let m: DependabilityMetrics = serde_json::from_str(old).expect("pre-stats metrics parse");
-        assert_eq!(m.requests, None);
-        assert!(m.activation.is_none());
     }
 }

@@ -23,8 +23,7 @@
 //! *slot's* derived [`SimRng`] — the same stream the workload uses — so a
 //! campaign stays bit-identical across parallelism settings and resumes.
 //! [`RecoveryPolicy::FixedDelay`] (and a zero-jitter backoff) draw nothing,
-//! which keeps default-policy results byte-identical to the pre-policy
-//! implementation.
+//! so the default policy repairs on the watchdog's class delays alone.
 
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng};
@@ -40,12 +39,8 @@ pub enum FailureClass {
 
 /// The watchdog's repair-scheduling policy.
 ///
-/// Serialized into campaign configs (and therefore into
-/// [`crate::CampaignConfig::stable_hash`]); the default [`FixedDelay`]
-/// variant is *omitted* from the JSON so default-policy configs hash — and
-/// journal — exactly as they did before policies existed.
-///
-/// [`FixedDelay`]: RecoveryPolicy::FixedDelay
+/// Serialized into campaign configs, and therefore into
+/// [`crate::CampaignConfig::stable_hash`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RecoveryPolicy {
     /// Restart after the class delay (`CRASH_REPAIR_DELAY` /
@@ -92,12 +87,6 @@ impl RecoveryPolicy {
     /// Short names accepted by [`RecoveryPolicy::by_name`], comparison
     /// order for `faultbench recovery`.
     pub const NAMES: [&'static str; 4] = ["fixed", "backoff", "reboot", "failover"];
-
-    /// True for the default policy (the `skip_serializing_if` predicate
-    /// that keeps default configs byte-identical to pre-policy JSON).
-    pub fn is_fixed_delay(&self) -> bool {
-        matches!(self, RecoveryPolicy::FixedDelay)
-    }
 
     /// The standard exponential backoff: 50 ms base, doubling, capped at
     /// 1.6 s, with 10 ms of jitter.
@@ -370,10 +359,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_fixed_delay_and_omitted_from_json() {
+    fn fixed_delay_is_the_default_policy() {
         assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::FixedDelay);
-        assert!(RecoveryPolicy::FixedDelay.is_fixed_delay());
-        assert!(!RecoveryPolicy::backoff().is_fixed_delay());
     }
 
     #[test]

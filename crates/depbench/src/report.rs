@@ -78,9 +78,7 @@ pub fn pct(fraction: f64) -> String {
 }
 
 /// Formats a value with its 95 % confidence half-width, e.g. `"12.0 ±0.5"`.
-/// Without an interval (single iteration, or legacy artifacts missing the
-/// underlying counts) the cell is just the value — same as before the
-/// statistics engine existed.
+/// Without an interval (a single iteration) the cell is just the value.
 pub fn pm(value: f64, digits: usize, ci: Option<&simstats::Ci>) -> String {
     match ci {
         Some(ci) => format!("{value:.digits$} \u{b1}{:.digits$}", ci.half_width),

@@ -160,13 +160,6 @@ impl FaultMapCache {
             Some(fs) => scanner.scan_functions(image, fs),
             None => scanner.scan_image(image),
         };
-        if !faultload.is_fingerprinted() {
-            // The scanner always stamps; reaching this means a scanner bug.
-            // Refuse to cache rather than store an unvalidatable artifact.
-            return Err(StoreError::MissingFingerprint {
-                target: faultload.target.clone(),
-            });
-        }
         let written = faultload
             .to_json()
             .map_err(|e| StoreError::Encode(e.to_string()))
@@ -190,7 +183,7 @@ impl FaultMapCache {
             .retrying(|| self.ctx.chaos.read_to_string(path))
             .ok()?;
         let faultload = Faultload::from_json(&json).ok()?;
-        (faultload.fingerprint == Some(key.image_fingerprint)).then_some(faultload)
+        (faultload.fingerprint == key.image_fingerprint).then_some(faultload)
     }
 }
 

@@ -330,8 +330,7 @@ pub fn diff_table(name_a: &str, a: &CampaignResult, name_b: &str, b: &CampaignRe
         b.quarantined.len() as u64,
     );
 
-    // Activation rows appear only when at least one run was traced, so
-    // diffs of pre-trace (or untraced) runs render exactly as before.
+    // Activation rows appear only when at least one run was traced.
     let (act_a, act_b) = (a.activation_summary(), b.activation_summary());
     if act_a.is_some() || act_b.is_some() {
         let activated =

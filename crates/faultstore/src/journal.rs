@@ -39,7 +39,9 @@
 //! Resume validates every header field against the campaign about to run.
 //! Any disagreement is a [`StoreError::StaleJournal`] naming the field:
 //! silently splicing slot results measured under a different config or OS
-//! build into a campaign would fabricate benchmark numbers.
+//! build into a campaign would fabricate benchmark numbers. A journal or
+//! stop record of another [`JOURNAL_SCHEMA`] is refused first, with one
+//! line naming both schemas: no reader for an older format exists.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -54,8 +56,9 @@ use swfit_core::Faultload;
 use crate::resilience::StoreCtx;
 use crate::{io_err, StoreError};
 
-/// Journal schema version; bumped on any incompatible format change.
-pub const JOURNAL_SCHEMA: u32 = 1;
+/// Schema version of every journal header and stop record; bumped on any
+/// incompatible format change.
+pub const JOURNAL_SCHEMA: u32 = 2;
 
 /// Records per group commit: [`Journal::record`] fsyncs when it writes the
 /// `GROUP`th record since the last sync. A power loss loses at most
@@ -77,17 +80,14 @@ pub struct JournalHeader {
     pub iteration: u64,
     /// [`depbench::CampaignConfig::stable_hash`] of the campaign config.
     pub config_hash: u64,
-    /// The faultload's image fingerprint (`None` only for legacy artifacts,
-    /// which the store refuses to journal).
-    pub faultload_fingerprint: Option<u64>,
+    /// The faultload's image fingerprint.
+    pub faultload_fingerprint: u64,
     /// Hash of the fault ids, in slot order — distinguishes different
     /// same-size subsets of the same image (e.g. two ablation faultloads).
     pub faultload_hash: u64,
     /// [`swfit_core::pack::pack_set_hash`] of the faultload's pack
-    /// provenance stamps. `None` for pre-pack journals and faultloads with
-    /// no pack provenance — the field is additive within schema 1, so
-    /// legacy journals resume unchanged; it is validated only when both
-    /// sides carry a value.
+    /// provenance stamps; `None` (and omitted from JSON) for a faultload
+    /// generated by no pack.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub pack_hash: Option<u64>,
     /// Number of faults (= slots) in the campaign.
@@ -115,15 +115,22 @@ impl JournalHeader {
     }
 
     /// Field-by-field comparison with a precise mismatch description,
-    /// whose reason starts with `prefix`.
-    fn validate_against(&self, expected: &JournalHeader, prefix: &str) -> Result<(), StoreError> {
+    /// whose reason starts with `what` (the artifact: journal or stop
+    /// record).
+    fn validate_against(&self, expected: &JournalHeader, what: &str) -> Result<(), StoreError> {
         let mismatch = |field: &str, found: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
             Err(StoreError::StaleJournal {
-                reason: format!("{prefix}{field} is {found:?}, campaign expects {want:?}"),
+                reason: format!("{what} {field} is {found:?}, campaign expects {want:?}"),
             })
         };
         if self.schema != expected.schema {
-            return mismatch("schema", &self.schema, &expected.schema);
+            return Err(StoreError::StaleJournal {
+                reason: format!(
+                    "{what} written with schema {}; this build reads schema {} — re-run \
+                     without `--resume`",
+                    self.schema, expected.schema
+                ),
+            });
         }
         if self.edition != expected.edition {
             return mismatch("edition", &self.edition, &expected.edition);
@@ -134,24 +141,18 @@ impl JournalHeader {
         if self.iteration != expected.iteration {
             return mismatch("iteration", &self.iteration, &expected.iteration);
         }
-        // Pack provenance is additive: a pre-pack journal (None) resumes
-        // under any pack set, but two *recorded* pack sets must agree —
-        // splicing slot results measured under different operator content
+        // Splicing slot results measured under different operator content
         // would fabricate benchmark numbers. Checked before the config hash
         // so a changed pack set (which also moves the config hash, via the
         // config's pack refs) is reported as what it is, not as an opaque
         // hash mismatch.
-        if let (Some(stored), Some(current)) = (self.pack_hash, expected.pack_hash) {
-            if stored != current {
-                return Err(StoreError::StaleJournal {
-                    reason: format!(
-                        "fault-model pack set changed: journal was recorded with pack-set \
-                         hash {stored:#018x}, the campaign about to resume uses \
-                         {current:#018x}; re-scan with the original pack files (or start \
-                         a fresh campaign under the new packs)"
-                    ),
-                });
-            }
+        if self.pack_hash != expected.pack_hash {
+            let hex = |h: Option<u64>| h.map_or("none".into(), |h| format!("{h:#018x}"));
+            return mismatch(
+                "pack-set hash",
+                &hex(self.pack_hash),
+                &hex(expected.pack_hash),
+            );
         }
         if self.config_hash != expected.config_hash {
             return mismatch("config hash", &self.config_hash, &expected.config_hash);
@@ -197,7 +198,7 @@ pub struct StopRecord {
     /// [`depbench::CampaignConfig::stable_hash`] of the campaign config.
     pub config_hash: u64,
     /// The faultload's image fingerprint.
-    pub faultload_fingerprint: Option<u64>,
+    pub faultload_fingerprint: u64,
     /// Hash of the fault ids, in slot order.
     pub faultload_hash: u64,
     /// The convergence rule in force when the decision was taken.
@@ -245,7 +246,7 @@ impl StopRecord {
     /// the wrong iteration count into the results.
     pub fn validate_against(&self, expected: &StopRecord) -> Result<(), StoreError> {
         self.header()
-            .validate_against(&expected.header(), "stop record ")?;
+            .validate_against(&expected.header(), "stop record")?;
         if self.convergence != expected.convergence {
             return Err(StoreError::StaleJournal {
                 reason: format!(
@@ -276,10 +277,9 @@ impl StopRecord {
     }
 }
 
-/// One journal line after the header, as read back. Exactly one of
-/// `result` and `quarantined` is set; completed-slot records read
-/// byte-identically to the pre-quarantine format (`{"slot": i, "result":
-/// {…}}`), so journals written before quarantine existed replay unchanged.
+/// One journal line after the header, as read back: `{"slot": i,
+/// "result": {…}}` for a completed slot, `{"slot": i, "quarantined": {…}}`
+/// for a quarantined one. Exactly one of the two is set.
 #[derive(Debug, Deserialize)]
 struct SlotRecord {
     /// Slot index (= fault index in the faultload).
@@ -506,7 +506,7 @@ impl Journal {
         })?;
         let header: JournalHeader = serde_json::from_str(&raw[..header_end])
             .map_err(|e| StoreError::Json(format!("{}: bad header: {e}", path.display())))?;
-        header.validate_against(expected, "")?;
+        header.validate_against(expected, "journal")?;
 
         let mut outcomes: Vec<SlotOutcome> = Vec::new();
         // Byte offset of the end of the last durable, acceptable record.
@@ -784,7 +784,7 @@ mod tests {
             server: "wren".to_string(),
             iteration: 0,
             config_hash: 7,
-            faultload_fingerprint: Some(11),
+            faultload_fingerprint: 11,
             faultload_hash: 13,
             pack_hash: None,
             fault_count: n,

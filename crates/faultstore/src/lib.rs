@@ -76,12 +76,6 @@ pub enum StoreError {
     Json(String),
     /// A value could not be written as JSON (e.g. a non-finite float).
     Encode(String),
-    /// The faultload carries no fingerprint, so the store cannot key or
-    /// validate it (see `Faultload::is_fingerprinted`).
-    MissingFingerprint {
-        /// The faultload's declared target.
-        target: String,
-    },
     /// A journal exists but was written by a different campaign (schema,
     /// edition, server, config or faultload mismatch) — resuming it would
     /// splice foreign slot results into this run.
@@ -109,11 +103,6 @@ impl fmt::Display for StoreError {
             StoreError::Io(m) => write!(f, "store I/O error: {m}"),
             StoreError::Json(m) => write!(f, "store artifact does not parse: {m}"),
             StoreError::Encode(m) => write!(f, "store artifact cannot be written as JSON: {m}"),
-            StoreError::MissingFingerprint { target } => write!(
-                f,
-                "faultload `{target}` carries no fingerprint; the store refuses to \
-                 cache artifacts it cannot validate — re-generate with `faultbench scan`"
-            ),
             StoreError::StaleJournal { reason } => {
                 write!(f, "stale campaign journal refused: {reason}")
             }

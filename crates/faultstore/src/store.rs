@@ -142,8 +142,6 @@ impl FaultStore {
     ///
     /// # Errors
     ///
-    /// * [`StoreError::MissingFingerprint`] — the faultload is
-    ///   unfingerprinted, so a journal could never be validated against it;
     /// * [`StoreError::StaleJournal`] — `resume = true` but the existing
     ///   journal belongs to a different campaign/config/faultload;
     /// * [`StoreError::Campaign`] — the campaign itself failed;
@@ -156,11 +154,6 @@ impl FaultStore {
         iteration: u64,
         resume: bool,
     ) -> Result<CampaignResult, StoreError> {
-        if !faultload.is_fingerprinted() {
-            return Err(StoreError::MissingFingerprint {
-                target: faultload.target.clone(),
-            });
-        }
         let header = JournalHeader::describe(campaign, faultload, iteration);
         let path = self.journal_path(campaign, iteration);
         let opened = if resume && path.exists() {
@@ -613,6 +606,38 @@ mod tests {
                 .build(),
         );
         assert!(store.run_resumable(&wide, &fl, 0, true).is_ok());
+
+        // A journal or stop record of another schema is one actionable
+        // line naming both schemas.
+        let stale_schema = |path: PathBuf, from: &str, to: &str| {
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.contains(from), "{text}");
+            std::fs::write(&path, text.replacen(from, to, 1)).unwrap();
+        };
+        stale_schema(
+            store.journal_path(&campaign, 0),
+            r#"{"schema":2,"#,
+            r#"{"schema":1,"#,
+        );
+        let err = store.run_resumable(&campaign, &fl, 0, true).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "stale campaign journal refused: journal written with schema 1; this build \
+             reads schema 2 — re-run without `--resume`"
+        );
+        let conv = ConvergenceConfig::default();
+        store.record_stop(&campaign, &fl, &conv, 1, true).unwrap();
+        stale_schema(
+            store.stop_path(&campaign),
+            r#""schema": 2,"#,
+            r#""schema": 1,"#,
+        );
+        let err = store.load_stop(&campaign, &fl, &conv).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "stale campaign journal refused: stop record written with schema 1; this \
+             build reads schema 2 — re-run without `--resume`"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -710,47 +735,6 @@ mod tests {
             }
             other => panic!("got {other}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pre_pack_journals_resume_under_pack_aware_builds() {
-        let (dir, store) = tmp_store("prepack");
-        let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
-        // A faultload with no pack provenance journals with no pack hash —
-        // exactly what a pre-pack binary wrote.
-        let mut legacy = small_faultload(3);
-        legacy.packs.clear();
-        let legacy_run = store.run_resumable(&campaign, &legacy, 0, false).unwrap();
-        let raw = std::fs::read_to_string(store.journal_path(&campaign, 0)).unwrap();
-        assert!(
-            !raw.lines().next().unwrap().contains("pack_hash"),
-            "pack-free header must omit the key (legacy byte-compat): {raw}"
-        );
-
-        // The same campaign resumed with a pack-stamped faultload (same
-        // faults, rescanned by a pack-aware build) replays the journal.
-        let mut stamped = legacy.clone();
-        stamped.packs = small_faultload(3).packs;
-        let resumed = store.run_resumable(&campaign, &stamped, 0, true).unwrap();
-        assert_eq!(
-            serde_json::to_string(&legacy_run).unwrap(),
-            serde_json::to_string(&resumed).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn unfingerprinted_faultloads_cannot_be_journaled() {
-        let (dir, store) = tmp_store("nofp");
-        let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
-        let mut fl = small_faultload(2);
-        fl.fingerprint = None;
-        let err = store.run_resumable(&campaign, &fl, 0, false).unwrap_err();
-        assert!(
-            matches!(err, StoreError::MissingFingerprint { .. }),
-            "got {err}"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

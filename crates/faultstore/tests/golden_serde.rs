@@ -5,10 +5,10 @@
 //! decisions).
 //!
 //! The store's whole value is that artifacts written by one build are
-//! readable by the next. Any rename, reorder, type change or removed field
-//! in these structs changes the serialized form and fails this test —
-//! forcing the author to either restore compatibility or consciously bump
-//! `faultstore::JOURNAL_SCHEMA` and re-bless.
+//! readable by the next of the same schema. Any rename, reorder, type
+//! change or removed field in these structs changes the serialized form
+//! and fails this test — forcing the author to either restore the format
+//! or consciously bump `faultstore::JOURNAL_SCHEMA` and re-bless.
 //!
 //! To re-bless after an intentional schema change:
 //!
@@ -50,7 +50,7 @@ fn measures() -> IntervalMeasures {
 fn golden() -> Golden {
     let faultload = Faultload {
         target: "os".to_string(),
-        fingerprint: Some(0x1234_5678_9abc_def0),
+        fingerprint: 0x1234_5678_9abc_def0,
         packs: Vec::new(),
         faults: vec![FaultDef {
             id: "MIFS@rtl_alloc_heap+17".to_string(),
@@ -115,7 +115,7 @@ fn golden() -> Golden {
         watchdog,
         availability,
         activation: None,
-        requests: Some(RequestCounts { ops: 1000, errors }),
+        requests: RequestCounts { ops: 1000, errors },
     };
     let metrics_summary = aggregate_metrics(&[
         iteration_metrics(15, 176.9, 136),
@@ -127,7 +127,7 @@ fn golden() -> Golden {
         edition: "nimbus-2000".to_string(),
         server: "wren".to_string(),
         config_hash: 0xfeed_beef_cafe_0042,
-        faultload_fingerprint: Some(0x1234_5678_9abc_def0),
+        faultload_fingerprint: 0x1234_5678_9abc_def0,
         faultload_hash: 0x0bad_f00d_dead_5eed,
         convergence: ConvergenceConfig {
             target_halfwidth_pct: 5.0,
@@ -174,115 +174,6 @@ fn serialized_schema_matches_the_golden_fixture() {
         json,
         "persisted JSON schema changed; if intentional, bump \
          faultstore::JOURNAL_SCHEMA and re-bless with FAULTSTORE_BLESS=1"
-    );
-}
-
-#[test]
-fn pre_policy_artifacts_still_deserialize() {
-    // A journal record / stored run written before the recovery subsystem
-    // existed: no `availability` on slots, no `availability`/`quarantined`
-    // on the campaign. Both must parse, defaulting the new fields — that is
-    // what lets an old journal resume under a new binary.
-    let measures_json = serde_json::to_string(&measures()).unwrap();
-    let watchdog_json = r#"{"mis": 1, "kns": 0, "kcp": 0}"#;
-    let old_slot = format!(
-        r#"{{"fault_id": "MIFS@rtl_alloc_heap+17", "measures": {measures_json},
-             "watchdog": {watchdog_json}, "ended_dead": false}}"#
-    );
-    let slot: SlotResult = serde_json::from_str(&old_slot).expect("pre-policy slot record parses");
-    assert_eq!(slot.availability, AvailabilityMetrics::default());
-
-    let old_campaign = format!(
-        r#"{{"edition": "Nimbus2000", "server": "Wren", "measures": {measures_json},
-             "watchdog": {watchdog_json}, "slots": [{old_slot}]}}"#
-    );
-    let run: CampaignResult =
-        serde_json::from_str(&old_campaign).expect("pre-policy stored run parses");
-    assert_eq!(run.availability, AvailabilityMetrics::default());
-    assert!(run.quarantined.is_empty());
-}
-
-#[test]
-fn pre_trace_artifacts_still_deserialize_under_schema_1() {
-    // Activation is additive within schema 1: a record written by a
-    // pre-trace (or untraced) binary has no `activation` key and must parse
-    // to `None` — and an untraced slot must serialize *without* the key, so
-    // untraced journals stay byte-identical to pre-trace ones.
-    assert_eq!(
-        faultstore::JOURNAL_SCHEMA,
-        1,
-        "activation fields are additive; schema must not bump"
-    );
-    let measures_json = serde_json::to_string(&measures()).unwrap();
-    let old_slot = format!(
-        r#"{{"fault_id": "MIFS@rtl_alloc_heap+17", "measures": {measures_json},
-             "watchdog": {{"mis": 1, "kns": 0, "kcp": 0}}, "ended_dead": false}}"#
-    );
-    let slot: SlotResult = serde_json::from_str(&old_slot).expect("pre-trace slot record parses");
-    assert!(slot.activation.is_none());
-    let reserialized = serde_json::to_string(&slot).unwrap();
-    assert!(
-        !reserialized.contains("activation"),
-        "untraced slot must omit the activation key: {reserialized}"
-    );
-}
-
-#[test]
-fn pre_stats_artifacts_still_deserialize_under_schema_1() {
-    // The statistics engine's fields are additive within schema 1: a
-    // metrics artifact written before `requests` existed must parse with
-    // the counts absent — and re-serialize without the key, so artifacts
-    // only ever gain fields when a binary that measured them writes them.
-    assert_eq!(
-        faultstore::JOURNAL_SCHEMA,
-        1,
-        "request counts and CIs are additive; schema must not bump"
-    );
-    let old_metrics = r#"{
-        "spc_baseline": 20, "thr_baseline": 206.0, "rtm_baseline": 185.0,
-        "spc_f": 15, "thr_f": 176.9, "rtm_f": 221.5, "er_pct_f": 13.6,
-        "watchdog": {"mis": 1, "kns": 2, "kcp": 0}
-    }"#;
-    let m: DependabilityMetrics =
-        serde_json::from_str(old_metrics).expect("pre-stats metrics parse");
-    assert!(m.requests.is_none());
-    let reserialized = serde_json::to_string(&m).unwrap();
-    assert!(
-        !reserialized.contains("requests"),
-        "legacy metrics must omit the requests key: {reserialized}"
-    );
-
-    // The old `faultbench campaign --out` format — a bare array of
-    // per-iteration metrics — still aggregates (unweighted ER%f fallback).
-    let old_out = format!("[{old_metrics}, {old_metrics}]");
-    let runs: Vec<DependabilityMetrics> =
-        serde_json::from_str(&old_out).expect("pre-stats --out array parses");
-    let summary = aggregate_metrics(&runs).expect("legacy runs aggregate");
-    assert!(
-        summary.ci95.er_pct_f.is_none(),
-        "no counts, no bootstrap CI"
-    );
-    assert!((summary.mean.er_pct_f - 13.6).abs() < 1e-12);
-}
-
-#[test]
-fn pre_pack_faultloads_round_trip_byte_identically_under_schema_1() {
-    // Pack provenance is additive within schema 1: a faultload written by a
-    // pre-pack binary has no `packs` key and must parse with the stamp
-    // empty — and re-serialize *without* the key, byte-identically, so
-    // cached fault maps and stored artifacts never churn on upgrade.
-    assert_eq!(
-        faultstore::JOURNAL_SCHEMA,
-        1,
-        "pack provenance is additive; schema must not bump"
-    );
-    let old_faultload = r#"{"target":"os","fingerprint":123,"faults":[]}"#;
-    let fl: Faultload = serde_json::from_str(old_faultload).expect("pre-pack faultload parses");
-    assert!(fl.packs.is_empty());
-    assert_eq!(
-        serde_json::to_string(&fl).unwrap(),
-        old_faultload,
-        "legacy faultload must round-trip byte-identically"
     );
 }
 

@@ -265,9 +265,9 @@ fn contract_rows() -> Vec<(Kind, Class, String, Expect)> {
     use Class::*;
     use Expect::*;
     use Kind::{CampaignResult as Run, FaultPack as Pack, Faultload as Load, JournalHeader as Head, SlotRecord as Slot, StopRecord as Stop};
-    let load = r#"{"target":"os","faults":[]}"#;
-    let fault = r#"{"target":"os","faults":[{"id":"MFC@f+1","fault_type":"Mfc","func":"f","site":1,"patches":[],"note":"n"}]}"#;
-    let head = r#"{"schema":1,"edition":"nimbus-2000","server":"wren","iteration":0,"config_hash":1,"faultload_fingerprint":2,"faultload_hash":3,"fault_count":4}"#;
+    let load = r#"{"target":"os","fingerprint":1,"faults":[]}"#;
+    let fault = r#"{"target":"os","fingerprint":1,"faults":[{"id":"MFC@f+1","fault_type":"Mfc","func":"f","site":1,"patches":[],"note":"n"}]}"#;
+    let head = r#"{"schema":2,"edition":"nimbus-2000","server":"wren","iteration":0,"config_hash":1,"faultload_fingerprint":2,"faultload_hash":3,"fault_count":4}"#;
     let slot = r#"{"slot":1,"quarantined":{"Panicked":{"message":"boom"}}}"#;
     let run = &serde_json::to_string(&golden().campaign_result).unwrap();
     let stop = &serde_json::to_string(&golden().stop_record).unwrap();
@@ -279,16 +279,16 @@ fn contract_rows() -> Vec<(Kind, Class, String, Expect)> {
     let trailing = |doc: &str| format!("{doc} x");
     let cut = &run[..run.find(r#""Wren""#).unwrap() + 3];
     vec![
-        (Load, Syntax, edit(load, "[]}", "[}"), Rejected("unexpected `}` at byte 25")),
+        (Load, Syntax, edit(load, "[]}", "[}"), Rejected("unexpected `}` at byte 41")),
         (Load, TooDeep, deep(load), Rejected("recursion limit exceeded at byte 136")),
-        (Load, TrailingInput, trailing(load), Rejected("trailing input at byte 28")),
+        (Load, TrailingInput, trailing(load), Rejected("trailing input at byte 44")),
         (Load, WrongType, edit(load, r#""os""#, "1"), Rejected("expected string, got integer")),
         (Load, UnknownField, zz(load), Accepted),
-        (Load, MissingField, edit(load, r#""target":"os","#, ""), Rejected("missing field `target` in Faultload")),
+        (Load, MissingField, edit(load, r#""fingerprint":1,"#, ""), Rejected("missing field `fingerprint` in Faultload")),
         (Load, UnknownVariant, edit(fault, "Mfc", "Nope"), Rejected("unknown fault type `Nope` (expected one of MVI, MVAV, MVAE, MIA, MLAC, MFC, MIFS, MLPC, WVAV, WLEC, WAEP, WPFV, in any case)")),
-        (Load, OutOfRange, first(load, r#""fingerprint":-1"#), Rejected("-1 out of range")),
+        (Load, OutOfRange, edit(load, r#""fingerprint":1"#, r#""fingerprint":-1"#), Rejected("-1 out of range")),
 
-        (Head, Syntax, edit(head, r#"1,"e"#, r#"1 "e"#), Rejected("expected `,` or `}` at byte 12")),
+        (Head, Syntax, edit(head, r#"2,"e"#, r#"2 "e"#), Rejected("expected `,` or `}` at byte 12")),
         (Head, TooDeep, deep(head), Rejected("recursion limit exceeded at byte 136")),
         (Head, TrailingInput, trailing(head), Rejected("trailing input at byte 144")),
         (Head, WrongType, edit(head, r#""iteration":0"#, r#""iteration":"0""#), Rejected("expected integer, got string `0`")),
@@ -297,7 +297,7 @@ fn contract_rows() -> Vec<(Kind, Class, String, Expect)> {
         // The edition is a plain string, checked against the campaign when
         // the journal is resumed, not by the reader.
         (Head, UnknownVariant, edit(head, "nimbus-2000", "nimbus-3000"), Accepted),
-        (Head, OutOfRange, edit(head, r#""schema":1"#, r#""schema":4294967296"#), Rejected("4294967296 out of range for u32")),
+        (Head, OutOfRange, edit(head, r#""schema":2"#, r#""schema":4294967296"#), Rejected("4294967296 out of range for u32")),
 
         (Slot, Syntax, edit(slot, "boom", "bo\tom"), Rejected("control character in string at byte 50")),
         (Slot, TooDeep, deep(slot), Rejected("recursion limit exceeded at byte 136")),

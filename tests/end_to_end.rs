@@ -207,7 +207,7 @@ fn parallel_campaign_is_byte_identical_to_sequential() {
 fn stale_faultload_fingerprint_is_a_typed_error() {
     use depbench::CampaignError;
     let mut fl = sampled_faultload(Edition::Nimbus2000, 20);
-    fl.fingerprint = Some(0x0BAD_F00D);
+    fl.fingerprint = 0x0BAD_F00D;
     let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Heron, quick_config());
     match campaign.run_injection(&fl, 0) {
         Err(CampaignError::FingerprintMismatch { edition, .. }) => {

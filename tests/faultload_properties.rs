@@ -1,6 +1,7 @@
 //! The faultload properties the paper claims in §4, as executable checks:
 //! representativeness, repeatability, portability, scalability and
-//! non-intrusiveness.
+//! non-intrusiveness. Feasibility (generation takes minutes at most) is a
+//! wall-clock bound, gated by `perfgate check`.
 
 use depbench::{Campaign, CampaignConfig, IntervalConfig};
 use simkit::SimDuration;
@@ -106,19 +107,4 @@ fn non_intrusiveness_below_two_percent() {
         let deg = (max_perf.thr() - profiled.thr()).abs() / max_perf.thr();
         assert!(deg < 0.02, "{kind}: profile-mode degradation {deg}");
     }
-}
-
-/// §4 "Feasibility": faultload generation is fast (the paper reports under
-/// five minutes on 2004 hardware; the simulated pipeline is sub-second).
-#[test]
-fn feasibility_generation_is_fast() {
-    let started = std::time::Instant::now();
-    let os = Os::boot(Edition::NimbusXp).unwrap();
-    let fl = Scanner::standard().scan_functions(os.program().image(), &OsApi::symbols());
-    assert!(!fl.is_empty());
-    assert!(
-        started.elapsed() < std::time::Duration::from_secs(30),
-        "generation took {:?}",
-        started.elapsed()
-    );
 }
