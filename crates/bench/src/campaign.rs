@@ -57,11 +57,17 @@ pub fn run_iterations(
     }
     let iteration_bound = stop.as_ref().map_or(max_iterations, |r| r.stopped_at);
 
-    let baseline = campaign.run_profile_mode(0).map_err(|e| e.to_string())?;
+    let mut baseline: Option<IntervalMeasures> = None;
     let mut runs: Vec<DependabilityMetrics> = Vec::new();
     // `it` counts iterations from 1; the campaign numbers them from 0.
     for it in 1..=iteration_bound {
         let res = cli.run_injection(store, campaign, faultload, it - 1)?;
+        // Taken once the first iteration's journal has been accepted, so a
+        // refused `--resume` fails before any baseline work.
+        if baseline.is_none() {
+            baseline = Some(campaign.run_profile_mode(0).map_err(|e| e.to_string())?);
+        }
+        let base = baseline.as_ref().expect("taken above");
         if let (Some(s), Some(name)) = (store, save) {
             let run_name = if max_iterations == 1 {
                 name.to_string()
@@ -79,7 +85,7 @@ pub fn run_iterations(
                  stored result carries `degraded: true`"
             );
         }
-        runs.push(DependabilityMetrics::from_runs(&baseline, &res));
+        runs.push(DependabilityMetrics::from_runs(base, &res));
 
         // The convergence check — skipped entirely when a journaled stop
         // decision is being replayed (its iteration count is final).
@@ -115,7 +121,7 @@ pub fn run_iterations(
         }
     }
     let summary = aggregate_metrics(&runs).ok_or("campaign produced no iterations to aggregate")?;
-    Ok((baseline, summary))
+    Ok((baseline.expect("an iteration ran"), summary))
 }
 
 /// Warns on stderr about `res`'s quarantined slots, if it has any.

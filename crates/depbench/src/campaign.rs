@@ -26,11 +26,12 @@ use simos::{Edition, Os};
 use simtrace::{EventKind, Trace, Tracer, DEFAULT_CAPACITY};
 use specweb::{FileSet, FileSetConfig, IntervalMeasures, RequestGenerator};
 use swfit_core::pack::PackRef;
-use swfit_core::{Faultload, InjectError, Injector};
+use swfit_core::{FaultDef, Faultload, InjectError, Injector};
 use webserver::{ServerKind, ServerState, WebServer};
 
 use crate::executor::{run_slots, SlotRun, SlotToken};
 use crate::interval::{run_interval, IntervalConfig, WatchdogCounts, CONNS};
+use crate::opfaults::{apply_operator_fault, OperatorFault};
 use crate::recovery::{AvailabilityMetrics, RecoveryPolicy};
 
 /// Why a campaign run could not produce a result.
@@ -841,12 +842,47 @@ impl Campaign {
             faultload.len()
         );
         self.check_fingerprint(faultload)?;
+        let faults: Vec<SlotFault<'_>> = faultload.faults.iter().map(SlotFault::Code).collect();
+        self.run_slot_faults(&faults, iteration, completed, observe)
+    }
 
+    /// Runs one slot per operator fault — the paper's suggested operator
+    /// fault model — through the same slots as [`Campaign::run_injection`]:
+    /// executor, `(iteration, slot)` seeding, warm-up, watchdog and recovery
+    /// policy, quarantine and flight recorder. Each fault is applied to the
+    /// device layer where a code patch would be injected, and the next
+    /// slot's reset reverts it. Operator slots carry no
+    /// [`SlotResult::activation`]. Results are bit-identical across
+    /// parallelism settings.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::BootFailed`] when the OS cannot compile or boot.
+    pub fn run_operator_faults(
+        &self,
+        faults: &[OperatorFault],
+        iteration: u64,
+    ) -> Result<CampaignResult, CampaignError> {
+        // Probe boot: validates the edition once, so worker boots cannot fail.
+        self.boot()?;
+        let faults: Vec<SlotFault<'_>> = faults.iter().map(SlotFault::Operator).collect();
+        self.run_slot_faults(&faults, iteration, Vec::new(), &|_, _| {})
+    }
+
+    /// The campaign body shared by both fault models: one slot per fault,
+    /// `completed` replayed, `observe` fired in slot order.
+    fn run_slot_faults(
+        &self,
+        faults: &[SlotFault<'_>],
+        iteration: u64,
+        completed: Vec<SlotOutcome>,
+        observe: &(dyn Fn(usize, &SlotOutcome) + Sync),
+    ) -> Result<CampaignResult, CampaignError> {
         // Replayed Done outcomes keep their results; everything else —
         // never-run slots and replayed quarantined slots — goes on the
         // worklist for (re-)execution.
         let mut outcomes: Vec<Option<SlotOutcome>> = completed.into_iter().map(Some).collect();
-        outcomes.resize(faultload.len(), None);
+        outcomes.resize(faults.len(), None);
         let worklist: Vec<usize> = outcomes
             .iter()
             .enumerate()
@@ -869,14 +905,8 @@ impl Campaign {
                 if traced {
                     lock_tracers(&tracers).insert(slot, tracer.clone());
                 }
-                let result = self.run_one_fault_slot(
-                    stack,
-                    &faultload.faults[slot],
-                    iteration,
-                    slot,
-                    token,
-                    &tracer,
-                );
+                let result =
+                    self.run_one_fault_slot(stack, faults[slot], iteration, slot, token, &tracer);
                 // Reached only when the slot neither panicked nor timed
                 // out; a quarantined slot's recorder stays registered for
                 // the quarantine dump.
@@ -899,8 +929,8 @@ impl Campaign {
                             });
                         }
                     }
-                    let fault_id = &faultload.faults[slot].id;
-                    self.dump_quarantined_trace(iteration, slot, fault_id, &tracers);
+                    let fault_id = faults[slot].id();
+                    self.dump_quarantined_trace(iteration, slot, &fault_id, &tracers);
                     observe(slot, &SlotOutcome::Quarantined(slot_error(quarantined)));
                 }
             },
@@ -919,7 +949,7 @@ impl Campaign {
                 SlotOutcome::Done(r) => slots.push(r),
                 SlotOutcome::Quarantined(error) => quarantined.push(QuarantinedSlot {
                     slot,
-                    fault_id: faultload.faults[slot].id.clone(),
+                    fault_id: faults[slot].id(),
                     error,
                 }),
             }
@@ -1045,7 +1075,7 @@ impl Campaign {
         let mut stack = self.worker_stack();
         let result = self.run_one_fault_slot(
             &mut stack,
-            &faultload.faults[slot],
+            SlotFault::Code(&faultload.faults[slot]),
             iteration,
             slot,
             &SlotToken::never(),
@@ -1061,12 +1091,13 @@ impl Campaign {
     fn run_one_fault_slot(
         &self,
         stack: &mut WorkerStack,
-        fault: &swfit_core::FaultDef,
+        fault: SlotFault<'_>,
         iteration: u64,
         slot: usize,
         token: &SlotToken,
         tracer: &Tracer,
     ) -> Result<SlotResult, CampaignError> {
+        let fault_id = fault.id();
         stack.os.set_tracer(tracer.clone());
         token.checkpoint();
         // Rest interval: reinstate the post-start checkpoint — the fault
@@ -1091,10 +1122,10 @@ impl Campaign {
             &mut rng,
             &warmup_cfg,
         );
-        if self.panic_on.as_deref() == Some(fault.id.as_str()) {
-            panic!("harness fault injected for fault `{}`", fault.id);
+        if self.panic_on.as_deref() == Some(fault_id.as_str()) {
+            panic!("harness fault injected for fault `{fault_id}`");
         }
-        if self.hang_on.as_deref() == Some(fault.id.as_str()) {
+        if self.hang_on.as_deref() == Some(fault_id.as_str()) {
             // Simulated wedge: spin until the watchdog cancels, then die at
             // the checkpoint exactly as a genuinely hung slot would.
             while !token.is_cancelled() {
@@ -1107,17 +1138,23 @@ impl Campaign {
         tracer.rebase(self.config.warmup);
         tracer.set_now(SimTime::ZERO);
         tracer.emit(EventKind::Phase { name: "measure" });
-        if tracer.is_enabled() {
-            tracer.emit(EventKind::InjectApply {
-                fault_id: fault.id.clone(),
-                site: fault.site,
-            });
-        }
-        stack.injector.inject(stack.os.image_mut(), fault)?;
-        if tracer.is_enabled() {
-            // The watchpoint costs one compare per executed instruction, so
-            // it is armed only on traced runs; it counts, never perturbs.
-            stack.os.arm_activation_watch(fault.site);
+        match fault {
+            SlotFault::Code(def) => {
+                if tracer.is_enabled() {
+                    tracer.emit(EventKind::InjectApply {
+                        fault_id: fault_id.clone(),
+                        site: def.site,
+                    });
+                }
+                stack.injector.inject(stack.os.image_mut(), def)?;
+                if tracer.is_enabled() {
+                    // The watchpoint costs one compare per executed
+                    // instruction, so it is armed only on traced runs; it
+                    // counts, never perturbs.
+                    stack.os.arm_activation_watch(def.site);
+                }
+            }
+            SlotFault::Operator(op) => apply_operator_fault(&mut stack.os, op),
         }
         let out = run_interval(
             &mut stack.os,
@@ -1126,32 +1163,55 @@ impl Campaign {
             &mut rng,
             &self.config.interval,
         );
-        let activation = if tracer.is_enabled() {
-            let (hits, first_hit) = stack.os.activation().expect("activation watch armed above");
-            Some(SlotActivation {
-                fault_type: fault.fault_type.acronym().to_string(),
-                hits,
-                first_hit,
-            })
-        } else {
-            None
-        };
         token.checkpoint();
-        stack.os.clear_activation_watch();
-        stack.injector.restore(stack.os.image_mut());
-        if tracer.is_enabled() {
-            tracer.emit(EventKind::InjectUndo {
-                fault_id: fault.id.clone(),
-            });
-        }
+        let activation = match fault {
+            SlotFault::Code(def) => {
+                let activation = tracer.is_enabled().then(|| {
+                    let (hits, first_hit) =
+                        stack.os.activation().expect("activation watch armed above");
+                    SlotActivation {
+                        fault_type: def.fault_type.acronym().to_string(),
+                        hits,
+                        first_hit,
+                    }
+                });
+                stack.os.clear_activation_watch();
+                stack.injector.restore(stack.os.image_mut());
+                if tracer.is_enabled() {
+                    tracer.emit(EventKind::InjectUndo {
+                        fault_id: fault_id.clone(),
+                    });
+                }
+                activation
+            }
+            // The next slot's reset puts back the checkpoint's devices.
+            SlotFault::Operator(_) => None,
+        };
         Ok(SlotResult {
-            fault_id: fault.id.clone(),
+            fault_id,
             watchdog: out.watchdog,
             ended_dead: out.end_state != ServerState::Running,
             availability: out.availability,
             measures: out.measures,
             activation,
         })
+    }
+}
+
+/// What one slot injects: a code patch from a faultload, or an operator
+/// mistake on the document tree.
+#[derive(Clone, Copy)]
+enum SlotFault<'a> {
+    Code(&'a FaultDef),
+    Operator(&'a OperatorFault),
+}
+
+impl SlotFault<'_> {
+    fn id(&self) -> String {
+        match self {
+            SlotFault::Code(def) => def.id.clone(),
+            SlotFault::Operator(op) => op.id(),
+        }
     }
 }
 
@@ -1495,6 +1555,60 @@ mod tests {
             base.stable_hash(),
             backoff.stable_hash(),
             "non-default policies must invalidate journals"
+        );
+    }
+
+    fn operator_faults(n: usize) -> Vec<OperatorFault> {
+        let fs = FileSet::populate(quick_config().fileset, &mut simos::DeviceStore::new());
+        crate::generate_operator_faults(&fs, &mut SimRng::seed_from_u64(3), n)
+    }
+
+    #[test]
+    fn operator_run_is_parallelism_invariant_and_records_no_activation() {
+        let faults = operator_faults(6);
+        let run = |parallelism: usize| {
+            let cfg = CampaignConfig {
+                parallelism,
+                ..quick_config()
+            };
+            Campaign::new(Edition::Nimbus2000, ServerKind::Wren, cfg)
+                .with_trace(TraceConfig::default())
+                .run_operator_faults(&faults, 0)
+                .unwrap()
+        };
+        let sequential = run(1);
+        assert_eq!(sequential.slots.len(), faults.len());
+        assert!(sequential.slots.iter().all(|s| s.activation.is_none()));
+        assert_eq!(
+            serde_json::to_string(&sequential).unwrap(),
+            serde_json::to_string(&run(2)).unwrap()
+        );
+    }
+
+    #[test]
+    fn operator_faults_never_leak_into_the_next_slot() {
+        // One worker runs both slots in turn, so slot 1 starts from the
+        // device store slot 0 mutated unless the slot reset reverts it.
+        let fs = FileSet::populate(quick_config().fileset, &mut simos::DeviceStore::new());
+        let (a, b) = (&fs.entries()[4].native_path, &fs.entries()[7].native_path);
+        let probe = OperatorFault::TruncateFile {
+            path: b.clone(),
+            keep: 1,
+        };
+        let run = |first: OperatorFault| {
+            Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config())
+                .run_operator_faults(&[first, probe.clone()], 0)
+                .unwrap()
+        };
+        let deleted = run(OperatorFault::DeleteFile { path: a.clone() });
+        let swapped = run(OperatorFault::SwapContent {
+            a: a.clone(),
+            b: b.clone(),
+        });
+        assert!(deleted.slots[0].measures.errors() > 0, "the delete bites");
+        assert_eq!(
+            serde_json::to_string(&deleted.slots[1]).unwrap(),
+            serde_json::to_string(&swapped.slots[1]).unwrap()
         );
     }
 

@@ -25,7 +25,8 @@
 //! * [`metrics`] — the dependability metrics of §3.2: SPCf, THRf, RTMf,
 //!   ER%f and ADMf (= MIS + KNS + KCP);
 //! * [`opfaults`] — the paper's suggested *operator faults* extension:
-//!   administrator mistakes on the served document tree;
+//!   administrator mistakes on the served document tree, run through the
+//!   same slots as software faults by [`Campaign::run_operator_faults`];
 //! * [`report`] — plain-text table rendering for the table/figure
 //!   regenerators.
 
@@ -49,8 +50,6 @@ pub use metrics::{
     aggregate_metrics, ConvergenceConfig, DependabilityMetrics, MetricsCi, MetricsSummary,
     RequestCounts,
 };
-pub use opfaults::{
-    apply_operator_fault, generate_operator_faults, undo_operator_fault, OperatorFault,
-};
+pub use opfaults::{apply_operator_fault, generate_operator_faults, OperatorFault};
 pub use profilephase::{profile_servers, ProfilePhaseConfig};
 pub use recovery::{AvailabilityMetrics, FailureClass, RecoveryPolicy, RepairAction, RepairPlan};

@@ -3,20 +3,21 @@
 //! The paper's conclusion suggests completing the benchmark with *operator
 //! faults* — administrator mistakes — alongside software faults. This
 //! module models the classic web-server administration errors on the
-//! served file tree and configuration:
+//! served file tree:
 //!
 //! * deleting a document that is still linked,
 //! * truncating a file during a botched update,
-//! * restoring the wrong content from backup (content swap),
-//! * breaking the virtual-root configuration (every path misses).
+//! * restoring the wrong content from backup (content swap).
 //!
 //! Operator faults are applied to the *device/document layer*, not the OS
-//! code, so they compose freely with G-SWFIT slots: a campaign can mix
-//! fault models, as a full dependability benchmark would.
+//! code. [`Campaign::run_operator_faults`](crate::Campaign::run_operator_faults)
+//! runs them through the same slots as G-SWFIT faults: each is applied
+//! after the warm-up, where a code patch would be injected, and the next
+//! slot's reset puts back the checkpoint's whole device store.
 
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
-use simos::{DeviceFile, Os};
+use simos::Os;
 use specweb::FileSet;
 
 /// One administrator mistake.
@@ -41,8 +42,6 @@ pub enum OperatorFault {
         /// Second native path.
         b: String,
     },
-    /// The virtual root was misconfigured: every lookup misses.
-    BreakVirtualRoot,
 }
 
 impl OperatorFault {
@@ -52,64 +51,31 @@ impl OperatorFault {
             OperatorFault::DeleteFile { path } => format!("OP-DEL@{path}"),
             OperatorFault::TruncateFile { path, keep } => format!("OP-TRUNC@{path}:{keep}"),
             OperatorFault::SwapContent { a, b } => format!("OP-SWAP@{a}<->{b}"),
-            OperatorFault::BreakVirtualRoot => "OP-VROOT".to_string(),
         }
     }
 }
 
-/// A saved device state that can undo an operator fault.
-#[derive(Debug)]
-pub struct OperatorUndo {
-    /// File handles as they were, sharing the content.
-    saved: Vec<(String, DeviceFile)>,
-    unlinked: Vec<(String, usize)>,
-}
-
-/// Applies `fault` to the OS's device layer, returning the undo record.
-pub fn apply_operator_fault(os: &mut Os, fault: &OperatorFault) -> OperatorUndo {
-    let handle = |os: &Os, path: &str| os.devices().handle(path).cloned();
-    let mut saved = Vec::new();
-    let mut unlinked = Vec::new();
+/// Applies `fault` to the OS's device layer. A path that is not linked
+/// leaves the store unchanged. Nothing here undoes the fault: restore an
+/// [`Os::snapshot`] taken before it.
+pub fn apply_operator_fault(os: &mut Os, fault: &OperatorFault) {
+    let devices = os.devices_mut();
     match fault {
         OperatorFault::DeleteFile { path } => {
             // True unlink: subsequent opens fail with "not found".
-            if let Some(id) = os.devices_mut().unlink(path) {
-                unlinked.push((path.clone(), id));
-            }
+            devices.unlink(path);
         }
         OperatorFault::TruncateFile { path, keep } => {
-            if let Some(file) = handle(os, path) {
-                os.devices_mut().install(path, file.truncated(*keep));
-                saved.push((path.clone(), file));
+            if let Some(file) = devices.handle(path).map(|f| f.truncated(*keep)) {
+                devices.install(path, file);
             }
         }
         OperatorFault::SwapContent { a, b } => {
-            if let (Some(fa), Some(fb)) = (handle(os, a), handle(os, b)) {
-                os.devices_mut().install(a, fb.clone());
-                os.devices_mut().install(b, fa.clone());
-                saved.push((a.clone(), fa));
-                saved.push((b.clone(), fb));
+            if let (Some(fa), Some(fb)) = (devices.handle(a).cloned(), devices.handle(b).cloned()) {
+                devices.install(a, fb);
+                devices.install(b, fa);
             }
         }
-        OperatorFault::BreakVirtualRoot => {
-            // The misconfigured virtual root makes *every* lookup miss.
-            for path in os.devices().paths() {
-                if let Some(id) = os.devices_mut().unlink(&path) {
-                    unlinked.push((path, id));
-                }
-            }
-        }
-    }
-    OperatorUndo { saved, unlinked }
-}
-
-/// Restores the device state recorded by [`apply_operator_fault`].
-pub fn undo_operator_fault(os: &mut Os, undo: OperatorUndo) {
-    for (path, id) in undo.unlinked {
-        os.devices_mut().link(&path, id);
-    }
-    for (path, file) in undo.saved {
-        os.devices_mut().install(&path, file);
     }
 }
 
@@ -160,24 +126,26 @@ mod tests {
     #[test]
     fn delete_and_undo() {
         let (mut os, fs) = setup();
+        let snap = os.snapshot();
         let victim = fs.entries()[0].native_path.clone();
         let before = os.devices().file(&victim).unwrap().to_vec();
-        let undo = apply_operator_fault(
+        apply_operator_fault(
             &mut os,
             &OperatorFault::DeleteFile {
                 path: victim.clone(),
             },
         );
         assert_eq!(os.devices().file(&victim), None, "unlinked");
-        undo_operator_fault(&mut os, undo);
+        os.restore_snapshot(&snap);
         assert_eq!(os.devices().file(&victim).unwrap(), &before[..]);
     }
 
     #[test]
     fn truncate_halves_content() {
         let (mut os, fs) = setup();
+        let snap = os.snapshot();
         let victim = fs.entries()[5].clone();
-        let undo = apply_operator_fault(
+        apply_operator_fault(
             &mut os,
             &OperatorFault::TruncateFile {
                 path: victim.native_path.clone(),
@@ -188,7 +156,7 @@ mod tests {
             os.devices().file_size(&victim.native_path),
             Some(victim.len as usize / 2)
         );
-        undo_operator_fault(&mut os, undo);
+        os.restore_snapshot(&snap);
         assert_eq!(
             os.devices().file_size(&victim.native_path),
             Some(victim.len as usize)
@@ -198,11 +166,12 @@ mod tests {
     #[test]
     fn swap_exchanges_contents() {
         let (mut os, fs) = setup();
+        let snap = os.snapshot();
         let a = fs.entries()[0].native_path.clone();
         let b = fs.entries()[1].native_path.clone();
         let ca = os.devices().file(&a).unwrap().to_vec();
         let cb = os.devices().file(&b).unwrap().to_vec();
-        let undo = apply_operator_fault(
+        apply_operator_fault(
             &mut os,
             &OperatorFault::SwapContent {
                 a: a.clone(),
@@ -211,22 +180,9 @@ mod tests {
         );
         assert_eq!(os.devices().file(&a).unwrap(), &cb[..]);
         assert_eq!(os.devices().file(&b).unwrap(), &ca[..]);
-        undo_operator_fault(&mut os, undo);
+        os.restore_snapshot(&snap);
         assert_eq!(os.devices().file(&a).unwrap(), &ca[..]);
         assert_eq!(os.devices().file(&b).unwrap(), &cb[..]);
-    }
-
-    #[test]
-    fn virtual_root_breaks_everything_and_undoes() {
-        let (mut os, fs) = setup();
-        let n = os.devices().paths().len();
-        assert!(n > 0);
-        let undo = apply_operator_fault(&mut os, &OperatorFault::BreakVirtualRoot);
-        assert!(os.devices().paths().is_empty());
-        undo_operator_fault(&mut os, undo);
-        assert_eq!(os.devices().paths().len(), n);
-        let any = &fs.entries()[0].native_path;
-        assert!(os.devices().file(any).is_some());
     }
 
     #[test]

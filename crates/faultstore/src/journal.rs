@@ -364,7 +364,7 @@ struct JournalInner {
     rewind: bool,
     /// The first slot whose in-order record could not be appended. Every
     /// later in-order record would leave a gap, so it is refused with an
-    /// error, and the store counts it towards degrading.
+    /// error, without I/O.
     lost: Option<usize>,
     /// Completed fsyncs, the header's included.
     syncs: u64,
@@ -697,6 +697,12 @@ impl Journal {
     /// `1 + ⌈n / GROUP⌉`. A resumed journal starts at 0.
     pub fn syncs(&self) -> u64 {
         self.lock_inner().syncs
+    }
+
+    /// The first slot whose in-order record was lost to a failed append,
+    /// if any: every later in-order record is refused without I/O.
+    pub fn lost(&self) -> Option<usize> {
+        self.lock_inner().lost
     }
 
     /// Number of slots with a durable record (completed or quarantined).

@@ -15,7 +15,6 @@
 //! exactly this kind of portable artifact.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use depbench::{Campaign, CampaignResult, ConvergenceConfig};
@@ -27,13 +26,6 @@ use crate::cache::FaultMapCache;
 use crate::journal::{Journal, JournalHeader, StopRecord};
 use crate::resilience::StoreCtx;
 use crate::{io_err, StoreError};
-
-/// How many *consecutive* journal-append failures the store tolerates
-/// before it stops journaling for the rest of the campaign and degrades.
-/// Isolated failures (even post-retry) just cost a re-run of that slot on
-/// resume; a streak this long means the disk is not coming back and every
-/// further attempt only burns retry backoff time.
-const MAX_CONSECUTIVE_APPEND_FAILURES: u32 = 3;
 
 /// A store rooted at one directory. Cheap to clone; all state is on disk
 /// except the shared resilience context (chaos layer and degradation
@@ -134,11 +126,11 @@ impl FaultStore {
     /// records, and the rest before this returns, so a power loss
     /// mid-campaign loses at most the last 31 records (they re-run on
     /// resume) and a returned iteration is durable before any stop record
-    /// is written. A journal *write* failure mid-campaign does not abort
-    /// the run (a warning is printed): that slot and every later one are
-    /// not journaled and re-execute on resume, and the store degrades after
-    /// three refused records. A failed fsync counts the same, and a failed
-    /// final sync degrades at once.
+    /// is written. A journal *write* or fsync failure mid-campaign does not
+    /// abort the run: the first record that fails past its retries prints
+    /// one warning, degrades the store and ends journaling, so that slot
+    /// and every later one re-execute on resume. A failed final sync
+    /// degrades the same way.
     ///
     /// # Errors
     ///
@@ -175,36 +167,22 @@ impl FaultStore {
             }
             Err(other) => return Err(other),
         };
-        // Journal appends that keep failing past their retries indicate a
-        // disk that is not coming back: after a few consecutive failures,
-        // stop journaling (sticky for the rest of this campaign) instead of
-        // burning retry backoff on every remaining slot.
-        let consecutive_failures = AtomicU32::new(0);
-        let journaling_stopped = AtomicBool::new(false);
         let mut result = campaign.run_injection_observed(
             faultload,
             iteration,
             completed,
             &|slot, slot_result| {
                 let Some(journal) = &journal else { return };
-                if journaling_stopped.load(Ordering::Relaxed) {
-                    return;
-                }
-                match journal.record(slot, slot_result) {
-                    Ok(()) => {
-                        consecutive_failures.store(0, Ordering::Relaxed);
-                    }
-                    Err(e) => {
+                // A lost record ends journaling: the journal refuses every
+                // later in-order record without I/O, as it would leave a
+                // gap, so only the lost slot itself warns.
+                if let Err(e) = journal.record(slot, slot_result) {
+                    if journal.lost().is_none_or(|lost| lost == slot) {
                         eprintln!(
                             "warning: journal append for slot {slot} failed ({e}); \
                              the slot will re-run on resume"
                         );
-                        let failures = consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-                        if failures >= MAX_CONSECUTIVE_APPEND_FAILURES {
-                            journaling_stopped.store(true, Ordering::Relaxed);
-                            self.ctx
-                                .degrade("journal disabled after repeated append failures");
-                        }
+                        self.ctx.degrade("journal append failed");
                     }
                 }
             },

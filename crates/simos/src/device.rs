@@ -167,25 +167,10 @@ impl DeviceStore {
         self.handle(path).map(DeviceFile::len)
     }
 
-    /// All linked paths, sorted.
-    pub fn paths(&self) -> Vec<String> {
-        self.by_path.keys().cloned().collect()
-    }
-
-    /// Unlinks `path` (subsequent lookups miss); the content stays stored
-    /// and can be re-linked. Returns the file id, if the path existed.
+    /// Unlinks `path` (subsequent lookups miss); the content stays stored.
+    /// Returns the file id, if the path existed.
     pub fn unlink(&mut self, path: &str) -> Option<usize> {
         Arc::make_mut(&mut self.by_path).remove(path)
-    }
-
-    /// (Re-)links `path` to an existing file id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not reference a stored file.
-    pub fn link(&mut self, path: &str, id: usize) {
-        assert!(id < self.files.len(), "file id {id} out of range");
-        Arc::make_mut(&mut self.by_path).insert(path.to_string(), id);
     }
 
     /// Cost units accrued by hypercalls since the last [`take_cost`]
@@ -467,11 +452,12 @@ mod tests {
         let mut dev = DeviceStore::new();
         let id = dev.add_file("/a", b"a");
         let checkpoint = dev.clone();
-        dev.unlink("/a");
-        dev.link("/b", id);
+        assert_eq!(dev.unlink("/a"), Some(id));
         dev.add_file("/c", b"c");
-        assert_eq!(dev.paths(), ["/b", "/c"]);
-        assert_eq!(checkpoint.paths(), ["/a"]);
+        assert_eq!(dev.file("/a"), None);
+        assert!(dev.file("/c").is_some());
+        assert_eq!(checkpoint.file_size("/a"), Some(1));
+        assert_eq!(checkpoint.file("/c"), None);
         assert_eq!(dev.unlink("/missing"), None);
     }
 

@@ -3,7 +3,7 @@
 //! the document corpus stays stored as bytes through checkpoint clones and
 //! operator faults. Every count here is deterministic.
 
-use depbench::opfaults::{apply_operator_fault, undo_operator_fault, OperatorFault};
+use depbench::opfaults::{apply_operator_fault, OperatorFault};
 use mvm::mem::PAGE_CELLS;
 use simos::source::MEM_SIZE;
 use simos::{DeviceFile, DeviceStore, Edition, Os, OsApi};
@@ -88,6 +88,7 @@ fn a_reboot_then_restore_gives_back_the_snapshot_exactly() {
 fn clones_and_operator_faults_keep_corpus_files_as_bytes() {
     let mut server = Heron::new();
     let (mut os, fs) = started(&mut server);
+    let snap = os.snapshot();
     let clone = os.devices().clone();
     assert!(corpus_is_bytes(&clone, &fs));
 
@@ -104,16 +105,15 @@ fn clones_and_operator_faults_keep_corpus_files_as_bytes() {
             a: a.native_path.clone(),
             b: b.native_path.clone(),
         },
-        OperatorFault::BreakVirtualRoot,
     ];
     for fault in &faults {
-        let undo = apply_operator_fault(&mut os, fault);
+        apply_operator_fault(&mut os, fault);
         for e in [a, b] {
             if let Some(file) = os.devices().handle(&e.native_path) {
                 assert!(matches!(file, DeviceFile::Bytes(_)), "{fault:?}");
             }
         }
-        undo_operator_fault(&mut os, undo);
+        os.restore_snapshot(&snap);
         assert!(corpus_is_bytes(os.devices(), &fs), "{fault:?}");
         for e in [a, b] {
             let path = &e.native_path;

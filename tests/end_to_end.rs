@@ -126,11 +126,11 @@ fn watchdog_counters_match_slot_sums() {
 
 /// Operator faults (the paper's suggested extension) run through the same
 /// interval machinery: a deleted document produces client-visible errors
-/// during the slot and none after the undo.
+/// during the slot and none once the pre-fault snapshot is restored.
 #[test]
 fn operator_faults_compose_with_the_interval() {
     use depbench::interval::run_interval;
-    use depbench::{apply_operator_fault, undo_operator_fault, OperatorFault};
+    use depbench::{apply_operator_fault, OperatorFault};
     use simkit::SimRng;
     use specweb::{FileSet, FileSetConfig, RequestGenerator};
 
@@ -140,19 +140,21 @@ fn operator_faults_compose_with_the_interval() {
     let mut generator = RequestGenerator::new(fs);
     let mut server = ServerKind::Wren.build();
     assert!(server.start(&mut os));
+    let (snap, started) = (os.snapshot(), server.clone_box());
     let cfg = IntervalConfig {
         duration: SimDuration::from_millis(600),
         ..IntervalConfig::default()
     };
     let mut rng = SimRng::seed_from_u64(77);
 
-    let undo = apply_operator_fault(&mut os, &OperatorFault::DeleteFile { path: victim });
+    apply_operator_fault(&mut os, &OperatorFault::DeleteFile { path: victim });
     let faulty = run_interval(&mut os, server.as_mut(), &mut generator, &mut rng, &cfg);
-    undo_operator_fault(&mut os, undo);
+    os.restore_snapshot(&snap);
+    let mut server = started;
     let healed = run_interval(&mut os, server.as_mut(), &mut generator, &mut rng, &cfg);
 
     assert!(faulty.measures.errors() > 0, "deletion must be visible");
-    assert_eq!(healed.measures.errors(), 0, "undo must fully heal");
+    assert_eq!(healed.measures.errors(), 0, "the restore must fully heal");
 }
 
 /// Hardware bit-flip faultloads run through the standard campaign unchanged.
