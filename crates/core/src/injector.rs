@@ -9,8 +9,8 @@
 //! The injector has one mode: it always patches the target. The paper's
 //! profile mode, which leaves the target untouched to measure the injector's
 //! own overhead, needs no injector at all: `depbench`'s
-//! `Campaign::run_profile_mode` runs fault-free slots and models the
-//! injector's bookkeeping as busy time on the server machine.
+//! `Campaign::run_profile_mode` runs the campaign's slots with nothing
+//! injected and models the injector's bookkeeping as server busy time.
 
 use std::fmt;
 

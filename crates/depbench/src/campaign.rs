@@ -57,6 +57,13 @@ pub enum CampaignError {
         /// The faultload's fault count.
         faults: usize,
     },
+    /// A slot of a baseline or profile-mode run was quarantined.
+    FaultFreeSlotQuarantined {
+        /// The first quarantined slot.
+        slot: usize,
+        /// What went wrong in it.
+        error: SlotError,
+    },
 }
 
 impl fmt::Display for CampaignError {
@@ -73,6 +80,9 @@ impl fmt::Display for CampaignError {
                 f,
                 "slot {slot} is out of range: the faultload has {faults} faults"
             ),
+            CampaignError::FaultFreeSlotQuarantined { slot, error } => {
+                write!(f, "fault-free slot {slot} was quarantined: {error}")
+            }
         }
     }
 }
@@ -465,11 +475,6 @@ impl ActivationSummary {
         rate_pct(self.activated, self.tracked)
     }
 
-    /// Whether any slot was tracked.
-    pub fn is_empty(&self) -> bool {
-        self.tracked == 0
-    }
-
     /// Folds another summary into this one (per-type rows stay sorted).
     pub fn merge(&mut self, other: &ActivationSummary) {
         self.tracked += other.tracked;
@@ -700,81 +705,54 @@ impl Campaign {
         SimRng::derive(self.config.seed, &[iteration, slot as u64])
     }
 
-    /// Baseline run without the injector (Table 4's "Max. Perf." row).
+    /// Baseline run without the injector (Table 4's "Max. Perf." row):
+    /// eight fault-free slots through the campaign's own slot procedure
+    /// (reset, warm-up, measured interval), untraced and unwatched.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::BootFailed`] when the OS cannot compile or boot.
+    /// [`CampaignError::BootFailed`] when the OS cannot compile or boot;
+    /// [`CampaignError::FaultFreeSlotQuarantined`] when a slot panics.
     pub fn run_baseline(&self, iteration: u64) -> Result<IntervalMeasures, CampaignError> {
-        self.run_fault_free(iteration, SimDuration::ZERO)
+        self.measure_fault_free(iteration, SimDuration::ZERO)
     }
 
-    /// Baseline run in profile mode: the target is never mutated, and the
-    /// injector's bookkeeping is modelled as the busy time it loads the
-    /// server machine with (Table 4's "Profile mode" row).
+    /// [`Campaign::run_baseline`] in profile mode: the target is never
+    /// mutated, and the injector's bookkeeping is modelled as the busy time
+    /// it loads the server machine with (Table 4's "Profile mode" row).
     ///
     /// # Errors
     ///
-    /// [`CampaignError::BootFailed`] when the OS cannot compile or boot.
+    /// Same as [`Campaign::run_baseline`].
     pub fn run_profile_mode(&self, iteration: u64) -> Result<IntervalMeasures, CampaignError> {
         // Bookkeeping cost scales with the slot (scan-map lookups, logging):
         // ~0.7 % of the slot, matching the paper's sub-2 % observed overhead.
         let busy = self.config.interval.duration / 150;
-        self.run_fault_free(iteration, busy)
+        self.measure_fault_free(iteration, busy)
     }
 
-    fn run_fault_free(
+    /// The recorder would slow every baseline down, and a watchdog budget
+    /// sized for fault slots would quarantine its slots: both stay off.
+    fn measure_fault_free(
         &self,
         iteration: u64,
         injector_busy: SimDuration,
     ) -> Result<IntervalMeasures, CampaignError> {
-        // Probe boot: validates the edition compiles/boots once, up front,
-        // so worker boots cannot fail later.
-        let _probe = self.boot()?;
-        let cfg = IntervalConfig {
-            injector_busy,
-            ..self.config.interval
+        self.boot()?; // Probe boot, so worker boots cannot fail.
+        let mut campaign = Campaign {
+            trace: None,
+            slot_budget: None,
+            ..self.clone()
         };
-        // Several slots, mirroring the slotted campaign structure (same
-        // rest-interval recovery between slots as the injection campaign).
-        const SLOTS: usize = 8;
-        let worklist: Vec<usize> = (0..SLOTS).collect();
-        let per_slot = run_slots(
-            self.config.parallelism,
-            &worklist,
-            None,
-            || self.worker_stack(),
-            |stack, slot, _| {
-                stack.reset();
-                let mut generator = stack.generator_template.clone();
-                let mut rng = self.slot_rng(iteration, slot);
-                let out = run_interval(
-                    &mut stack.os,
-                    stack.server.as_mut(),
-                    &mut generator,
-                    &mut rng,
-                    &cfg,
-                );
-                out.measures
-            },
-            |_, _| {},
-        );
-        // Fold in slot order so float accumulation matches at any
-        // parallelism. A baseline slot has no quarantine to land in: its
-        // panic is re-raised here, after every worker has been joined.
-        let mut total: Option<IntervalMeasures> = None;
-        for (slot, run) in per_slot.into_iter().enumerate() {
-            let measures = match run {
-                SlotRun::Done(measures) => measures,
-                SlotRun::Panicked(message) => panic!("baseline slot {slot} panicked: {message}"),
-                SlotRun::TimedOut { .. } => unreachable!("baseline slots run unwatched"),
-            };
-            match &mut total {
-                Some(t) => t.merge(&measures),
-                None => total = Some(measures),
+        campaign.config.interval.injector_busy = injector_busy;
+        let result =
+            campaign.run_slot_faults(&[SlotFault::None; 8], iteration, Vec::new(), &|_, _| {})?;
+        match result.quarantined.into_iter().next() {
+            Some(QuarantinedSlot { slot, error, .. }) => {
+                Err(CampaignError::FaultFreeSlotQuarantined { slot, error })
             }
+            None => Ok(result.measures),
         }
-        Ok(total.expect("at least one slot ran"))
     }
 
     /// Runs the full injection campaign: one slot per fault, sharded over
@@ -869,8 +847,8 @@ impl Campaign {
         self.run_slot_faults(&faults, iteration, Vec::new(), &|_, _| {})
     }
 
-    /// The campaign body shared by both fault models: one slot per fault,
-    /// `completed` replayed, `observe` fired in slot order.
+    /// The one slot loop, for both fault models and fault-free runs: one
+    /// slot per fault, `completed` replayed, `observe` fired in slot order.
     fn run_slot_faults(
         &self,
         faults: &[SlotFault<'_>],
@@ -954,22 +932,20 @@ impl Campaign {
                 }),
             }
         }
-        let mut total: Option<IntervalMeasures> = None;
+        // Folded in slot order, so float sums match at any parallelism.
+        let mut measures = IntervalMeasures::new(CONNS);
         let mut watchdog = WatchdogCounts::default();
         let mut availability = AvailabilityMetrics::default();
         for slot in &slots {
+            measures.merge(&slot.measures);
             watchdog.merge(slot.watchdog);
             availability.merge(slot.availability);
-            match &mut total {
-                Some(t) => t.merge(&slot.measures),
-                None => total = Some(slot.measures.clone()),
-            }
         }
 
         Ok(CampaignResult {
             edition: self.edition,
             server: self.server,
-            measures: total.unwrap_or_else(|| IntervalMeasures::new(CONNS)),
+            measures,
             watchdog,
             availability,
             slots,
@@ -1155,6 +1131,7 @@ impl Campaign {
                 }
             }
             SlotFault::Operator(op) => apply_operator_fault(&mut stack.os, op),
+            SlotFault::None => {}
         }
         let out = run_interval(
             &mut stack.os,
@@ -1185,7 +1162,7 @@ impl Campaign {
                 activation
             }
             // The next slot's reset puts back the checkpoint's devices.
-            SlotFault::Operator(_) => None,
+            SlotFault::Operator(_) | SlotFault::None => None,
         };
         Ok(SlotResult {
             fault_id,
@@ -1198,12 +1175,14 @@ impl Campaign {
     }
 }
 
-/// What one slot injects: a code patch from a faultload, or an operator
-/// mistake on the document tree.
+/// What one slot injects: a code patch from a faultload, an operator
+/// mistake on the document tree, or nothing (a fault-free slot, the exact
+/// counterfactual of any fault slot with the same `(iteration, slot)`).
 #[derive(Clone, Copy)]
 enum SlotFault<'a> {
     Code(&'a FaultDef),
     Operator(&'a OperatorFault),
+    None,
 }
 
 impl SlotFault<'_> {
@@ -1211,6 +1190,7 @@ impl SlotFault<'_> {
         match self {
             SlotFault::Code(def) => def.id.clone(),
             SlotFault::Operator(op) => op.id(),
+            SlotFault::None => "fault-free".to_string(),
         }
     }
 }
@@ -1610,6 +1590,74 @@ mod tests {
             serde_json::to_string(&deleted.slots[1]).unwrap(),
             serde_json::to_string(&swapped.slots[1]).unwrap()
         );
+    }
+
+    #[test]
+    fn never_activated_slots_equal_their_fault_free_twins() {
+        // A fault slot and the fault-free slot with the same `(iteration,
+        // slot)` run one procedure; while the mutated code never runs,
+        // nothing can tell them apart.
+        let fl = small_faultload(Edition::Nimbus2000, 40);
+        let twins = vec![SlotFault::None; fl.len()];
+        let without = |r: &SlotResult| {
+            serde_json::to_string(&SlotResult {
+                fault_id: String::new(),
+                activation: None,
+                ..r.clone()
+            })
+            .unwrap()
+        };
+        for server in [ServerKind::Wren, ServerKind::Heron] {
+            let c = Campaign::new(Edition::Nimbus2000, server, quick_config())
+                .with_trace(TraceConfig::default());
+            let faulty = c.run_injection(&fl, 0).unwrap();
+            let fault_free = c
+                .run_slot_faults(&twins, 0, Vec::new(), &|_, _| {})
+                .unwrap();
+            assert_eq!(faulty.slots.len(), fl.len());
+            assert_eq!(fault_free.slots.len(), fl.len());
+            let mut never_activated = 0;
+            for (slot, (result, twin)) in faulty.slots.iter().zip(&fault_free.slots).enumerate() {
+                if result.activation.as_ref().expect("traced").activated() {
+                    continue;
+                }
+                never_activated += 1;
+                assert_eq!(
+                    without(result),
+                    without(twin),
+                    "{server:?} slot {slot} ({}) never activated but differs from its twin",
+                    result.fault_id
+                );
+            }
+            assert!(never_activated > 0, "{server:?}: every fault activated");
+        }
+    }
+
+    #[test]
+    fn quarantined_fault_free_slot_is_a_typed_error() {
+        for parallelism in [1, 3] {
+            let cfg = CampaignConfig {
+                parallelism,
+                ..quick_config()
+            };
+            let mut c = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, cfg);
+            c.panic_on_fault(&SlotFault::None.id());
+            for err in [c.run_baseline(0), c.run_profile_mode(0)].map(Result::unwrap_err) {
+                let CampaignError::FaultFreeSlotQuarantined {
+                    slot: 0,
+                    error: SlotError::Panicked { message },
+                } = &err
+                else {
+                    panic!("expected slot 0 to be quarantined, got {err:?}");
+                };
+                assert!(message.contains("harness fault"), "message: {message}");
+                assert!(
+                    err.to_string()
+                        .starts_with("fault-free slot 0 was quarantined: slot panicked"),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

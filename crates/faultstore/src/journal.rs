@@ -352,15 +352,17 @@ struct JournalInner {
     state: Vec<SlotState>,
     /// Byte length of the fsynced prefix (header + group-committed records).
     synced: u64,
-    /// The records written after `synced` and not yet fsynced, as bytes:
-    /// what a retry rewrites after rewinding to `synced`.
+    /// The records written after `synced` and not yet fsynced, as bytes.
     unsynced: Vec<u8>,
     /// How many records `unsynced` holds.
     unsynced_records: usize,
-    /// Set when an attempt failed part-way, so the file past `synced` may
-    /// hold anything: the next attempt first rewinds to `synced` and
-    /// rewrites all of `unsynced`, so no partial bytes ever sit in front of
-    /// a record.
+    /// How many leading bytes of `unsynced` are whole in the file: a
+    /// failed append keeps the records before it, a failed fsync (which may
+    /// drop the written pages) resets this to 0.
+    written: usize,
+    /// Set when an attempt failed part-way, so the file past `synced +
+    /// written` may hold anything: the next attempt first rewinds there, so
+    /// no partial bytes ever sit in front of a record.
     rewind: bool,
     /// The first slot whose in-order record could not be appended. Every
     /// later in-order record would leave a gap, so it is refused with an
@@ -378,26 +380,27 @@ impl JournalInner {
             synced,
             unsynced: Vec::new(),
             unsynced_records: 0,
+            written: 0,
             rewind: false,
             lost: None,
             syncs: 0,
         }
     }
 
-    /// One attempt to write the unsynced bytes from offset `from` on — all
-    /// of them after a failed attempt — and, when `sync`, to fsync them.
-    fn write(&mut self, chaos: &ChaosFs, from: usize, sync: bool) -> io::Result<()> {
-        let from = if self.rewind {
-            chaos.rewind(&mut self.file, self.synced)?;
-            0
-        } else {
-            from
-        };
+    /// One attempt to write the unsynced bytes not yet in the file and,
+    /// when `sync`, to fsync them.
+    fn write(&mut self, chaos: &ChaosFs, sync: bool) -> io::Result<()> {
+        if self.rewind {
+            chaos.rewind(&mut self.file, self.synced + self.written as u64)?;
+        }
         self.rewind = true;
-        if from < self.unsynced.len() {
-            chaos.append(&mut self.file, &self.unsynced[from..])?;
+        if self.written < self.unsynced.len() {
+            chaos.append(&mut self.file, &self.unsynced[self.written..])?;
+            self.written = self.unsynced.len();
         }
         if sync {
+            // Durable or dropped by a failed fsync: no byte stays just written.
+            self.written = 0;
             chaos.sync_data(&self.file)?;
         }
         self.rewind = false;
@@ -610,9 +613,9 @@ impl Journal {
     /// re-attempt of a quarantined slot.
     ///
     /// Transient I/O faults are retried on the one retry schedule. A retry
-    /// first rewinds the file to the fsynced length and rewrites every
-    /// unsynced record, so a short write can never duplicate or interleave
-    /// partial bytes.
+    /// first rewinds the file past the last whole record (to the fsynced
+    /// length after a failed fsync) and rewrites what follows, so a short
+    /// write can never duplicate or interleave partial bytes.
     ///
     /// # Errors
     ///
@@ -647,10 +650,7 @@ impl Journal {
         inner.unsynced.extend_from_slice(line.as_bytes());
         inner.unsynced.push(b'\n');
         let sync = inner.unsynced_records + 1 == GROUP;
-        if let Err(e) = self
-            .ctx
-            .retrying(|| inner.write(&self.ctx.chaos, from, sync))
-        {
+        if let Err(e) = self.ctx.retrying(|| inner.write(&self.ctx.chaos, sync)) {
             inner.unsynced.truncate(from);
             if inner.state[slot] == SlotState::Missing {
                 inner.lost = Some(slot);
@@ -683,9 +683,8 @@ impl Journal {
         if inner.unsynced.is_empty() && !inner.rewind {
             return Ok(());
         }
-        let from = inner.unsynced.len();
         self.ctx
-            .retrying(|| inner.write(&self.ctx.chaos, from, true))
+            .retrying(|| inner.write(&self.ctx.chaos, true))
             .map_err(|e| io_err(&self.path, e))?;
         inner.synced_all();
         Ok(())

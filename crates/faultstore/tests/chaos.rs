@@ -227,3 +227,50 @@ fn persistent_store_failure_degrades_gracefully() {
     std::fs::remove_dir_all(&clean_dir).unwrap();
     std::fs::remove_dir_all(&chaos_dir).unwrap();
 }
+
+#[test]
+fn first_failed_append_degrades_and_keeps_the_records_before_it() {
+    let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
+    let fl = small_faultload(5);
+    let clean_dir = tmp_dir("full-clean");
+    let clean = FaultStore::open(&clean_dir)
+        .unwrap()
+        .run_resumable(&campaign, &fl, 0, false)
+        .unwrap();
+    let clean_json = serde_json::to_string(&clean).unwrap();
+
+    // The journal header is append 0 and slot k's record is append k + 1,
+    // so a disk that fills after k + 1 appends loses slot k's record.
+    for lost in [0, 2, 4] {
+        let dir = tmp_dir(&format!("full-at-{lost}"));
+        let store = FaultStore::open(&dir)
+            .unwrap()
+            .with_chaos(ChaosFs::full_after_appends(lost as u64 + 1));
+        let mut result = store.run_resumable(&campaign, &fl, 0, false).unwrap();
+        assert!(result.degraded, "slot {lost}: the result carries the stamp");
+        assert!(store.is_degraded());
+
+        let journal = std::fs::read_to_string(store.journal_path(&campaign, 0)).unwrap();
+        let records: Vec<&str> = journal.lines().skip(1).collect();
+        assert_eq!(records.len(), lost, "slot {lost}:\n{journal}");
+        for (slot, record) in records.iter().enumerate() {
+            assert!(
+                record.starts_with(&format!("{{\"slot\":{slot},")),
+                "{record}"
+            );
+        }
+
+        // The measures are untouched, and the kept records are whole: a
+        // chaos-free resume replays them, runs the rest and reproduces the
+        // clean result.
+        result.degraded = false;
+        assert_eq!(clean_json, serde_json::to_string(&result).unwrap());
+        let resumed = FaultStore::open(&dir)
+            .unwrap()
+            .run_resumable(&campaign, &fl, 0, true)
+            .unwrap();
+        assert_eq!(clean_json, serde_json::to_string(&resumed).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::remove_dir_all(&clean_dir).unwrap();
+}

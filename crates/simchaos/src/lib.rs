@@ -14,7 +14,8 @@
 //!   schedule**: decision *n* is drawn from `SimRng::derive(seed, [n])`,
 //!   so two runs with the same seed and the same operation sequence see
 //!   the same faults — which is what lets the chaos test suite assert
-//!   byte-identical campaign results with and without injection.
+//!   byte-identical campaign results with and without injection. Tests can
+//!   also fill the disk at a chosen append ([`ChaosFs::full_after_appends`]).
 //! * [`retry`] — the survival half: one bounded-retry schedule with
 //!   exponential backoff and deterministic jitter (same `derive`
 //!   discipline) that callers wrap around transient-fallible operations.
@@ -89,12 +90,21 @@ pub struct ChaosConfig {
     pub profile: ChaosProfile,
 }
 
+/// What decides each operation's fault.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    Seeded(ChaosConfig),
+    /// Appends from the `n`-th on fail with `ENOSPC`; nothing else fails.
+    FullAfterAppends(u64),
+}
+
 /// The I/O stage an operation is in when the schedule is consulted;
 /// different stages draw from different fault tables (a read cannot
 /// suffer a short write, a rename cannot suffer a failed fsync).
 #[derive(Debug, Clone, Copy)]
 enum Stage {
     Write,
+    Append,
     Fsync,
     Rename,
     Read,
@@ -118,10 +128,11 @@ enum Injected {
     Enospc,
 }
 
+#[derive(Debug)]
 struct Inner {
-    cfg: ChaosConfig,
+    schedule: Schedule,
     /// Global operation counter; each injection decision consumes one
-    /// index into the seeded schedule.
+    /// index into the schedule.
     ops: AtomicU64,
     /// How many of those decisions injected a fault.
     injected: AtomicU64,
@@ -134,22 +145,9 @@ struct Inner {
 /// a process-wide schedule stays coherent across the cache, journal and
 /// store. The disabled instance ([`ChaosFs::off`]) carries no allocation
 /// and each call is a single `Option` branch before the real syscall.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ChaosFs {
     inner: Option<Arc<Inner>>,
-}
-
-impl std::fmt::Debug for ChaosFs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "ChaosFs(off)"),
-            Some(i) => write!(
-                f,
-                "ChaosFs(seed={}, profile={:?})",
-                i.cfg.seed, i.cfg.profile
-            ),
-        }
-    }
 }
 
 impl ChaosFs {
@@ -160,9 +158,20 @@ impl ChaosFs {
 
     /// A fault-injecting instance driven by `cfg`'s seeded schedule.
     pub fn seeded(cfg: ChaosConfig) -> ChaosFs {
+        ChaosFs::with_schedule(Schedule::Seeded(cfg))
+    }
+
+    /// A disk that fills after `appends` appends: every later
+    /// [`ChaosFs::append`] fails with [`io::ErrorKind::StorageFull`], and
+    /// nothing else fails. Lets a test fail one chosen journal record.
+    pub fn full_after_appends(appends: u64) -> ChaosFs {
+        ChaosFs::with_schedule(Schedule::FullAfterAppends(appends))
+    }
+
+    fn with_schedule(schedule: Schedule) -> ChaosFs {
         ChaosFs {
             inner: Some(Arc::new(Inner {
-                cfg,
+                schedule,
                 ops: AtomicU64::new(0),
                 injected: AtomicU64::new(0),
             })),
@@ -182,19 +191,28 @@ impl ChaosFs {
             .map_or(0, |i| i.injected.load(Ordering::Relaxed))
     }
 
-    /// Consults the seeded schedule for the next operation at `stage`.
+    /// Consults the schedule for the next operation at `stage`.
     fn decide(&self, stage: Stage) -> Option<Injected> {
         let inner = self.inner.as_ref()?;
+        let cfg = match (inner.schedule, stage) {
+            (Schedule::Seeded(cfg), _) => cfg,
+            (Schedule::FullAfterAppends(n), Stage::Append) => {
+                let full = inner.ops.fetch_add(1, Ordering::Relaxed) >= n;
+                inner.injected.fetch_add(u64::from(full), Ordering::Relaxed);
+                return full.then_some(Injected::Enospc);
+            }
+            (Schedule::FullAfterAppends(_), _) => return None,
+        };
         let n = inner.ops.fetch_add(1, Ordering::Relaxed);
         // Per-mille roll from the n-th derived stream: deterministic in
         // (seed, n), independent of wall clock and thread timing as long
         // as the operation *sequence* is deterministic (which the store
         // guarantees by serialising journal appends in slot order).
-        let roll = SimRng::derive(inner.cfg.seed, &[n]).next_u64() % 1000;
-        let injected = match (inner.cfg.profile, stage) {
+        let roll = SimRng::derive(cfg.seed, &[n]).next_u64() % 1000;
+        let injected = match (cfg.profile, stage) {
             (ChaosProfile::Enospc, Stage::Read) => None,
             (ChaosProfile::Enospc, _) => Some(Injected::Enospc),
-            (ChaosProfile::Transient, Stage::Write) => match roll {
+            (ChaosProfile::Transient, Stage::Write | Stage::Append) => match roll {
                 0..=79 => Some(Injected::Eintr),
                 80..=159 => Some(Injected::Eagain),
                 160..=219 => Some(Injected::ShortWrite),
@@ -204,7 +222,7 @@ impl ChaosFs {
                 0..=79 => Some(Injected::Eintr),
                 _ => None,
             },
-            (ChaosProfile::Torn, Stage::Write) => match roll {
+            (ChaosProfile::Torn, Stage::Write | Stage::Append) => match roll {
                 0..=59 => Some(Injected::Eintr),
                 60..=139 => Some(Injected::ShortWrite),
                 _ => None,
@@ -286,7 +304,7 @@ impl ChaosFs {
     /// before erroring — the journal's rewind-on-retry discipline (`set_len`
     /// back to the durable length) is what makes this safe to retry.
     pub fn append(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-        match self.decide(Stage::Write) {
+        match self.decide(Stage::Append) {
             Some(Injected::Eintr) => return Err(eintr("append")),
             Some(Injected::Eagain) => return Err(eagain("append")),
             Some(Injected::Enospc) => return Err(enospc("append")),
@@ -457,6 +475,24 @@ mod tests {
         // Reads still work: a full disk does not prevent loading artifacts.
         std::fs::write(&p, b"seed-data").unwrap();
         assert_eq!(fs.read_to_string(&p).unwrap(), "seed-data");
+    }
+
+    #[test]
+    fn full_after_appends_fails_every_append_from_the_nth_on() {
+        let fs = ChaosFs::full_after_appends(3);
+        let dir = tmp_dir("full-after");
+        let p = dir.join("a.txt");
+        // Other operations neither fail nor count as appends.
+        fs.write_sync(&p, b"").unwrap();
+        let mut file = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
+        fs.sync_data(&file).unwrap();
+        let kinds: Vec<Option<io::ErrorKind>> = (0..6)
+            .map(|_| fs.append(&mut file, b"r\n").err().map(|e| e.kind()))
+            .collect();
+        let full = Some(io::ErrorKind::StorageFull);
+        assert_eq!(kinds, [None, None, None, full, full, full]);
+        assert_eq!(fs.injected(), 3);
+        assert_eq!(std::fs::read(&p).unwrap(), b"r\nr\nr\n");
     }
 
     #[test]
