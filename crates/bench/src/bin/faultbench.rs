@@ -6,8 +6,8 @@
 //!            [--chaos-profile P]
 //! faultbench profile <edition>                     run the profiling phase
 //! faultbench campaign <edition> <server> [--faultload FILE] [--pack FILE]…
-//!            [--iters N] [--ci-target P] [--jobs N] [--seed N] [--limit N]
-//!            [--out FILE] [--store DIR] [--resume] [--save NAME] [--trace]
+//!            [--iters N] [--jobs N] [--seed N] [--limit N] [--out FILE]
+//!            [--store DIR] [--resume] [--save NAME] [--trace]
 //!            [--trace-dir D] [--chaos-seed N] [--chaos-profile P]
 //!            [--slot-budget-ms N]
 //! faultbench recovery <edition> <server> [--faultload FILE] [--pack FILE]…
@@ -49,12 +49,11 @@
 //!
 //! `campaign` runs its iterations (default 1) through
 //! `bench::campaign::run_iterations`, the driver `table5` and `figure5` use:
-//! a fixed `--iters N`, or `--ci-target P` convergence capped by `--iters`,
-//! journaled with `--store` so that `--resume` completes a crashed run
-//! byte-identically. Multi-iteration tables close with an `average` row
-//! carrying `± half-width` cells, `--out` saves the full `MetricsSummary`
-//! (mean, CIs, per-iteration metrics), and `--save NAME` stores each
-//! iteration's result for `diff`. With `--trace`, `campaign` and `recovery`
+//! a fixed `--iters N`, journaled with `--store` so that `--resume`
+//! completes a crashed run byte-identically. Multi-iteration tables close
+//! with an `average` row carrying `± half-width` cells, `--out` saves the
+//! full `MetricsSummary` (mean, CIs, per-iteration metrics), and `--save
+//! NAME` stores each iteration's result for `diff`. With `--trace`, `campaign` and `recovery`
 //! add fault-activation tables (did the mutated instruction actually
 //! execute?), per iteration or per policy.
 //!
@@ -262,9 +261,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     // The report's heading, on stdout with the tables below it: stderr
     // stays for notices and errors, so a refused resume is one line there.
     println!(
-        "campaign: {edition} / {server}, {} faults, up to {} iteration(s), {} job(s){}",
+        "campaign: {edition} / {server}, {} faults, {} iteration(s), {} job(s){}",
         faultload.len(),
-        cli.max_iterations(1),
+        cli.iters.unwrap_or(1),
         cli.jobs.unwrap_or(1),
         if cli.trace {
             ", flight recorder on"
@@ -273,8 +272,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         }
     );
     // Campaign identity must track the pack set: packs beyond the bundled
-    // odc-classic are recorded in the config, so journals and stop records
-    // key on them.
+    // odc-classic are recorded in the config, so journals key on them.
     let classic_ref = pack::classic().pack_ref();
     let extra_packs: Vec<PackRef> = faultload
         .packs

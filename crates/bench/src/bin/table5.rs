@@ -4,8 +4,8 @@
 //!
 //! This is the headline experiment. The full run takes a few minutes in
 //! release mode; `--limit N --iters M` gives a truncated smoke pass (N
-//! faults per faultload, M iterations instead of 3); `--ci-target P` stops
-//! each pair at convergence, and `--trace` adds activation tables.
+//! faults per faultload, M iterations instead of 3), and `--trace` adds
+//! activation tables.
 
 use bench::campaign::{print_activations, run_iterations};
 use bench::cli::{CliArgs, SHARED_FLAGS};

@@ -13,15 +13,11 @@ use crate::cli::CliArgs;
 
 /// Runs `campaign`'s iterations over `faultload` and returns the
 /// profile-mode baseline they are measured against plus their summary:
-/// `--iters` iterations (`default_iters` when unset) or, with
-/// `--ci-target`, until every tier-1 metric's 95 % CI converges (capped by
-/// `--iters`). With `store`, iterations are journaled (honouring
-/// `--resume`) and so is the stop decision, the moment it is taken: a
-/// resumed run replays the same iteration count instead of re-deriving it.
-/// With `save`, each iteration is stored as run `save` (one iteration) or
-/// `save-itN`. Quarantined slots and degraded iterations are reported on
-/// stderr as they happen. Setting `FAULTBENCH_CRASH_AFTER_STOP` aborts the
-/// process the instant a stop decision is durable (a crash-safety test hook).
+/// `--iters` iterations (`default_iters` when unset). With `store`,
+/// iterations are journaled (honouring `--resume`). With `save`, each
+/// iteration is stored as run `save` (one iteration) or `save-itN`.
+/// Quarantined slots and degraded iterations are reported on stderr as
+/// they happen.
 ///
 /// # Errors
 ///
@@ -34,33 +30,11 @@ pub fn run_iterations(
     default_iters: u64,
     save: Option<&str>,
 ) -> Result<(IntervalMeasures, MetricsSummary), String> {
-    let conv = cli.convergence();
-    let max_iterations = cli.max_iterations(default_iters);
-
-    // A resumed campaign replays a journaled stop decision instead of
-    // re-deriving it; a fresh one must not inherit a stale decision.
-    let mut stop: Option<faultstore::StopRecord> = None;
-    if let (Some(s), Some(c)) = (store, &conv) {
-        if cli.resume {
-            stop = s
-                .load_stop(campaign, faultload, c)
-                .map_err(|e| e.to_string())?;
-            if let Some(r) = &stop {
-                eprintln!(
-                    "replaying journaled stop decision: {} iteration(s), converged={}",
-                    r.stopped_at, r.converged
-                );
-            }
-        } else {
-            s.clear_stop(campaign).map_err(|e| e.to_string())?;
-        }
-    }
-    let iteration_bound = stop.as_ref().map_or(max_iterations, |r| r.stopped_at);
-
+    let iterations = cli.iters.unwrap_or(default_iters);
     let mut baseline: Option<IntervalMeasures> = None;
     let mut runs: Vec<DependabilityMetrics> = Vec::new();
     // `it` counts iterations from 1; the campaign numbers them from 0.
-    for it in 1..=iteration_bound {
+    for it in 1..=iterations {
         let res = cli.run_injection(store, campaign, faultload, it - 1)?;
         // Taken once the first iteration's journal has been accepted, so a
         // refused `--resume` fails before any baseline work.
@@ -69,7 +43,7 @@ pub fn run_iterations(
         }
         let base = baseline.as_ref().expect("taken above");
         if let (Some(s), Some(name)) = (store, save) {
-            let run_name = if max_iterations == 1 {
+            let run_name = if iterations == 1 {
                 name.to_string()
             } else {
                 format!("{name}-it{it}")
@@ -86,39 +60,6 @@ pub fn run_iterations(
             );
         }
         runs.push(DependabilityMetrics::from_runs(base, &res));
-
-        // The convergence check — skipped entirely when a journaled stop
-        // decision is being replayed (its iteration count is final).
-        if let (None, Some(c)) = (&stop, &conv) {
-            let summary =
-                aggregate_metrics(&runs).ok_or("campaign produced no iterations to aggregate")?;
-            let converged = summary.converged(c);
-            if converged || it >= c.max_iters {
-                // Journal the decision durably *before* reporting it: a
-                // crash from here on must not change how many iterations a
-                // resumed run claims.
-                if let Some(s) = store {
-                    s.record_stop(campaign, faultload, c, it, converged)
-                        .map_err(|e| e.to_string())?;
-                }
-                if std::env::var_os("FAULTBENCH_CRASH_AFTER_STOP").is_some() {
-                    std::process::abort();
-                }
-                if converged {
-                    eprintln!(
-                        "converged after {it} iteration(s): every tier-1 CI half-width is within {} %",
-                        c.target_halfwidth_pct
-                    );
-                } else {
-                    eprintln!(
-                        "stopping at the iteration cap ({}) without convergence; \
-                         raise --iters or loosen --ci-target",
-                        c.max_iters
-                    );
-                }
-                break;
-            }
-        }
     }
     let summary = aggregate_metrics(&runs).ok_or("campaign produced no iterations to aggregate")?;
     Ok((baseline.expect("an iteration ran"), summary))

@@ -10,14 +10,10 @@
 //!                warning)
 //! --seed N       base RNG seed (default: the paper-dated default)
 //! --iters N      iteration count (default per binary: 1 for `faultbench
-//!                campaign`, 3 for `table5`/`figure5`), and the iteration
-//!                cap when --ci-target is set (default 8); 0 is clamped to
-//!                1 with a warning
+//!                campaign`, 3 for `table5`/`figure5`); 0 is clamped to 1
+//!                with a warning
 //! --limit N      evenly sample each faultload down to at most N faults
 //!                (N > 0; quick runs and CI smoke tests)
-//! --ci-target P  stop iterating once every tier-1 metric's 95% CI
-//!                half-width is below P (percent of the mean for
-//!                SPCf/THRf/RTMf, percentage points for ER%f)
 //! --store DIR    persistent fault store: scans are served from the
 //!                content-addressed cache, campaigns are journaled
 //! --resume       resume interrupted campaigns from the store's journal
@@ -49,7 +45,7 @@ use swfit_core::Faultload;
 
 /// Every shared flag, in the order of the module docs: the `reads` list of
 /// a command that reads them all (`table5`, `figure5`).
-pub const SHARED_FLAGS: &str = "--jobs --seed --iters --limit --ci-target --store --resume \
+pub const SHARED_FLAGS: &str = "--jobs --seed --iters --limit --store --resume \
      --trace --trace-dir --chaos-seed --chaos-profile --slot-budget-ms";
 
 /// The shared flags, parsed from the process arguments; a flag the command
@@ -60,15 +56,11 @@ pub struct CliArgs {
     pub jobs: Option<usize>,
     /// `--seed N`: base RNG seed override.
     pub seed: Option<u64>,
-    /// `--iters N`: iteration count, and the cap for convergence-stopped
-    /// campaigns.
+    /// `--iters N`: iteration count.
     pub iters: Option<u64>,
     /// `--limit N`: sample each faultload down to at most N faults.
     /// `None` = no cap.
     pub limit: Option<usize>,
-    /// `--ci-target P`: CI half-width target (percent) enabling
-    /// convergence-based early stopping.
-    pub ci_target: Option<f64>,
     /// `--store DIR`: root of the persistent [`FaultStore`].
     pub store: Option<std::path::PathBuf>,
     /// `--resume`: replay the journaled prefix of an interrupted campaign.
@@ -132,9 +124,6 @@ impl CliArgs {
             .map(|n| clamp_zero("--jobs", n as u64) as usize);
         let iters = parse_flag(args, "--iters", UNSIGNED, any)?.map(|n| clamp_zero("--iters", n));
         let limit = parse_flag(args, "--limit", POSITIVE, |n: &usize| *n > 0)?;
-        let ci_target = parse_flag(args, "--ci-target", "a positive percentage", |p: &f64| {
-            p.is_finite() && *p > 0.0
-        })?;
         let seed = parse_flag(args, "--seed", UNSIGNED, any)?;
         let store = value_of(args, "--store")?.map(std::path::PathBuf::from);
         let resume = args.iter().any(|a| a == "--resume");
@@ -173,7 +162,6 @@ impl CliArgs {
             seed,
             iters,
             limit,
-            ci_target,
             store,
             resume,
             trace,
@@ -196,20 +184,6 @@ impl CliArgs {
         })
     }
 
-    /// The convergence rule implied by `--iters`/`--ci-target`: `Some`
-    /// only when `--ci-target` was given (otherwise campaigns run their
-    /// fixed iteration count as before). `max_iters` comes from `--iters`
-    /// (default 8) and is floored at `min_iters` = 2 — a CI needs at least
-    /// two samples.
-    pub fn convergence(&self) -> Option<depbench::ConvergenceConfig> {
-        let target = self.ci_target?;
-        Some(depbench::ConvergenceConfig {
-            target_halfwidth_pct: target,
-            min_iters: 2,
-            max_iters: self.iters.unwrap_or(8).max(2),
-        })
-    }
-
     /// Applies the campaign-affecting flags to a config builder.
     #[must_use]
     pub fn configure(&self, mut builder: CampaignConfigBuilder) -> CampaignConfigBuilder {
@@ -218,13 +192,6 @@ impl CliArgs {
             builder = builder.seed(seed);
         }
         builder
-    }
-
-    /// The iteration budget: the convergence cap with `--ci-target`,
-    /// otherwise `--iters`, or `default` when neither is given.
-    pub fn max_iterations(&self, default: u64) -> u64 {
-        self.convergence()
-            .map_or(self.iters.unwrap_or(default), |c| c.max_iters)
     }
 
     /// A ready [`CampaignConfig`] reflecting `--jobs`/`--seed`.
@@ -406,11 +373,6 @@ mod tests {
             &["--jobs", "--seed"],
             &["--iters", "many"],
             &["--iters"],
-            &["--ci-target", "0"],
-            &["--ci-target", "-5"],
-            &["--ci-target", "inf"],
-            &["--ci-target", "nan"],
-            &["--ci-target"],
             &["--limit"],
             &["--limit", "0"],
             &["--limit", "x"],
@@ -453,36 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn convergence_comes_from_ci_target_and_iters() {
-        // Without --ci-target there is no convergence rule: campaigns run
-        // their fixed iteration count as before.
-        let fixed = parse(&["--iters", "5"]).unwrap();
-        assert!(fixed.convergence().is_none());
-
-        let conv = parse(&["--ci-target", "5", "--iters", "6"])
-            .unwrap()
-            .convergence()
-            .unwrap();
-        assert!((conv.target_halfwidth_pct - 5.0).abs() < 1e-12);
-        assert_eq!(conv.min_iters, 2);
-        assert_eq!(conv.max_iters, 6);
-
-        // The cap never drops below min_iters: a CI needs two samples.
-        let floored = parse(&["--ci-target", "5", "--iters", "1"])
-            .unwrap()
-            .convergence()
-            .unwrap();
-        assert_eq!(floored.max_iters, 2);
-
-        // Default cap without --iters.
-        let default = parse(&["--ci-target", "2.5"])
-            .unwrap()
-            .convergence()
-            .unwrap();
-        assert_eq!(default.max_iters, 8);
-    }
-
-    #[test]
     fn unread_flags_are_rejected() {
         let a = args(&["campaign", "--out", "x.json", "--jobs", "2"]);
         // A command's own flags are read alongside the shared ones.
@@ -499,6 +431,20 @@ mod tests {
         // A typo is an unread flag, and positional arguments pass.
         assert!(CliArgs::from_slice(&args(&["--job", "2"]), "--jobs").is_err());
         assert!(check_flags(&args(&["nimbus-2000", "wren"]), "").is_ok());
+        // `--ci-target` is no command's flag, whatever its value.
+        for gone in [
+            &["--ci-target", "0"][..],
+            &["--ci-target", "-5"],
+            &["--ci-target", "inf"],
+            &["--ci-target", "nan"],
+            &["--ci-target"],
+        ] {
+            assert_eq!(
+                parse(gone).unwrap_err(),
+                format!("unknown flag `--ci-target`; this command reads {SHARED_FLAGS}"),
+                "{gone:?}"
+            );
+        }
     }
 
     #[test]

@@ -41,16 +41,35 @@ fn campaign_cmd(store: &Path, resume: bool) -> Command {
     cmd
 }
 
-fn journal_lines(store: &Path) -> usize {
+/// Lines in the journal of iteration `it` (numbered from 0).
+fn journal_lines(store: &Path, it: u64) -> usize {
     let path = store
         .join("journals")
-        .join(format!("{EDITION}-{SERVER}-it0.jsonl"));
+        .join(format!("{EDITION}-{SERVER}-it{it}.jsonl"));
     std::fs::read_to_string(path).map_or(0, |s| s.lines().count())
 }
 
-fn stored_run(store: &Path) -> String {
-    std::fs::read_to_string(store.join("runs").join(format!("{RUN_NAME}.json")))
-        .expect("stored run exists")
+fn run_path(store: &Path, name: &str) -> PathBuf {
+    store.join("runs").join(format!("{name}.json"))
+}
+
+fn stored_run(store: &Path, name: &str) -> Vec<u8> {
+    std::fs::read(run_path(store, name)).expect("stored run exists")
+}
+
+/// Polls until iteration `it`'s journal holds its header and at least 3
+/// slot records, then SIGKILLs `child`.
+fn kill_mid_iteration(child: &mut std::process::Child, store: &Path, it: u64) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while journal_lines(store, it) < 4 {
+        if let Some(status) = child.try_wait().expect("child polls") {
+            panic!("campaign finished before it could be killed ({status}); raise LIMIT");
+        }
+        assert!(Instant::now() < deadline, "campaign never reached slot 3");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    child.kill().expect("SIGKILL delivered");
+    let _ = child.wait();
 }
 
 #[test]
@@ -63,37 +82,21 @@ fn sigkilled_campaign_resumes_byte_identical() {
         .status()
         .expect("faultbench runs");
     assert!(status.success(), "uninterrupted campaign failed");
-    let expected = stored_run(&baseline_store);
+    let expected = stored_run(&baseline_store, RUN_NAME);
 
     // Same campaign, SIGKILLed once a few slots are durably journaled.
     let killed_store = tmpdir("killed");
     let mut child = campaign_cmd(&killed_store, false)
         .spawn()
         .expect("faultbench spawns");
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        // Header line + >= 3 slot records: mid-campaign, journal non-trivial.
-        if journal_lines(&killed_store) >= 4 {
-            break;
-        }
-        if let Some(status) = child.try_wait().expect("child polls") {
-            panic!("campaign finished before it could be killed ({status}); raise LIMIT");
-        }
-        assert!(Instant::now() < deadline, "campaign never reached slot 3");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    child.kill().expect("SIGKILL delivered");
-    let _ = child.wait();
-    let at_kill = journal_lines(&killed_store);
+    kill_mid_iteration(&mut child, &killed_store, 0);
+    let at_kill = journal_lines(&killed_store, 0);
     assert!(
         at_kill < 1 + limit,
         "kill landed after all {limit} slots completed; raise LIMIT"
     );
     assert!(
-        !killed_store
-            .join("runs")
-            .join(format!("{RUN_NAME}.json"))
-            .exists(),
+        !run_path(&killed_store, RUN_NAME).exists(),
         "killed run must not have stored a result"
     );
 
@@ -103,13 +106,12 @@ fn sigkilled_campaign_resumes_byte_identical() {
         .expect("faultbench runs");
     assert!(status.success(), "resumed campaign failed");
     assert_eq!(
-        journal_lines(&killed_store),
+        journal_lines(&killed_store, 0),
         1 + limit,
         "resumed journal holds every slot"
     );
-    assert_eq!(
-        expected,
-        stored_run(&killed_store),
+    assert!(
+        expected == stored_run(&killed_store, RUN_NAME),
         "resumed result differs from the uninterrupted run"
     );
 
@@ -117,114 +119,57 @@ fn sigkilled_campaign_resumes_byte_identical() {
     std::fs::remove_dir_all(&killed_store).unwrap();
 }
 
-/// A convergence-stopped campaign command: small faultload, loose CI
-/// target (empirically stops after 2 of the 4 allowed iterations), stop
-/// decision journaled in the store.
-fn converging_cmd(store: &Path, resume: bool) -> Command {
-    let mut cmd = faultbench();
-    cmd.args([
-        "campaign",
-        EDITION,
-        SERVER,
-        "--limit",
-        "12",
-        "--ci-target",
-        "40",
-        "--iters",
-        "4",
-        "--save",
-        RUN_NAME,
-        "--store",
-    ])
-    .arg(store)
-    .stdout(Stdio::null());
-    if resume {
-        cmd.arg("--resume");
-    }
-    cmd
-}
-
-fn stop_file(store: &Path) -> PathBuf {
-    store
-        .join("journals")
-        .join(format!("{EDITION}-{SERVER}-stop.json"))
-}
-
 #[test]
-fn crash_after_stop_decision_resumes_byte_identical() {
-    // Uninterrupted reference: converges early, records the stop decision,
-    // saves one run per iteration actually executed.
-    let reference_store = tmpdir("conv-ref");
-    let out = converging_cmd(&reference_store, false)
-        .stderr(Stdio::piped())
-        .output()
+fn sigkilled_second_iteration_resumes_every_run_byte_identical() {
+    let limit: usize = LIMIT.parse().unwrap();
+    let names = [format!("{RUN_NAME}-it1"), format!("{RUN_NAME}-it2")];
+
+    // Uninterrupted two-iteration reference: one stored run per iteration.
+    let reference_store = tmpdir("iters-ref");
+    let status = campaign_cmd(&reference_store, false)
+        .args(["--iters", "2"])
+        .status()
         .expect("faultbench runs");
-    assert!(out.status.success(), "reference campaign failed");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("converged after 2 iteration(s)"),
-        "reference must stop early at 2 of 4 iterations: {stderr}"
-    );
-    let reference_stop = std::fs::read(stop_file(&reference_store)).expect("stop file recorded");
-    let run_names: Vec<String> = (1..=2).map(|i| format!("{RUN_NAME}-it{i}")).collect();
-    let reference_runs: Vec<String> = run_names
+    assert!(status.success(), "uninterrupted campaign failed");
+    let expected: Vec<Vec<u8>> = names
         .iter()
-        .map(|n| {
-            std::fs::read_to_string(reference_store.join("runs").join(format!("{n}.json")))
-                .expect("reference run stored")
-        })
+        .map(|n| stored_run(&reference_store, n))
         .collect();
 
-    // Same campaign, dying the instant the stop decision is durable —
-    // after the stop file's rename, before any summary output.
-    let crashed_store = tmpdir("conv-crash");
-    let out = converging_cmd(&crashed_store, false)
-        .env("FAULTBENCH_CRASH_AFTER_STOP", "1")
-        .stderr(Stdio::piped())
-        .output()
-        .expect("faultbench runs");
+    // Same campaign, SIGKILLed a few slots into iteration 2, after
+    // iteration 1 was journaled in full and stored.
+    let killed_store = tmpdir("iters-killed");
+    let mut child = campaign_cmd(&killed_store, false)
+        .args(["--iters", "2"])
+        .spawn()
+        .expect("faultbench spawns");
+    kill_mid_iteration(&mut child, &killed_store, 1);
+    assert_eq!(journal_lines(&killed_store, 0), 1 + limit);
     assert!(
-        !out.status.success(),
-        "hooked campaign must die at the stop"
+        journal_lines(&killed_store, 1) < 1 + limit,
+        "kill landed after all {limit} slots of iteration 2 completed; raise LIMIT"
     );
-    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        !stderr.contains("converged after"),
-        "the crash must precede the stop report: {stderr}"
-    );
-    let stop_at_crash = std::fs::read(stop_file(&crashed_store)).expect("stop decision durable");
-    assert_eq!(
-        reference_stop, stop_at_crash,
-        "the journaled decision matches the uninterrupted run's"
+        !run_path(&killed_store, &names[1]).exists(),
+        "the killed iteration must not have stored a result"
     );
 
-    // Resume (no hook): the decision is replayed, not re-derived — the
-    // campaign stops at the same iteration and every artifact is
-    // byte-identical to the uninterrupted run.
-    let out = converging_cmd(&crashed_store, true)
-        .stderr(Stdio::piped())
-        .output()
+    // Resume: iteration 1 replays from its complete journal, iteration 2
+    // from its prefix; both stored runs equal the uninterrupted ones.
+    let status = campaign_cmd(&killed_store, true)
+        .args(["--iters", "2"])
+        .status()
         .expect("faultbench runs");
-    assert!(out.status.success(), "resumed campaign failed");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("replaying journaled stop decision: 2 iteration(s)"),
-        "resume must replay the stop decision: {stderr}"
-    );
-    assert_eq!(
-        stop_at_crash,
-        std::fs::read(stop_file(&crashed_store)).expect("stop file survives resume"),
-        "resume must not rewrite the stop decision"
-    );
-    for (name, expected) in run_names.iter().zip(&reference_runs) {
-        let resumed =
-            std::fs::read_to_string(crashed_store.join("runs").join(format!("{name}.json")))
-                .expect("resumed run stored");
-        assert_eq!(expected, &resumed, "run `{name}` differs after resume");
+    assert!(status.success(), "resumed campaign failed");
+    for (name, want) in names.iter().zip(&expected) {
+        assert!(
+            *want == stored_run(&killed_store, name),
+            "run `{name}` differs after resume"
+        );
     }
 
     std::fs::remove_dir_all(&reference_store).unwrap();
-    std::fs::remove_dir_all(&crashed_store).unwrap();
+    std::fs::remove_dir_all(&killed_store).unwrap();
 }
 
 #[test]

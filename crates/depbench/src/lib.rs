@@ -47,8 +47,7 @@ pub use campaign::{
 pub use executor::SlotToken;
 pub use interval::{IntervalConfig, WatchdogCounts};
 pub use metrics::{
-    aggregate_metrics, ConvergenceConfig, DependabilityMetrics, MetricsCi, MetricsSummary,
-    RequestCounts,
+    aggregate_metrics, DependabilityMetrics, MetricsCi, MetricsSummary, RequestCounts,
 };
 pub use opfaults::{apply_operator_fault, generate_operator_faults, OperatorFault};
 pub use profilephase::{profile_servers, ProfilePhaseConfig};

@@ -4,8 +4,7 @@
 //! SPECWeb measures *in the presence of the faultload*), the error rate
 //! ER%f, and the need for administrator intervention ADMf = MIS + KNS +
 //! KCP. Cross-iteration aggregation ([`aggregate_metrics`]) additionally
-//! reports 95 % confidence intervals ([`MetricsSummary`]) and feeds the
-//! convergence-based early-stop rule ([`ConvergenceConfig`]).
+//! reports 95 % confidence intervals ([`MetricsSummary`]).
 
 use serde::{Deserialize, Serialize};
 use simstats::{bootstrap_ratio_ci, t_interval, Ci, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED};
@@ -14,8 +13,6 @@ use specweb::IntervalMeasures;
 use crate::campaign::{ActivationSummary, CampaignResult};
 use crate::interval::WatchdogCounts;
 use crate::recovery::AvailabilityMetrics;
-
-pub use simstats::ConvergenceConfig;
 
 /// Per-metric bootstrap seed tags (offsets on [`BOOTSTRAP_SEED`]), so each
 /// ratio metric draws an independent, reproducible resample stream.
@@ -167,18 +164,6 @@ impl MetricsSummary {
     /// Iterations aggregated.
     pub fn iterations(&self) -> u64 {
         self.per_iteration.len() as u64
-    }
-
-    /// The early-stop decision: enough iterations ran and every tier-1
-    /// metric's CI half-width is below the target — relative for the
-    /// magnitude metrics (SPCf, THRf, RTMf), absolute percentage points
-    /// for ER%f.
-    pub fn converged(&self, conv: &ConvergenceConfig) -> bool {
-        self.iterations() >= conv.min_iters
-            && conv.relative_ok(self.ci95.spc_f.as_ref())
-            && conv.relative_ok(self.ci95.thr_f.as_ref())
-            && conv.relative_ok(self.ci95.rtm_f.as_ref())
-            && conv.absolute_ok(self.ci95.er_pct_f.as_ref())
     }
 }
 
@@ -418,26 +403,5 @@ mod tests {
         let spc = a.ci95.spc_f.unwrap();
         assert!((spc.mean - 13.0).abs() < 1e-12);
         assert!(spc.half_width > 0.0);
-    }
-
-    #[test]
-    fn convergence_stops_low_variance_and_keeps_high_variance_running() {
-        let conv = ConvergenceConfig {
-            target_halfwidth_pct: 10.0,
-            min_iters: 2,
-            max_iters: 8,
-        };
-        // Identical iterations: every half-width is zero → converged.
-        let calm = vec![metrics(12, 60); 3];
-        let summary = aggregate_metrics(&calm).unwrap();
-        assert!(summary.converged(&conv));
-        // Wildly different throughput: the THRf interval stays wide.
-        let mut noisy = vec![metrics(12, 60), metrics(12, 60)];
-        noisy[1].thr_f = 30.0;
-        let summary = aggregate_metrics(&noisy).unwrap();
-        assert!(!summary.converged(&conv));
-        // And a single iteration can never converge, however calm.
-        let one = aggregate_metrics(&calm[..1]).unwrap();
-        assert!(!one.converged(&conv));
     }
 }

@@ -39,16 +39,16 @@
 //! Resume validates every header field against the campaign about to run.
 //! Any disagreement is a [`StoreError::StaleJournal`] naming the field:
 //! silently splicing slot results measured under a different config or OS
-//! build into a campaign would fabricate benchmark numbers. A journal or
-//! stop record of another [`JOURNAL_SCHEMA`] is refused first, with one
-//! line naming both schemas: no reader for an older format exists.
+//! build into a campaign would fabricate benchmark numbers. A journal of
+//! another [`JOURNAL_SCHEMA`] is refused first, with one line naming both
+//! schemas: no reader for an older format exists.
 
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use depbench::{Campaign, ConvergenceConfig, SlotError, SlotOutcome, SlotResult};
+use depbench::{Campaign, SlotError, SlotOutcome, SlotResult};
 use serde::{Deserialize, Serialize};
 use simchaos::ChaosFs;
 use swfit_core::Faultload;
@@ -56,8 +56,8 @@ use swfit_core::Faultload;
 use crate::resilience::StoreCtx;
 use crate::{io_err, StoreError};
 
-/// Schema version of every journal header and stop record; bumped on any
-/// incompatible format change.
+/// Schema version of every journal header; bumped on any incompatible
+/// format change.
 pub const JOURNAL_SCHEMA: u32 = 2;
 
 /// Records per group commit: [`Journal::record`] fsyncs when it writes the
@@ -114,19 +114,17 @@ impl JournalHeader {
         }
     }
 
-    /// Field-by-field comparison with a precise mismatch description,
-    /// whose reason starts with `what` (the artifact: journal or stop
-    /// record).
-    fn validate_against(&self, expected: &JournalHeader, what: &str) -> Result<(), StoreError> {
+    /// Field-by-field comparison with a precise mismatch description.
+    fn validate_against(&self, expected: &JournalHeader) -> Result<(), StoreError> {
         let mismatch = |field: &str, found: &dyn std::fmt::Debug, want: &dyn std::fmt::Debug| {
             Err(StoreError::StaleJournal {
-                reason: format!("{what} {field} is {found:?}, campaign expects {want:?}"),
+                reason: format!("journal {field} is {found:?}, campaign expects {want:?}"),
             })
         };
         if self.schema != expected.schema {
             return Err(StoreError::StaleJournal {
                 reason: format!(
-                    "{what} written with schema {}; this build reads schema {} — re-run \
+                    "journal written with schema {}; this build reads schema {} — re-run \
                      without `--resume`",
                     self.schema, expected.schema
                 ),
@@ -175,105 +173,6 @@ impl JournalHeader {
             return mismatch("fault count", &self.fault_count, &expected.fault_count);
         }
         Ok(())
-    }
-}
-
-/// The durable record of a campaign's early-stop decision: which iteration
-/// the convergence rule (or the iteration cap) stopped the campaign at.
-///
-/// Written once, atomically (tmp + fsync + rename), the moment the decision
-/// is taken — *before* the final summary is printed or saved. A resumed
-/// campaign replays the decision instead of re-deriving it, so a crash
-/// between "decided to stop" and "finished reporting" cannot change how
-/// many iterations the campaign claims to have run: the stop file is the
-/// decision, byte for byte.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StopRecord {
-    /// Format version ([`JOURNAL_SCHEMA`]).
-    pub schema: u32,
-    /// OS edition name.
-    pub edition: String,
-    /// Server name.
-    pub server: String,
-    /// [`depbench::CampaignConfig::stable_hash`] of the campaign config.
-    pub config_hash: u64,
-    /// The faultload's image fingerprint.
-    pub faultload_fingerprint: u64,
-    /// Hash of the fault ids, in slot order.
-    pub faultload_hash: u64,
-    /// The convergence rule in force when the decision was taken.
-    pub convergence: ConvergenceConfig,
-    /// Iterations the campaign ran (the stop decision: iterations
-    /// `0..stopped_at` are final).
-    pub stopped_at: u64,
-    /// `true` when the CI half-width targets were met; `false` when the
-    /// campaign stopped because it hit `convergence.max_iters` instead.
-    pub converged: bool,
-}
-
-impl StopRecord {
-    /// The record describing `campaign` under `conv` stopping after
-    /// `stopped_at` iterations.
-    pub fn describe(
-        campaign: &Campaign,
-        faultload: &Faultload,
-        conv: &ConvergenceConfig,
-        stopped_at: u64,
-        converged: bool,
-    ) -> StopRecord {
-        let header = JournalHeader::describe(campaign, faultload, 0);
-        StopRecord {
-            schema: JOURNAL_SCHEMA,
-            edition: header.edition,
-            server: header.server,
-            config_hash: header.config_hash,
-            faultload_fingerprint: header.faultload_fingerprint,
-            faultload_hash: header.faultload_hash,
-            convergence: *conv,
-            stopped_at,
-            converged,
-        }
-    }
-
-    /// Validates that this record belongs to the campaign and convergence
-    /// rule about to resume — everything except the decision itself
-    /// (`stopped_at` / `converged`) must agree.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::StaleJournal`] naming the mismatched field: replaying a
-    /// stop decision taken under a different config or target would freeze
-    /// the wrong iteration count into the results.
-    pub fn validate_against(&self, expected: &StopRecord) -> Result<(), StoreError> {
-        self.header()
-            .validate_against(&expected.header(), "stop record")?;
-        if self.convergence != expected.convergence {
-            return Err(StoreError::StaleJournal {
-                reason: format!(
-                    "stop record convergence rule is {:?}, campaign expects {:?}",
-                    self.convergence, expected.convergence
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// The campaign identity this record shares with a journal header, as
-    /// a header: the fields a stop record lacks are fixed (iteration 0, no
-    /// pack hash, no fault count), so they compare equal and one comparison
-    /// serves both.
-    fn header(&self) -> JournalHeader {
-        JournalHeader {
-            schema: self.schema,
-            edition: self.edition.clone(),
-            server: self.server.clone(),
-            iteration: 0,
-            config_hash: self.config_hash,
-            faultload_fingerprint: self.faultload_fingerprint,
-            faultload_hash: self.faultload_hash,
-            pack_hash: None,
-            fault_count: 0,
-        }
     }
 }
 
@@ -509,7 +408,7 @@ impl Journal {
         })?;
         let header: JournalHeader = serde_json::from_str(&raw[..header_end])
             .map_err(|e| StoreError::Json(format!("{}: bad header: {e}", path.display())))?;
-        header.validate_against(expected, "journal")?;
+        header.validate_against(expected)?;
 
         let mut outcomes: Vec<SlotOutcome> = Vec::new();
         // Byte offset of the end of the last durable, acceptable record.

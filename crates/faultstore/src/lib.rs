@@ -61,7 +61,7 @@ use std::fmt;
 
 pub use cache::{CacheKey, FaultMapCache};
 pub use diff::{diff_runs, diff_table};
-pub use journal::{Journal, JournalHeader, StopRecord, JOURNAL_SCHEMA};
+pub use journal::{Journal, JournalHeader, JOURNAL_SCHEMA};
 // Re-exported so store users can configure chaos injection without naming
 // the simchaos crate themselves.
 pub use simchaos::{ChaosConfig, ChaosFs, ChaosProfile};

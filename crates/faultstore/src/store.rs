@@ -17,13 +17,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use depbench::{Campaign, CampaignResult, ConvergenceConfig};
+use depbench::{Campaign, CampaignResult};
 use mvm::CodeImage;
 use simchaos::ChaosFs;
 use swfit_core::{Faultload, Scanner};
 
 use crate::cache::FaultMapCache;
-use crate::journal::{Journal, JournalHeader, StopRecord};
+use crate::journal::{Journal, JournalHeader};
 use crate::resilience::StoreCtx;
 use crate::{io_err, StoreError};
 
@@ -125,8 +125,7 @@ impl FaultStore {
     /// slots. Records are fsynced once per [`GROUP`](crate::journal::GROUP)
     /// records, and the rest before this returns, so a power loss
     /// mid-campaign loses at most the last 31 records (they re-run on
-    /// resume) and a returned iteration is durable before any stop record
-    /// is written. A journal *write* or fsync failure mid-campaign does not
+    /// resume) and a returned iteration is durable. A journal *write* or fsync failure mid-campaign does not
     /// abort the run: the first record that fails past its retries prints
     /// one warning, degrades the store and ends journaling, so that slot
     /// and every later one re-execute on resume. A failed final sync
@@ -208,93 +207,6 @@ impl FaultStore {
             campaign.server().name(),
             iteration
         ))
-    }
-
-    /// The stop-record path for a campaign (one per `(edition, server)`
-    /// pair — the stop decision spans all iterations).
-    pub fn stop_path(&self, campaign: &Campaign) -> PathBuf {
-        self.root.join("journals").join(format!(
-            "{}-{}-stop.json",
-            campaign.edition().name(),
-            campaign.server().name()
-        ))
-    }
-
-    /// Durably records a campaign's early-stop decision (tmp + fsync +
-    /// rename): once this returns, the decision survives any crash and
-    /// [`load_stop`](FaultStore::load_stop) will replay it on resume.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] / [`StoreError::Encode`] on write failure.
-    pub fn record_stop(
-        &self,
-        campaign: &Campaign,
-        faultload: &Faultload,
-        conv: &ConvergenceConfig,
-        stopped_at: u64,
-        converged: bool,
-    ) -> Result<StopRecord, StoreError> {
-        let record = StopRecord::describe(campaign, faultload, conv, stopped_at, converged);
-        let path = self.stop_path(campaign);
-        let json =
-            serde_json::to_string_pretty(&record).map_err(|e| StoreError::Encode(e.to_string()))?;
-        self.ctx.write_atomic(&path, json.as_bytes())?;
-        Ok(record)
-    }
-
-    /// Loads a durable stop decision for this campaign, if one exists,
-    /// validating it against the campaign and convergence rule about to
-    /// resume. `Ok(None)` when no decision was recorded (the campaign never
-    /// got far enough to stop).
-    ///
-    /// # Errors
-    ///
-    /// * [`StoreError::StaleJournal`] — the record belongs to a different
-    ///   campaign/config/faultload/rule, or claims an iteration count
-    ///   outside `[1, max_iters]`;
-    /// * [`StoreError::Json`] — the file does not parse;
-    /// * [`StoreError::Io`] — filesystem failure other than absence.
-    pub fn load_stop(
-        &self,
-        campaign: &Campaign,
-        faultload: &Faultload,
-        conv: &ConvergenceConfig,
-    ) -> Result<Option<StopRecord>, StoreError> {
-        let path = self.stop_path(campaign);
-        let json = match std::fs::read_to_string(&path) {
-            Ok(json) => json,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(&path, e)),
-        };
-        let record: StopRecord = serde_json::from_str(&json)
-            .map_err(|e| StoreError::Json(format!("{}: {e}", path.display())))?;
-        let expected = StopRecord::describe(campaign, faultload, conv, 0, false);
-        record.validate_against(&expected)?;
-        if record.stopped_at == 0 || record.stopped_at > conv.max_iters {
-            return Err(StoreError::StaleJournal {
-                reason: format!(
-                    "stop record claims {} iteration(s), outside 1..={}",
-                    record.stopped_at, conv.max_iters
-                ),
-            });
-        }
-        Ok(Some(record))
-    }
-
-    /// Removes any stop decision for this campaign — a fresh (non-resumed)
-    /// run must not inherit a stale one. Absence is not an error.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on a removal failure other than absence.
-    pub fn clear_stop(&self, campaign: &Campaign) -> Result<(), StoreError> {
-        let path = self.stop_path(campaign);
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(&path, e)),
-        }
     }
 
     /// Saves a campaign result under `name` (atomically: temp + fsync +
@@ -585,101 +497,18 @@ mod tests {
         );
         assert!(store.run_resumable(&wide, &fl, 0, true).is_ok());
 
-        // A journal or stop record of another schema is one actionable
-        // line naming both schemas.
-        let stale_schema = |path: PathBuf, from: &str, to: &str| {
-            let text = std::fs::read_to_string(&path).unwrap();
-            assert!(text.contains(from), "{text}");
-            std::fs::write(&path, text.replacen(from, to, 1)).unwrap();
-        };
-        stale_schema(
-            store.journal_path(&campaign, 0),
-            r#"{"schema":2,"#,
-            r#"{"schema":1,"#,
-        );
+        // A journal of another schema is one actionable line naming both
+        // schemas.
+        let (path, found) = (store.journal_path(&campaign, 0), r#"{"schema":2,"#);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(found), "{text}");
+        std::fs::write(&path, text.replacen(found, r#"{"schema":1,"#, 1)).unwrap();
         let err = store.run_resumable(&campaign, &fl, 0, true).unwrap_err();
         assert_eq!(
             err.to_string(),
             "stale campaign journal refused: journal written with schema 1; this build \
              reads schema 2 — re-run without `--resume`"
         );
-        let conv = ConvergenceConfig::default();
-        store.record_stop(&campaign, &fl, &conv, 1, true).unwrap();
-        stale_schema(
-            store.stop_path(&campaign),
-            r#""schema": 2,"#,
-            r#""schema": 1,"#,
-        );
-        let err = store.load_stop(&campaign, &fl, &conv).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "stale campaign journal refused: stop record written with schema 1; this \
-             build reads schema 2 — re-run without `--resume`"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stop_record_roundtrips_and_validates() {
-        let (dir, store) = tmp_store("stop");
-        let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
-        let fl = small_faultload(3);
-        let conv = ConvergenceConfig {
-            target_halfwidth_pct: 5.0,
-            min_iters: 2,
-            max_iters: 8,
-        };
-
-        // Nothing recorded yet.
-        assert!(store.load_stop(&campaign, &fl, &conv).unwrap().is_none());
-
-        let recorded = store.record_stop(&campaign, &fl, &conv, 3, true).unwrap();
-        let loaded = store.load_stop(&campaign, &fl, &conv).unwrap().unwrap();
-        assert_eq!(recorded, loaded);
-        assert_eq!(loaded.stopped_at, 3);
-        assert!(loaded.converged);
-
-        // A different convergence rule must refuse to replay the decision.
-        let tighter = ConvergenceConfig {
-            target_halfwidth_pct: 1.0,
-            ..conv
-        };
-        let err = store.load_stop(&campaign, &fl, &tighter).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::StaleJournal { reason } if reason.contains("convergence")),
-            "got {err}"
-        );
-
-        // So must a reconfigured campaign.
-        let reseeded = Campaign::new(
-            Edition::Nimbus2000,
-            ServerKind::Wren,
-            CampaignConfig::builder()
-                .interval(IntervalConfig {
-                    duration: SimDuration::from_millis(300),
-                    ..IntervalConfig::default()
-                })
-                .os_budget(150_000)
-                .seed(999)
-                .build(),
-        );
-        let err = store.load_stop(&reseeded, &fl, &conv).unwrap_err();
-        assert!(matches!(err, StoreError::StaleJournal { .. }), "got {err}");
-
-        // A decision claiming more iterations than the rule allows is
-        // stale too (e.g. a file tampered with or written by a buggy
-        // build).
-        store.record_stop(&campaign, &fl, &conv, 9, false).unwrap();
-        let err = store.load_stop(&campaign, &fl, &conv).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::StaleJournal { reason } if reason.contains("iteration")),
-            "got {err}"
-        );
-
-        // clear_stop removes it; clearing again is not an error.
-        store.clear_stop(&campaign).unwrap();
-        assert!(store.load_stop(&campaign, &fl, &conv).unwrap().is_none());
-        store.clear_stop(&campaign).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

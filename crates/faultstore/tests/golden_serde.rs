@@ -1,8 +1,7 @@
 //! Golden-fixture test pinning the on-disk JSON schema of the persisted
 //! artifact types: `Faultload` (fault-map cache entries), `SlotResult`
-//! (journal records), `CampaignResult` (stored runs), `MetricsSummary`
-//! (`faultbench campaign --out`) and `StopRecord` (durable early-stop
-//! decisions).
+//! (journal records), `CampaignResult` (stored runs) and `MetricsSummary`
+//! (`faultbench campaign --out`).
 //!
 //! The store's whole value is that artifacts written by one build are
 //! readable by the next of the same schema. Any rename, reorder, type
@@ -17,11 +16,9 @@
 //! ```
 
 use depbench::{
-    aggregate_metrics, AvailabilityMetrics, CampaignResult, ConvergenceConfig,
-    DependabilityMetrics, MetricsSummary, QuarantinedSlot, RequestCounts, SlotActivation,
-    SlotError, SlotResult, WatchdogCounts,
+    aggregate_metrics, AvailabilityMetrics, CampaignResult, DependabilityMetrics, MetricsSummary,
+    QuarantinedSlot, RequestCounts, SlotActivation, SlotError, SlotResult, WatchdogCounts,
 };
-use faultstore::StopRecord;
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use simos::Edition;
@@ -35,7 +32,6 @@ struct Golden {
     slot_result: SlotResult,
     campaign_result: CampaignResult,
     metrics_summary: MetricsSummary,
-    stop_record: StopRecord,
 }
 
 fn measures() -> IntervalMeasures {
@@ -122,27 +118,11 @@ fn golden() -> Golden {
         iteration_metrics(15, 179.8, 134),
     ])
     .expect("two iterations aggregate");
-    let stop_record = StopRecord {
-        schema: faultstore::JOURNAL_SCHEMA,
-        edition: "nimbus-2000".to_string(),
-        server: "wren".to_string(),
-        config_hash: 0xfeed_beef_cafe_0042,
-        faultload_fingerprint: 0x1234_5678_9abc_def0,
-        faultload_hash: 0x0bad_f00d_dead_5eed,
-        convergence: ConvergenceConfig {
-            target_halfwidth_pct: 5.0,
-            min_iters: 2,
-            max_iters: 8,
-        },
-        stopped_at: 2,
-        converged: true,
-    };
     Golden {
         faultload,
         slot_result,
         campaign_result,
         metrics_summary,
-        stop_record,
     }
 }
 

@@ -6,7 +6,7 @@
 //! the `serde` crate docs (cases E-01 to E-08). This test
 //!
 //! * pins one row per artifact type (faultload, journal header, slot
-//!   record, stored run, stop record, pack) and error class, with the exact
+//!   record, stored run, pack) and error class, with the exact
 //!   text, or `Accepted` where the class cannot occur for that type;
 //! * mutates golden artifacts byte by byte and token by token: no mutant
 //!   panics, an accepted one writes and re-reads to the same bytes, and a
@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 use depbench::{
     Campaign, CampaignConfig, CampaignResult, IntervalConfig, MetricsSummary, SlotError, SlotResult,
 };
-use faultstore::{FaultStore, JournalHeader, StopRecord};
+use faultstore::{FaultStore, JournalHeader};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
@@ -48,7 +48,6 @@ struct Golden {
     slot_result: SlotResult,
     campaign_result: CampaignResult,
     metrics_summary: MetricsSummary,
-    stop_record: StopRecord,
 }
 
 /// A journal line after the header, declared as `journal.rs` declares it.
@@ -70,7 +69,6 @@ enum Kind {
     SlotResult,
     CampaignResult,
     MetricsSummary,
-    StopRecord,
     FaultPack,
 }
 
@@ -111,7 +109,6 @@ fn check(kind: Kind, doc: &str) -> Outcome {
         Kind::SlotResult => read::<SlotResult>(doc),
         Kind::CampaignResult => read::<CampaignResult>(doc),
         Kind::MetricsSummary => read::<MetricsSummary>(doc),
-        Kind::StopRecord => read::<StopRecord>(doc),
         Kind::FaultPack => read::<FaultPack>(doc),
     }
 }
@@ -264,13 +261,12 @@ enum Expect {
 fn contract_rows() -> Vec<(Kind, Class, String, Expect)> {
     use Class::*;
     use Expect::*;
-    use Kind::{CampaignResult as Run, FaultPack as Pack, Faultload as Load, JournalHeader as Head, SlotRecord as Slot, StopRecord as Stop};
+    use Kind::{CampaignResult as Run, FaultPack as Pack, Faultload as Load, JournalHeader as Head, SlotRecord as Slot};
     let load = r#"{"target":"os","fingerprint":1,"faults":[]}"#;
     let fault = r#"{"target":"os","fingerprint":1,"faults":[{"id":"MFC@f+1","fault_type":"Mfc","func":"f","site":1,"patches":[],"note":"n"}]}"#;
     let head = r#"{"schema":2,"edition":"nimbus-2000","server":"wren","iteration":0,"config_hash":1,"faultload_fingerprint":2,"faultload_hash":3,"fault_count":4}"#;
     let slot = r#"{"slot":1,"quarantined":{"Panicked":{"message":"boom"}}}"#;
     let run = &serde_json::to_string(&golden().campaign_result).unwrap();
-    let stop = &serde_json::to_string(&golden().stop_record).unwrap();
     let pack = r#"{"name":"p","version":"1","operators":[{"id":"X","fault-type":"Mfc","pattern":"and-chain-clause","mutation":"flip-comparison","note":"n"}]}"#;
     // `doc` with `entry` as its first key and value.
     let first = |doc: &str, entry: &str| format!("{{{entry},{}", &doc[1..]);
@@ -317,16 +313,6 @@ fn contract_rows() -> Vec<(Kind, Class, String, Expect)> {
         (Run, UnknownVariant, edit(run, "Nimbus2000", "Nimbus3000"), Rejected("unknown Edition variant `Nimbus3000` (expected one of: Nimbus2000, NimbusXp)")),
         (Run, OutOfRange, edit(run, r#""server""#, r#""zz":1e400,"server""#), Rejected("number out of range at byte 29")),
 
-        (Stop, Syntax, edit(stop, r#""stopped_at":2"#, r#""stopped_at":02"#), Rejected("bad number `02` at byte 251")),
-        (Stop, TooDeep, deep(stop), Rejected("recursion limit exceeded at byte 136")),
-        (Stop, TrailingInput, trailing(stop), Rejected("trailing input at byte 271")),
-        (Stop, WrongType, edit(stop, r#""converged":true"#, r#""converged":1"#), Rejected("expected bool, got integer")),
-        (Stop, UnknownField, zz(stop), Accepted),
-        (Stop, MissingField, edit(stop, r#""stopped_at":2,"#, ""), Rejected("missing field `stopped_at` in StopRecord")),
-        // As in the journal header, the edition is a plain string.
-        (Stop, UnknownVariant, edit(stop, "nimbus-2000", "nimbus-3000"), Accepted),
-        (Stop, OutOfRange, edit(stop, r#""stopped_at":2"#, r#""stopped_at":-1"#), Rejected("-1 out of range")),
-
         (Pack, Syntax, edit(pack, r#""p""#, r#""p\q""#), Rejected("unknown escape `\\q` at byte 10")),
         // A pack denies unknown keys; a repeated known key is skipped.
         (Pack, TooDeep, edit(pack, r#""operators""#, &format!(r#""name":{},"operators""#, nest(129))), Rejected("recursion limit exceeded at byte 160")),
@@ -342,7 +328,7 @@ fn contract_rows() -> Vec<(Kind, Class, String, Expect)> {
 #[test]
 fn every_artifact_type_meets_every_contract_row() {
     let rows = contract_rows();
-    assert_eq!(rows.len(), 6 * CONTRACT.len());
+    assert_eq!(rows.len(), 5 * CONTRACT.len());
     let mut failures = Vec::new();
     for (kind, class, doc, expect) in rows {
         let (got, _) = check(kind, &doc);
@@ -416,7 +402,6 @@ fn seeds() -> &'static [(Kind, String)] {
             (Kind::SlotResult, pretty(&golden.slot_result)),
             (Kind::CampaignResult, pretty(&golden.campaign_result)),
             (Kind::MetricsSummary, pretty(&golden.metrics_summary)),
-            (Kind::StopRecord, pretty(&golden.stop_record)),
             (Kind::FaultPack, repo_file("packs/odc-classic.json")),
             (Kind::FaultPack, repo_file("packs/chain-cleanup.json")),
         ];

@@ -10,9 +10,7 @@
 //! * [`bootstrap_ratio_ci`] — a percentile-bootstrap 95 % CI for
 //!   ratio-of-sums metrics (ER%f, availability, activation rate), where a
 //!   t interval on the per-iteration percentages would weight a 10-request
-//!   iteration the same as a 10 000-request one;
-//! * [`ConvergenceConfig`] — the early-stop rule: keep running iterations
-//!   until every tier-1 metric's CI half-width falls below a target.
+//!   iteration the same as a 10 000-request one.
 //!
 //! The streaming moments behind the intervals are [`simkit::OnlineStats`]
 //! (its sample variance), the workspace's one mean/variance accumulator.
@@ -24,8 +22,8 @@
 //! [`simkit::SimRng`] seeded by the caller (conventionally
 //! [`BOOTSTRAP_SEED`], offset per metric) — there is no clock, no OS
 //! entropy, no thread dependence, so the same samples always yield the
-//! same interval, bit for bit. That is what lets a resumed campaign replay
-//! a journaled stop decision byte-identically.
+//! same interval, bit for bit. That is what lets a resumed campaign print
+//! the same `±` cells as an uninterrupted one.
 
 use serde::{Deserialize, Serialize};
 use simkit::{OnlineStats, SimRng};
@@ -153,52 +151,6 @@ pub fn bootstrap_ratio_ci(
         mean: point,
         half_width: (point - lo).max(hi - point).max(0.0),
     })
-}
-
-/// The convergence-based early-stop rule for iterated campaigns: run at
-/// least `min_iters`, at most `max_iters`, and stop as soon as every
-/// tier-1 metric's 95 % CI half-width is below `target_halfwidth_pct` —
-/// *relative* to the mean for magnitude metrics (SPCf, THRf, RTMf),
-/// *absolute* percentage points for metrics already on a 0–100 scale
-/// (ER%f), where a relative rule would blow up near zero.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceConfig {
-    /// The target, as a percentage: relative half-width for magnitude
-    /// metrics, percentage points for percent metrics.
-    pub target_halfwidth_pct: f64,
-    /// Never stop before this many iterations (a CI needs at least 2).
-    pub min_iters: u64,
-    /// Hard iteration ceiling, converged or not.
-    pub max_iters: u64,
-}
-
-impl Default for ConvergenceConfig {
-    fn default() -> ConvergenceConfig {
-        ConvergenceConfig {
-            target_halfwidth_pct: 5.0,
-            min_iters: 2,
-            max_iters: 8,
-        }
-    }
-}
-
-impl ConvergenceConfig {
-    /// Whether a magnitude metric's CI is tight enough: half-width within
-    /// `target_halfwidth_pct` percent of `|mean|`. A missing CI never
-    /// converges; a zero half-width always does.
-    pub fn relative_ok(&self, ci: Option<&Ci>) -> bool {
-        match ci {
-            Some(ci) if ci.half_width == 0.0 => true,
-            Some(ci) => ci.half_width <= self.target_halfwidth_pct / 100.0 * ci.mean.abs(),
-            None => false,
-        }
-    }
-
-    /// Whether a percent-scale metric's CI is tight enough: half-width
-    /// within `target_halfwidth_pct` percentage points.
-    pub fn absolute_ok(&self, ci: Option<&Ci>) -> bool {
-        ci.is_some_and(|ci| ci.half_width <= self.target_halfwidth_pct)
-    }
 }
 
 #[cfg(test)]
@@ -355,45 +307,6 @@ mod tests {
         let ci = bootstrap_ratio_ci(&pairs, 100.0, BOOTSTRAP_SEED, 300).unwrap();
         assert!(ci.half_width > 0.0);
         assert!(ci.lo() <= ci.mean && ci.mean <= ci.hi());
-    }
-
-    #[test]
-    fn convergence_rules() {
-        let conv = ConvergenceConfig {
-            target_halfwidth_pct: 10.0,
-            min_iters: 2,
-            max_iters: 8,
-        };
-        let tight = Ci {
-            mean: 100.0,
-            half_width: 5.0,
-        };
-        let loose = Ci {
-            mean: 100.0,
-            half_width: 25.0,
-        };
-        assert!(conv.relative_ok(Some(&tight)));
-        assert!(!conv.relative_ok(Some(&loose)));
-        assert!(!conv.relative_ok(None));
-        // Zero half-width converges even at zero mean.
-        assert!(conv.relative_ok(Some(&Ci {
-            mean: 0.0,
-            half_width: 0.0,
-        })));
-        assert!(!conv.relative_ok(Some(&Ci {
-            mean: 0.0,
-            half_width: 0.1,
-        })));
-        // Absolute rule: percentage points, not relative.
-        assert!(conv.absolute_ok(Some(&Ci {
-            mean: 0.0,
-            half_width: 8.0,
-        })));
-        assert!(!conv.absolute_ok(Some(&Ci {
-            mean: 50.0,
-            half_width: 12.0,
-        })));
-        assert!(!conv.absolute_ok(None));
     }
 
     #[test]
