@@ -33,12 +33,10 @@ use swfit_core::Scanner;
 use webserver::ServerKind;
 
 fn main() {
-    // `--store` caches the fault map only. The three faultloads run at
-    // iteration 0 of one (edition, server) pair, so they would share one
-    // journal path: this short regenerator does not journal or resume.
-    let cli =
-        CliArgs::parse("--limit --jobs --seed --store --chaos-seed --chaos-profile --trace-dir");
-    let store = cli.open_store().expect("store opens");
+    // The three faultloads run at iteration 0 of one (edition, server)
+    // pair, so they would share one journal path: this short regenerator
+    // does not journal or resume.
+    let cli = CliArgs::parse("--limit --jobs --seed --trace-dir");
     let edition = Edition::Nimbus2000;
     let os = Os::boot(edition).expect("boots");
     let api: Vec<String> = OsApi::TABLE2
@@ -59,13 +57,7 @@ fn main() {
     .map(ToString::to_string)
     .collect();
 
-    let whole = bench::scan(
-        store.as_ref(),
-        &Scanner::standard(),
-        os.program().image(),
-        None,
-    )
-    .expect("fault-map cache is readable");
+    let whole = Scanner::standard().scan_image(os.program().image());
     let n = cli.limit.unwrap_or(100);
 
     let profiled = whole.restrict_to_functions(&api).sample(n);

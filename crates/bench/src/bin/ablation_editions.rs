@@ -41,8 +41,8 @@ fn exercise(os: &mut Os) {
 type EditionData = (Edition, Vec<(String, u64)>, swfit_core::Faultload);
 
 fn main() {
-    let cli = bench::cli::CliArgs::parse("--store --chaos-seed --chaos-profile");
-    let store = cli.open_store().expect("store opens");
+    // Reads no flags: any `--flag` is a usage error.
+    bench::cli::CliArgs::parse("");
     let mut data: Vec<EditionData> = Vec::new();
     for edition in Edition::ALL {
         let mut os = Os::boot(edition).expect("boots");
@@ -50,13 +50,7 @@ fn main() {
         os.enable_cost_profiling();
         exercise(&mut os);
         let costs = os.function_costs();
-        let faults = bench::scan(
-            store.as_ref(),
-            &Scanner::standard(),
-            os.program().image(),
-            None,
-        )
-        .expect("fault-map cache is readable");
+        let faults = Scanner::standard().scan_image(os.program().image());
         data.push((edition, costs, faults));
     }
 

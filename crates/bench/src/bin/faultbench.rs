@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! faultbench scan <edition> [--all] [--faultload FILE] [--pack FILE]…
-//!            [--limit N] [--out FILE] [--store DIR] [--chaos-seed N]
-//!            [--chaos-profile P]
+//!            [--limit N] [--out FILE]
 //! faultbench profile <edition>                     run the profiling phase
 //! faultbench campaign <edition> <server> [--faultload FILE] [--pack FILE]…
 //!            [--iters N] [--jobs N] [--seed N] [--limit N] [--out FILE]
@@ -11,13 +10,11 @@
 //!            [--trace-dir D] [--chaos-seed N] [--chaos-profile P]
 //!            [--slot-budget-ms N]
 //! faultbench recovery <edition> <server> [--faultload FILE] [--pack FILE]…
-//!            [--limit N] [--jobs N] [--seed N] [--store DIR] [--chaos-seed N]
-//!            [--chaos-profile P] [--trace] [--trace-dir D]
+//!            [--limit N] [--jobs N] [--seed N] [--trace] [--trace-dir D]
 //!            [--slot-budget-ms N]                 compare recovery policies
 //! faultbench trace <edition> <server> --slot K [--faultload FILE]
 //!            [--pack FILE]… [--limit N] [--iteration N] [--seed N]
-//!            [--out DIR] [--store DIR] [--chaos-seed N] [--chaos-profile P]
-//!                                                  replay one slot with the
+//!            [--out DIR]                           replay one slot with the
 //!                                                  flight recorder on
 //! faultbench diff <runA> <runB> --store DIR        compare two stored runs
 //! faultbench accuracy <edition> [--pack FILE]…     score the scanner
@@ -43,14 +40,16 @@
 //! an exit code, for CI floors.
 //!
 //! `scan`, `campaign`, `recovery` and `trace` share one faultload source:
-//! `--faultload FILE` when given, otherwise a scan of the edition's API
-//! functions (`scan --all`: the whole image); `--limit N` then samples it
-//! evenly down to at most N faults.
+//! `--faultload FILE` when given, otherwise a fresh scan of the edition's
+//! API functions (`scan --all`: the whole image); `--limit N` then samples
+//! it evenly down to at most N faults. Only `campaign` and `diff` read
+//! `--store`: it holds campaign journals and named runs.
 //!
 //! `campaign` runs its iterations (default 1) through
 //! `bench::campaign::run_iterations`, the driver `table5` and `figure5` use:
 //! a fixed `--iters N`, journaled with `--store` so that `--resume`
-//! completes a crashed run byte-identically. Multi-iteration tables close
+//! completes a crashed run byte-identically; a `--save` name is checked
+//! before any work starts. Multi-iteration tables close
 //! with an `average` row carrying `± half-width` cells, `--out` saves the
 //! full `MetricsSummary` (mean, CIs, per-iteration metrics), and `--save
 //! NAME` stores each iteration's result for `diff`. With `--trace`, `campaign` and `recovery`
@@ -71,10 +70,10 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use bench::campaign::{print_activation, print_activations, run_iterations, warn_quarantined};
-use bench::cli::{check_flags, value_of, values_of, CliArgs, SHARED_FLAGS};
+use bench::cli::{check_flags, exit_code, value_of, values_of, CliArgs, SHARED_FLAGS};
 use depbench::report::{f, or_na, pct, pm, TextTable};
 use depbench::{Campaign, CampaignConfig, RecoveryPolicy};
-use faultstore::{diff_runs, FaultStore, StoreError};
+use faultstore::{diff_runs, StoreError};
 use simos::{Edition, Os, OsApi};
 use swfit_core::pack::{self, FaultPack, PackRef};
 use swfit_core::{accuracy, Faultload, Scanner};
@@ -100,13 +99,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("faultbench: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("faultbench", result)
 }
 
 fn parse_edition(s: Option<&String>) -> Result<Edition, String> {
@@ -164,13 +157,12 @@ fn mttr_ms(a: &depbench::AvailabilityMetrics) -> String {
 /// The faultload every subcommand that injects or reports faults works on:
 /// read from `--faultload FILE` when given, otherwise scanned from the
 /// booted edition — its API functions, or the whole image when
-/// `whole_image` — with the `--pack` library, served from the store's
-/// fault-map cache when one is open. Then sampled down to `--limit`.
+/// `whole_image` — with the `--pack` library. Then sampled down to
+/// `--limit`.
 fn load_faultload(
     args: &[String],
     cli: &CliArgs,
     edition: Edition,
-    store: Option<&FaultStore>,
     whole_image: bool,
 ) -> Result<Faultload, String> {
     let faultload = match value_of(args, "--faultload")? {
@@ -180,10 +172,12 @@ fn load_faultload(
         }
         None => {
             let os = Os::boot(edition)?;
-            let api = OsApi::symbols();
-            let funcs = (!whole_image).then_some(api.as_slice());
-            bench::scan(store, &build_scanner(args)?, os.program().image(), funcs)
-                .map_err(|e| e.to_string())?
+            let scanner = build_scanner(args)?;
+            if whole_image {
+                scanner.scan_image(os.program().image())
+            } else {
+                scanner.scan_functions(os.program().image(), &OsApi::symbols())
+            }
         }
     };
     // An unset --limit keeps every fault (`usize::MAX` is no cap).
@@ -192,14 +186,10 @@ fn load_faultload(
 
 fn cmd_scan(args: &[String]) -> Result<(), String> {
     let edition = parse_edition(args.first())?;
-    let cli = CliArgs::from_slice(
-        args,
-        "--all --faultload --pack --limit --out --store --chaos-seed --chaos-profile",
-    )?;
+    let cli = CliArgs::from_slice(args, "--all --faultload --pack --limit --out")?;
     let out = value_of(args, "--out")?;
-    let store = cli.open_store()?;
     let whole_image = args.iter().any(|a| a == "--all");
-    let faultload = load_faultload(args, &cli, edition, store.as_ref(), whole_image)?;
+    let faultload = load_faultload(args, &cli, edition, whole_image)?;
     eprintln!("{}: {} faults", edition, faultload.len());
     for (t, n) in faultload.counts_by_type() {
         eprintln!("  {t:5} {n}");
@@ -254,10 +244,14 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let cli = CliArgs::from_slice(args, &reads)?;
     let (save, out) = (value_of(args, "--save")?, value_of(args, "--out")?);
     let store = cli.open_store()?;
-    if store.is_none() && save.is_some() {
-        return Err("--save needs --store DIR (runs are stored in the store)".into());
+    if let Some(name) = save {
+        let store = store
+            .as_ref()
+            .ok_or("--save needs --store DIR (runs are stored in the store)")?;
+        // Refuse an unstorable name before the campaign runs, not after.
+        store.run_path(name).map_err(|e| e.to_string())?;
     }
-    let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
+    let faultload = load_faultload(args, &cli, edition, false)?;
     // The report's heading, on stdout with the tables below it: stderr
     // stays for notices and errors, so a refused resume is one line there.
     println!(
@@ -365,11 +359,9 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
     let server = parse_server(args.get(1))?;
     let cli = CliArgs::from_slice(
         args,
-        "--faultload --pack --limit --jobs --seed --store --chaos-seed --chaos-profile \
-         --trace --trace-dir --slot-budget-ms",
+        "--faultload --pack --limit --jobs --seed --trace --trace-dir --slot-budget-ms",
     )?;
-    let store = cli.open_store()?;
-    let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
+    let faultload = load_faultload(args, &cli, edition, false)?;
     eprintln!(
         "recovery comparison: {edition} / {server}, {} faults per policy, {} job(s)",
         faultload.len(),
@@ -395,7 +387,7 @@ fn cmd_recovery(args: &[String]) -> Result<(), String> {
         let res = campaign
             .run_injection(&faultload, 0)
             .map_err(|e| e.to_string())?;
-        warn_quarantined(&res);
+        warn_quarantined(&res, "");
         let a = &res.availability;
         table.row([
             name.to_string(),
@@ -424,10 +416,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let server = parse_server(args.get(1))?;
     let cli = CliArgs::from_slice(
         args,
-        "--slot --iteration --out --faultload --pack --limit --seed --store --chaos-seed \
-         --chaos-profile",
+        "--slot --iteration --out --faultload --pack --limit --seed",
     )?;
-    let store = cli.open_store()?;
     let slot: usize = value_of(args, "--slot")?
         .ok_or("trace needs --slot K (which faultload slot to replay)")?
         .parse()
@@ -437,7 +427,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(0);
     let dir = value_of(args, "--out")?.map_or_else(|| ".".into(), std::path::PathBuf::from);
-    let faultload = load_faultload(args, &cli, edition, store.as_ref(), false)?;
+    let faultload = load_faultload(args, &cli, edition, false)?;
     let campaign = Campaign::new(edition, server, cli.config());
     let (result, trace) = campaign
         .trace_slot(&faultload, iteration, slot)

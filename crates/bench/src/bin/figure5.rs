@@ -3,8 +3,10 @@
 //! plotting. The figure shows, per OS edition: SPC (baseline vs faulty),
 //! THR (baseline vs faulty), RTM, ER% and ADMf.
 
+use std::process::ExitCode;
+
 use bench::campaign::{print_activations, run_iterations};
-use bench::cli::{CliArgs, SHARED_FLAGS};
+use bench::cli::{exit_code, CliArgs, SHARED_FLAGS};
 use bench::tuned_faultload;
 use depbench::report::{bar, f};
 use depbench::{Campaign, DependabilityMetrics, MetricsSummary};
@@ -17,19 +19,19 @@ struct Series {
     summary: MetricsSummary,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = CliArgs::parse(SHARED_FLAGS);
-    let store = cli.open_store().expect("store opens");
-    let mut series: Vec<Series> = Vec::new();
+    exit_code("figure5", run(&cli))
+}
 
+fn run(cli: &CliArgs) -> Result<(), String> {
+    let store = cli.open_store()?;
+    let mut series: Vec<Series> = Vec::new();
     for edition in Edition::ALL {
-        let faultload =
-            tuned_faultload(edition, store.as_ref()).sample(cli.limit.unwrap_or(usize::MAX));
+        let faultload = tuned_faultload(edition).sample(cli.limit.unwrap_or(usize::MAX));
         for kind in ServerKind::BENCHMARKED {
             let campaign = cli.instrument(Campaign::new(edition, kind, cli.config()));
-            let summary = run_iterations(&cli, store.as_ref(), &campaign, &faultload, 3, None)
-                .expect("injection campaign runs")
-                .1;
+            let summary = run_iterations(cli, store.as_ref(), &campaign, &faultload, 3, None)?.1;
             series.push(Series {
                 edition,
                 kind,
@@ -108,4 +110,5 @@ fn main() {
     for s in &series {
         print_activations(&format!("{}/{} ", s.edition, s.kind), &s.summary);
     }
+    Ok(())
 }

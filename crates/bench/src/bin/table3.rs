@@ -9,8 +9,7 @@ use simos::Edition;
 use swfit_core::FaultType;
 
 fn main() {
-    let cli = CliArgs::parse("--limit --store --chaos-seed --chaos-profile");
-    let store = cli.open_store().expect("store opens");
+    let cli = CliArgs::parse("--limit");
     let mut header: Vec<String> = vec!["OS edition".into()];
     header.extend(FaultType::ALL.iter().map(|t| t.acronym().to_string()));
     header.push("Total".into());
@@ -18,7 +17,7 @@ fn main() {
 
     let mut totals = Vec::new();
     for edition in Edition::ALL {
-        let fl = tuned_faultload(edition, store.as_ref()).sample(cli.limit.unwrap_or(usize::MAX));
+        let fl = tuned_faultload(edition).sample(cli.limit.unwrap_or(usize::MAX));
         let counts = fl.counts_by_type();
         let mut cells = vec![format!("{} ({})", edition, edition.paper_analogue())];
         cells.extend(FaultType::ALL.iter().map(|t| counts[t].to_string()));

@@ -7,21 +7,25 @@
 //! faults per faultload, M iterations instead of 3), and `--trace` adds
 //! activation tables.
 
+use std::process::ExitCode;
+
 use bench::campaign::{print_activations, run_iterations};
-use bench::cli::{CliArgs, SHARED_FLAGS};
+use bench::cli::{exit_code, CliArgs, SHARED_FLAGS};
 use bench::tuned_faultload;
 use depbench::report::{f, or_na, pm, TextTable};
 use depbench::Campaign;
 use simos::Edition;
 use webserver::ServerKind;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = CliArgs::parse(SHARED_FLAGS);
-    let store = cli.open_store().expect("store opens");
+    exit_code("table5", run(&cli))
+}
 
+fn run(cli: &CliArgs) -> Result<(), String> {
+    let store = cli.open_store()?;
     for edition in Edition::ALL {
-        let faultload =
-            tuned_faultload(edition, store.as_ref()).sample(cli.limit.unwrap_or(usize::MAX));
+        let faultload = tuned_faultload(edition).sample(cli.limit.unwrap_or(usize::MAX));
         println!(
             "=== {} ({}) — faultload: {} faults ===\n",
             edition,
@@ -31,8 +35,7 @@ fn main() {
         for kind in ServerKind::BENCHMARKED {
             let campaign = cli.instrument(Campaign::new(edition, kind, cli.config()));
             let (baseline, summary) =
-                run_iterations(&cli, store.as_ref(), &campaign, &faultload, 3, None)
-                    .expect("injection campaign runs");
+                run_iterations(cli, store.as_ref(), &campaign, &faultload, 3, None)?;
             let mut table = TextTable::new([
                 "Run", "SPC", "THR", "RTM", "ER%", "MIS", "KCP", "KNS", "ADMf",
             ]);
@@ -86,4 +89,5 @@ fn main() {
     println!("Shape checks (paper Table 5): the Heron/Apache column should show");
     println!("higher SPCf and THRf, lower ER%f, lower MIS and lower ADMf than");
     println!("Wren/Abyss, with the same ordering on both OS editions.");
+    Ok(())
 }

@@ -51,7 +51,10 @@ pub fn run_iterations(
             let path = s.save_run(&run_name, &res).map_err(|e| e.to_string())?;
             eprintln!("saved run `{run_name}` -> {}", path.display());
         }
-        warn_quarantined(&res);
+        warn_quarantined(
+            &res,
+            "; re-run with --store DIR --resume to re-attempt only those slots",
+        );
         if res.degraded {
             eprintln!(
                 "note: iteration {it} ran degraded — the store hit a persistent \
@@ -65,8 +68,10 @@ pub fn run_iterations(
     Ok((baseline.expect("an iteration ran"), summary))
 }
 
-/// Warns on stderr about `res`'s quarantined slots, if it has any.
-pub fn warn_quarantined(res: &CampaignResult) {
+/// Warns on stderr about `res`'s quarantined slots, if it has any, ending
+/// the line with `hint`: the resume hint from [`run_iterations`], which
+/// journals, and nothing from a command that cannot resume.
+pub fn warn_quarantined(res: &CampaignResult, hint: &str) {
     if res.quarantined.is_empty() {
         return;
     }
@@ -76,8 +81,7 @@ pub fn warn_quarantined(res: &CampaignResult) {
         .map(|q| format!("#{} ({})", q.slot, q.fault_id))
         .collect();
     eprintln!(
-        "warning: {} slot(s) quarantined (panicked or timed out): {}; \
-         re-run with --store DIR --resume to re-attempt only those slots",
+        "warning: {} slot(s) quarantined (panicked or timed out): {}{hint}",
         res.quarantined.len(),
         slots.join(", ")
     );

@@ -14,8 +14,9 @@
 //!                with a warning
 //! --limit N      evenly sample each faultload down to at most N faults
 //!                (N > 0; quick runs and CI smoke tests)
-//! --store DIR    persistent fault store: scans are served from the
-//!                content-addressed cache, campaigns are journaled
+//! --store DIR    persistent fault store: campaigns are journaled there
+//!                and named runs saved (commands that journal, and
+//!                `faultbench diff`)
 //! --resume       resume interrupted campaigns from the store's journal
 //!                (requires --store)
 //! --trace        enable the per-slot flight recorder: slots record
@@ -35,8 +36,10 @@
 //!
 //! A command reads its own extra flags (`--out`, `--faultload`, …) with
 //! [`value_of`], so a flag given without its value is an error everywhere,
-//! never silently dropped.
+//! never silently dropped. A command that fails after its flags parsed
+//! reports it through [`exit_code`]: one stderr line, exit 1.
 
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use depbench::{Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult, TraceConfig};
@@ -257,6 +260,18 @@ impl CliArgs {
             None => campaign
                 .run_injection(faultload, iteration)
                 .map_err(|e| e.to_string()),
+        }
+    }
+}
+
+/// The exit status of command `bin` that finished with `result`: success,
+/// or the error as one stderr line (`bin: error`) and exit 1.
+pub fn exit_code(bin: &str, result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{bin}: {e}");
+            ExitCode::FAILURE
         }
     }
 }

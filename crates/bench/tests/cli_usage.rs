@@ -3,7 +3,9 @@
 //! before any work starts, never silently dropped, a malformed `perfgate`
 //! flag is a usage error, not a panic, a pathologically nested pack or
 //! faultload file is a one-line error, not a stack overflow, and so are a
-//! faultload with no fingerprint and an out-of-range `trace --slot`.
+//! faultload with no fingerprint, an out-of-range `trace --slot`, a store
+//! `table5`/`figure5` cannot open or resume, and an unstorable `--save`
+//! name (refused before the campaign runs).
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -64,9 +66,15 @@ fn every_command_rejects_the_flags_it_never_reads() {
     let (dir, file) = (dir.to_str().unwrap(), file.to_str().unwrap());
     // (binary, arguments, the unread flag). Each row would otherwise run
     // cheaply, so a command that ignored the flag fails fast, not slowly.
-    let rows: [(&str, &[&str], &str); 17] = [
+    let rows: [(&str, &[&str], &str); 19] = [
         (env!("CARGO_BIN_EXE_table1"), &["--jobs", "2"], "--jobs"),
         (env!("CARGO_BIN_EXE_table2"), &["--store", dir], "--store"),
+        (
+            env!("CARGO_BIN_EXE_table3"),
+            // it scans, and scans are not stored
+            &["--limit", "5", "--store", dir],
+            "--store",
+        ),
         (
             env!("CARGO_BIN_EXE_table4"),
             &["--jbos", "2"], // a typo
@@ -90,7 +98,7 @@ fn every_command_rejects_the_flags_it_never_reads() {
         (
             env!("CARGO_BIN_EXE_ablation_activation"),
             // its faultloads would share one journal, so it never journals
-            &["--limit", "2", "--store", dir, "--resume"],
+            &["--limit", "2", "--resume"],
             "--resume",
         ),
         (
@@ -110,6 +118,11 @@ fn every_command_rejects_the_flags_it_never_reads() {
         ),
         (
             env!("CARGO_BIN_EXE_faultbench"),
+            &["scan", "nimbus-2000", "--store", dir, "--out", file],
+            "--store",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
             // recovery never journals, so it cannot resume
             &[
                 "recovery",
@@ -117,8 +130,6 @@ fn every_command_rejects_the_flags_it_never_reads() {
                 "wren",
                 "--limit",
                 "2",
-                "--store",
-                dir,
                 "--resume",
             ],
             "--resume",
@@ -293,4 +304,98 @@ fn an_out_of_range_trace_slot_is_a_one_line_error() {
         stderr,
         "faultbench: slot 999 is out of range: the faultload has 5 faults\n"
     );
+}
+
+/// Asserts `out` is one stderr line starting `{bin}: ` and containing
+/// `want`, with exit 1: a runtime error, not a panic.
+fn assert_one_line_error(out: &Output, bin: &str, want: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with(&format!("{bin}: ")), "{stderr}");
+    assert!(stderr.contains(want), "{stderr}");
+}
+
+#[test]
+fn table5_and_figure5_report_store_errors_in_one_line() {
+    // A store under a file cannot be created.
+    let out = run(
+        env!("CARGO_BIN_EXE_table5"),
+        &["--store", "/dev/null/x", "--limit", "2", "--iters", "1"],
+    );
+    assert_one_line_error(&out, "table5", "store I/O error");
+
+    // A journal of another schema refuses `--resume`. figure5's first
+    // campaign is nimbus-2000 / heron, iteration 0.
+    let store = std::env::temp_dir().join(format!("figure5-schema1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let dir = store.to_str().unwrap();
+    let made = run(
+        env!("CARGO_BIN_EXE_faultbench"),
+        &[
+            "campaign",
+            "nimbus-2000",
+            "heron",
+            "--limit",
+            "2",
+            "--store",
+            dir,
+        ],
+    );
+    assert!(made.status.success(), "{made:?}");
+    let journal = store.join("journals/nimbus-2000-heron-it0.jsonl");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.starts_with("{\"schema\":2,"), "{text}");
+    std::fs::write(&journal, text.replacen("\"schema\":2,", "\"schema\":1,", 1)).unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_figure5"),
+        &["--store", dir, "--resume", "--limit", "2", "--iters", "1"],
+    );
+    assert_one_line_error(&out, "figure5", "journal written with schema 1");
+    std::fs::remove_dir_all(&store).unwrap();
+}
+
+#[test]
+fn an_unstorable_save_name_is_refused_before_the_campaign_runs() {
+    let store = std::env::temp_dir().join(format!("bad-save-name-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let args = [
+        "campaign",
+        "nimbus-2000",
+        "wren",
+        "--limit",
+        "2",
+        "--store",
+        store.to_str().unwrap(),
+        "--save",
+        "bad/name",
+    ];
+    let out = run(env!("CARGO_BIN_EXE_faultbench"), &args);
+    assert_one_line_error(&out, "faultbench", "run name `bad/name` is not storable");
+    assert!(out.stdout.is_empty(), "the campaign started");
+    let journals = std::fs::read_dir(store.join("journals")).unwrap().count();
+    assert_eq!(journals, 0, "a refused command left a journal behind");
+    std::fs::remove_dir_all(&store).unwrap();
+}
+
+#[test]
+fn recovery_warns_of_quarantined_slots_without_a_resume_hint() {
+    // `recovery` never journals, so the quarantine warning must not point
+    // at `--resume`, a flag it rejects.
+    let out = run(
+        env!("CARGO_BIN_EXE_faultbench"),
+        &[
+            "recovery",
+            "nimbus-2000",
+            "wren",
+            "--limit",
+            "3",
+            "--slot-budget-ms",
+            "1",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("slot(s) quarantined"), "{stderr}");
+    assert!(!stderr.contains("--resume"), "{stderr}");
 }

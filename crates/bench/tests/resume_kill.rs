@@ -5,7 +5,8 @@
 //! This is the store's headline guarantee exercised through the real binary
 //! and a real kill — not a simulated truncation. It works because every
 //! slot's randomness derives from `(seed, iteration, slot)` and the journal
-//! fsyncs each completed slot in order, so "replay the journaled prefix and
+//! writes each completed slot in order before the campaign moves on
+//! (fsyncing them once per 32 records), so "replay the journaled prefix and
 //! execute the rest" reproduces the uninterrupted run exactly.
 
 use std::path::{Path, PathBuf};

@@ -285,7 +285,7 @@ pub struct PackOperator {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct FaultPack {
-    /// Pack name (used in provenance stamps and cache keys).
+    /// Pack name (used in provenance stamps and journal identities).
     pub name: String,
     /// Content version, bumped by pack authors on any change.
     pub version: String,
@@ -296,8 +296,8 @@ pub struct FaultPack {
     pub operators: Vec<PackOperator>,
 }
 
-/// Provenance of one pack: what a faultload / cache entry / campaign config
-/// records about the operator content that produced it.
+/// Provenance of one pack: what a faultload / campaign config records
+/// about the operator content that produced it.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PackRef {
     /// Pack name.
@@ -318,10 +318,9 @@ impl fmt::Display for PackRef {
     }
 }
 
-/// Stable hash of a set of pack provenance stamps, in order. Used by
-/// [`crate::Scanner::operator_set_hash`] and the faultstore's journal
-/// staleness check: two operator sets agree exactly when every pack's name,
-/// version *and content* agree.
+/// Stable hash of a set of pack provenance stamps, in order. Used by the
+/// faultstore's journal staleness check: two operator sets agree exactly
+/// when every pack's name, version *and content* agree.
 pub fn pack_set_hash(packs: &[PackRef]) -> u64 {
     let strs: Vec<String> = packs.iter().map(|p| p.to_string()).collect();
     simkit::hash::fnv1a_strs(&strs)
@@ -400,8 +399,8 @@ impl FaultPack {
 
     /// Content hash of the pack: FNV-1a over the canonical (compact JSON)
     /// serialization. Any change to any operator — a parameter, a note, the
-    /// order — changes the hash, which is what keys fault-map cache entries
-    /// and journal staleness checks.
+    /// order — changes the hash, which is what journal staleness checks
+    /// key on.
     pub fn content_hash(&self) -> u64 {
         let json = serde_json::to_string(self).expect("FaultPack serializes (plain data)");
         simkit::hash::fnv1a(json.as_bytes())
@@ -1078,8 +1077,8 @@ mod tests {
 
     #[test]
     fn bundled_pack_content_hashes_are_pinned() {
-        // These hashes key fault-map cache entries and journal staleness
-        // checks: a serializer change that moves them invalidates stores.
+        // These hashes key journal staleness checks: a serializer change
+        // that moves them makes every stored journal stale.
         assert_eq!(classic().content_hash(), 0x736b37ba94cfd090);
         let chain = FaultPack::load(
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../packs/chain-cleanup.json"),

@@ -173,23 +173,6 @@ impl Scanner {
         &self.packs
     }
 
-    /// Stable hash of the pack set alone (see [`pack::pack_set_hash`]).
-    pub fn pack_set_hash(&self) -> u64 {
-        pack::pack_set_hash(&self.packs)
-    }
-
-    /// Stable hash of the operator library — part of the persistent
-    /// fault-map cache key. Covers the operator ids in scan order *and*
-    /// the provenance (name, version, content hash) of every contributing
-    /// pack, so editing a single mutation inside a pack file — or bumping
-    /// its version — invalidates cached faultloads, not just adding or
-    /// reordering operators.
-    pub fn operator_set_hash(&self) -> u64 {
-        let mut strs: Vec<String> = self.operators.iter().map(|op| op.id().into()).collect();
-        strs.extend(self.packs.iter().map(|p| format!("pack:{p}")));
-        simkit::hash::fnv1a_strs(&strs)
-    }
-
     /// Scans every function of `image`.
     pub fn scan_image(&self, image: &CodeImage) -> Faultload {
         self.scan(image, None)
@@ -361,51 +344,6 @@ mod tests {
         let restricted = Scanner::standard().scan_functions(p.image(), &["beta".to_string()]);
         assert_eq!(restricted.fingerprint, p.image().fingerprint());
         assert_eq!(restricted.packs.len(), 1);
-    }
-
-    #[test]
-    fn operator_set_hash_tracks_library_content_and_order() {
-        let standard = Scanner::standard().operator_set_hash();
-        assert_eq!(
-            standard,
-            Scanner::standard().operator_set_hash(),
-            "hash is deterministic"
-        );
-        let single = Scanner::builder()
-            .operator(classic_op("MIFS"))
-            .build()
-            .unwrap()
-            .operator_set_hash();
-        assert_ne!(standard, single);
-        let ab = Scanner::builder()
-            .operator(classic_op("MVI"))
-            .operator(classic_op("MFC"))
-            .build()
-            .unwrap();
-        let ba = Scanner::builder()
-            .operator(classic_op("MFC"))
-            .operator(classic_op("MVI"))
-            .build()
-            .unwrap();
-        assert_ne!(ab.operator_set_hash(), ba.operator_set_hash());
-    }
-
-    #[test]
-    fn operator_set_hash_tracks_pack_content_and_version() {
-        let standard = Scanner::standard().operator_set_hash();
-        // Same operators, edited pack content (a note tweak): ids are all
-        // unchanged, but the hash must move — that is the cache-poisoning
-        // hole the pack content hash closes.
-        let mut edited = pack::classic().clone();
-        edited.operators[0].note.push('!');
-        let s = Scanner::builder().pack(edited).build().unwrap();
-        assert_ne!(s.operator_set_hash(), standard);
-        // A version bump alone must move it too.
-        let mut bumped = pack::classic().clone();
-        bumped.version = "1.0.1-local".into();
-        let s = Scanner::builder().pack(bumped).build().unwrap();
-        assert_ne!(s.operator_set_hash(), standard);
-        assert_ne!(s.pack_set_hash(), Scanner::standard().pack_set_hash());
     }
 
     #[test]

@@ -380,7 +380,7 @@ pub struct CampaignResult {
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub quarantined: Vec<QuarantinedSlot>,
     /// `true` when the harness hit a persistent environment fault mid-run
-    /// (journal or cache unavailable) and fell back to degraded, less
+    /// (journal unavailable) and fell back to degraded, less
     /// durable operation. The measures themselves are unaffected — this is
     /// a provenance stamp, omitted from JSON on healthy runs.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]

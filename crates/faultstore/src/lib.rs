@@ -1,19 +1,14 @@
 //! `faultstore` — the persistence layer that turns the injector into a
-//! benchmark *platform*: durable faultloads, crash-safe campaigns,
-//! comparable runs.
+//! benchmark *platform*: crash-safe campaigns and comparable runs.
 //!
-//! G-SWFIT's defining engineering split is step 1 (the expensive scan that
-//! builds the mutation map) versus step 2 (the cheap apply/undo of a
-//! pre-computed mutation). This crate makes the split durable across
-//! processes, the way the paper's tooling shipped faultload files between
-//! testbeds:
+//! G-SWFIT's defining engineering split is step 1 (the scan that builds
+//! the mutation map) versus step 2 (the cheap apply/undo of a pre-computed
+//! mutation). Step 1 is a direct [`swfit_core::Scanner`] call: it takes
+//! about a millisecond here, and a scan cache would still boot the edition
+//! for the image fingerprint it keys on, so nothing caches it. This
+//! crate makes *campaigns* durable across processes, the way the paper's
+//! tooling shipped faultload files between testbeds:
 //!
-//! * [`cache`] — a **content-addressed fault-map cache**: step-1
-//!   [`swfit_core::Scanner`] output persisted to disk keyed by
-//!   `(image fingerprint, operator-set hash, function-filter hash)`, so a
-//!   rescan of an unchanged OS edition is a file read, not a code walk.
-//!   [`FaultMapCache::scan_count`] counts the lookups that fell through to
-//!   a real scan, proving cache hits.
 //! * [`journal`] — a **crash-safe, append-only campaign journal** (JSONL,
 //!   one record per completed slot, written in slot order via the
 //!   executor's ordered observer before the campaign moves on, and fsynced
@@ -24,7 +19,7 @@
 //!   the resumed [`depbench::CampaignResult`] is byte-identical to an
 //!   uninterrupted run. Header validation (schema, edition, server, config
 //!   hash, faultload fingerprint) refuses stale journals.
-//! * [`store`] — the on-disk layout gluing both together plus named,
+//! * [`store`] — the on-disk layout holding the journals plus named,
 //!   reloadable campaign results ([`FaultStore::save_run`] /
 //!   [`FaultStore::load_run`]).
 //! * [`diff`] — **cross-run diffing**: load two stored results and render a
@@ -42,8 +37,7 @@
 //!
 //! let store = FaultStore::open("bench-store")?;
 //! let os = Os::boot(Edition::Nimbus2000)?;
-//! // Second process to run this line gets a cache hit instead of a scan.
-//! let faultload = store.scan_image(&Scanner::standard(), os.program().image())?;
+//! let faultload = Scanner::standard().scan_image(os.program().image());
 //! let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, CampaignConfig::default());
 //! // Survives SIGKILL: re-running with `resume = true` picks up mid-campaign.
 //! let result = store.run_resumable(&campaign, &faultload, 0, true)?;
@@ -51,7 +45,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod cache;
 pub mod diff;
 pub mod journal;
 pub(crate) mod resilience;
@@ -59,7 +52,6 @@ pub mod store;
 
 use std::fmt;
 
-pub use cache::{CacheKey, FaultMapCache};
 pub use diff::{diff_runs, diff_table};
 pub use journal::{Journal, JournalHeader, JOURNAL_SCHEMA};
 // Re-exported so store users can configure chaos injection without naming

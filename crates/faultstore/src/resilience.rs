@@ -1,7 +1,7 @@
 //! The store's survival kit: one shared context carrying the chaos layer
 //! and the degradation latch.
 //!
-//! Every store I/O path (cache writes, journal appends, run saves) goes
+//! Every store I/O path (journal appends, journal reads, run saves) goes
 //! through [`StoreCtx::retrying`], which classifies errors with
 //! [`simchaos::is_transient`] and retries with bounded exponential backoff
 //! and deterministic jitter. Retries are not recorded anywhere: the
@@ -21,8 +21,8 @@ use simchaos::{retry, ChaosFs};
 
 use crate::{io_err, StoreError};
 
-/// Shared resilience state for one [`crate::FaultStore`] (and the cache and
-/// journals it opens). Cheap to share via `Arc`; the default context is
+/// Shared resilience state for one [`crate::FaultStore`] (and the journals
+/// it opens). Cheap to share via `Arc`; the default context is
 /// chaos-off.
 #[derive(Debug)]
 pub(crate) struct StoreCtx {

@@ -1,28 +1,26 @@
-//! The on-disk store: one root directory holding the fault-map cache, the
-//! campaign journals, and named campaign results.
+//! The on-disk store: one root directory holding the campaign journals
+//! and named campaign results.
 //!
 //! Layout under the root:
 //!
 //! ```text
 //! <root>/
-//!   faultmaps/   content-addressed scanner output   (cache module)
 //!   journals/    per-campaign crash-safe journals   (journal module)
 //!   runs/        named CampaignResult JSON files    (save_run / load_run)
 //! ```
 //!
 //! Everything in the store is plain JSON(L) so artifacts can be inspected,
 //! diffed and shipped between machines — the paper's faultload files were
-//! exactly this kind of portable artifact.
+//! exactly this kind of portable artifact. Any other entry under the root
+//! is ignored.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use depbench::{Campaign, CampaignResult};
-use mvm::CodeImage;
 use simchaos::ChaosFs;
-use swfit_core::{Faultload, Scanner};
+use swfit_core::Faultload;
 
-use crate::cache::FaultMapCache;
 use crate::journal::{Journal, JournalHeader};
 use crate::resilience::StoreCtx;
 use crate::{io_err, StoreError};
@@ -33,7 +31,6 @@ use crate::{io_err, StoreError};
 #[derive(Clone, Debug)]
 pub struct FaultStore {
     root: PathBuf,
-    cache: FaultMapCache,
     ctx: Arc<StoreCtx>,
 }
 
@@ -44,16 +41,15 @@ impl FaultStore {
     ///
     /// [`StoreError::Io`] when the directory tree cannot be created.
     pub fn open(root: impl Into<PathBuf>) -> Result<FaultStore, StoreError> {
-        FaultStore::open_ctx(root.into(), StoreCtx::default_arc())
-    }
-
-    fn open_ctx(root: PathBuf, ctx: Arc<StoreCtx>) -> Result<FaultStore, StoreError> {
+        let root = root.into();
         for sub in ["journals", "runs"] {
             let dir = root.join(sub);
             std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         }
-        let cache = FaultMapCache::open_with(root.join("faultmaps"), Arc::clone(&ctx))?;
-        Ok(FaultStore { root, cache, ctx })
+        Ok(FaultStore {
+            root,
+            ctx: StoreCtx::default_arc(),
+        })
     }
 
     /// Routes all store I/O through `chaos` — the environment-fault
@@ -61,12 +57,14 @@ impl FaultStore {
     /// Called at setup time, before any campaign I/O.
     #[must_use]
     pub fn with_chaos(self, chaos: ChaosFs) -> FaultStore {
-        FaultStore::open_ctx(self.root, StoreCtx::new(chaos))
-            .expect("store root already existed when this store was first opened")
+        FaultStore {
+            ctx: StoreCtx::new(chaos),
+            ..self
+        }
     }
 
-    /// Whether this store has abandoned any persistence duty (journal or
-    /// cache writes) since it was opened. Campaign results produced by a
+    /// Whether this store has abandoned any persistence duty (journal
+    /// writes) since it was opened. Campaign results produced by a
     /// degraded store are stamped `degraded: true`.
     pub fn is_degraded(&self) -> bool {
         self.ctx.is_degraded()
@@ -75,38 +73,6 @@ impl FaultStore {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// The fault-map cache (for direct use).
-    pub fn cache(&self) -> &FaultMapCache {
-        &self.cache
-    }
-
-    /// Whole-image scan through the fault-map cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`FaultMapCache::scan_image`].
-    pub fn scan_image(
-        &self,
-        scanner: &Scanner,
-        image: &CodeImage,
-    ) -> Result<Faultload, StoreError> {
-        self.cache.scan_image(scanner, image)
-    }
-
-    /// Function-filtered scan through the fault-map cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`FaultMapCache::scan_functions`].
-    pub fn scan_functions(
-        &self,
-        scanner: &Scanner,
-        image: &CodeImage,
-        funcs: &[String],
-    ) -> Result<Faultload, StoreError> {
-        self.cache.scan_functions(scanner, image, funcs)
     }
 
     /// Runs `campaign` over `faultload` with a crash-safe journal.
@@ -288,6 +254,7 @@ mod tests {
     use depbench::{CampaignConfig, IntervalConfig};
     use simkit::SimDuration;
     use simos::{Edition, Os};
+    use swfit_core::Scanner;
     use webserver::ServerKind;
 
     fn quick_config() -> CampaignConfig {

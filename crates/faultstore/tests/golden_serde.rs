@@ -1,5 +1,5 @@
 //! Golden-fixture test pinning the on-disk JSON schema of the persisted
-//! artifact types: `Faultload` (fault-map cache entries), `SlotResult`
+//! artifact types: `Faultload` (`faultbench scan --out`), `SlotResult`
 //! (journal records), `CampaignResult` (stored runs) and `MetricsSummary`
 //! (`faultbench campaign --out`).
 //!

@@ -3,8 +3,8 @@
 //! The paper's credibility argument cuts both ways: a dependability
 //! benchmark is only trustworthy if the *benchmark tool* rides through the
 //! environment faults it will inevitably meet during a multi-hour campaign
-//! (a transient `EINTR` on a journal append, a torn rename on a cache
-//! write, a full disk halfway through iteration 40). This crate provides
+//! (a transient `EINTR` on a journal append, a torn rename on a run
+//! save, a full disk halfway through iteration 40). This crate provides
 //! the injection half of that story:
 //!
 //! * [`ChaosFs`] — a virtual-filesystem shim the store routes its I/O
@@ -142,7 +142,7 @@ struct Inner {
 /// schedule.
 ///
 /// Cloning is cheap (an `Arc`); all clones share one operation counter so
-/// a process-wide schedule stays coherent across the cache, journal and
+/// a process-wide schedule stays coherent across the journal and the
 /// store. The disabled instance ([`ChaosFs::off`]) carries no allocation
 /// and each call is a single `Option` branch before the real syscall.
 #[derive(Clone, Debug)]

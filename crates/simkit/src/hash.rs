@@ -1,8 +1,7 @@
 //! Stable, dependency-free content hashing (FNV-1a, 64 bit).
 //!
-//! The persistent fault-map cache and the campaign journal key their
-//! artifacts by content: image fingerprint, operator-set hash, function
-//! filter hash, campaign-config hash. Those keys must be stable across
+//! The campaign journal keys its artifacts by content: image fingerprint,
+//! pack-set hash, campaign-config hash. Those keys must be stable across
 //! processes and compiler versions, so they cannot use
 //! `std::hash::DefaultHasher` (whose output is explicitly unspecified).
 //! FNV-1a is the same function `mvm::CodeImage::fingerprint` uses for code

@@ -11,7 +11,7 @@
 //! * [`OnlineStats`] — streaming mean/variance/min/max with an exact merge,
 //!   the moments behind the SPECWeb-like client's response times and the
 //!   `simstats` confidence intervals,
-//! * [`hash`] — stable FNV-1a hashing for persistent-store cache keys.
+//! * [`hash`] — stable FNV-1a hashing for persistent-store keys.
 //!
 //! # Example
 //!

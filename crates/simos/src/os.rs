@@ -144,8 +144,8 @@ pub fn reboot_count() -> u64 {
 }
 
 /// The code-image fingerprint of an edition's pristine build — the key the
-/// persistent fault-map cache and the campaign journal use to recognize "the
-/// same OS build" across processes. Served from the per-edition compiled
+/// campaign journal uses to recognize "the same OS build" across
+/// processes. Served from the per-edition compiled
 /// image cache, so calling this is much cheaper than a full boot (no kernel
 /// structure initialization runs).
 ///
