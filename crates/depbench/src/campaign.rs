@@ -1124,9 +1124,9 @@ impl Campaign {
                 }
                 stack.injector.inject(stack.os.image_mut(), def)?;
                 if tracer.is_enabled() {
-                    // The watchpoint costs one compare per executed
-                    // instruction, so it is armed only on traced runs; it
-                    // counts, never perturbs.
+                    // The watchpoint is booked at the end of every
+                    // straight-line run the VM executes, so it is armed
+                    // only on traced runs; it counts, never perturbs.
                     stack.os.arm_activation_watch(def.site);
                 }
             }

@@ -62,6 +62,7 @@ impl Reg {
     /// # Panics
     ///
     /// Panics if `n >= 8`.
+    #[inline]
     pub fn arg(n: usize) -> Reg {
         assert!(n < 8, "ABI has 8 argument registers, asked for #{n}");
         Reg(2 + n as u8)

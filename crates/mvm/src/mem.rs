@@ -98,6 +98,49 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// A [`Memory`]'s cells and page flags, borrowed by [`Memory::cells_mut`].
+/// Reads and writes behave exactly as [`Memory::read`] and
+/// [`Memory::write`], marking the written page dirty and resident.
+pub(crate) struct CellsMut<'a> {
+    cells: &'a mut [i64],
+    dirty: &'a mut [bool; PAGE_FLAGS],
+    resident: &'a mut [bool; PAGE_FLAGS],
+}
+
+impl CellsMut<'_> {
+    /// The cell at `addr`, or `None` if `addr` is negative or past the end.
+    #[inline]
+    pub(crate) fn read(&self, addr: i64) -> Option<i64> {
+        // A negative address reads as one above any length: one compare.
+        usize::try_from(addr as u64)
+            .ok()
+            .and_then(|a| self.cells.get(a))
+            .copied()
+    }
+
+    /// Writes `value` at `addr`; false (and nothing written) if `addr` is
+    /// negative or past the end.
+    #[inline]
+    pub(crate) fn write(&mut self, addr: i64, value: i64) -> bool {
+        let Some(a) = usize::try_from(addr as u64).ok() else {
+            return false;
+        };
+        let Some(cell) = self.cells.get_mut(a) else {
+            return false;
+        };
+        *cell = value;
+        self.mark_page(a / PAGE_CELLS);
+        true
+    }
+
+    #[inline]
+    fn mark_page(&mut self, page: usize) {
+        let flag = page % PAGE_FLAGS;
+        self.dirty[flag] = true;
+        self.resident[flag] = true;
+    }
+}
+
 impl Memory {
     /// Allocates `size` zeroed cells. The allocation is left untouched
     /// until written, so unused pages cost no resident memory.
@@ -110,18 +153,12 @@ impl Memory {
         }
     }
 
-    #[inline]
-    fn mark_page(&mut self, page: usize) {
-        let flag = page % PAGE_FLAGS;
-        self.dirty[flag] = true;
-        self.resident[flag] = true;
-    }
-
     /// Marks every page overlapping the in-bounds cells `start..end`.
     fn mark_range(&mut self, start: usize, end: usize) {
         if start < end {
+            let mut cells = self.cells_mut();
             for page in start / PAGE_CELLS..=(end - 1) / PAGE_CELLS {
-                self.mark_page(page);
+                cells.mark_page(page);
             }
         }
     }
@@ -177,13 +214,23 @@ impl Memory {
     /// Returns [`MemError`] if `addr` is negative or past the end.
     #[inline]
     pub fn write(&mut self, addr: i64, value: i64) -> Result<(), MemError> {
-        let a = usize::try_from(addr)
-            .ok()
-            .filter(|&a| a < self.cells.len())
-            .ok_or(MemError { addr })?;
-        self.cells[a] = value;
-        self.mark_page(a / PAGE_CELLS);
-        Ok(())
+        if self.cells_mut().write(addr, value) {
+            Ok(())
+        } else {
+            Err(MemError { addr })
+        }
+    }
+
+    /// Borrows the cells and page flags together, so a run of single-cell
+    /// accesses (the interpreter between two hypercalls) keeps them in
+    /// hand instead of reaching through `self` on every access.
+    #[inline]
+    pub(crate) fn cells_mut(&mut self) -> CellsMut<'_> {
+        CellsMut {
+            cells: &mut self.cells,
+            dirty: &mut self.dirty,
+            resident: &mut self.resident,
+        }
     }
 
     /// Borrows a contiguous region of memory without copying — the cheap

@@ -12,7 +12,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::image::CodeImage;
+use crate::image::{CodeImage, DecodedOp};
 use crate::isa::{Opcode, Reg};
 use crate::mem::Memory;
 
@@ -154,10 +154,12 @@ const RETURN_SENTINEL: i64 = -0x5EAF00D;
 /// A single-address execution watchpoint.
 ///
 /// Campaigns arm one on a fault's key instruction to measure *activation*
-/// (did the mutated code actually run?). Unlike
-/// [`enable_profiling`](Vm::enable_profiling), which counts every address
-/// and is priced for offline studies, a watchpoint is one compare in the
-/// dispatch loop — cheap enough to leave armed for a whole campaign slot.
+/// (did the mutated code actually run?). The dispatch loop books it once
+/// per straight-line run, as it books the per-address counts of
+/// [`enable_profiling`](Vm::enable_profiling): a run whose addresses
+/// include the watched pc is one hit. That is one range compare per run,
+/// cheap enough to leave armed for a whole campaign slot, where the
+/// profile is priced for offline studies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Watchpoint {
     /// The watched code address.
@@ -209,8 +211,9 @@ impl Vm {
     }
 
     /// Enables per-address execution counting for an image of `code_len`
-    /// instructions. Counting has a small interpreter cost; it is meant for
-    /// offline cost-attribution studies, not campaigns.
+    /// instructions. Counting adds each straight-line run's addresses when
+    /// the run ends; it is meant for offline cost-attribution studies, not
+    /// campaigns.
     pub fn enable_profiling(&mut self, code_len: usize) {
         self.profile = Some(vec![0; code_len]);
     }
@@ -297,9 +300,14 @@ impl Vm {
             self.config.stack_cells
         );
 
+        // Arguments go straight into `r2..=r9`, the unused ones zero: a
+        // fixed eight-register copy, with no call into the library.
         let mut regs = [0i64; 32];
-        for (i, &a) in args.iter().enumerate() {
-            regs[Reg::arg(i).index()] = a;
+        for (i, r) in regs[Reg::A0.index()..=Reg::A7.index()]
+            .iter_mut()
+            .enumerate()
+        {
+            *r = args.get(i).copied().unwrap_or(0);
         }
         let stack_top = mem.len() as i64;
         let stack_limit = stack_top - self.config.stack_cells as i64;
@@ -322,133 +330,248 @@ impl Vm {
             );
         }
 
-        // Dispatch to a loop monomorphized over which instrumentation is
-        // active: campaign slots (no profile, no watch) execute with zero
-        // per-step instrumentation checks.
-        let budget = self.config.budget;
-        let mut dummy = Watchpoint {
-            pc: u32::MAX,
-            hits: 0,
-        };
-        let (executed, outcome) = match (&mut self.profile, &mut self.watch) {
-            (None, None) => exec::<H, false, false>(
-                image,
-                mem,
-                hcalls,
-                budget,
-                stack_limit,
-                entry,
-                regs,
-                &mut [],
-                &mut dummy,
-            ),
-            (Some(c), None) => exec::<H, true, false>(
-                image,
-                mem,
-                hcalls,
-                budget,
-                stack_limit,
-                entry,
-                regs,
-                c,
-                &mut dummy,
-            ),
-            (None, Some(w)) => exec::<H, false, true>(
-                image,
-                mem,
-                hcalls,
-                budget,
-                stack_limit,
-                entry,
-                regs,
-                &mut [],
-                w,
-            ),
-            (Some(c), Some(w)) => {
-                exec::<H, true, true>(image, mem, hcalls, budget, stack_limit, entry, regs, c, w)
-            }
-        };
+        let (executed, outcome) = exec(
+            image,
+            mem,
+            hcalls,
+            self.config.budget,
+            stack_limit,
+            entry,
+            &mut regs,
+            self.profile.as_deref_mut(),
+            self.watch.as_mut(),
+        );
         self.total_executed += executed;
         outcome.map_err(CallError::Trap)
     }
 }
 
-/// The dispatch loop, executing straight from the image's pre-decoded cache:
-/// fetching a slot is an index, not a decode (patches re-decode only the
-/// words they touch). `PROFILE`/`WATCH` monomorphize the per-step
-/// instrumentation away when it is off, which is the campaign hot path.
+/// The instrumentation a call books once per straight-line run: the
+/// per-address profile and the watchpoint, each present only when armed.
+struct Tally<'a> {
+    counts: Option<&'a mut [u64]>,
+    watch: Option<&'a mut Watchpoint>,
+    /// First address of the run in progress; kept only while armed.
+    first: u32,
+}
+
+impl Tally<'_> {
+    fn is_armed(&self) -> bool {
+        self.counts.is_some() || self.watch.is_some()
+    }
+
+    /// Books the run in progress: every address from its first to `end`
+    /// (exclusive) executed once. The run's start is stored here, so the
+    /// dispatch loop holds none of the tally in its registers.
+    #[inline]
+    fn end_run(&mut self, end: u32) {
+        let first = self.first;
+        if let Some(counts) = self.counts.as_deref_mut() {
+            count_run(counts, first, end);
+        }
+        if let Some(w) = self.watch.as_deref_mut() {
+            if (first..end).contains(&w.pc) {
+                w.hits += 1;
+            }
+        }
+    }
+}
+
+/// Adds one to the profile count of every address in `first..end`. A call
+/// entered past the image's end books an empty run that starts there.
+#[inline(never)]
+fn count_run(counts: &mut [u64], first: u32, end: u32) {
+    if let Some(span) = counts.get_mut(first as usize..end as usize) {
+        for n in span {
+            *n += 1;
+        }
+    }
+}
+
+/// Executes one call from `entry` and returns the executed-step count
+/// alongside the outcome, so the caller can tally intrusiveness.
 ///
-/// `counts` must be image-sized when `PROFILE` (asserted by the caller);
-/// `watch` is a dummy when `!WATCH`. Returns the executed-step count
-/// alongside the outcome so the caller can tally intrusiveness.
+/// The bookkeeping (step count, budget, profile, watchpoint) is done once
+/// per straight-line *run*, not once per instruction. A run starts at the
+/// entry, at a jump, branch, call or return target and after an hcall; it
+/// ends at the next taken transfer, hcall, trap or halt. Within a run the
+/// pc only steps forward, so a run is at most the whole image plus the
+/// fetch past its end: `image.len() + 1` steps. A run that starts with at
+/// least that much budget left cannot exhaust it, so the budget is
+/// compared only at run starts until fewer steps remain; the rest of the
+/// call then runs in the same loop with a per-step budget check, which
+/// reports exactly the count the step-by-step loop would.
 #[allow(clippy::too_many_arguments)]
-fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
+fn exec<H: HcallHandler>(
     image: &CodeImage,
     mem: &mut Memory,
     hcalls: &mut H,
     budget: u64,
     stack_limit: i64,
     entry: u32,
-    mut regs: [i64; 32],
-    counts: &mut [u64],
-    watch: &mut Watchpoint,
+    regs: &mut [i64; 32],
+    counts: Option<&mut [u64]>,
+    watch: Option<&mut Watchpoint>,
 ) -> (u64, Result<CallOutcome, Trap>) {
     let ops = image.ops();
-    let mut pc: u32 = entry;
-    let mut executed: u64 = 0;
+    let mut at = RunStart {
+        pc: entry,
+        executed: 0,
+    };
+    let tally = &mut Tally {
+        counts,
+        watch,
+        first: entry,
+    };
+    let longest_run = ops.len() as u64 + 1;
+    let outcome = match budget.checked_sub(longest_run).and_then(|last_start| {
+        runs::<H, false>(
+            ops,
+            mem,
+            hcalls,
+            stack_limit,
+            last_start,
+            regs,
+            &mut at,
+            tally,
+        )
+    }) {
+        Some(outcome) => outcome,
+        None => runs::<H, true>(ops, mem, hcalls, stack_limit, budget, regs, &mut at, tally)
+            .expect("the budget-checked loop runs to the end of the call"),
+    };
+    (at.executed, outcome)
+}
+
+/// Where a run starts: its pc and the steps executed before it.
+struct RunStart {
+    pc: u32,
+    executed: u64,
+}
+
+/// The dispatch loop, executing straight from the image's pre-decoded cache:
+/// fetching a slot is an index, not a decode (patches re-decode only the
+/// words they touch).
+///
+/// Without `CHECK_EACH_STEP`, `limit` is the last executed count at which a
+/// run may start: a run that would start later returns `None` with `at` set
+/// to it, for the checked loop to resume. With it, `limit` is the budget,
+/// compared before every step. Either way `at.executed` holds the final
+/// count when the call ends. The memory's cells stay borrowed from one
+/// hcall to the next.
+#[allow(clippy::too_many_arguments)]
+fn runs<H: HcallHandler, const CHECK_EACH_STEP: bool>(
+    ops: &[DecodedOp],
+    mem: &mut Memory,
+    hcalls: &mut H,
+    stack_limit: i64,
+    limit: u64,
+    regs: &mut [i64; 32],
+    at: &mut RunStart,
+    tally: &mut Tally<'_>,
+) -> Option<Result<CallOutcome, Trap>> {
+    let armed = tally.is_armed();
+    // A run boundary whose executed count reaches `gate` takes the slow
+    // path: booking the tally, and (unchecked) handing over near the
+    // budget. Armed, every boundary does.
+    let gate = match (armed, CHECK_EACH_STEP) {
+        (true, _) => 0,
+        (false, false) => limit + 1,
+        (false, true) => u64::MAX,
+    };
+    let mut pc = at.pc;
+    // `base + pc` is the count of steps executed before the step at `pc`,
+    // so stepping forward inside a run updates no count.
+    let mut base = at.executed.wrapping_sub(u64::from(pc));
+    let mut cells = mem.cells_mut();
+
+    // Ends the call: the steps through `pc` (exclusive) plus `$extra`
+    // count, and the run in progress is booked up to `$end`.
+    macro_rules! finish {
+        ($end:expr, $extra:expr) => {{
+            at.executed = base.wrapping_add(u64::from(pc) + $extra);
+            if armed {
+                tally.end_run($end);
+            }
+        }};
+    }
+    // The instruction at `pc` traps: it is the call's last step.
+    macro_rules! trap {
+        ($t:expr) => {{
+            finish!(pc + 1, 1);
+            break Err($t);
+        }};
+    }
+    // The instruction at `pc` hands control to `$t`, which starts a run.
+    macro_rules! start_run {
+        ($t:expr) => {{
+            let t: u32 = $t;
+            let executed = base.wrapping_add(u64::from(pc) + 1);
+            if executed >= gate {
+                if armed {
+                    tally.end_run(pc + 1);
+                    tally.first = t;
+                }
+                if !CHECK_EACH_STEP && executed > limit {
+                    *at = RunStart { pc: t, executed };
+                    return None;
+                }
+            }
+            pc = t;
+            base = executed.wrapping_sub(u64::from(t));
+            continue;
+        }};
+    }
+    macro_rules! reg {
+        ($r:expr) => {
+            regs[$r.index()]
+        };
+    }
+    macro_rules! set {
+        ($r:expr, $v:expr) => {{
+            let r = $r;
+            if r != Reg::ZERO {
+                regs[r.index()] = $v;
+            }
+        }};
+    }
+    macro_rules! jump_to {
+        ($t:expr) => {{
+            let t = $t;
+            if t < 0 || t as usize >= ops.len() {
+                trap!(Trap::BadJump { at: pc, target: t });
+            }
+            start_run!(t as u32);
+        }};
+    }
+
     let outcome = loop {
-        if executed >= budget {
-            break Err(Trap::BudgetExhausted { executed });
+        if CHECK_EACH_STEP && base.wrapping_add(u64::from(pc)) >= limit {
+            finish!(pc, 0);
+            break Err(Trap::BudgetExhausted {
+                executed: at.executed,
+            });
         }
         // The trapping step counts: every trap arm below reports the
-        // instruction (or bad word) that was reached, uniformly.
-        executed += 1;
-        let slot = match ops.get(pc as usize) {
-            Some(s) => s,
-            None => break Err(Trap::BadInstruction { at: pc }),
+        // instruction (or bad word) that was reached, uniformly. The fetch
+        // past the image's end is a step but not an address.
+        let instr = match ops.get(pc as usize) {
+            Some(Ok(i)) => *i,
+            Some(Err(_)) => trap!(Trap::BadInstruction { at: pc }),
+            None => {
+                finish!(pc, 1);
+                break Err(Trap::BadInstruction { at: pc });
+            }
         };
-        if PROFILE {
-            counts[pc as usize] += 1;
-        }
-        if WATCH && watch.pc == pc {
-            watch.hits += 1;
-        }
-        let instr = match slot {
-            Ok(i) => *i,
-            Err(_) => break Err(Trap::BadInstruction { at: pc }),
-        };
-
-        macro_rules! reg {
-            ($r:expr) => {
-                regs[$r.index()]
-            };
-        }
-        macro_rules! set {
-            ($r:expr, $v:expr) => {{
-                let r = $r;
-                if r != Reg::ZERO {
-                    regs[r.index()] = $v;
-                }
-            }};
-        }
-        macro_rules! jump_to {
-            ($t:expr) => {{
-                let t = $t;
-                if t < 0 || t as usize >= image.len() {
-                    break Err(Trap::BadJump { at: pc, target: t });
-                }
-                pc = t as u32;
-                continue;
-            }};
-        }
 
         match instr.op {
             Opcode::Nop => {}
             Opcode::Halt => {
+                finish!(pc + 1, 1);
                 break Ok(CallOutcome {
                     return_value: regs[Reg::RV.index()],
-                    executed,
-                })
+                    executed: at.executed,
+                });
             }
             Opcode::Mov => set!(instr.rd, reg!(instr.rs1)),
             Opcode::Ldi => set!(instr.rd, instr.imm as i64),
@@ -458,14 +581,14 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
             Opcode::Div => {
                 let d = reg!(instr.rs2);
                 if d == 0 {
-                    break Err(Trap::DivideByZero { at: pc });
+                    trap!(Trap::DivideByZero { at: pc });
                 }
                 set!(instr.rd, reg!(instr.rs1).wrapping_div(d));
             }
             Opcode::Mod => {
                 let d = reg!(instr.rs2);
                 if d == 0 {
-                    break Err(Trap::DivideByZero { at: pc });
+                    trap!(Trap::DivideByZero { at: pc });
                 }
                 set!(instr.rd, reg!(instr.rs1).wrapping_rem(d));
             }
@@ -483,15 +606,15 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
             Opcode::Cmple => set!(instr.rd, (reg!(instr.rs1) <= reg!(instr.rs2)) as i64),
             Opcode::Ld => {
                 let addr = reg!(instr.rs1).wrapping_add(instr.imm as i64);
-                match mem.read(addr) {
-                    Ok(v) => set!(instr.rd, v),
-                    Err(_) => break Err(Trap::BadMemory { at: pc, addr }),
+                match cells.read(addr) {
+                    Some(v) => set!(instr.rd, v),
+                    None => trap!(Trap::BadMemory { at: pc, addr }),
                 }
             }
             Opcode::St => {
                 let addr = reg!(instr.rs1).wrapping_add(instr.imm as i64);
-                if mem.write(addr, reg!(instr.rs2)).is_err() {
-                    break Err(Trap::BadMemory { at: pc, addr });
+                if !cells.write(addr, reg!(instr.rs2)) {
+                    trap!(Trap::BadMemory { at: pc, addr });
                 }
             }
             Opcode::Jmp => jump_to!(instr.imm as u32 as i64),
@@ -507,57 +630,59 @@ fn exec<H: HcallHandler, const PROFILE: bool, const WATCH: bool>(
             }
             Opcode::Call => {
                 let sp = regs[Reg::SP.index()] - 1;
-                if sp < stack_limit {
-                    break Err(Trap::BadMemory { at: pc, addr: sp });
-                }
-                if mem.write(sp, pc as i64 + 1).is_err() {
-                    break Err(Trap::BadMemory { at: pc, addr: sp });
+                if sp < stack_limit || !cells.write(sp, pc as i64 + 1) {
+                    trap!(Trap::BadMemory { at: pc, addr: sp });
                 }
                 regs[Reg::SP.index()] = sp;
                 jump_to!(instr.imm as u32 as i64);
             }
             Opcode::Ret => {
                 let sp = regs[Reg::SP.index()];
-                let ra = match mem.read(sp) {
-                    Ok(v) => v,
-                    Err(_) => break Err(Trap::BadMemory { at: pc, addr: sp }),
+                let Some(ra) = cells.read(sp) else {
+                    trap!(Trap::BadMemory { at: pc, addr: sp });
                 };
                 regs[Reg::SP.index()] = sp + 1;
                 if ra == RETURN_SENTINEL {
+                    finish!(pc + 1, 1);
                     break Ok(CallOutcome {
                         return_value: regs[Reg::RV.index()],
-                        executed,
+                        executed: at.executed,
                     });
                 }
                 jump_to!(ra);
             }
             Opcode::Push => {
                 let sp = regs[Reg::SP.index()] - 1;
-                if sp < stack_limit || mem.write(sp, reg!(instr.rs1)).is_err() {
-                    break Err(Trap::BadMemory { at: pc, addr: sp });
+                if sp < stack_limit || !cells.write(sp, reg!(instr.rs1)) {
+                    trap!(Trap::BadMemory { at: pc, addr: sp });
                 }
                 regs[Reg::SP.index()] = sp;
             }
             Opcode::Pop => {
                 let sp = regs[Reg::SP.index()];
-                match mem.read(sp) {
-                    Ok(v) => {
+                match cells.read(sp) {
+                    Some(v) => {
                         set!(instr.rd, v);
                         regs[Reg::SP.index()] = sp + 1;
                     }
-                    Err(_) => break Err(Trap::BadMemory { at: pc, addr: sp }),
+                    None => trap!(Trap::BadMemory { at: pc, addr: sp }),
                 }
             }
             Opcode::Hcall => {
-                if let Err(t) = hcalls.hcall(instr.imm, pc, &mut regs, mem) {
-                    break Err(t);
+                // The handler reaches memory through `Memory` itself, so the
+                // cells are borrowed again after it; the next step starts a
+                // run.
+                if let Err(t) = hcalls.hcall(instr.imm, pc, regs, mem) {
+                    trap!(t);
                 }
+                cells = mem.cells_mut();
                 regs[Reg::ZERO.index()] = 0; // keep r0 hard-zero across handlers
+                start_run!(pc + 1);
             }
         }
         pc += 1;
     };
-    (executed, outcome)
+    Some(outcome)
 }
 
 /// Errors from [`Vm::call`].
@@ -589,6 +714,9 @@ impl CallError {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -758,6 +886,34 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.trap(), Some(Trap::BudgetExhausted { executed: 1000 }));
         assert!(err.trap().unwrap().is_hang());
+    }
+
+    /// A budget far above the image's length starts with run-level checks
+    /// and must switch to per-step checks in time to stop at exactly the
+    /// budget.
+    #[test]
+    fn spin_loop_stops_at_exactly_a_large_budget() {
+        let image = assemble(
+            r#"
+            .func spin
+            again:
+                jmp again
+            "#,
+        )
+        .unwrap();
+        let mut mem = Memory::new(8192);
+        let mut vm = Vm::with_config(VmConfig {
+            budget: 100_000,
+            stack_cells: 128,
+        });
+        let err = vm
+            .call(&image, &mut mem, &mut NoHcalls, "spin", &[])
+            .unwrap_err();
+        assert_eq!(
+            err.trap(),
+            Some(Trap::BudgetExhausted { executed: 100_000 })
+        );
+        assert_eq!(vm.total_executed(), 100_000);
     }
 
     #[test]
