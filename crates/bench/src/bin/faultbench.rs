@@ -7,8 +7,7 @@
 //! faultbench campaign <edition> <server> [--faultload FILE] [--pack FILE]…
 //!            [--iters N] [--jobs N] [--seed N] [--limit N] [--out FILE]
 //!            [--store DIR] [--resume] [--save NAME] [--trace]
-//!            [--trace-dir D] [--chaos-seed N] [--chaos-profile P]
-//!            [--slot-budget-ms N]
+//!            [--trace-dir D] [--slot-budget-ms N]
 //! faultbench recovery <edition> <server> [--faultload FILE] [--pack FILE]…
 //!            [--limit N] [--jobs N] [--seed N] [--trace] [--trace-dir D]
 //!            [--slot-budget-ms N]                 compare recovery policies

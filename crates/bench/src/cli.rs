@@ -23,12 +23,6 @@
 //!                fault activation and campaigns report activation rates
 //! --trace-dir D  like --trace, and also dump quarantined slots' recorder
 //!                tails as JSONL under D
-//! --chaos-seed N        inject deterministic environment faults into the
-//!                       store's own I/O, drawn from seed N (requires
-//!                       --store; profile defaults to `transient`)
-//! --chaos-profile P     off | transient | torn | enospc — which fault
-//!                       family the chaos layer draws from (`off`
-//!                       disables injection; otherwise needs --chaos-seed)
 //! --slot-budget-ms N    arm the per-slot watchdog with a fixed N ms
 //!                       wall-clock budget; overrunning slots are killed
 //!                       and quarantined as timed out
@@ -43,13 +37,13 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use depbench::{Campaign, CampaignConfig, CampaignConfigBuilder, CampaignResult, TraceConfig};
-use faultstore::{ChaosConfig, ChaosFs, ChaosProfile, FaultStore};
+use faultstore::FaultStore;
 use swfit_core::Faultload;
 
 /// Every shared flag, in the order of the module docs: the `reads` list of
 /// a command that reads them all (`table5`, `figure5`).
 pub const SHARED_FLAGS: &str = "--jobs --seed --iters --limit --store --resume \
-     --trace --trace-dir --chaos-seed --chaos-profile --slot-budget-ms";
+     --trace --trace-dir --slot-budget-ms";
 
 /// The shared flags, parsed from the process arguments; a flag the command
 /// does not read keeps its default.
@@ -73,12 +67,6 @@ pub struct CliArgs {
     /// `--trace-dir DIR`: where quarantined slots dump their recorder
     /// tails. Implies `--trace`.
     pub trace_dir: Option<std::path::PathBuf>,
-    /// `--chaos-seed N`: seed for the store's environment-fault schedule.
-    /// `None` = no injection.
-    pub chaos_seed: Option<u64>,
-    /// `--chaos-profile P`: which chaos fault family to draw from. `None`
-    /// when unset or explicitly `off`.
-    pub chaos_profile: Option<ChaosProfile>,
     /// `--slot-budget-ms N`: fixed per-slot watchdog budget. `None` = run
     /// unwatched.
     pub slot_budget_ms: Option<u64>,
@@ -135,30 +123,6 @@ impl CliArgs {
         }
         let trace_dir = value_of(args, "--trace-dir")?.map(std::path::PathBuf::from);
         let trace = trace_dir.is_some() || args.iter().any(|a| a == "--trace");
-        let mut chaos_seed = parse_flag(args, "--chaos-seed", UNSIGNED, any)?;
-        let chaos_profile = match value_of(args, "--chaos-profile")?.map(String::as_str) {
-            None => None,
-            // An explicit `off` wins over --chaos-seed: injection fully
-            // disabled, exactly as if neither flag were given.
-            Some("off") => {
-                chaos_seed = None;
-                None
-            }
-            Some(p) => {
-                let profile: ChaosProfile = p.parse()?;
-                if chaos_seed.is_none() {
-                    return Err(format!(
-                        "--chaos-profile {p} needs --chaos-seed N (the fault schedule is seeded)"
-                    ));
-                }
-                Some(profile)
-            }
-        };
-        if chaos_seed.is_some() && store.is_none() {
-            return Err(
-                "--chaos-seed needs --store DIR (chaos injects into the store's I/O)".into(),
-            );
-        }
         let slot_budget_ms = parse_flag(args, "--slot-budget-ms", POSITIVE, |n: &u64| *n > 0)?;
         Ok(CliArgs {
             jobs,
@@ -169,21 +133,7 @@ impl CliArgs {
             resume,
             trace,
             trace_dir,
-            chaos_seed,
-            chaos_profile,
             slot_budget_ms,
-        })
-    }
-
-    /// The chaos configuration implied by `--chaos-seed`/`--chaos-profile`:
-    /// `Some` only when a seed was given (and the profile is not `off`).
-    /// The profile defaults to [`ChaosProfile::Transient`], the family
-    /// whose every fault is survivable by retry.
-    pub fn chaos(&self) -> Option<ChaosConfig> {
-        let seed = self.chaos_seed?;
-        Some(ChaosConfig {
-            seed,
-            profile: self.chaos_profile.unwrap_or(ChaosProfile::Transient),
         })
     }
 
@@ -220,8 +170,7 @@ impl CliArgs {
         })
     }
 
-    /// Opens the `--store` directory, if one was given, routing its I/O
-    /// through the chaos layer when `--chaos-seed` is set.
+    /// Opens the `--store` directory, if one was given.
     ///
     /// # Errors
     ///
@@ -229,14 +178,7 @@ impl CliArgs {
     pub fn open_store(&self) -> Result<Option<FaultStore>, String> {
         self.store
             .as_deref()
-            .map(|dir| {
-                FaultStore::open(dir)
-                    .map(|store| match self.chaos() {
-                        Some(cfg) => store.with_chaos(ChaosFs::seeded(cfg)),
-                        None => store,
-                    })
-                    .map_err(|e| e.to_string())
-            })
+            .map(|dir| FaultStore::open(dir).map_err(|e| e.to_string()))
             .transpose()
     }
 
@@ -446,17 +388,28 @@ mod tests {
         // A typo is an unread flag, and positional arguments pass.
         assert!(CliArgs::from_slice(&args(&["--job", "2"]), "--jobs").is_err());
         assert!(check_flags(&args(&["nimbus-2000", "wren"]), "").is_ok());
-        // `--ci-target` is no command's flag, whatever its value.
-        for gone in [
-            &["--ci-target", "0"][..],
-            &["--ci-target", "-5"],
-            &["--ci-target", "inf"],
-            &["--ci-target", "nan"],
-            &["--ci-target"],
+        // `--ci-target`, `--chaos-seed` and `--chaos-profile` are no
+        // command's flags, whatever their values.
+        for (gone, flag) in [
+            (&["--ci-target", "0"][..], "--ci-target"),
+            (&["--ci-target", "-5"], "--ci-target"),
+            (&["--ci-target", "inf"], "--ci-target"),
+            (&["--ci-target", "nan"], "--ci-target"),
+            (&["--ci-target"], "--ci-target"),
+            (&["--store", "s", "--chaos-seed", "42"], "--chaos-seed"),
+            (&["--chaos-seed", "1"], "--chaos-seed"),
+            (&["--store", "s", "--chaos-seed", "many"], "--chaos-seed"),
+            (&["--store", "s", "--chaos-seed"], "--chaos-seed"),
+            (
+                &["--store", "s", "--chaos-profile", "torn"],
+                "--chaos-profile",
+            ),
+            (&["--chaos-profile", "off"], "--chaos-profile"),
+            (&["--chaos-profile", "weird"], "--chaos-profile"),
         ] {
             assert_eq!(
                 parse(gone).unwrap_err(),
-                format!("unknown flag `--ci-target`; this command reads {SHARED_FLAGS}"),
+                format!("unknown flag `{flag}`; this command reads {SHARED_FLAGS}"),
                 "{gone:?}"
             );
         }
@@ -493,55 +446,6 @@ mod tests {
         assert_eq!(tc.dump_dir.as_deref(), Some(std::path::Path::new("dumps")));
 
         assert!(parse(&["--trace-dir"]).is_err());
-    }
-
-    #[test]
-    fn chaos_flags_parse_and_validate() {
-        // Seed alone implies the transient profile.
-        let cli = parse(&["--store", "s", "--chaos-seed", "42"]).unwrap();
-        let cfg = cli.chaos().expect("chaos enabled");
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.profile, ChaosProfile::Transient);
-
-        let torn = parse(&[
-            "--store",
-            "s",
-            "--chaos-seed",
-            "7",
-            "--chaos-profile",
-            "torn",
-        ])
-        .unwrap();
-        assert_eq!(torn.chaos().unwrap().profile, ChaosProfile::Torn);
-
-        // An explicit `off` disables injection even with a seed.
-        let off = parse(&[
-            "--store",
-            "s",
-            "--chaos-seed",
-            "7",
-            "--chaos-profile",
-            "off",
-        ])
-        .unwrap();
-        assert!(off.chaos().is_none());
-
-        for bad in [
-            &["--chaos-seed", "1"][..],                   // without --store
-            &["--store", "s", "--chaos-seed", "many"],    // malformed seed
-            &["--store", "s", "--chaos-profile", "torn"], // profile without seed
-            &[
-                "--store",
-                "s",
-                "--chaos-seed",
-                "1",
-                "--chaos-profile",
-                "weird",
-            ],
-            &["--store", "s", "--chaos-seed"],
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?}");
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn every_command_rejects_the_flags_it_never_reads() {
     let (dir, file) = (dir.to_str().unwrap(), file.to_str().unwrap());
     // (binary, arguments, the unread flag). Each row would otherwise run
     // cheaply, so a command that ignored the flag fails fast, not slowly.
-    let rows: [(&str, &[&str], &str); 19] = [
+    let rows: [(&str, &[&str], &str); 21] = [
         (env!("CARGO_BIN_EXE_table1"), &["--jobs", "2"], "--jobs"),
         (env!("CARGO_BIN_EXE_table2"), &["--store", dir], "--store"),
         (
@@ -84,6 +84,12 @@ fn every_command_rejects_the_flags_it_never_reads() {
             env!("CARGO_BIN_EXE_table5"),
             &["--job", "2", "--limit", "2", "--iters", "1"], // a typo
             "--job",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table5"),
+            // storage faults are injected by tests, not by users
+            &["--chaos-seed", "1", "--limit", "2", "--iters", "1"],
+            "--chaos-seed",
         ),
         (
             env!("CARGO_BIN_EXE_figure5"),
@@ -133,6 +139,21 @@ fn every_command_rejects_the_flags_it_never_reads() {
                 "--resume",
             ],
             "--resume",
+        ),
+        (
+            env!("CARGO_BIN_EXE_faultbench"),
+            &[
+                "campaign",
+                "nimbus-2000",
+                "wren",
+                "--limit",
+                "2",
+                "--store",
+                dir,
+                "--chaos-profile",
+                "torn",
+            ],
+            "--chaos-profile",
         ),
         (
             env!("CARGO_BIN_EXE_faultbench"),

@@ -44,7 +44,7 @@
 //! schemas: no reader for an older format exists.
 
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -256,9 +256,12 @@ struct JournalInner {
     /// How many records `unsynced` holds.
     unsynced_records: usize,
     /// How many leading bytes of `unsynced` are whole in the file: a
-    /// failed append keeps the records before it, a failed fsync (which may
-    /// drop the written pages) resets this to 0.
+    /// failed append or fsync keeps the records written before it.
     written: usize,
+    /// Set when an fsync failed: it may have dropped the written pages, so
+    /// the next attempt writes `unsynced` again from its start, over the
+    /// same bytes, before it syncs.
+    rewrite: bool,
     /// Set when an attempt failed part-way, so the file past `synced +
     /// written` may hold anything: the next attempt first rewinds there, so
     /// no partial bytes ever sit in front of a record.
@@ -280,6 +283,7 @@ impl JournalInner {
             unsynced: Vec::new(),
             unsynced_records: 0,
             written: 0,
+            rewrite: false,
             rewind: false,
             lost: None,
             syncs: 0,
@@ -293,15 +297,21 @@ impl JournalInner {
             chaos.rewind(&mut self.file, self.synced + self.written as u64)?;
         }
         self.rewind = true;
-        if self.written < self.unsynced.len() {
-            chaos.append(&mut self.file, &self.unsynced[self.written..])?;
+        let from = if self.rewrite { 0 } else { self.written };
+        if from < self.unsynced.len() {
+            if from < self.written {
+                self.file.seek(SeekFrom::Start(self.synced + from as u64))?;
+            }
+            chaos.append(&mut self.file, &self.unsynced[from..])?;
             self.written = self.unsynced.len();
         }
+        // A failed fsync leaves the bytes in the file but perhaps not on
+        // disk: the next attempt rewrites them.
+        self.rewrite = sync;
         if sync {
-            // Durable or dropped by a failed fsync: no byte stays just written.
-            self.written = 0;
             chaos.sync_data(&self.file)?;
         }
+        self.rewrite = false;
         self.rewind = false;
         Ok(())
     }
@@ -310,6 +320,7 @@ impl JournalInner {
     fn synced_all(&mut self) {
         self.synced += self.unsynced.len() as u64;
         self.unsynced.clear();
+        self.written = 0;
         self.unsynced_records = 0;
         self.syncs += 1;
     }
@@ -338,7 +349,9 @@ impl Journal {
     /// [`Journal::create`] under a store's resilience context: the header
     /// write is routed through the chaos layer and retried on transient
     /// faults (each attempt re-creates, i.e. truncates, the file, so no
-    /// partial header survives a retry).
+    /// partial header survives a retry). A header that fails past its
+    /// retries takes the file with it, so a later resume starts afresh
+    /// instead of refusing a journal with no header.
     pub(crate) fn create_with(
         path: impl Into<PathBuf>,
         header: &JournalHeader,
@@ -355,7 +368,10 @@ impl Journal {
                 ctx.chaos.sync_data(&file)?;
                 Ok(file)
             })
-            .map_err(|e| io_err(&path, e))?;
+            .map_err(|e| {
+                let _ = std::fs::remove_file(&path);
+                io_err(&path, e)
+            })?;
         let mut inner = JournalInner::new(
             file,
             vec![SlotState::Missing; header.fault_count],
@@ -456,10 +472,9 @@ impl Journal {
             };
         }
         let mut inner = JournalInner::new(file, state, durable_end as u64);
-        use std::io::Seek as _;
         inner
             .file
-            .seek(std::io::SeekFrom::End(0))
+            .seek(SeekFrom::End(0))
             .map_err(|e| io_err(&path, e))?;
         Ok((
             Journal {
@@ -512,9 +527,10 @@ impl Journal {
     /// re-attempt of a quarantined slot.
     ///
     /// Transient I/O faults are retried on the one retry schedule. A retry
-    /// first rewinds the file past the last whole record (to the fsynced
-    /// length after a failed fsync) and rewrites what follows, so a short
-    /// write can never duplicate or interleave partial bytes.
+    /// first rewinds the file past the last whole record and writes what
+    /// follows (after a failed fsync, every unsynced record again, over the
+    /// same bytes), so a short write can never duplicate or interleave
+    /// partial bytes, and a failed retry never erases a whole record.
     ///
     /// # Errors
     ///
@@ -550,7 +566,10 @@ impl Journal {
         inner.unsynced.push(b'\n');
         let sync = inner.unsynced_records + 1 == GROUP;
         if let Err(e) = self.ctx.retrying(|| inner.write(&self.ctx.chaos, sync)) {
+            // The failed record goes, whatever of it reached the file: the
+            // next attempt rewinds past the records before it.
             inner.unsynced.truncate(from);
+            inner.written = inner.written.min(from);
             if inner.state[slot] == SlotState::Missing {
                 inner.lost = Some(slot);
             }

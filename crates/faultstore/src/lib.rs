@@ -54,9 +54,9 @@ use std::fmt;
 
 pub use diff::{diff_runs, diff_table};
 pub use journal::{Journal, JournalHeader, JOURNAL_SCHEMA};
-// Re-exported so store users can configure chaos injection without naming
-// the simchaos crate themselves.
-pub use simchaos::{ChaosConfig, ChaosFs, ChaosProfile};
+// Re-exported so store users can inject storage faults without naming the
+// simchaos crate themselves.
+pub use simchaos::{ChaosFs, Fault};
 pub use store::FaultStore;
 
 /// Why a store operation could not complete.

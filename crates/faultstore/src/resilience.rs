@@ -79,14 +79,21 @@ impl StoreCtx {
     /// without it a crash could surface a renamed but empty (or partial)
     /// file. A crash at any point leaves either the old artifact or the
     /// complete new one; callers decide whether a persistent failure is an
-    /// error or a degradation.
+    /// error or a degradation. A failure past the retries removes the temp
+    /// file, so a failed save leaves nothing behind.
     pub(crate) fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        self.retrying(|| self.chaos.write_sync(&tmp, bytes))
-            .map_err(|e| io_err(&tmp, e))?;
-        self.retrying(|| self.chaos.rename(&tmp, path))
-            .map_err(|e| io_err(path, e))?;
-        Ok(())
+        let written = self
+            .retrying(|| self.chaos.write_sync(&tmp, bytes))
+            .map_err(|e| io_err(&tmp, e))
+            .and_then(|()| {
+                self.retrying(|| self.chaos.rename(&tmp, path))
+                    .map_err(|e| io_err(path, e))
+            });
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Whether any persistence duty has been abandoned since this store

@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use depbench::{Campaign, CampaignResult};
+use depbench::{Campaign, CampaignResult, SlotOutcome};
 use simchaos::ChaosFs;
 use swfit_core::Faultload;
 
@@ -53,7 +53,8 @@ impl FaultStore {
     }
 
     /// Routes all store I/O through `chaos` — the environment-fault
-    /// injection layer (`--chaos-seed` / `--chaos-profile` on the CLI).
+    /// injection layer, which fails one chosen operation
+    /// ([`ChaosFs::fail_at`]); tests use it to reach every failure point.
     /// Called at setup time, before any campaign I/O.
     #[must_use]
     pub fn with_chaos(self, chaos: ChaosFs) -> FaultStore {
@@ -112,13 +113,7 @@ impl FaultStore {
         resume: bool,
     ) -> Result<CampaignResult, StoreError> {
         let header = JournalHeader::describe(campaign, faultload, iteration);
-        let path = self.journal_path(campaign, iteration);
-        let opened = if resume && path.exists() {
-            Journal::open_resume_with(&path, &header, Arc::clone(&self.ctx))
-        } else {
-            Journal::create_with(&path, &header, Arc::clone(&self.ctx)).map(|j| (j, Vec::new()))
-        };
-        let (journal, completed) = match opened {
+        let (journal, completed) = match self.open_journal(&header, resume) {
             Ok((j, completed)) => (Some(j), completed),
             // A persistently unavailable journal (disk full, unwritable
             // directory) must not abort a multi-hour campaign: run it
@@ -165,14 +160,41 @@ impl FaultStore {
         Ok(result)
     }
 
+    /// Opens the journal of the campaign `header` describes, routing its
+    /// I/O through this store's chaos layer: with `resume` an existing
+    /// journal is validated and its durable records replayed
+    /// ([`Journal::open_resume`]), otherwise a fresh one is created
+    /// ([`Journal::create`]) and no records are returned.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::open_resume`] and [`Journal::create`].
+    pub fn open_journal(
+        &self,
+        header: &JournalHeader,
+        resume: bool,
+    ) -> Result<(Journal, Vec<SlotOutcome>), StoreError> {
+        let path = self.journal_file(&header.edition, &header.server, header.iteration);
+        if resume && path.exists() {
+            Journal::open_resume_with(&path, header, Arc::clone(&self.ctx))
+        } else {
+            Journal::create_with(&path, header, Arc::clone(&self.ctx)).map(|j| (j, Vec::new()))
+        }
+    }
+
     /// The journal path for one `(edition, server, iteration)` campaign.
     pub fn journal_path(&self, campaign: &Campaign, iteration: u64) -> PathBuf {
-        self.root.join("journals").join(format!(
-            "{}-{}-it{}.jsonl",
+        self.journal_file(
             campaign.edition().name(),
             campaign.server().name(),
-            iteration
-        ))
+            iteration,
+        )
+    }
+
+    fn journal_file(&self, edition: &str, server: &str, iteration: u64) -> PathBuf {
+        self.root
+            .join("journals")
+            .join(format!("{edition}-{server}-it{iteration}.jsonl"))
     }
 
     /// Saves a campaign result under `name` (atomically: temp + fsync +
@@ -198,12 +220,20 @@ impl FaultStore {
     /// # Errors
     ///
     /// [`StoreError::MissingRun`] when no run with this name exists,
-    /// [`StoreError::Json`] when the stored file does not parse.
+    /// [`StoreError::Io`] when it exists but cannot be read (past the
+    /// retries of a transient fault), [`StoreError::Json`] when the stored
+    /// file does not parse.
     pub fn load_run(&self, name: &str) -> Result<CampaignResult, StoreError> {
         let path = self.run_path(name)?;
-        let json = std::fs::read_to_string(&path).map_err(|_| StoreError::MissingRun {
-            name: name.to_string(),
-        })?;
+        let json = self
+            .ctx
+            .retrying(|| self.ctx.chaos.read_to_string(&path))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::NotFound => StoreError::MissingRun {
+                    name: name.to_string(),
+                },
+                _ => io_err(&path, e),
+            })?;
         serde_json::from_str(&json)
             .map_err(|e| StoreError::Json(format!("{}: {e}", path.display())))
     }
@@ -299,6 +329,18 @@ mod tests {
             store.load_run("never-stored"),
             Err(StoreError::MissingRun { .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression test: every read error used to read as "no stored run",
+    /// so a run that exists but cannot be read was reported missing.
+    #[test]
+    fn an_unreadable_run_is_an_io_error_not_a_missing_one() {
+        let (dir, store) = tmp_store("unreadable");
+        std::fs::create_dir(store.run_path("x").unwrap()).unwrap();
+        let err = store.load_run("x").unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "got {err}");
+        assert!(err.to_string().contains("x.json"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,20 +1,23 @@
-//! The chaos suite: the faultload turned on the harness itself.
+//! The chaos suite: campaigns whose store fails at one chosen operation,
+//! and a hung slot.
 //!
-//! Each scenario runs a real campaign through a store whose own I/O is
-//! subjected to deterministic, seeded environment faults (`simchaos`), and
-//! asserts the robustness contract from the issue:
+//! Every failure point of the store's I/O is swept in `failure_points.rs`;
+//! these scenarios pin what the campaigns look like:
 //!
-//! * transient faults (EINTR/EAGAIN/short writes) are absorbed by retry —
-//!   campaign results are **byte-identical** to a fault-free run;
-//! * torn writes at a crash boundary never corrupt a resume — the resumed
-//!   result reproduces the seed run exactly;
+//! * transient faults (EINTR/EAGAIN/short writes/failed fsyncs) are
+//!   absorbed by retry — campaign results are **byte-identical** to a
+//!   fault-free run, and a crash mid-record after them resumes to the seed
+//!   run exactly;
 //! * a hung slot is killed by the watchdog, journaled as `TimedOut`, and
 //!   re-attempted by `--resume`;
-//! * a persistently failing store (ENOSPC) degrades gracefully: the
-//!   campaign completes, loudly, with `degraded: true` stamped on it.
+//! * a store that fails from its first operation on (ENOSPC) degrades
+//!   gracefully: the campaign completes, loudly, with `degraded: true`
+//!   stamped on it;
+//! * a disk that fills at one slot's journal append keeps every record
+//!   before it.
 
 use depbench::{Campaign, CampaignConfig, IntervalConfig, SlotError};
-use faultstore::{ChaosConfig, ChaosFs, ChaosProfile, FaultStore, StoreError};
+use faultstore::{ChaosFs, Fault, FaultStore, StoreError};
 use simkit::SimDuration;
 use simos::{Edition, Os};
 use std::path::PathBuf;
@@ -45,12 +48,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn chaos_store(dir: &PathBuf, seed: u64, profile: ChaosProfile) -> FaultStore {
-    FaultStore::open(dir)
-        .unwrap()
-        .with_chaos(ChaosFs::seeded(ChaosConfig { seed, profile }))
-}
-
+/// A 4-slot campaign's store operations: the header's append (0) and
+/// fsync (1), slot k's append (k + 2), the closing fsync (6).
 #[test]
 fn transient_faults_leave_campaign_results_byte_identical() {
     let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
@@ -63,43 +62,40 @@ fn transient_faults_leave_campaign_results_byte_identical() {
         .unwrap();
     let clean_json = serde_json::to_string(&clean).unwrap();
 
-    // Same campaign through a store whose every write/fsync/rename may be
-    // interrupted — but only with transient faults, which retry absorbs.
-    let chaos_dir = tmp_dir("transient-chaos");
-    let chaos = ChaosFs::seeded(ChaosConfig {
-        seed: 0xC0FFEE,
-        profile: ChaosProfile::Transient,
-    });
-    let store = FaultStore::open(&chaos_dir)
-        .unwrap()
-        .with_chaos(chaos.clone());
-    let chaotic = store.run_resumable(&campaign, &fl, 0, false).unwrap();
-    assert_eq!(
-        clean_json,
-        serde_json::to_string(&chaotic).unwrap(),
-        "transient harness faults must not change campaign results"
-    );
-    assert!(
-        !chaotic.degraded,
-        "transient faults never degrade the store"
-    );
-    assert!(!store.is_degraded());
+    // Transient faults at the header, a record and the closing fsync,
+    // which retry absorbs.
+    for (n, fault) in [
+        (0, Fault::Eintr),
+        (1, Fault::FsyncFail),
+        (3, Fault::Eagain),
+        (6, Fault::FsyncFail),
+    ] {
+        let chaos_dir = tmp_dir(&format!("transient-{n}"));
+        let chaos = ChaosFs::fail_at(n, fault);
+        let store = FaultStore::open(&chaos_dir)
+            .unwrap()
+            .with_chaos(chaos.clone());
+        let chaotic = store.run_resumable(&campaign, &fl, 0, false).unwrap();
+        assert_eq!(
+            clean_json,
+            serde_json::to_string(&chaotic).unwrap(),
+            "transient harness faults must not change campaign results"
+        );
+        assert!(
+            !chaotic.degraded,
+            "transient faults never degrade the store"
+        );
+        assert!(!store.is_degraded());
+        // The scenario only proves something if the fault fired.
+        assert_eq!(chaos.injected(), 1, "{fault:?} at {n} fired nothing");
 
-    // The scenario only proves something if faults actually fired: the
-    // seeded schedule is deterministic, so this holds on every run. Every
-    // injected fault was transient, so each one cost a retry.
-    assert!(
-        chaos.injected() > 0,
-        "the chaos layer injected nothing; the byte-identity assertion above is vacuous"
-    );
-
-    // The journal survived the chaos too: a resume replays, executes
-    // nothing, and still matches.
-    let replayed = store.run_resumable(&campaign, &fl, 0, true).unwrap();
-    assert_eq!(clean_json, serde_json::to_string(&replayed).unwrap());
-
+        // The journal survived the fault too: a resume replays, executes
+        // nothing, and still matches.
+        let replayed = store.run_resumable(&campaign, &fl, 0, true).unwrap();
+        assert_eq!(clean_json, serde_json::to_string(&replayed).unwrap());
+        std::fs::remove_dir_all(&chaos_dir).unwrap();
+    }
     std::fs::remove_dir_all(&clean_dir).unwrap();
-    std::fs::remove_dir_all(&chaos_dir).unwrap();
 }
 
 #[test]
@@ -114,35 +110,38 @@ fn torn_writes_then_resume_reproduce_the_seed_run_exactly() {
         .unwrap();
     let clean_json = serde_json::to_string(&clean).unwrap();
 
-    // The torn profile adds short writes, torn renames and failed fsyncs.
-    // Appends rewind to the durable prefix before every retry, so no
+    // A short write of slot 1's record, and a failed closing fsync.
+    // Appends rewind to the last whole record before every retry, so no
     // partial record is ever visible to a reader.
-    let chaos_dir = tmp_dir("torn-chaos");
-    let store = chaos_store(&chaos_dir, 0x70A2, ChaosProfile::Torn);
-    let chaotic = store.run_resumable(&campaign, &fl, 0, false).unwrap();
-    assert_eq!(clean_json, serde_json::to_string(&chaotic).unwrap());
+    for (n, fault) in [(3, Fault::ShortWrite), (6, Fault::FsyncFail)] {
+        let chaos_dir = tmp_dir(&format!("torn-{n}"));
+        let store = FaultStore::open(&chaos_dir)
+            .unwrap()
+            .with_chaos(ChaosFs::fail_at(n, fault));
+        let chaotic = store.run_resumable(&campaign, &fl, 0, false).unwrap();
+        assert_eq!(clean_json, serde_json::to_string(&chaotic).unwrap());
 
-    // Simulate the crash the torn profile is modelling: chop the journal
-    // mid-record and resume through a *fresh, chaos-free* store — the
-    // journal on disk must be clean enough that recovery is routine.
-    let journal = store.journal_path(&campaign, 0);
-    let raw = std::fs::read_to_string(&journal).unwrap();
-    let lines: Vec<&str> = raw.lines().collect();
-    assert_eq!(lines.len(), 1 + 4, "header plus one record per slot");
-    let torn = format!("{}\n{}\n{{\"slot\":1,\"resu", lines[0], lines[1]);
-    std::fs::write(&journal, torn).unwrap();
-    let resumed = FaultStore::open(&chaos_dir)
-        .unwrap()
-        .run_resumable(&campaign, &fl, 0, true)
-        .unwrap();
-    assert_eq!(
-        clean_json,
-        serde_json::to_string(&resumed).unwrap(),
-        "resume after torn writes must reproduce the seed run"
-    );
-
+        // Then crash mid-record: chop the journal and resume through a
+        // fresh, chaos-free store — the journal on disk must be clean
+        // enough that recovery is routine.
+        let journal = store.journal_path(&campaign, 0);
+        let raw = std::fs::read_to_string(&journal).unwrap();
+        let lines: Vec<&str> = raw.lines().collect();
+        assert_eq!(lines.len(), 1 + 4, "header plus one record per slot");
+        let torn = format!("{}\n{}\n{{\"slot\":1,\"resu", lines[0], lines[1]);
+        std::fs::write(&journal, torn).unwrap();
+        let resumed = FaultStore::open(&chaos_dir)
+            .unwrap()
+            .run_resumable(&campaign, &fl, 0, true)
+            .unwrap();
+        assert_eq!(
+            clean_json,
+            serde_json::to_string(&resumed).unwrap(),
+            "resume after torn writes must reproduce the seed run"
+        );
+        std::fs::remove_dir_all(&chaos_dir).unwrap();
+    }
     std::fs::remove_dir_all(&clean_dir).unwrap();
-    std::fs::remove_dir_all(&chaos_dir).unwrap();
 }
 
 #[test]
@@ -203,7 +202,9 @@ fn persistent_store_failure_degrades_gracefully() {
     // ENOSPC on every write, persistently: the journal cannot even be
     // created. The campaign must still complete — un-journaled, stamped.
     let chaos_dir = tmp_dir("enospc-chaos");
-    let store = chaos_store(&chaos_dir, 1, ChaosProfile::Enospc);
+    let store = FaultStore::open(&chaos_dir)
+        .unwrap()
+        .with_chaos(ChaosFs::fail_at(0, Fault::Enospc));
     let degraded = store.run_resumable(&campaign, &fl, 0, false).unwrap();
     assert!(degraded.degraded, "the result carries the degraded stamp");
     assert!(store.is_degraded());
@@ -239,13 +240,14 @@ fn first_failed_append_degrades_and_keeps_the_records_before_it() {
         .unwrap();
     let clean_json = serde_json::to_string(&clean).unwrap();
 
-    // The journal header is append 0 and slot k's record is append k + 1,
-    // so a disk that fills after k + 1 appends loses slot k's record.
+    // The journal header's append and fsync are operations 0 and 1, and
+    // slot k's record is appended at operation k + 2: a disk that fills
+    // there loses slot k's record, and fails every later write and fsync.
     for lost in [0, 2, 4] {
         let dir = tmp_dir(&format!("full-at-{lost}"));
         let store = FaultStore::open(&dir)
             .unwrap()
-            .with_chaos(ChaosFs::full_after_appends(lost as u64 + 1));
+            .with_chaos(ChaosFs::fail_at(lost as u64 + 2, Fault::Enospc));
         let mut result = store.run_resumable(&campaign, &fl, 0, false).unwrap();
         assert!(result.degraded, "slot {lost}: the result carries the stamp");
         assert!(store.is_degraded());

@@ -9,99 +9,67 @@
 //!
 //! * [`ChaosFs`] — a virtual-filesystem shim the store routes its I/O
 //!   through. Disabled it is a single branch per call (pass-through);
-//!   enabled it injects short writes, torn renames, failed `fsync`,
-//!   transient `EINTR`/`EAGAIN`, and `ENOSPC` on a **seeded, deterministic
-//!   schedule**: decision *n* is drawn from `SimRng::derive(seed, [n])`,
-//!   so two runs with the same seed and the same operation sequence see
-//!   the same faults — which is what lets the chaos test suite assert
-//!   byte-identical campaign results with and without injection. Tests can
-//!   also fill the disk at a chosen append ([`ChaosFs::full_after_appends`]).
+//!   enabled it has one **enumerable schedule**: operation `n` fails with
+//!   one [`Fault`] ([`ChaosFs::fail_at`]). Every consulted operation, each
+//!   retry included, takes the next index, so a counting pass
+//!   ([`ChaosFs::ops`]) tells a test how many failure points a workload
+//!   has, and a sweep can fail each of them with each fault in turn.
 //! * [`retry`] — the survival half: one bounded-retry schedule with
-//!   exponential backoff and deterministic jitter (same `derive`
-//!   discipline) that callers wrap around transient-fallible operations.
+//!   exponential backoff and deterministic jitter (`SimRng::derive`)
+//!   that callers wrap around transient-fallible operations.
 //!
 //! The crate knows nothing about `faultstore`. It reports no events: an
 //! enabled [`ChaosFs`] counts the faults it injected
 //! ([`ChaosFs::injected`]), which is what a test reads to show that a
-//! chaos run exercised anything.
+//! point exercised anything.
 
 pub mod retry;
 
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use simkit::SimRng;
-
-/// Which family of environment faults a [`ChaosFs`] injects.
-///
-/// Profiles are ordered by severity: `Transient` only injects faults a
-/// bounded retry is guaranteed to absorb, `Torn` adds crash-shaped
-/// artifacts (torn renames, failed fsync) that exercise the journal's
-/// resume path, and `Enospc` is a persistently full disk that exercises
-/// graceful degradation.
+/// A storage fault a [`ChaosFs`] can inject. Each one fires only at the
+/// stages where it can occur: a read cannot suffer a short write, a
+/// rename cannot suffer a failed fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosProfile {
-    /// Transient-only: `EINTR`, `EAGAIN` and short writes. Every injected
-    /// fault succeeds on retry, so campaign results must be byte-identical
-    /// to a fault-free run.
-    Transient,
-    /// Everything in `Transient` plus torn renames (destination left with
-    /// a truncated prefix of the source) and failed `fsync`.
-    Torn,
-    /// Persistent `ENOSPC`: every write-path operation fails with
-    /// [`io::ErrorKind::StorageFull`], and retries cannot help. Exercises
-    /// the store's degraded mode.
+pub enum Fault {
+    /// `EINTR`: the call was interrupted; retry succeeds. Any stage.
+    Eintr,
+    /// `EAGAIN`: the resource was briefly unavailable; retry succeeds.
+    /// Any stage but an fsync.
+    Eagain,
+    /// Only a prefix of the payload reaches the file before the error;
+    /// retry succeeds. Writes and appends.
+    ShortWrite,
+    /// The data was written but `fsync` reports failure; retry succeeds.
+    /// Fsyncs.
+    FsyncFail,
+    /// The rename half-happens: the destination is left holding a
+    /// truncated prefix of the source, and the call errors transiently.
+    /// Renames.
+    TornRename,
+    /// The disk is full, from this operation on; retrying cannot help.
+    /// Every stage but a read.
     Enospc,
 }
 
-impl ChaosProfile {
-    /// The profile names accepted by [`ChaosProfile::from_str`], for CLI
-    /// help text.
-    pub const NAMES: &'static [&'static str] = &["transient", "torn", "enospc"];
+impl Fault {
+    /// Every fault, in declaration order.
+    pub const ALL: [Fault; 6] = [
+        Fault::Eintr,
+        Fault::Eagain,
+        Fault::ShortWrite,
+        Fault::FsyncFail,
+        Fault::TornRename,
+        Fault::Enospc,
+    ];
 }
 
-impl FromStr for ChaosProfile {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "transient" => Ok(ChaosProfile::Transient),
-            "torn" => Ok(ChaosProfile::Torn),
-            "enospc" => Ok(ChaosProfile::Enospc),
-            other => Err(format!(
-                "unknown chaos profile `{other}` (expected one of: {})",
-                Self::NAMES.join(", ")
-            )),
-        }
-    }
-}
-
-/// Seed + profile: everything a [`ChaosFs`] needs to replay a schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Root seed for the fault schedule. Same seed + same operation
-    /// sequence = same injected faults.
-    pub seed: u64,
-    /// Which fault family to draw from.
-    pub profile: ChaosProfile,
-}
-
-/// What decides each operation's fault.
-#[derive(Debug, Clone, Copy)]
-enum Schedule {
-    Seeded(ChaosConfig),
-    /// Appends from the `n`-th on fail with `ENOSPC`; nothing else fails.
-    FullAfterAppends(u64),
-}
-
-/// The I/O stage an operation is in when the schedule is consulted;
-/// different stages draw from different fault tables (a read cannot
-/// suffer a short write, a rename cannot suffer a failed fsync).
-#[derive(Debug, Clone, Copy)]
+/// The I/O stage an operation is in when the schedule is consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     Write,
     Append,
@@ -110,36 +78,34 @@ enum Stage {
     Read,
 }
 
-/// A concrete fault the schedule decided to inject.
-#[derive(Debug, Clone, Copy)]
-enum Injected {
-    /// `EINTR`: the call was interrupted; retry succeeds.
-    Eintr,
-    /// `EAGAIN`: the resource was briefly unavailable; retry succeeds.
-    Eagain,
-    /// Only a prefix of the payload reaches the file before the error.
-    ShortWrite,
-    /// The data was written but `fsync` reports failure.
-    FsyncFail,
-    /// The rename half-happens: the destination is left holding a
-    /// truncated prefix of the source, and the call errors.
-    TornRename,
-    /// The disk is full; retrying cannot help.
-    Enospc,
+impl Stage {
+    /// Whether `fault` can occur at this stage.
+    fn admits(self, fault: Fault) -> bool {
+        match fault {
+            Fault::Eintr => true,
+            Fault::Eagain => self != Stage::Fsync,
+            Fault::ShortWrite => matches!(self, Stage::Write | Stage::Append),
+            Fault::FsyncFail => self == Stage::Fsync,
+            Fault::TornRename => self == Stage::Rename,
+            Fault::Enospc => self != Stage::Read,
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
-    schedule: Schedule,
-    /// Global operation counter; each injection decision consumes one
-    /// index into the schedule.
+    /// The operation index the fault fires at.
+    at: u64,
+    /// The fault injected there (and, for [`Fault::Enospc`], after).
+    fault: Fault,
+    /// Global operation counter; each consulted operation takes one index.
     ops: AtomicU64,
-    /// How many of those decisions injected a fault.
+    /// How many of those operations injected a fault.
     injected: AtomicU64,
 }
 
-/// A virtual-filesystem layer that injects environment faults on a seeded
-/// schedule.
+/// A virtual-filesystem layer that injects one environment fault at one
+/// chosen operation.
 ///
 /// Cloning is cheap (an `Arc`); all clones share one operation counter so
 /// a process-wide schedule stays coherent across the journal and the
@@ -156,31 +122,28 @@ impl ChaosFs {
         ChaosFs { inner: None }
     }
 
-    /// A fault-injecting instance driven by `cfg`'s seeded schedule.
-    pub fn seeded(cfg: ChaosConfig) -> ChaosFs {
-        ChaosFs::with_schedule(Schedule::Seeded(cfg))
-    }
-
-    /// A disk that fills after `appends` appends: every later
-    /// [`ChaosFs::append`] fails with [`io::ErrorKind::StorageFull`], and
-    /// nothing else fails. Lets a test fail one chosen journal record.
-    pub fn full_after_appends(appends: u64) -> ChaosFs {
-        ChaosFs::with_schedule(Schedule::FullAfterAppends(appends))
-    }
-
-    fn with_schedule(schedule: Schedule) -> ChaosFs {
+    /// Operation `n` (0-based, counting every consulted operation and
+    /// every retry) fails with `fault`, if its stage admits that fault;
+    /// otherwise nothing fires. [`Fault::Enospc`] also fails every later
+    /// operation but a read, as a full disk does. `fail_at(u64::MAX, _)`
+    /// injects nothing and only counts ([`ChaosFs::ops`]).
+    pub fn fail_at(n: u64, fault: Fault) -> ChaosFs {
         ChaosFs {
             inner: Some(Arc::new(Inner {
-                schedule,
+                at: n,
+                fault,
                 ops: AtomicU64::new(0),
                 injected: AtomicU64::new(0),
             })),
         }
     }
 
-    /// Whether this instance injects faults at all.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+    /// How many operations this instance (and every clone of it) has
+    /// consulted the schedule for so far; always 0 when disabled.
+    pub fn ops(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.ops.load(Ordering::Relaxed))
     }
 
     /// How many faults this instance (and every clone of it) has injected
@@ -191,71 +154,31 @@ impl ChaosFs {
             .map_or(0, |i| i.injected.load(Ordering::Relaxed))
     }
 
-    /// Consults the schedule for the next operation at `stage`.
-    fn decide(&self, stage: Stage) -> Option<Injected> {
+    /// Consults the schedule for the next operation, at `stage`.
+    fn decide(&self, stage: Stage) -> Option<Fault> {
         let inner = self.inner.as_ref()?;
-        let cfg = match (inner.schedule, stage) {
-            (Schedule::Seeded(cfg), _) => cfg,
-            (Schedule::FullAfterAppends(n), Stage::Append) => {
-                let full = inner.ops.fetch_add(1, Ordering::Relaxed) >= n;
-                inner.injected.fetch_add(u64::from(full), Ordering::Relaxed);
-                return full.then_some(Injected::Enospc);
-            }
-            (Schedule::FullAfterAppends(_), _) => return None,
+        let op = inner.ops.fetch_add(1, Ordering::Relaxed);
+        let due = match inner.fault {
+            Fault::Enospc => op >= inner.at,
+            _ => op == inner.at,
         };
-        let n = inner.ops.fetch_add(1, Ordering::Relaxed);
-        // Per-mille roll from the n-th derived stream: deterministic in
-        // (seed, n), independent of wall clock and thread timing as long
-        // as the operation *sequence* is deterministic (which the store
-        // guarantees by serialising journal appends in slot order).
-        let roll = SimRng::derive(cfg.seed, &[n]).next_u64() % 1000;
-        let injected = match (cfg.profile, stage) {
-            (ChaosProfile::Enospc, Stage::Read) => None,
-            (ChaosProfile::Enospc, _) => Some(Injected::Enospc),
-            (ChaosProfile::Transient, Stage::Write | Stage::Append) => match roll {
-                0..=79 => Some(Injected::Eintr),
-                80..=159 => Some(Injected::Eagain),
-                160..=219 => Some(Injected::ShortWrite),
-                _ => None,
-            },
-            (ChaosProfile::Transient, _) => match roll {
-                0..=79 => Some(Injected::Eintr),
-                _ => None,
-            },
-            (ChaosProfile::Torn, Stage::Write | Stage::Append) => match roll {
-                0..=59 => Some(Injected::Eintr),
-                60..=139 => Some(Injected::ShortWrite),
-                _ => None,
-            },
-            (ChaosProfile::Torn, Stage::Fsync) => match roll {
-                0..=99 => Some(Injected::FsyncFail),
-                _ => None,
-            },
-            (ChaosProfile::Torn, Stage::Rename) => match roll {
-                0..=119 => Some(Injected::TornRename),
-                _ => None,
-            },
-            (ChaosProfile::Torn, Stage::Read) => match roll {
-                0..=59 => Some(Injected::Eintr),
-                _ => None,
-            },
-        };
-        if injected.is_some() {
-            inner.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        injected
+        let fires = due && stage.admits(inner.fault);
+        inner
+            .injected
+            .fetch_add(u64::from(fires), Ordering::Relaxed);
+        fires.then_some(inner.fault)
     }
 
     /// Creates (truncating) `path`, writes `bytes`, and syncs the file to
-    /// disk — the durable half of a write-then-rename. Injection points:
-    /// before the write (EINTR/EAGAIN/ENOSPC), mid-write (short write:
-    /// a prefix lands in the file before the error), and at the fsync.
+    /// disk — the durable half of a write-then-rename. Two operations: the
+    /// write (EINTR/EAGAIN/ENOSPC before it, or a short write: a prefix
+    /// lands in the file before the error), then the fsync.
     pub fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         match self.decide(Stage::Write) {
-            Some(Injected::Eintr) => return Err(eintr("write")),
-            Some(Injected::Eagain) => return Err(eagain("write")),
-            Some(Injected::Enospc) => return Err(enospc("write")),
-            Some(Injected::ShortWrite) => {
+            Some(Fault::Eintr) => return Err(eintr("write")),
+            Some(Fault::Eagain) => return Err(eagain("write")),
+            Some(Fault::Enospc) => return Err(enospc("write")),
+            Some(Fault::ShortWrite) => {
                 // A prefix reaches the disk, then the call errors. The
                 // retry re-creates (truncates) the file, so no torn bytes
                 // survive a successful retry.
@@ -263,7 +186,7 @@ impl ChaosFs {
                 f.write_all(&bytes[..bytes.len() / 2])?;
                 return Err(eintr("short write"));
             }
-            Some(Injected::FsyncFail) | Some(Injected::TornRename) | None => {}
+            Some(Fault::FsyncFail | Fault::TornRename) | None => {}
         }
         let mut f = File::create(path)?;
         f.write_all(bytes)?;
@@ -276,15 +199,15 @@ impl ChaosFs {
     /// transiently (a retry performs the real rename and heals it).
     pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         match self.decide(Stage::Rename) {
-            Some(Injected::Eintr) => return Err(eintr("rename")),
-            Some(Injected::Eagain) => return Err(eagain("rename")),
-            Some(Injected::Enospc) => return Err(enospc("rename")),
-            Some(Injected::TornRename) => {
+            Some(Fault::Eintr) => return Err(eintr("rename")),
+            Some(Fault::Eagain) => return Err(eagain("rename")),
+            Some(Fault::Enospc) => return Err(enospc("rename")),
+            Some(Fault::TornRename) => {
                 let bytes = std::fs::read(from)?;
                 std::fs::write(to, &bytes[..bytes.len() / 2])?;
                 return Err(eintr("torn rename"));
             }
-            Some(Injected::ShortWrite) | Some(Injected::FsyncFail) | None => {}
+            Some(Fault::ShortWrite | Fault::FsyncFail) | None => {}
         }
         std::fs::rename(from, to)
     }
@@ -292,51 +215,51 @@ impl ChaosFs {
     /// Reads `path` to a string, with transient faults on the read path.
     pub fn read_to_string(&self, path: &Path) -> io::Result<String> {
         match self.decide(Stage::Read) {
-            Some(Injected::Eintr) => return Err(eintr("read")),
-            Some(Injected::Eagain) => return Err(eagain("read")),
+            Some(Fault::Eintr) => return Err(eintr("read")),
+            Some(Fault::Eagain) => return Err(eagain("read")),
             _ => {}
         }
         std::fs::read_to_string(path)
     }
 
-    /// Appends `bytes` to an open file positioned at its end, in one
-    /// `write_all`. A short write leaves a prefix of the bytes in the file
-    /// before erroring — the journal's rewind-on-retry discipline (`set_len`
-    /// back to the durable length) is what makes this safe to retry.
+    /// Appends `bytes` to an open file at its cursor, in one `write_all`.
+    /// A short write leaves a prefix of the bytes in the file before
+    /// erroring — the journal's rewind-on-retry discipline (`set_len` back
+    /// to the whole records) is what makes this safe to retry.
     pub fn append(&self, file: &mut File, bytes: &[u8]) -> io::Result<()> {
         match self.decide(Stage::Append) {
-            Some(Injected::Eintr) => return Err(eintr("append")),
-            Some(Injected::Eagain) => return Err(eagain("append")),
-            Some(Injected::Enospc) => return Err(enospc("append")),
-            Some(Injected::ShortWrite) => {
+            Some(Fault::Eintr) => return Err(eintr("append")),
+            Some(Fault::Eagain) => return Err(eagain("append")),
+            Some(Fault::Enospc) => return Err(enospc("append")),
+            Some(Fault::ShortWrite) => {
                 file.write_all(&bytes[..bytes.len() / 2])?;
                 return Err(eintr("short append"));
             }
-            Some(Injected::FsyncFail) | Some(Injected::TornRename) | None => {}
+            Some(Fault::FsyncFail | Fault::TornRename) | None => {}
         }
         file.write_all(bytes)
     }
 
     /// `File::sync_data` with injected fsync failures.
     pub fn sync_data(&self, file: &File) -> io::Result<()> {
-        match self.decide(Stage::Fsync) {
-            Some(Injected::Eintr) => return Err(eintr("fsync")),
-            Some(Injected::Enospc) => return Err(enospc("fsync")),
-            Some(Injected::FsyncFail) => return Err(fsync_fail()),
-            _ => {}
-        }
+        self.fsync_fault()?;
         file.sync_data()
     }
 
     /// `File::sync_all` with injected fsync failures.
     pub fn sync_all(&self, file: &File) -> io::Result<()> {
-        match self.decide(Stage::Fsync) {
-            Some(Injected::Eintr) => return Err(eintr("fsync")),
-            Some(Injected::Enospc) => return Err(enospc("fsync")),
-            Some(Injected::FsyncFail) => return Err(fsync_fail()),
-            _ => {}
-        }
+        self.fsync_fault()?;
         file.sync_all()
+    }
+
+    /// Consults the schedule for an fsync.
+    fn fsync_fault(&self) -> io::Result<()> {
+        match self.decide(Stage::Fsync) {
+            Some(Fault::Eintr) => Err(eintr("fsync")),
+            Some(Fault::Enospc) => Err(enospc("fsync")),
+            Some(Fault::FsyncFail) => Err(fsync_fail()),
+            _ => Ok(()),
+        }
     }
 
     /// Truncates an open file to `len` and seeks to its end — the
@@ -351,8 +274,9 @@ impl ChaosFs {
 }
 
 /// Whether an I/O error is transient — i.e. a bounded retry is the right
-/// response. `EINTR` (`Interrupted`) and `EAGAIN` (`WouldBlock`) qualify;
-/// `ENOSPC` (`StorageFull`) and everything else do not.
+/// response. `EINTR` (`Interrupted`), `EAGAIN` (`WouldBlock`) and
+/// `TimedOut` qualify; `ENOSPC` (`StorageFull`) and everything else do
+/// not.
 pub fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -399,8 +323,6 @@ mod tests {
     #[test]
     fn off_is_pass_through() {
         let fs = ChaosFs::off();
-        assert!(!fs.is_enabled());
-        assert_eq!(fs.injected(), 0);
         let dir = tmp_dir("off");
         let p = dir.join("a.txt");
         fs.write_sync(&p, b"hello").unwrap();
@@ -408,140 +330,125 @@ mod tests {
         let q = dir.join("b.txt");
         fs.rename(&p, &q).unwrap();
         assert_eq!(fs.read_to_string(&q).unwrap(), "hello");
+        assert_eq!((fs.ops(), fs.injected()), (0, 0));
     }
 
-    #[test]
-    fn schedule_is_deterministic_in_seed_and_op_index() {
-        let cfg = ChaosConfig {
-            seed: 42,
-            profile: ChaosProfile::Transient,
-        };
-        let dir = tmp_dir("det");
+    /// Two writes (write + fsync each), then one append per result: the
+    /// error kind of each call, and the injected count.
+    fn drive(fs: &ChaosFs, dir: &Path) -> (Vec<Option<io::ErrorKind>>, u64) {
         let p = dir.join("a.txt");
-        let record = |fs: &ChaosFs| -> Vec<String> {
-            (0..200)
-                .map(|_| match fs.write_sync(&p, b"payload-payload") {
-                    Ok(()) => "ok".to_string(),
-                    Err(e) => format!("{:?}", e.kind()),
-                })
-                .collect()
-        };
-        let fs = ChaosFs::seeded(cfg);
-        let a = record(&fs);
-        let b = record(&ChaosFs::seeded(cfg));
-        assert_eq!(
-            a, b,
-            "same seed + same op sequence must inject the same faults"
-        );
-        let failed = a.iter().filter(|s| *s != "ok").count() as u64;
-        assert!(
-            failed > 0,
-            "a 200-op transient schedule should inject at least one fault"
-        );
-        // Each failed write is one injected fault, counted on every clone.
-        assert_eq!(fs.clone().injected(), failed);
-    }
-
-    #[test]
-    fn transient_profile_injects_only_transient_kinds() {
-        let cfg = ChaosConfig {
-            seed: 7,
-            profile: ChaosProfile::Transient,
-        };
-        let fs = ChaosFs::seeded(cfg);
-        let dir = tmp_dir("transient");
-        let p = dir.join("a.txt");
-        for _ in 0..500 {
-            if let Err(e) = fs.write_sync(&p, b"0123456789") {
-                assert!(is_transient(&e), "unexpected non-transient fault: {e}");
-            }
-        }
-    }
-
-    #[test]
-    fn enospc_profile_fails_all_writes_persistently() {
-        let cfg = ChaosConfig {
-            seed: 1,
-            profile: ChaosProfile::Enospc,
-        };
-        let fs = ChaosFs::seeded(cfg);
-        let dir = tmp_dir("enospc");
-        let p = dir.join("a.txt");
-        for _ in 0..20 {
-            let e = fs.write_sync(&p, b"x").unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::StorageFull);
-            assert!(!is_transient(&e));
-        }
-        // Reads still work: a full disk does not prevent loading artifacts.
-        std::fs::write(&p, b"seed-data").unwrap();
-        assert_eq!(fs.read_to_string(&p).unwrap(), "seed-data");
-    }
-
-    #[test]
-    fn full_after_appends_fails_every_append_from_the_nth_on() {
-        let fs = ChaosFs::full_after_appends(3);
-        let dir = tmp_dir("full-after");
-        let p = dir.join("a.txt");
-        // Other operations neither fail nor count as appends.
-        fs.write_sync(&p, b"").unwrap();
+        let mut kinds = vec![
+            fs.write_sync(&p, b"0123").err().map(|e| e.kind()),
+            fs.write_sync(&p, b"4567").err().map(|e| e.kind()),
+        ];
         let mut file = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
-        fs.sync_data(&file).unwrap();
-        let kinds: Vec<Option<io::ErrorKind>> = (0..6)
-            .map(|_| fs.append(&mut file, b"r\n").err().map(|e| e.kind()))
-            .collect();
+        for _ in 0..3 {
+            kinds.push(fs.append(&mut file, b"r\n").err().map(|e| e.kind()));
+        }
+        (kinds, fs.injected())
+    }
+
+    #[test]
+    fn a_transient_fault_fires_once_and_only_where_its_stage_admits_it() {
+        let dir = tmp_dir("once");
+        let counting = ChaosFs::fail_at(u64::MAX, Fault::Eintr);
+        let (kinds, injected) = drive(&counting, &dir);
+        assert_eq!((kinds, injected), (vec![None; 5], 0));
+        // write, fsync, write, fsync, append, append, append.
+        assert_eq!(counting.ops(), 7);
+
+        let intr = Some(io::ErrorKind::Interrupted);
+        let block = Some(io::ErrorKind::WouldBlock);
+        for (n, fault, want) in [
+            (0, Fault::Eintr, [intr, None, None, None, None]),
+            (3, Fault::FsyncFail, [None, intr, None, None, None]),
+            (5, Fault::Eagain, [None, None, None, block, None]),
+            (6, Fault::ShortWrite, [None, None, None, None, intr]),
+        ] {
+            let fs = ChaosFs::fail_at(n, fault);
+            let (kinds, injected) = drive(&fs, &dir);
+            assert_eq!(kinds, want, "{fault:?} at {n}");
+            assert_eq!(injected, 1, "{fault:?} at {n}");
+        }
+        // A fault its stage does not admit fires nowhere.
+        for (n, fault) in [
+            (1, Fault::Eagain),
+            (0, Fault::FsyncFail),
+            (4, Fault::TornRename),
+        ] {
+            let fs = ChaosFs::fail_at(n, fault);
+            assert_eq!(drive(&fs, &dir), (vec![None; 5], 0), "{fault:?} at {n}");
+        }
+        // The last append's short write left half its bytes behind.
+        let fs = ChaosFs::fail_at(6, Fault::ShortWrite);
+        drive(&fs, &dir);
+        assert_eq!(std::fs::read(dir.join("a.txt")).unwrap(), b"4567r\nr\nr");
+    }
+
+    /// Every transient fault, at every operation, is absorbed by one retry:
+    /// the calls succeed and the file ends as a fault-free run leaves it.
+    #[test]
+    fn every_transient_fault_is_absorbed_by_a_retry() {
+        let dir = tmp_dir("absorbed");
+        let p = dir.join("a.txt");
+        let q = dir.join("b.txt");
+        for fault in Fault::ALL.into_iter().filter(|f| *f != Fault::Enospc) {
+            let mut fired = 0;
+            for n in 0..6 {
+                let fs = ChaosFs::fail_at(n, fault);
+                let retry = |op: &mut dyn FnMut() -> io::Result<()>| {
+                    op().or_else(|e| {
+                        assert!(is_transient(&e), "{fault:?} at {n}: {e}");
+                        op()
+                    })
+                };
+                retry(&mut || fs.write_sync(&p, b"0123")).unwrap();
+                let mut file = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
+                let mut at_end = || {
+                    file.seek(SeekFrom::Start(4))?;
+                    fs.append(&mut file, b"r\n")
+                };
+                retry(&mut at_end).unwrap();
+                retry(&mut || fs.rename(&p, &q)).unwrap();
+                let mut text = String::new();
+                retry(&mut || {
+                    text = fs.read_to_string(&q)?;
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(text, "0123r\n", "{fault:?} at {n}");
+                assert!(fs.injected() <= 1, "{fault:?} at {n}");
+                fired += fs.injected();
+            }
+            assert!(fired > 0, "{fault:?} never fired");
+        }
+    }
+
+    #[test]
+    fn enospc_fails_every_later_operation_but_reads() {
+        let dir = tmp_dir("enospc");
+        let fs = ChaosFs::fail_at(4, Fault::Enospc);
         let full = Some(io::ErrorKind::StorageFull);
-        assert_eq!(kinds, [None, None, None, full, full, full]);
-        assert_eq!(fs.injected(), 3);
-        assert_eq!(std::fs::read(&p).unwrap(), b"r\nr\nr\n");
+        let (kinds, injected) = drive(&fs, &dir);
+        assert_eq!(kinds, [None, None, full, full, full]);
+        assert_eq!(injected, 3);
+        assert!(!is_transient(&io::Error::from(io::ErrorKind::StorageFull)));
+        // Reads still work: a full disk does not prevent loading artifacts.
+        assert_eq!(fs.read_to_string(&dir.join("a.txt")).unwrap(), "4567");
+        assert_eq!((fs.ops(), fs.injected()), (8, 3));
     }
 
     #[test]
     fn torn_rename_leaves_truncated_destination_then_retry_heals() {
-        let cfg = ChaosConfig {
-            seed: 0,
-            profile: ChaosProfile::Torn,
-        };
-        let fs = ChaosFs::seeded(cfg);
+        let fs = ChaosFs::fail_at(0, Fault::TornRename);
         let dir = tmp_dir("torn");
-        let src = dir.join("src.txt");
+        let (src, dst) = (dir.join("src.txt"), dir.join("dst.txt"));
         std::fs::write(&src, b"0123456789abcdef").unwrap();
-        let dst = dir.join("dst.txt");
-        // Drive the schedule until a torn rename fires, then confirm the
-        // destination holds a strict prefix and that retrying heals it.
-        let mut torn_seen = false;
-        for _ in 0..300 {
-            std::fs::write(&src, b"0123456789abcdef").unwrap();
-            match fs.rename(&src, &dst) {
-                Ok(()) => {
-                    assert_eq!(std::fs::read(&dst).unwrap(), b"0123456789abcdef");
-                }
-                Err(_) if dst.exists() => {
-                    let got = std::fs::read(&dst).unwrap();
-                    if got != b"0123456789abcdef" {
-                        assert!(b"0123456789abcdef".starts_with(&got[..]));
-                        torn_seen = true;
-                    }
-                }
-                Err(_) => {}
-            }
-        }
-        assert!(
-            torn_seen,
-            "a 300-op torn schedule should tear at least one rename"
-        );
-    }
-
-    #[test]
-    fn profile_parses_from_cli_names() {
-        assert_eq!(
-            "transient".parse::<ChaosProfile>().unwrap(),
-            ChaosProfile::Transient
-        );
-        assert_eq!("torn".parse::<ChaosProfile>().unwrap(), ChaosProfile::Torn);
-        assert_eq!(
-            "enospc".parse::<ChaosProfile>().unwrap(),
-            ChaosProfile::Enospc
-        );
-        assert!("full-disk".parse::<ChaosProfile>().is_err());
+        let e = fs.rename(&src, &dst).unwrap_err();
+        assert!(is_transient(&e), "{e}");
+        assert_eq!(std::fs::read(&dst).unwrap(), b"01234567");
+        fs.rename(&src, &dst).unwrap();
+        assert_eq!(std::fs::read(&dst).unwrap(), b"0123456789abcdef");
+        assert_eq!(fs.injected(), 1);
     }
 }
