@@ -202,6 +202,68 @@ impl SlotRecord {
     }
 }
 
+/// Records one parse worker takes at least: a journal of fewer than two
+/// such chunks is parsed on the calling thread alone, so a short journal
+/// pays no thread spawn.
+const PARSE_CHUNK: usize = 64;
+
+/// The byte range of one journal line, its newline excluded.
+type Line = (usize, usize);
+
+/// The whole lines of `raw` from byte `from`. A last line with no newline
+/// is torn, and left out.
+fn whole_lines(raw: &str, from: usize) -> Vec<Line> {
+    let mut lines = Vec::new();
+    let mut start = from;
+    while let Some(n) = raw[start..].find('\n') {
+        lines.push((start, start + n));
+        start += n + 1;
+    }
+    lines
+}
+
+/// Parses the [`SlotRecord`] on each of `lines` of `raw`, on up to
+/// `parallelism` workers, the calling thread among them, and returns each
+/// line's end with its record, in order. Each worker takes one contiguous
+/// chunk of the lines and stops after the first one that does not parse
+/// (a `None`). The replay stops there too, so it never reads the records
+/// that follow from later chunks.
+fn parse_records(
+    raw: &str,
+    lines: &[Line],
+    parallelism: usize,
+) -> Vec<(usize, Option<SlotRecord>)> {
+    let parse = |chunk: &[Line]| {
+        let mut records = Vec::with_capacity(chunk.len());
+        for &(start, end) in chunk {
+            let record = serde_json::from_str::<SlotRecord>(&raw[start..end]).ok();
+            let torn = record.is_none();
+            records.push((end, record));
+            if torn {
+                break;
+            }
+        }
+        records
+    };
+    let workers = parallelism.min(lines.len() / PARSE_CHUNK).max(1);
+    let mut chunks = lines.chunks(lines.len().div_ceil(workers).max(1));
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let rest: Vec<_> = chunks.map(|chunk| s.spawn(move || parse(chunk))).collect();
+        let mut parsed = parse(first);
+        for worker in rest {
+            parsed.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        parsed
+    })
+}
+
 /// One journal line after the header, as written: the [`SlotRecord`]
 /// shape, serialized straight from the borrowed outcome.
 struct RecordLine<'a> {
@@ -401,16 +463,19 @@ impl Journal {
         path: impl Into<PathBuf>,
         expected: &JournalHeader,
     ) -> Result<(Journal, Vec<SlotOutcome>), StoreError> {
-        Journal::open_resume_with(path, expected, StoreCtx::default_arc())
+        Journal::open_resume_with(path, expected, StoreCtx::default_arc(), 1)
     }
 
     /// [`Journal::open_resume`] under a store's resilience context (the
     /// initial read retries transient faults; the truncate-and-seek
-    /// recovery actions are not themselves subject to injection).
+    /// recovery actions are not themselves subject to injection), parsing
+    /// the records on up to `parallelism` workers. The outcomes and the
+    /// truncation are the same at any worker count.
     pub(crate) fn open_resume_with(
         path: impl Into<PathBuf>,
         expected: &JournalHeader,
         ctx: Arc<StoreCtx>,
+        parallelism: usize,
     ) -> Result<(Journal, Vec<SlotOutcome>), StoreError> {
         let path = path.into();
         let raw = ctx
@@ -426,16 +491,15 @@ impl Journal {
             .map_err(|e| StoreError::Json(format!("{}: bad header: {e}", path.display())))?;
         header.validate_against(expected)?;
 
+        // The records are parsed first, on up to `parallelism` workers,
+        // then accepted in order, so a record's fate never depends on the
+        // worker count.
+        let lines = whole_lines(&raw, header_end + 1);
         let mut outcomes: Vec<SlotOutcome> = Vec::new();
         // Byte offset of the end of the last durable, acceptable record.
         let mut durable_end = header_end + 1;
-        let mut cursor = durable_end;
-        while cursor < raw.len() {
-            let line_end = match raw[cursor..].find('\n') {
-                Some(n) => cursor + n,
-                None => break, // torn trailing line: no newline made it to disk
-            };
-            let Ok(record) = serde_json::from_str::<SlotRecord>(&raw[cursor..line_end]) else {
+        for (line_end, record) in parse_records(&raw, &lines, parallelism) {
+            let Some(record) = record else {
                 break; // torn or corrupt: everything after is untrusted
             };
             if record.slot >= header.fault_count {
@@ -455,7 +519,6 @@ impl Journal {
                 break; // gap: the remainder cannot be a replayable prefix
             }
             durable_end = line_end + 1;
-            cursor = durable_end;
         }
 
         let file = OpenOptions::new()
@@ -809,6 +872,117 @@ mod tests {
         assert_eq!(journal.recorded(), 0);
         assert_eq!(std::fs::read(&path).unwrap(), header_bytes);
         drop(journal);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// The replay as it ran before records were parsed on workers: one
+    /// line at a time, parsed and accepted in turn on the calling thread.
+    /// Returns the outcomes and the durable length.
+    fn replay_sequentially(raw: &str, fault_count: usize) -> (Vec<SlotOutcome>, usize) {
+        let mut outcomes: Vec<SlotOutcome> = Vec::new();
+        let mut durable_end = raw.find('\n').unwrap() + 1;
+        let mut cursor = durable_end;
+        while cursor < raw.len() {
+            let line_end = match raw[cursor..].find('\n') {
+                Some(n) => cursor + n,
+                None => break,
+            };
+            let Ok(record) = serde_json::from_str::<SlotRecord>(&raw[cursor..line_end]) else {
+                break;
+            };
+            if record.slot >= fault_count {
+                break;
+            }
+            let slot = record.slot;
+            let Some(outcome) = record.outcome() else {
+                break;
+            };
+            if slot == outcomes.len() {
+                outcomes.push(outcome);
+            } else if slot < outcomes.len() && matches!(outcomes[slot], SlotOutcome::Quarantined(_))
+            {
+                outcomes[slot] = outcome;
+            } else {
+                break;
+            }
+            durable_end = line_end + 1;
+            cursor = durable_end;
+        }
+        (outcomes, durable_end)
+    }
+
+    /// Journals with a torn tail, a corrupt line, an out-of-range slot,
+    /// a gap and re-attempted quarantined slots replay, at 1, 2 and 3
+    /// parse workers, to the outcomes and the file length the sequential
+    /// replay gives. The journals span three parse chunks, so every worker
+    /// count is reached, and each defect is placed in the first, second
+    /// and last chunk.
+    #[test]
+    fn replay_is_the_same_at_any_worker_count() {
+        let n = 3 * PARSE_CHUNK + 10;
+        let path = tmp_journal("workers");
+        let journal = Journal::create(&path, &header(n)).unwrap();
+        for i in 0..n {
+            journal.record(i, &outcome(i)).unwrap();
+        }
+        drop(journal);
+        let clean = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = clean.split_inclusive('\n').collect();
+        let record_line = |slot: usize, o: &SlotOutcome| {
+            let line = serde_json::to_string(&RecordLine { slot, outcome: o }).unwrap();
+            line + "\n"
+        };
+        // The journal with record line `k` (slot `k`) replaced by `with`.
+        let edit = |k: usize, with: &str| lines[..=k].concat() + with + &lines[k + 2..].concat();
+        let mut cases: Vec<(String, String, usize)> = vec![("clean".into(), clean.clone(), n)];
+        let last = lines[n];
+        let torn = clean[..clean.len() - last.len() / 2].to_string();
+        cases.push(("torn tail".into(), torn, n - 1));
+        let zeroed = clean[..clean.len() - last.len()].to_string() + "\0\0\0\0\n";
+        cases.push(("zeroed tail".into(), zeroed, n - 1));
+        for k in [0, n / 2, n - 2] {
+            let corrupt = edit(k, "{\"slot\":x}\n");
+            cases.push((format!("corrupt line {k}"), corrupt, k));
+            let outside = lines[k + 1].replacen(&format!("\"slot\":{k},"), "\"slot\":9999,", 1);
+            cases.push((format!("out-of-range slot at {k}"), edit(k, &outside), k));
+            cases.push((format!("gap at {k}"), edit(k, ""), k));
+        }
+        // Slots 4, 69 and 194 are quarantined; their re-attempts follow,
+        // and a second record for a completed slot ends the replay.
+        let mut reattempted = clean.clone();
+        for slot in [69, 4, 194] {
+            reattempted += &record_line(slot, &outcome(slot + 1));
+        }
+        reattempted += &record_line(5, &outcome(6));
+        reattempted += &record_line(9, &outcome(10));
+        cases.push(("re-attempts".into(), reattempted, n));
+
+        let header = header(n);
+        let json = |outcomes: &[SlotOutcome]| -> Vec<String> {
+            outcomes
+                .iter()
+                .map(|o| serde_json::to_string(o).unwrap())
+                .collect()
+        };
+        for (name, text, replayed) in cases {
+            let (want, want_len) = replay_sequentially(&text, n);
+            assert_eq!(want.len(), replayed, "{name}: replays what it says");
+            let want = json(&want);
+            if name == "re-attempts" {
+                assert_eq!(want[69], json(&[outcome(70)])[0]);
+                assert_eq!(want[5], json(&[outcome(5)])[0]);
+            }
+            for workers in 1..=3 {
+                std::fs::write(&path, &text).unwrap();
+                let ctx = StoreCtx::default_arc();
+                let (journal, got) =
+                    Journal::open_resume_with(&path, &header, ctx, workers).unwrap();
+                drop(journal);
+                assert_eq!(json(&got), want, "{name}, {workers} workers: outcomes");
+                let len = std::fs::metadata(&path).unwrap().len();
+                assert_eq!(len, want_len as u64, "{name}, {workers} workers: length");
+            }
+        }
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

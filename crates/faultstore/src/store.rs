@@ -113,7 +113,8 @@ impl FaultStore {
         resume: bool,
     ) -> Result<CampaignResult, StoreError> {
         let header = JournalHeader::describe(campaign, faultload, iteration);
-        let (journal, completed) = match self.open_journal(&header, resume) {
+        let parallelism = campaign.config().parallelism;
+        let (journal, completed) = match self.open_journal_on(&header, resume, parallelism) {
             Ok((j, completed)) => (Some(j), completed),
             // A persistently unavailable journal (disk full, unwritable
             // directory) must not abort a multi-hour campaign: run it
@@ -174,9 +175,20 @@ impl FaultStore {
         header: &JournalHeader,
         resume: bool,
     ) -> Result<(Journal, Vec<SlotOutcome>), StoreError> {
+        self.open_journal_on(header, resume, 1)
+    }
+
+    /// [`FaultStore::open_journal`], parsing a resumed journal's records on
+    /// up to `parallelism` workers.
+    fn open_journal_on(
+        &self,
+        header: &JournalHeader,
+        resume: bool,
+        parallelism: usize,
+    ) -> Result<(Journal, Vec<SlotOutcome>), StoreError> {
         let path = self.journal_file(&header.edition, &header.server, header.iteration);
         if resume && path.exists() {
-            Journal::open_resume_with(&path, header, Arc::clone(&self.ctx))
+            Journal::open_resume_with(&path, header, Arc::clone(&self.ctx), parallelism)
         } else {
             Journal::create_with(&path, header, Arc::clone(&self.ctx)).map(|j| (j, Vec::new()))
         }

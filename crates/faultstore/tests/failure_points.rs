@@ -6,9 +6,12 @@
 //! store operations a workload makes; then every operation `n` is failed
 //! with every [`Fault`] in turn. The workload is a 40-record journal (one
 //! group fsync at [`GROUP`] = 32, then the closing sync), a `save_run` and
-//! a `load_run`, over synthetic slot outcomes, with no VM work. Full
-//! `run_resumable` campaigns run at the first, middle and last admissible
-//! point of each fault. Each point must end one of two ways:
+//! a `load_run`, over synthetic slot outcomes, with no VM work. A second
+//! sweep resumes that journal half-written: `open_journal(header, true)`
+//! reads it, the 20 records it lacks are appended and synced, and the run
+//! is saved and loaded. Full `run_resumable` campaigns run at the first,
+//! middle and last admissible point of each fault. Each point must end one
+//! of two ways:
 //!
 //! * calm: no store call failed, and the journal, the stored run and the
 //!   loaded run are byte-equal to the calm run's;
@@ -20,6 +23,11 @@
 //!
 //! A transient fault must always end calm: retry absorbs it. A panic fails
 //! the sweep and names its point.
+//!
+//! Opening the journal file, and the `set_len` and seek that truncate a
+//! torn tail on resume, stay outside the fault layer by design: they are
+//! the recovery actions, as is the rewind between append retries. So the
+//! resume path's points are its read, its appends and its syncs.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,6 +46,8 @@ use webserver::ServerKind;
 
 /// Records each journal-only point writes: more than one group.
 const RECORDS: usize = 40;
+/// Records the half-written journal of the resume sweep holds.
+const WRITTEN: usize = RECORDS / 2;
 /// The stored run's name.
 const RUN: &str = "swept";
 
@@ -135,13 +145,16 @@ fn run_file(dir: &Path) -> PathBuf {
 }
 
 /// The journal-only workload: `n` records, the closing sync, a save and a
-/// load, through a store whose I/O runs through `chaos`.
-fn journal_workload(dir: &Path, chaos: &ChaosFs, n: usize) -> Ending {
+/// load, through a store whose I/O runs through `chaos`. With `resume` the
+/// journal in `dir` is resumed, and only the records it lacks are written;
+/// the ones it replays count as acknowledged.
+fn journal_workload(dir: &Path, chaos: &ChaosFs, n: usize, resume: bool) -> Ending {
     let store = FaultStore::open(dir).unwrap().with_chaos(chaos.clone());
     let (mut failed, mut acked) = (false, 0);
-    match store.open_journal(&header(n), false) {
-        Ok((journal, _)) => {
-            for slot in 0..n {
+    match store.open_journal(&header(n), resume) {
+        Ok((journal, replayed)) => {
+            acked = replayed.len();
+            for slot in replayed.len()..n {
                 match journal.record(slot, &outcome(slot)) {
                     Ok(()) => acked += 1,
                     Err(_) => failed = true,
@@ -165,6 +178,17 @@ fn journal_workload(dir: &Path, chaos: &ChaosFs, n: usize) -> Ending {
 
 fn journal_file(dir: &Path) -> PathBuf {
     dir.join("journals").join("nimbus-2000-wren-it0.jsonl")
+}
+
+/// Leaves in `dir` the journal of a campaign cut short: the first `written`
+/// of `n` records, synced, written with no fault.
+fn half_written(dir: &Path, n: usize, written: usize) {
+    let store = FaultStore::open(dir).unwrap();
+    let (journal, _) = store.open_journal(&header(n), false).unwrap();
+    for slot in 0..written {
+        journal.record(slot, &outcome(slot)).unwrap();
+    }
+    journal.sync().unwrap();
 }
 
 /// Resumes the journal-only workload through a chaos-free store.
@@ -263,11 +287,19 @@ fn at_point(n: u64, fault: Fault, point: impl FnOnce()) {
 
 /// Sweeps every `(n, fault)` of the `records`-record journal-only workload
 /// and returns the operation count and, per fault, the points where it
-/// fired.
-fn sweep_journal(records: usize) -> (u64, Vec<(Fault, Vec<u64>)>) {
-    let dir = tmp_dir(&format!("journal-{records}"));
+/// fired. With `written`, each point resumes a journal that holds the
+/// first `written` records.
+fn sweep_journal(records: usize, written: Option<usize>) -> (u64, Vec<(Fault, Vec<u64>)>) {
+    let dir = tmp_dir(&format!("journal-{records}-{written:?}"));
+    let setup = || {
+        if let Some(written) = written {
+            half_written(&dir, records, written);
+        }
+    };
+    let resume = written.is_some();
+    setup();
     let counting = ChaosFs::fail_at(u64::MAX, Fault::Eintr);
-    let ending = journal_workload(&dir, &counting, records);
+    let ending = journal_workload(&dir, &counting, records, resume);
     assert!(!ending.failed && counting.injected() == 0);
     let calm = Calm {
         journal: ending.journal,
@@ -283,8 +315,9 @@ fn sweep_journal(records: usize) -> (u64, Vec<(Fault, Vec<u64>)>) {
         let mut at = Vec::new();
         for n in 0..ops {
             at_point(n, fault, || {
+                setup();
                 let chaos = ChaosFs::fail_at(n, fault);
-                let ending = journal_workload(&dir, &chaos, records);
+                let ending = journal_workload(&dir, &chaos, records, resume);
                 if chaos.injected() > 0 {
                     at.push(n);
                 }
@@ -302,24 +335,50 @@ fn sweep_journal(records: usize) -> (u64, Vec<(Fault, Vec<u64>)>) {
 
 #[test]
 fn every_failure_point_of_journal_save_and_load_keeps_the_contract() {
-    let (ops, fired) = sweep_journal(RECORDS);
+    let (ops, fired) = sweep_journal(RECORDS, None);
     // Header append and fsync, one append per record, the group fsync,
     // the closing fsync, the save's write, fsync and rename, the load.
     assert_eq!(
         ops,
         2 + RECORDS as u64 + (RECORDS / GROUP) as u64 + 1 + 3 + 1
     );
+    report("(n, f)", ops, &fired);
+}
+
+/// Prints a sweep's point count and where each fault fired; a fault that
+/// never fired fails the sweep, which then tested nothing.
+fn report(what: &str, ops: u64, fired: &[(Fault, Vec<u64>)]) {
     let points = ops * Fault::ALL.len() as u64;
     println!(
-        "swept {points} (n, f) points: {ops} store operations x {} faults",
+        "swept {points} {what} points: {ops} store operations x {} faults",
         Fault::ALL.len()
     );
-    for (fault, at) in &fired {
+    for (fault, at) in fired {
         println!("  {fault:?} fired at {} points", at.len());
         assert!(
             !at.is_empty(),
             "{fault:?} never fired: the sweep tested nothing"
         );
+    }
+}
+
+#[test]
+fn every_failure_point_of_a_resume_keeps_the_contract() {
+    let (ops, fired) = sweep_journal(RECORDS, Some(WRITTEN));
+    // The read, one append per record the journal lacks, no group fsync
+    // (a resumed journal counts its group afresh), the closing fsync, the
+    // save's write, fsync and rename, the load.
+    let appended = (RECORDS - WRITTEN) as u64;
+    assert_eq!(ops, 1 + appended + appended / GROUP as u64 + 1 + 3 + 1);
+    report("resume", ops, &fired);
+    // Operation 0 is the read: the transient faults fire there, and retry
+    // absorbs them; the faults of writes, fsyncs and renames do not.
+    // (`Enospc` at 0 fires at every later write instead.)
+    for (fault, at) in &fired {
+        if *fault != Fault::Enospc {
+            let transient = matches!(fault, Fault::Eintr | Fault::Eagain);
+            assert_eq!(at.contains(&0), transient, "{fault:?} at the read");
+        }
     }
 }
 
@@ -370,7 +429,7 @@ fn campaign_workload(
 fn campaigns_keep_the_contract_at_the_ends_and_middle_of_each_fault() {
     let fl = small_faultload(2);
     let campaign = Campaign::new(Edition::Nimbus2000, ServerKind::Wren, quick_config());
-    let (journal_ops, fired) = sweep_journal(fl.len());
+    let (journal_ops, fired) = sweep_journal(fl.len(), None);
 
     let dir = tmp_dir("campaign");
     let counting = ChaosFs::fail_at(u64::MAX, Fault::Eintr);
