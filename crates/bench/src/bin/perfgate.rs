@@ -23,11 +23,12 @@
 //!
 //! Exit status: 0 = pass, 1 = a gated metric regressed or a budget was
 //! exceeded, 2 = usage error (a flag the mode does not read, a malformed
-//! flag value, a missing `--baseline`, or a baseline that cannot be read
-//! or parsed — all reported before anything is measured).
+//! flag value, a missing `--baseline`, a baseline that cannot be read or
+//! parsed, or a `record` without `--out` whose default `BENCH_<date>.json`
+//! already exists — all reported before anything is measured).
 
 use std::collections::BTreeMap;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use bench::cli::{check_flags, value_of};
 use depbench::{Campaign, CampaignConfig, CampaignResult, IntervalConfig, SlotResult, TraceConfig};
@@ -84,6 +85,8 @@ struct JournalLine {
 /// What to do, with every flag parsed and the baseline loaded.
 struct Invocation {
     rounds: usize,
+    /// Where to write the report: `--out`, else `record`'s default
+    /// `BENCH_<date>.json`. `None` for a `check` without `--out`.
     out: Option<String>,
     /// `check`: the baseline path, its report and the tolerance (percent).
     /// `None` for `record`.
@@ -100,21 +103,14 @@ fn main() {
         }
     };
     let report = measure(rounds);
-    match check {
-        None => {
-            let path = out.unwrap_or_else(|| format!("BENCH_{}.json", report.date));
-            write_report(&report, &path);
-            println!("recorded {path}");
-        }
-        Some((baseline_path, baseline, tolerance)) => {
-            if let Some(path) = out {
-                write_report(&report, &path);
-                println!("recorded {path}");
-            }
-            let regressed = compare(&report, &baseline, &baseline_path, tolerance);
-            if over_budget(report.calibration_ns) || regressed {
-                std::process::exit(1);
-            }
+    if let Some(path) = out {
+        write_report(&report, &path);
+        println!("recorded {path}");
+    }
+    if let Some((baseline_path, baseline, tolerance)) = check {
+        let regressed = compare(&report, &baseline, &baseline_path, tolerance);
+        if over_budget(report.calibration_ns) || regressed {
+            std::process::exit(1);
         }
     }
 }
@@ -136,7 +132,7 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             .map_err(|_| format!("--rounds needs an unsigned integer, got `{v}`"))?,
         None => 7,
     };
-    let out = value_of(args, "--out")?.cloned();
+    let mut out = value_of(args, "--out")?.cloned();
     let check = if args[0] == "check" {
         let tolerance: f64 = match value_of(args, "--tolerance")? {
             Some(v) => v
@@ -153,6 +149,15 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
             .map_err(|e| format!("baseline {path} is not a perfgate report: {e}"))?;
         Some((path.clone(), baseline, tolerance))
     } else {
+        if out.is_none() {
+            // The default path names the day, so a file there is a baseline
+            // recorded earlier today: never overwrite it silently.
+            let path = format!("BENCH_{}.json", bench::today_utc());
+            if std::path::Path::new(&path).exists() {
+                return Err(format!("{path} already exists; pass --out PATH"));
+            }
+            out = Some(path);
+        }
         None
     };
     Ok(Invocation { rounds, out, check })
@@ -290,7 +295,7 @@ fn measure(rounds: usize) -> Report {
 
     Report {
         schema: "faultbench-perfgate/1".to_string(),
-        date: today_utc(),
+        date: bench::today_utc(),
         gated: GATED.iter().map(|s| (*s).to_string()).collect(),
         metrics,
         calibration_ns: calibrate(rounds),
@@ -455,23 +460,4 @@ fn compare(report: &Report, baseline: &Report, baseline_path: &str, tolerance: f
         println!("gated metrics passed");
     }
     failed
-}
-
-/// `YYYY-MM-DD` (UTC) without a date-time dependency: days since the
-/// epoch to a civil date (Howard Hinnant's `civil_from_days`).
-fn today_utc() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .expect("clock after 1970")
-        .as_secs();
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
 }

@@ -4,8 +4,9 @@
 //! flag is a usage error, not a panic, a pathologically nested pack or
 //! faultload file is a one-line error, not a stack overflow, and so are a
 //! faultload with no fingerprint, an out-of-range `trace --slot`, a store
-//! `table5`/`figure5` cannot open or resume, and an unstorable `--save`
-//! name (refused before the campaign runs).
+//! `table5`/`figure5` cannot open or resume, an unstorable `--save` name
+//! (refused before the campaign runs), and a `perfgate record` that would
+//! overwrite today's baseline.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -221,6 +222,30 @@ fn perfgate_rejects_a_malformed_flag_without_panicking() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+/// A second `perfgate record` on one day without `--out` would overwrite
+/// that day's baseline: it is refused before anything is measured, and the
+/// file keeps its bytes.
+#[test]
+fn perfgate_record_never_overwrites_todays_baseline() {
+    let cwd = std::env::temp_dir().join(format!("perfgate-today-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let baseline = cwd.join(format!("BENCH_{}.json", bench::today_utc()));
+    std::fs::write(&baseline, "recorded earlier today").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_perfgate"))
+        .args(["record", "--rounds", "1"])
+        .current_dir(&cwd)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let kept = std::fs::read_to_string(&baseline).unwrap();
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("already exists"), "{stderr}");
+    assert!(out.stdout.is_empty(), "measured before refusing");
+    assert_eq!(kept, "recorded earlier today");
 }
 
 /// Writes `json` to a scratch file, runs `faultbench` with `args` and the

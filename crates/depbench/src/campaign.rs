@@ -164,22 +164,6 @@ impl CampaignConfig {
             .expect("CampaignConfig serializes (plain data, no maps)");
         simkit::hash::fnv1a(json.as_bytes())
     }
-
-    /// The paper-faithful time mapping: each fault is applied for a full
-    /// 10-second slot (the paper chose 10 s because the average operation
-    /// takes under a second — the same ratio holds here, where operations
-    /// average a few hundred milliseconds). Campaigns run ~5x longer than
-    /// with [`CampaignConfig::default`]; results differ only in tighter
-    /// per-slot statistics.
-    pub fn paper_faithful() -> CampaignConfig {
-        CampaignConfig {
-            interval: IntervalConfig {
-                duration: simkit::SimDuration::from_secs(10),
-                ..IntervalConfig::default()
-            },
-            ..CampaignConfig::default()
-        }
-    }
 }
 
 /// Builds a [`CampaignConfig`] fluently.
@@ -1249,19 +1233,6 @@ mod tests {
         Scanner::standard()
             .scan_functions(os.program().image(), &simos::OsApi::symbols())
             .sample(n)
-    }
-
-    #[test]
-    fn paper_faithful_preset_uses_ten_second_slots() {
-        let cfg = CampaignConfig::paper_faithful();
-        assert_eq!(cfg.interval.duration, SimDuration::from_secs(10));
-        // One paper slot holds many operations (avg op well under 1 s).
-        let c = Campaign::new(Edition::Nimbus2000, ServerKind::Heron, cfg);
-        let fl = small_faultload(Edition::Nimbus2000, 2);
-        let res = c.run_injection(&fl, 0).unwrap();
-        for slot in &res.slots {
-            assert!(slot.measures.ops() > 200, "ops {}", slot.measures.ops());
-        }
     }
 
     #[test]

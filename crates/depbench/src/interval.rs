@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use simos::Edition;
     use specweb::{FileSet, FileSetConfig};
-    use webserver::{Heron, Wren};
+    use webserver::{Heron, SingleProcess};
 
     fn setup(edition: Edition) -> (Os, RequestGenerator) {
         let mut os = Os::boot(edition).unwrap();
@@ -360,7 +360,7 @@ mod tests {
     fn interval_is_deterministic() {
         let run = || {
             let (mut os, mut generator) = setup(Edition::Nimbus2000);
-            let mut server = Wren::new();
+            let mut server = SingleProcess::wren();
             assert!(server.start(&mut os));
             let mut rng = SimRng::seed_from_u64(7);
             let out = run_interval(&mut os, &mut server, &mut generator, &mut rng, &quick_cfg());
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn crashed_server_is_repaired_and_counted() {
         let (mut os, mut generator) = setup(Edition::Nimbus2000);
-        let mut server = Wren::new();
+        let mut server = SingleProcess::wren();
         assert!(server.start(&mut os));
         // Corrupt the heap so the first request's master-phase alloc traps,
         // then let reset-free corruption persist: the watchdog must restart.
@@ -399,7 +399,7 @@ mod tests {
         let mut os = Os::boot_with_budget(Edition::Nimbus2000, 60_000).unwrap();
         let fs = FileSet::populate(FileSetConfig::default(), os.devices_mut());
         let mut generator = RequestGenerator::new(fs);
-        let mut server = Wren::new();
+        let mut server = SingleProcess::wren();
         assert!(server.start(&mut os));
         // Wedge Wren's lock (foreign owner): first enter spins -> hang.
         os.poke(simos::source::CS_REGION + 16, 3).unwrap();
@@ -514,7 +514,7 @@ mod tests {
         ];
         for policy in policies {
             let (mut os, mut generator) = setup(Edition::Nimbus2000);
-            let mut server = Wren::new();
+            let mut server = SingleProcess::wren();
             assert!(server.start(&mut os));
             // Persistent heap poison: every fresh start keeps failing, so
             // the interval accumulates real downtime under each policy.
@@ -560,7 +560,7 @@ mod tests {
     fn warm_spare_failover_beats_fixed_delay_on_a_poisoned_heap() {
         let run = |policy: RecoveryPolicy| {
             let (mut os, mut generator) = setup(Edition::Nimbus2000);
-            let mut server = Wren::new();
+            let mut server = SingleProcess::wren();
             assert!(server.start(&mut os));
             if matches!(policy, RecoveryPolicy::StandbyFailover { .. }) {
                 // In a campaign the warmup interval arms the spare while the

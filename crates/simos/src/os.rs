@@ -525,15 +525,6 @@ impl Os {
         self.mem.write_cstr(addr, s).map_err(|e| e.to_string())
     }
 
-    /// Host-side read of a NUL-terminated string from OS memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description on out-of-bounds reads.
-    pub fn peek_cstr(&self, addr: i64, max_len: usize) -> Result<String, String> {
-        self.mem.read_cstr(addr, max_len).map_err(|e| e.to_string())
-    }
-
     /// Host-side single-cell read.
     ///
     /// # Errors
@@ -818,12 +809,15 @@ mod tests {
             .unwrap()
             .value;
         assert_eq!(rc, 0);
-        assert_eq!(os.peek_cstr(SCRATCH + 300, 256).unwrap(), "/web/index.html");
+        assert_eq!(
+            os.mem.read_cstr(SCRATCH + 300, 256).unwrap(),
+            "/web/index.html"
+        );
         // Forward slashes pass through.
         os.poke_cstr(SCRATCH, "C:/web/a.html").unwrap();
         os.call(OsApi::RtlDosPathToNative, &[SCRATCH, SCRATCH + 300])
             .unwrap();
-        assert_eq!(os.peek_cstr(SCRATCH + 300, 256).unwrap(), "/web/a.html");
+        assert_eq!(os.mem.read_cstr(SCRATCH + 300, 256).unwrap(), "/web/a.html");
         // Invalid inputs are statuses, not crashes.
         assert!(
             os.call(OsApi::RtlDosPathToNative, &[0, SCRATCH + 300])
@@ -839,7 +833,7 @@ mod tests {
         os.poke_cstr(SCRATCH, "C://web//a.html").unwrap();
         os.call(OsApi::RtlDosPathToNative, &[SCRATCH, SCRATCH + 300])
             .unwrap();
-        assert_eq!(os.peek_cstr(SCRATCH + 300, 256).unwrap(), "/web/a.html");
+        assert_eq!(os.mem.read_cstr(SCRATCH + 300, 256).unwrap(), "/web/a.html");
     }
 
     #[test]
@@ -851,7 +845,7 @@ mod tests {
         let buf = SCRATCH + 400;
         let n = os.call(OsApi::ReadFile, &[h, buf, 6]).unwrap().value;
         assert_eq!(n, 6);
-        assert_eq!(os.peek_cstr(buf, 6).unwrap(), "<html>");
+        assert_eq!(os.mem.read_cstr(buf, 6).unwrap(), "<html>");
         // Sequential read continues at the file position.
         let n = os.call(OsApi::ReadFile, &[h, buf, 100]).unwrap().value;
         assert_eq!(n, 9); // "hi</html>"
@@ -870,7 +864,7 @@ mod tests {
         assert_eq!(old, 0);
         let buf = SCRATCH + 400;
         os.call(OsApi::ReadFile, &[h, buf, 2]).unwrap();
-        assert_eq!(os.peek_cstr(buf, 2).unwrap(), "hi");
+        assert_eq!(os.mem.read_cstr(buf, 2).unwrap(), "hi");
     }
 
     #[test]
@@ -953,7 +947,7 @@ mod tests {
             .unwrap()
             .value;
         assert_eq!(n, 5);
-        assert_eq!(os.peek_cstr(dst, 100).unwrap(), "hello");
+        assert_eq!(os.mem.read_cstr(dst, 100).unwrap(), "hello");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use mvm::mem::PAGE_CELLS;
 use simos::source::MEM_SIZE;
 use simos::{DeviceFile, DeviceStore, Edition, Os, OsApi};
 use specweb::{FileSet, FileSetConfig};
-use webserver::{Heron, WebServer, Wren};
+use webserver::{Heron, SingleProcess, WebServer};
 
 /// Pages of OS memory.
 const OS_PAGES: usize = MEM_SIZE / PAGE_CELLS;
@@ -30,7 +30,8 @@ fn corpus_is_bytes(devices: &DeviceStore, fs: &FileSet) -> bool {
 
 #[test]
 fn a_started_server_snapshots_to_a_few_pages() {
-    let servers: [Box<dyn WebServer>; 2] = [Box::new(Wren::new()), Box::new(Heron::new())];
+    let servers: [Box<dyn WebServer>; 2] =
+        [Box::new(SingleProcess::wren()), Box::new(Heron::new())];
     for mut server in servers {
         let (os, _) = started(server.as_mut());
         let stored = os.snapshot().stored_pages();
@@ -65,7 +66,7 @@ fn a_fresh_boot_flags_only_the_pages_it_wrote() {
 
 #[test]
 fn a_reboot_then_restore_gives_back_the_snapshot_exactly() {
-    let mut server = Wren::new();
+    let mut server = SingleProcess::wren();
     let (mut os, fs) = started(&mut server);
     let snap = os.snapshot();
     let cells = os.peek_cells(0, MEM_SIZE).unwrap().to_vec();

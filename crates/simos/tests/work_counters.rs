@@ -3,8 +3,10 @@
 //! and the device I/O operations. They are what every campaign slot costs
 //! before any wall clock is read, so a change to the interpreter, the OS
 //! source or a server that moves one of them changes the work itself, not
-//! just its speed. The pinned values were taken before the interpreter's
-//! bookkeeping moved from every instruction to every straight-line run.
+//! just its speed. Heron's and Wren's pinned values were taken before the
+//! interpreter's bookkeeping moved from every instruction to every
+//! straight-line run; Sparrow's and Swift's before the three single-process
+//! servers became one type with three profiles.
 
 use simkit::SimRng;
 use simos::{Edition, Os};
@@ -52,7 +54,13 @@ fn serve_stream(edition: Edition, kind: ServerKind) -> Work {
     }
 }
 
-/// The API calls both servers make for the stream; they differ only in
+/// `calls` in the order `Os::api_counts` lists them.
+fn in_api_order(mut calls: Vec<(&'static str, u64)>) -> Vec<(&'static str, u64)> {
+    calls.sort_by_key(|&(symbol, _)| simos::OsApi::from_symbol(symbol).expect("an OS API"));
+    calls
+}
+
+/// The API calls Heron and Wren make for the stream; they differ only in
 /// the functions listed per server.
 fn api_calls(specific: [(&'static str, u64); 5]) -> Vec<(&'static str, u64)> {
     let mut calls = vec![
@@ -73,8 +81,7 @@ fn api_calls(specific: [(&'static str, u64); 5]) -> Vec<(&'static str, u64)> {
         ("set_file_pointer", 30),
     ];
     calls.extend(specific);
-    calls.sort_by_key(|&(symbol, _)| simos::OsApi::from_symbol(symbol).expect("an OS API"));
-    calls
+    in_api_order(calls)
 }
 
 #[test]
@@ -93,11 +100,71 @@ fn serving_a_fixed_stream_does_pinned_work() {
         ("get_long_path_name", 15),
         ("read_file", 267),
     ]);
+    // The profiling-only servers: Sparrow wraps no path in unicode and
+    // reads in small chunks; Swift converts every response header.
+    let sparrow = in_api_order(vec![
+        ("nt_close", 2),
+        ("nt_create_file", 2),
+        ("nt_open_file", 118),
+        ("nt_protect_virtual_memory", 10),
+        ("nt_query_virtual_memory", 10),
+        ("nt_read_file", 257),
+        ("nt_write_file", 2),
+        ("rtl_allocate_heap", 390),
+        ("rtl_dos_path_to_native", 120),
+        ("rtl_enter_critical_section", 120),
+        ("rtl_free_heap", 390),
+        ("rtl_init_ansi_string", 240),
+        ("rtl_leave_critical_section", 120),
+        ("rtl_unicode_to_multibyte", 30),
+        ("close_handle", 118),
+        ("get_long_path_name", 3),
+        ("read_file", 693),
+        ("set_file_pointer", 30),
+    ]);
+    let swift = in_api_order(vec![
+        ("nt_close", 2),
+        ("nt_create_file", 2),
+        ("nt_open_file", 118),
+        ("nt_protect_virtual_memory", 12),
+        ("nt_query_virtual_memory", 12),
+        ("nt_read_file", 95),
+        ("nt_write_file", 2),
+        ("rtl_allocate_heap", 750),
+        ("rtl_dos_path_to_native", 120),
+        ("rtl_enter_critical_section", 120),
+        ("rtl_free_heap", 630),
+        ("rtl_free_unicode_string", 120),
+        ("rtl_init_ansi_string", 480),
+        ("rtl_init_unicode_string", 120),
+        ("rtl_leave_critical_section", 120),
+        ("rtl_unicode_to_multibyte", 150),
+        ("close_handle", 118),
+        ("get_long_path_name", 30),
+        ("read_file", 267),
+        ("set_file_pointer", 30),
+    ]);
     let cases = [
         (Edition::Nimbus2000, ServerKind::Wren, 512_868, &wren, 680),
         (Edition::Nimbus2000, ServerKind::Heron, 487_269, &heron, 484),
         (Edition::NimbusXp, ServerKind::Wren, 1_181_440, &wren, 680),
         (Edition::NimbusXp, ServerKind::Heron, 1_153_231, &heron, 484),
+        (
+            Edition::Nimbus2000,
+            ServerKind::Sparrow,
+            428_264,
+            &sparrow,
+            1072,
+        ),
+        (Edition::Nimbus2000, ServerKind::Swift, 620_539, &swift, 484),
+        (
+            Edition::NimbusXp,
+            ServerKind::Sparrow,
+            934_080,
+            &sparrow,
+            1072,
+        ),
+        (Edition::NimbusXp, ServerKind::Swift, 1_499_264, &swift, 484),
     ];
     for (edition, kind, instructions, api_calls, io_ops) in cases {
         assert_eq!(

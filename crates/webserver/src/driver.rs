@@ -60,6 +60,9 @@ pub struct Style {
     /// On open failure, normalize the path in server code and retry once
     /// (defensive fallback; the robust servers do this).
     pub path_fallback: bool,
+    /// After serving, convert the response header through the multibyte
+    /// converter (Swift's distinguishing usage pattern).
+    pub multibyte_headers: bool,
     /// Read chunk size in cells.
     pub chunk: i64,
     /// Fixed per-request server-side cost units (parsing, socket work).
@@ -119,41 +122,25 @@ fn call(
     }
 }
 
-/// Allocates the server's buffer set (process start). Returns the buffers
-/// and the cost, or `Ok(Err(cost))` when the heap refused (start failure
-/// without a crash), or `Err` on an uncontained failure.
-pub fn allocate_buffers(os: &mut Os, cs: i64) -> Result<Result<(Buffers, u64), u64>, DriverError> {
-    let mut cost = 0u64;
-    let alloc = |os: &mut Os, size: i64, cost: &mut u64| -> Result<i64, DriverError> {
-        call(os, OsApi::RtlAllocateHeap, &[size], Phase::Master, cost)
-    };
-    let path_buf = alloc(os, 300, &mut cost)?;
-    let native_buf = alloc(os, 300, &mut cost)?;
-    let data_buf = alloc(os, 2100, &mut cost)?;
-    let aux_buf = alloc(os, 600, &mut cost)?;
-    let str_struct = alloc(os, 8, &mut cost)?;
-    let spare_conn = alloc(os, 24, &mut cost)?;
-    if path_buf <= 0
-        || native_buf <= 0
-        || data_buf <= 0
-        || aux_buf <= 0
-        || str_struct <= 0
-        || spare_conn <= 0
-    {
-        return Ok(Err(cost));
+/// Allocates the server's buffer set (process start). `None` when the heap
+/// refused a buffer or an allocation died: the start failed.
+pub fn allocate_buffers(os: &mut Os, cs: i64) -> Option<Buffers> {
+    // Path, native path, data, auxiliary, string structure, spare connection.
+    let sizes = [300, 300, 2100, 600, 8, 24];
+    let mut held = [0; 6];
+    for (buf, size) in held.iter_mut().zip(sizes) {
+        *buf = os.call(OsApi::RtlAllocateHeap, &[size]).ok()?.value;
     }
-    Ok(Ok((
-        Buffers {
-            path_buf,
-            native_buf,
-            data_buf,
-            aux_buf,
-            str_struct,
-            spare_conn,
-            cs,
-        },
-        cost,
-    )))
+    let [path_buf, native_buf, data_buf, aux_buf, str_struct, spare_conn] = held;
+    held.iter().all(|&b| b > 0).then_some(Buffers {
+        path_buf,
+        native_buf,
+        data_buf,
+        aux_buf,
+        str_struct,
+        spare_conn,
+        cs,
+    })
 }
 
 /// Startup configuration load: real servers read their port, document root
@@ -214,7 +201,7 @@ pub fn serve_once(
     if traced {
         os.tracer().emit(EventKind::RequestStart { seq });
     }
-    let result = serve_once_steps(os, bufs, style, req, seq);
+    let mut result = serve_once_steps(os, bufs, style, req, seq);
     if traced {
         match &result {
             Ok((outcome, cost)) => os.tracer().emit(EventKind::RequestDone {
@@ -233,6 +220,18 @@ pub fn serve_once(
                     StepFailure::Hang => "hang",
                 },
             }),
+        }
+    }
+    if style.multibyte_headers {
+        if let Ok((_, cost)) = &mut result {
+            // A post-response step outside the request's recorded fate: a
+            // failed conversion is ignored, whatever it was.
+            if let Ok(r) = os.call(
+                OsApi::RtlUnicodeToMultibyte,
+                &[bufs.aux_buf, bufs.path_buf, 32],
+            ) {
+                *cost += r.cost;
+            }
         }
     }
     result
@@ -295,9 +294,6 @@ fn serve_once_steps(
                 &mut cost,
             )?;
             hdr_bufs.push(b);
-        } else if check {
-            // Header buffer refused: continue with fewer headers.
-            degraded = false;
         }
     }
     if style.use_unicode {
@@ -583,6 +579,7 @@ mod tests {
             long_path_every: 8,
             vm_calls_every: 16,
             path_fallback: false,
+            multibyte_headers: false,
             chunk: 2048,
             overhead: 50,
         }
@@ -601,9 +598,7 @@ mod tests {
     #[test]
     fn serves_correct_static_content() {
         let (mut os, content) = booted_with_file();
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         let req = get_req(&content);
         let (outcome, cost) = serve_once(&mut os, &bufs, &style(true), &req, 1).unwrap();
         match outcome {
@@ -621,9 +616,7 @@ mod tests {
     #[test]
     fn missing_file_clean_error_when_checking() {
         let (mut os, _) = booted_with_file();
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         let req = Request {
             method: Method::GetStatic,
             path: "C:\\nope".into(),
@@ -640,9 +633,7 @@ mod tests {
     #[test]
     fn unchecked_style_returns_bogus_success() {
         let (mut os, _) = booted_with_file();
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         let req = Request {
             method: Method::GetStatic,
             path: "C:\\nope".into(),
@@ -661,9 +652,7 @@ mod tests {
     #[test]
     fn post_creates_and_writes() {
         let (mut os, _) = booted_with_file();
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         let req = Request {
             method: Method::Post,
             path: "C:\\web\\posted.dat".into(),
@@ -679,9 +668,7 @@ mod tests {
     #[test]
     fn dynamic_get_transforms() {
         let (mut os, content) = booted_with_file();
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         let mut req = get_req(&content);
         req.method = Method::GetDynamic;
         let (outcome, _) = serve_once(&mut os, &bufs, &style(true), &req, 1).unwrap();
@@ -691,9 +678,7 @@ mod tests {
     #[test]
     fn repeated_serving_is_leak_free_when_releasing() {
         let (mut os, content) = booted_with_file();
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         let req = get_req(&content);
         for seq in 0..200 {
             let (outcome, _) = serve_once(&mut os, &bufs, &style(true), &req, seq).unwrap();
@@ -711,9 +696,7 @@ mod tests {
         let mut os = Os::boot_with_budget(Edition::Nimbus2000, 50_000).unwrap();
         let content: Vec<i64> = vec![1, 2, 3];
         os.devices_mut().add_file_cells("/web/f", content.clone());
-        let (bufs, _) = allocate_buffers(&mut os, simos::source::CS_REGION)
-            .unwrap()
-            .unwrap();
+        let bufs = allocate_buffers(&mut os, simos::source::CS_REGION).unwrap();
         // Corrupt the lock so the master-phase enter spins forever.
         os.poke(simos::source::CS_REGION, 1).unwrap();
         os.poke(simos::source::CS_REGION + 1, 99).unwrap();

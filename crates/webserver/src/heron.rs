@@ -16,7 +16,8 @@
 
 use simos::{Os, OsApi};
 
-use crate::driver::{self, Buffers, Phase, StepFailure, Style};
+use crate::driver::{self, Phase, StepFailure, Style};
+use crate::process::Process;
 use crate::request::{Outcome, Request, ServeResult};
 use crate::server::{ServerState, ServerStats, WebServer};
 
@@ -38,6 +39,7 @@ const STYLE: Style = Style {
     long_path_every: 8,
     vm_calls_every: 16,
     path_fallback: true,
+    multibyte_headers: false,
     chunk: 2048,
     overhead: 45,
 };
@@ -45,16 +47,9 @@ const STYLE: Style = Style {
 /// The Apache-like server. See module docs.
 #[derive(Clone, Debug)]
 pub struct Heron {
-    state: ServerState,
-    bufs: Option<Buffers>,
-    /// Warm-spare buffers armed by [`WebServer::prestart_spare`]: allocated
-    /// while the OS was healthy, so a failover can skip the allocation path
-    /// a poisoned heap would refuse.
-    spare: Option<Buffers>,
+    process: Process,
     healthy_workers: u32,
     worker_crashes: u64,
-    seq: u64,
-    stats: ServerStats,
     /// Static-content cache: path → (bytes, checksum). Entries are filled by
     /// successful static GETs and used to answer when the OS fails — the
     /// content-caching fallback that lets a robust server mask OS faults.
@@ -65,13 +60,9 @@ impl Heron {
     /// A stopped Heron; call [`WebServer::start`] before serving.
     pub fn new() -> Heron {
         Heron {
-            state: ServerState::Crashed,
-            bufs: None,
-            spare: None,
+            process: Process::new(simos::source::CS_REGION),
             healthy_workers: 0,
             worker_crashes: 0,
-            seq: 0,
-            stats: ServerStats::default(),
             cache: std::collections::HashMap::new(),
         }
     }
@@ -79,6 +70,13 @@ impl Heron {
     /// Healthy workers remaining in the pool.
     pub fn healthy_workers(&self) -> u32 {
         self.healthy_workers
+    }
+
+    /// A new process starts with an empty cache and a full pool.
+    fn reset(&mut self) {
+        self.cache.clear();
+        self.healthy_workers = WORKERS;
+        self.worker_crashes = 0;
     }
 
     /// Answers a static GET from the content cache, if possible.
@@ -104,75 +102,36 @@ impl WebServer for Heron {
     }
 
     fn state(&self) -> ServerState {
-        self.state
+        self.process.state
     }
 
     fn start(&mut self, os: &mut Os) -> bool {
-        self.stats.process_starts += 1;
-        self.state = ServerState::Crashed;
-        self.bufs = None;
-        self.cache.clear();
-        match driver::allocate_buffers(os, simos::source::CS_REGION) {
-            Ok(Ok((bufs, _cost))) => {
-                if driver::startup_config(os, &bufs).is_err() {
-                    return false; // config load died: startup failed
-                }
-                self.bufs = Some(bufs);
-                self.healthy_workers = WORKERS;
-                self.worker_crashes = 0;
-                self.state = ServerState::Running;
-                true
-            }
-            Ok(Err(_)) | Err(_) => false,
+        let started = self.process.start(os);
+        if started {
+            self.reset();
         }
+        started
     }
 
     fn prestart_spare(&mut self, os: &mut Os) -> bool {
-        if self.spare.is_some() {
-            return true;
-        }
-        // A *pre-started* spare: buffers allocated and config loaded now,
-        // while the OS is presumed healthy, so the later failover touches
-        // nothing a poisoned kernel could refuse.
-        match driver::allocate_buffers(os, simos::source::CS_REGION) {
-            Ok(Ok((bufs, _cost))) => {
-                if driver::startup_config(os, &bufs).is_err() {
-                    return false; // half-started spare is no spare
-                }
-                self.spare = Some(bufs);
-                true
-            }
-            Ok(Err(_)) | Err(_) => false,
-        }
+        self.process.prestart_spare(os)
     }
 
     fn failover(&mut self, os: &mut Os) -> bool {
-        let Some(bufs) = self.spare.take() else {
+        if !self.process.swap_in_spare(os) {
             return self.start(os);
-        };
-        // The pre-started process takes over: its buffers and config were
-        // paid for at prestart time, so this is a pure swap.
-        self.stats.process_starts += 1;
-        self.cache.clear();
-        self.bufs = Some(bufs);
-        self.healthy_workers = WORKERS;
-        self.worker_crashes = 0;
-        self.state = ServerState::Running;
-        // Re-arm while the OS is answering again (best effort).
-        self.prestart_spare(os);
+        }
+        self.reset();
         true
     }
 
     fn serve(&mut self, os: &mut Os, req: &Request) -> ServeResult {
-        assert_eq!(self.state, ServerState::Running, "serve() on a dead server");
-        let bufs = self.bufs.expect("running server has buffers");
-        self.seq += 1;
-        self.stats.requests += 1;
+        let (bufs, seq) = self.process.accept();
 
         // Queueing penalty when part of the pool is gone.
         let pool_penalty = (WORKERS - self.healthy_workers) as u64 * 30;
 
-        match driver::serve_once(os, &bufs, &STYLE, req, self.seq) {
+        match driver::serve_once(os, &bufs, &STYLE, req, seq) {
             Ok((outcome, cost)) => {
                 if let Outcome::Ok { bytes, checksum } = outcome {
                     if req.method == crate::request::Method::GetStatic {
@@ -206,7 +165,7 @@ impl WebServer for Heron {
                             cost: cost + pool_penalty,
                         };
                     }
-                    self.stats.errors += 1;
+                    self.process.stats.errors += 1;
                 }
                 ServeResult {
                     outcome,
@@ -215,46 +174,41 @@ impl WebServer for Heron {
             }
             Err(e) => {
                 let mut cost = e.cost + pool_penalty;
-                match (e.phase, e.failure) {
-                    (Phase::Master, StepFailure::Crash) => {
-                        // The master itself died.
-                        self.state = ServerState::Crashed;
-                    }
-                    (Phase::Master, StepFailure::Hang) => {
-                        // The accept path is stuck: nobody answers any more.
-                        self.state = ServerState::Hung;
-                    }
-                    (Phase::Worker, StepFailure::Crash) => {
+                match e.phase {
+                    // The master itself died, or its accept path is stuck
+                    // and nobody answers any more.
+                    Phase::Master => self.process.fail(e.failure),
+                    Phase::Worker if e.failure == StepFailure::Crash => {
                         self.worker_crashes += 1;
                         if self.worker_crashes >= WORKER_CRASH_LIMIT {
                             // The master's recovery budget is exhausted: the
                             // process exits (needs administrator restart).
-                            self.state = ServerState::Crashed;
+                            self.process.fail(StepFailure::Crash);
                         } else {
                             // Self-restart: replace the crashed worker, clean
                             // the lock the worker may still hold.
-                            self.stats.self_restarts += 1;
+                            self.process.stats.self_restarts += 1;
                             cost += WORKER_RESTART_COST;
                             recover_lock(os, bufs.cs, &mut cost);
                         }
                     }
-                    (Phase::Worker, StepFailure::Hang) => {
+                    Phase::Worker => {
                         // Abandon the stuck worker.
                         self.healthy_workers = self.healthy_workers.saturating_sub(1);
-                        self.stats.self_restarts += 1;
+                        self.process.stats.self_restarts += 1;
                         if self.healthy_workers == 0 {
-                            self.state = ServerState::Hung;
+                            self.process.fail(StepFailure::Hang);
                         } else {
                             recover_lock(os, bufs.cs, &mut cost);
                         }
                     }
                 }
-                if self.state == ServerState::Running {
+                if self.process.state == ServerState::Running {
                     if let Some(hit) = self.cache_answer(req) {
                         return ServeResult { outcome: hit, cost };
                     }
                 }
-                self.stats.errors += 1;
+                self.process.stats.errors += 1;
                 ServeResult {
                     outcome: Outcome::Error,
                     cost,
@@ -264,7 +218,7 @@ impl WebServer for Heron {
     }
 
     fn stats(&self) -> ServerStats {
-        self.stats
+        self.process.stats
     }
 
     fn clone_box(&self) -> Box<dyn WebServer> {

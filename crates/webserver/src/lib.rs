@@ -10,11 +10,18 @@
 //!   checked; failed requests release their resources; a crashed worker is
 //!   restarted by the master (the *built-in self-restart* the paper
 //!   highlights); only a master-level failure kills the process.
-//! * [`Wren`] (≈ Abyss) — a single-process server that assumes the OS works:
-//!   statuses go unchecked, error paths leak handles and buffers, any trap
-//!   kills the process, and nothing restarts it.
-//! * [`Sparrow`], [`Swift`] — additional servers with different API usage
-//!   mixes, used only to compute the Table 2 intersection.
+//! * [`SingleProcess`] — one process and no containment: any trap kills
+//!   it, any hang wedges it, and nothing restarts it. It runs with one of
+//!   three constant profiles:
+//!   - Wren (≈ Abyss), benchmarked: statuses go unchecked and error paths
+//!     leak handles and buffers;
+//!   - Sparrow (≈ Sambar) and Swift (≈ Savant), profiling only: different
+//!     API usage mixes, used to compute the Table 2 intersection.
+//!
+//! Both server types share one process lifecycle — start-up, warm spare,
+//! failover and request bookkeeping — and serve every request through one
+//! OS-call sequence ([`driver`]); only the per-server [`driver::Style`]
+//! differs.
 //!
 //! Faults are **never** injected into these servers (they are the BT, not
 //! the FIT); their code is ordinary Rust calling into the OS.
@@ -44,15 +51,12 @@
 
 pub mod driver;
 pub mod heron;
+mod process;
 pub mod request;
 pub mod server;
-pub mod sparrow;
-pub mod swift;
 pub mod wren;
 
 pub use heron::Heron;
 pub use request::{checksum_of, Method, Outcome, Request, ServeResult};
 pub use server::{ServerKind, ServerState, ServerStats, WebServer};
-pub use sparrow::Sparrow;
-pub use swift::Swift;
-pub use wren::Wren;
+pub use wren::SingleProcess;

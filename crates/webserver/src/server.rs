@@ -109,9 +109,9 @@ impl ServerKind {
     pub fn build(self) -> Box<dyn WebServer> {
         match self {
             ServerKind::Heron => Box::new(crate::Heron::new()),
-            ServerKind::Wren => Box::new(crate::Wren::new()),
-            ServerKind::Sparrow => Box::new(crate::Sparrow::new()),
-            ServerKind::Swift => Box::new(crate::Swift::new()),
+            ServerKind::Wren => Box::new(crate::SingleProcess::wren()),
+            ServerKind::Sparrow => Box::new(crate::SingleProcess::sparrow()),
+            ServerKind::Swift => Box::new(crate::SingleProcess::swift()),
         }
     }
 

@@ -3,7 +3,9 @@
 
 use simos::{Edition, Os, OsApi};
 use swfit_core::{FaultType, Injector, Scanner};
-use webserver::{checksum_of, Heron, Method, Outcome, Request, ServerState, WebServer, Wren};
+use webserver::{
+    checksum_of, Heron, Method, Outcome, Request, ServerKind, ServerState, SingleProcess, WebServer,
+};
 
 const FILE: &str = "/web/dir0/class1_0";
 const DOS: &str = "C:\\web\\dir0\\class1_0";
@@ -45,7 +47,7 @@ fn heron_path_fallback_masks_converter_fault() {
     for fault in candidates {
         injector.inject(os.image_mut(), fault).unwrap();
         let mut heron = Heron::new();
-        let mut wren = Wren::new();
+        let mut wren = SingleProcess::wren();
         if heron.start(&mut os) && wren.start(&mut os) {
             let rh = heron.serve(&mut os, &req);
             let rw = wren.serve(&mut os, &req);
@@ -84,7 +86,7 @@ fn heron_cache_masks_wrong_content() {
         "cache fallback should mask the corruption"
     );
     // Wren, by contrast, serves the corrupted bytes.
-    let mut wren = Wren::new();
+    let mut wren = SingleProcess::wren();
     assert!(wren.start(&mut os));
     let rw = wren.serve(&mut os, &req);
     assert!(matches!(rw.outcome, Outcome::Ok { .. }));
@@ -151,8 +153,52 @@ fn startup_survives_registry_faults_as_clean_failure() {
         .filter(|f| f.func == "nt_set_value_key" && f.fault_type == FaultType::Wlec)
     {
         injector.inject(os.image_mut(), fault).unwrap();
-        let mut wren = Wren::new();
+        let mut wren = SingleProcess::wren();
         let _started = wren.start(&mut os); // must not panic either way
+        injector.restore(os.image_mut());
+        os.reset_state().unwrap();
+    }
+}
+
+/// A failed start leaves the process `Crashed`, whatever state it was in
+/// before: a hung server whose restart dies loading its configuration is
+/// dead, not still hung.
+#[test]
+fn failed_start_after_a_hang_leaves_every_server_crashed() {
+    let mut os = Os::boot_with_budget(Edition::Nimbus2000, 60_000).unwrap();
+    let content = vec![1, 2, 3];
+    os.devices_mut().add_file_cells(FILE, content.clone());
+    let req = get_req(&content);
+    let fl = Scanner::standard().scan_image(os.program().image());
+    let mut injector = Injector::new();
+    // A fault in the registry's key hash that fails the start-up config
+    // load (every config call hashes its key).
+    let broken_registry = fl
+        .faults
+        .iter()
+        .filter(|f| f.func == "reg_hash")
+        .find(|fault| {
+            injector.inject(os.image_mut(), fault).unwrap();
+            let started = ServerKind::Heron.build().start(&mut os);
+            injector.restore(os.image_mut());
+            os.reset_state().unwrap();
+            !started
+        })
+        .expect("a registry fault that fails start-up");
+    for kind in ServerKind::ALL {
+        let mut server = kind.build();
+        assert!(server.start(&mut os), "{kind}");
+        // Wedge every server's critical section with a foreign owner: the
+        // next request spins in the master's enter.
+        for cs in (0..4).map(|i| simos::source::CS_REGION + 16 * i) {
+            os.poke(cs, 1).unwrap();
+            os.poke(cs + 1, 99).unwrap();
+        }
+        assert_eq!(server.serve(&mut os, &req).outcome, Outcome::Error);
+        assert_eq!(server.state(), ServerState::Hung, "{kind}");
+        injector.inject(os.image_mut(), broken_registry).unwrap();
+        assert!(!server.start(&mut os), "{kind}");
+        assert_eq!(server.state(), ServerState::Crashed, "{kind}");
         injector.restore(os.image_mut());
         os.reset_state().unwrap();
     }
@@ -177,7 +223,7 @@ fn transient_worker_crash_vs_single_process() {
     assert!(heron.start(&mut os));
     assert_eq!(heron.state(), ServerState::Running);
 
-    let mut wren = Wren::new();
+    let mut wren = SingleProcess::wren();
     assert!(wren.start(&mut os));
     os.poke(os.program().global_addr("heap_free_head").unwrap(), -1)
         .unwrap();
